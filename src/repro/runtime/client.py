@@ -149,8 +149,8 @@ class InferenceFuture:
         it, e.g. via :meth:`Orchestrator.record_outcome`.
         """
         request = self._request
-        if request is not None and request.model is not None:
-            return request.model.version
+        if request is not None and request.version is not None:
+            return request.version
         return self._served_version
 
     def done(self) -> bool:

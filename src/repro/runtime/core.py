@@ -1,0 +1,312 @@
+"""The serving core: model replicas, compiled plans and forwards (§6.3).
+
+Both serving modes run every model forward through one
+:class:`ServingCore`.  Thread mode holds one core inside the
+:class:`~repro.runtime.orchestrator.Orchestrator`; process mode holds
+one in each shard's worker process
+(:func:`~repro.runtime.procworker.worker_main`).  The core is the only
+code that
+
+* holds model replicas, keyed by ``(name, version)``;
+* resolves a compiled plan per specialization key — model, version, row
+  shape (or CSR sparsity pattern) and dtype — and memoizes it, including
+  the negative "untraceable" result, so a model the compiler refuses is
+  tried once rather than on every call (:meth:`ServingCore.purge` drops
+  those negative memos when an operator re-activates a version);
+* runs forwards under :func:`repro.nn.batch_invariant`, so a row's
+  output does not depend on how requests were batched, and checks that a
+  stacked forward returns one row per input row;
+* declares and records the forward metrics.
+
+Because both modes share this code, their outputs are byte-identical for
+``batch_invariant()`` models.  Everything in front of a forward — the
+tensor store, version pointers, canary routing, admission, queues and
+the process transport — belongs to the callers.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import threading
+import time
+from typing import Any, Callable, NamedTuple, Optional
+
+import numpy as np
+
+from .. import obs
+from ..compile import (
+    PlanCache,
+    compile_package,
+    csr_pattern_key,
+    package_digest,
+    untraceable_reason,
+)
+from ..nn.tensor import batch_invariant as _batch_invariant_mode
+from ..sparse import CSRMatrix
+
+__all__ = ["OrchestratorStopped", "Replica", "ServingCore"]
+
+#: plan-map marker for specializations the compiler cannot trace
+_UNTRACEABLE = object()
+
+
+class OrchestratorStopped(RuntimeError):
+    """Raised to waiters whose request was still queued when stop() ran."""
+
+
+class Replica(NamedTuple):
+    """One registered ``(name, version)`` of a model.
+
+    ``package`` (a :class:`~repro.nas.package.SurrogatePackage`) opts the
+    version into trace-and-compile serving; ``digest`` is its registry
+    artifact digest, so persisted plans are keyed by exactly the bytes
+    that were deployed.  Raw callables leave both ``None`` and always
+    serve interpreted.
+    """
+
+    predict: Callable[[np.ndarray], np.ndarray]
+    batchable: bool
+    package: Optional[Any] = None
+    digest: Optional[str] = None
+
+
+class ServingCore:
+    """Model replicas, plan resolution and instrumented forwards.
+
+    Thread-safe: several thread-mode serving workers share one core.
+    Compilation (or a plan-cache load) runs outside the lock on first
+    sight of a key; two threads racing the same cold key may both
+    compile, the plans are bit-identical and ``setdefault`` keeps one.
+    """
+
+    def __init__(
+        self,
+        *,
+        batch_invariant: bool = True,
+        compile_plans: bool = True,
+        plan_cache_dir=None,
+    ) -> None:
+        self.batch_invariant = bool(batch_invariant)
+        self.compile_plans = bool(compile_plans)
+        self.plan_cache = PlanCache(plan_cache_dir, enabled=self.compile_plans)
+        self._replicas: dict[tuple[str, int], Replica] = {}  # cc: guarded-by(_lock)
+        # (name, version, row shape or ("csr", pattern digest), dtype) ->
+        # plan or the untraceable marker.  Keyed by version, so a deploy
+        # or rollback needs no invalidation: each version has its entries
+        self._plans: dict[tuple, Any] = {}  # cc: guarded-by(_lock)
+        self._lock = threading.Lock()
+        self._telemetry = obs.TELEMETRY
+        registry = obs.get_registry()
+        self._m_served = registry.counter(
+            "repro_orchestrator_served_total",
+            "Inference requests completed successfully by the worker",
+        )
+        self._m_failed = registry.counter(
+            "repro_orchestrator_failed_total",
+            "Inference requests that errored or were abandoned by stop()",
+        )
+        self._m_latency = registry.histogram(
+            "repro_orchestrator_inference_seconds",
+            "Model forward wall-clock seconds per registered model",
+            labels=("model",),
+        )
+        self._m_batched_rows = registry.counter(
+            "repro_orchestrator_batched_rows_total",
+            "Requests served through a vectorized (B, F) forward pass",
+        )
+        self._m_plans_built = registry.counter(
+            "repro_compile_plans_built_total",
+            "Serving plans built by tracing (missed every cache tier)",
+        )
+        self._m_plan_build = registry.histogram(
+            "repro_compile_plan_build_seconds",
+            "Seconds spent tracing + partial-evaluating one serving plan",
+        )
+        self._m_plan_exec = registry.histogram(
+            "repro_compile_plan_exec_seconds",
+            "Wall-clock seconds of forwards served by a compiled plan",
+            labels=("model",),
+        )
+        self._m_untraceable = registry.counter(
+            "repro_compile_untraceable_total",
+            "Specializations that fell back to the interpreted path",
+            labels=("reason",),
+        )
+
+    # -- replicas -----------------------------------------------------------------
+
+    def register(
+        self,
+        name: str,
+        version: int,
+        predict: Callable[[np.ndarray], np.ndarray],
+        *,
+        batchable: bool,
+        package: Optional[Any] = None,
+        digest: Optional[str] = None,
+    ) -> None:
+        """Hold one version of a model (replacing any with that number)."""
+        key = (name, int(version))
+        with self._lock:
+            if key in self._replicas:
+                # the version number now points at different weights:
+                # every memo for it, plans included, is stale
+                self._purge_locked(key, drop_plans=True)
+            self._replicas[key] = Replica(predict, bool(batchable), package, digest)
+
+    def replica(self, name: str, version: int) -> Replica:
+        with self._lock:
+            replica = self._replicas.get((name, int(version)))
+        if replica is None:
+            raise RuntimeError(
+                f"no replica of model {name!r} version {version} is held here"
+            )
+        return replica
+
+    def purge(self, name: str, version: int) -> None:
+        """Forget the negative compile memos of one ``(name, version)``.
+
+        An activation is an operator saying "serve this version", so a
+        specialization that once failed to compile (e.g. before its plan
+        landed in the shared disk tier) is retried instead of serving
+        interpreted forever.  Resolved plans stay: they are keyed by
+        version and remain correct.
+        """
+        with self._lock:
+            self._purge_locked((name, int(version)), drop_plans=False)
+
+    def _purge_locked(self, key: tuple[str, int], *, drop_plans: bool) -> None:  # cc: requires(_lock)
+        stale = [
+            plan_key
+            for plan_key, resolved in self._plans.items()
+            if plan_key[:2] == key and (drop_plans or resolved is _UNTRACEABLE)
+        ]
+        for plan_key in stale:
+            del self._plans[plan_key]
+
+    # -- forwards -----------------------------------------------------------------
+
+    def serve(
+        self, name: str, version: int, x, *, stacked: bool = False
+    ) -> np.ndarray:
+        """One instrumented forward; returns a floating-point output.
+
+        ``x`` reaches the model whole — a 1-D row, a 2-D input or a CSR
+        batch — unless ``stacked``: then it is a ``(B, F)`` block of
+        request rows and the output must have ``B`` rows.  Failures
+        propagate uncounted: the caller decides whether the request
+        failed (:meth:`fail`) or is retried another way.
+        """
+        if not self._telemetry.enabled:
+            y = self._forward(name, version, x, stacked)[0]
+        else:
+            start = time.perf_counter()
+            y, used_plan, vectorized = self._forward(name, version, x, stacked)
+            elapsed = time.perf_counter() - start
+            rows = len(x) if stacked else 1
+            self._m_served.inc(rows)
+            self._m_latency.observe(elapsed, model=name)
+            if vectorized and rows > 1:
+                self._m_batched_rows.inc(rows)
+            if used_plan:
+                self._m_plan_exec.observe(elapsed, model=name)
+        if y.dtype.kind != "f":
+            y = y.astype(np.float64)
+        return y
+
+    def fail(self, requests: int = 1) -> None:
+        """Count requests that failed or were abandoned."""
+        if self._telemetry.enabled:
+            self._m_failed.inc(requests)
+
+    def _forward(self, name: str, version: int, x, stacked: bool):
+        """``(output, plan ran it, one vectorized forward ran it)``.
+
+        A stacked block runs through the plan, else one forward of a
+        model declared row-wise (``batchable``), else one forward per
+        row — a model never declared row-wise never sees stacked input.
+        """
+        replica = self.replica(name, version)
+        plan = self._plan_for(name, version, replica, x)
+        if plan is not None:
+            y = np.asarray(plan.predict(x))
+        else:
+            with self._forward_mode():
+                if stacked and not replica.batchable:
+                    y = np.stack([np.asarray(replica.predict(row)) for row in x])
+                else:
+                    y = np.asarray(replica.predict(x))
+        if stacked and (y.ndim < 1 or y.shape[0] != len(x)):
+            raise ValueError(
+                f"model {name!r} returned shape {y.shape} for a batch of "
+                f"{len(x)}; only row-wise models may be registered "
+                "batchable=True"
+            )
+        return y, plan is not None, stacked and (plan is not None or replica.batchable)
+
+    def _forward_mode(self):
+        """Context every model forward runs under (see ``batch_invariant``)."""
+        if self.batch_invariant:
+            return _batch_invariant_mode()
+        return contextlib.nullcontext()
+
+    # -- compiled plans -----------------------------------------------------------
+
+    def _plan_for(self, name: str, version: int, replica: Replica, x):
+        """Compiled plan for ``x``'s specialization key, or None (interpreted).
+
+        The key uses the per-request row shape, so single and stacked
+        serving of one model share one plan; a CSR batch keys on its
+        sparsity pattern instead.
+        """
+        if not self.compile_plans or replica.package is None:
+            return None
+        if isinstance(x, CSRMatrix):
+            csr, pattern = x, csr_pattern_key(x)
+            shape, dtype, spec = (x.shape[1],), "<f8", ("csr", pattern)
+        else:
+            csr = pattern = None
+            shape, dtype = x.shape[-1:], x.dtype.str
+            spec = tuple(shape)
+        key = (name, version, spec, dtype)
+        with self._lock:
+            resolved = self._plans.get(key)
+        if resolved is None:
+            plan = self._build_plan(replica, shape, dtype, csr=csr, pattern=pattern)
+            with self._lock:
+                resolved = self._plans.setdefault(
+                    key, _UNTRACEABLE if plan is None else plan
+                )
+        return None if resolved is _UNTRACEABLE else resolved
+
+    def _build_plan(
+        self, replica: Replica, shape, dtype: str, *, csr=None, pattern=None
+    ):
+        """Fetch from the plan cache or trace-and-compile (None: fall back)."""
+        try:
+            digest = replica.digest or package_digest(replica.package)
+            key = self.plan_cache.key(
+                digest,
+                input_shape=shape,
+                dtype=dtype,
+                batch_invariant=self.batch_invariant,
+                csr=pattern,
+            )
+            plan = self.plan_cache.get(key)
+            if plan is not None:
+                return plan
+            start = time.perf_counter()
+            plan = compile_package(
+                replica.package,
+                batch_invariant=self.batch_invariant,
+                csr_pattern=csr,
+            )
+        except Exception as exc:  # noqa: BLE001 - any compile failure means: interpret
+            if self._telemetry.enabled:
+                self._m_untraceable.inc(reason=untraceable_reason(exc))
+            return None
+        if self._telemetry.enabled:
+            self._m_plan_build.observe(time.perf_counter() - start)
+            self._m_plans_built.inc()
+        self.plan_cache.put(key, plan)
+        return plan

@@ -3,31 +3,40 @@
 The paper couples HPC applications to NN runtimes through a Redis-based
 in-memory store (SmartSim Orchestrator + RedisAI): applications ``put``
 input tensors under keys, request ``run_model`` on a registered model, and
-``unpack`` the output tensors.  This module reproduces those semantics with
-a thread-safe in-process store plus a pool of background worker threads
-that service inference requests from a queue (the "server" the paper runs
-on the GPU node).
+``unpack`` the output tensors.  This module reproduces those semantics
+with a thread-safe in-process store in front of one serving core
+(:class:`~repro.runtime.core.ServingCore`).
 
-Serving is **dynamically micro-batched**: each worker drains the request
-queue into a batch of up to ``max_batch_size`` requests (waiting at most
-``max_wait_ms`` for the batch to fill), groups compatible requests — same
-model, same input shape and dtype, single 1-D input tensor — stacks them
-into one ``(B, F)`` array, runs a single vectorized forward pass, and
-scatters the output rows back to the per-request output keys.  Batching
-is opt-in per model (``register_model(..., batchable=True)`` declares the
-callable row-wise; ``Client.set_model`` opts surrogate packages in
-automatically).  Requests that cannot batch (multi-key inputs, 2-D
-inputs, models not declared batchable) fall back to the per-request path
-inside the same drain.  Model forwards
-run inside :func:`repro.nn.batch_invariant`, so batched outputs are
-bit-identical to per-request outputs regardless of how the queue happened
-to be sliced into batches.
+The orchestrator is the *front end*: the tensor store, the versioned
+model registry's pointers, canary routing and admission
+(``_admit_locked``), and — in thread mode — the request queue.  Every
+model forward runs in a serving core, which holds the model replicas,
+resolves compiled plans and records the forward metrics.  Thread mode
+(``num_processes=0``) keeps one core in this process; process mode
+(``num_processes > 0``) keeps one in each shard's worker process behind
+a :class:`~repro.runtime.sharding.ProcessShardPool`.  Both modes run the
+same core code, so their outputs are byte-identical for
+``batch_invariant()`` models.
+
+Thread-mode serving is **dynamically micro-batched**: each worker drains
+the request queue into a batch of up to ``max_batch_size`` requests
+(waiting at most ``max_wait_ms`` for the batch to fill), groups requests
+pinned to the same model version with a single 1-D input tensor of the
+same shape and dtype, and hands each group to the core as one stacked
+``(B, F)`` forward, scattering the output rows back to the per-request
+output keys.  The core runs a stacked block through the compiled plan,
+else one forward of a model declared row-wise
+(``register_model(..., batchable=True)``; ``Client.set_model`` opts
+surrogate packages in), else one forward per row.  A group whose forward
+fails — a poisoned row, a model that is not really row-wise — falls back
+to per-request serving.  Requests that cannot group (multi-key inputs,
+2-D or CSR inputs) reach the model whole, one by one.
 
 The model registry is **versioned**: ``register_model`` may hold several
 versions of one name, exactly one of which is *active* (serving).
 ``deploy(name, version)`` hot-swaps the active version atomically and
 ``rollback(name)`` returns to the previously active one.  Requests are
-pinned to the active version at *admission* (``submit``/``submit_many``),
+pinned to a version number at *admission* (``submit``/``submit_many``),
 so in-flight and already-batched requests always finish on the version
 they were admitted under while new requests see the new version — a swap
 never mixes versions inside one vectorized forward.
@@ -47,17 +56,18 @@ raise :class:`UnknownModelError` (a ``KeyError`` naming the registered
 models), surfaced through ``InferenceFuture.result`` and
 ``Client.run_model_batch`` like any other serving error.
 
-Telemetry: submit/serve/fail counters, a queue-depth gauge, a tensor-store
-size gauge, a per-model inference latency histogram, plus batch-size and
-batch-wait histograms for the micro-batcher — all on the process-global
-registry (:mod:`repro.obs`).  Deployments move the
+Telemetry: the core records served/failed totals, inference latency and
+plan counters; the front end adds the submit counter, a queue-depth
+gauge, a tensor-store size gauge, and batch-size and batch-wait
+histograms for the micro-batcher — all on the process-global registry
+(:mod:`repro.obs`).  Deployments move the
 ``repro_registry_active_version`` gauge and the swap/rollback counters.
 When telemetry is disabled the hot paths pay one attribute check.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 import hashlib
 import pickle
 import queue
@@ -72,15 +82,9 @@ from typing import Any, Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from .. import obs
-from ..compile import (
-    PlanCache,
-    compile_package,
-    csr_pattern_key,
-    package_digest,
-    untraceable_reason,
-)
-from ..nn.tensor import batch_invariant as _batch_invariant_mode
 from ..sparse import CSRMatrix
+from .core import OrchestratorStopped, ServingCore
+from .sharding import OverloadError, ProcessShardPool, RowsResult
 
 __all__ = [
     "Orchestrator",
@@ -92,14 +96,6 @@ __all__ = [
 
 #: batch-size histogram buckets: powers of two up to a deep GPU-style batch
 BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-
-#: resolution-map marker for models the plan compiler cannot trace, so
-#: the fallback decision is made once per specialization key, not per call
-_UNTRACEABLE = object()
-
-
-class OrchestratorStopped(RuntimeError):
-    """Raised to waiters whose request was still queued when stop() ran."""
 
 
 class UnknownModelError(KeyError):
@@ -123,23 +119,6 @@ class UnknownModelError(KeyError):
 
     def __str__(self) -> str:  # KeyError would repr() the message
         return self.args[0]
-
-
-class _ModelVersion(NamedTuple):
-    """One immutable registered version of a model.
-
-    ``package``/``digest`` are optional compilation metadata: when the
-    registered callable is a surrogate package's ``predict``, the package
-    itself (and, for registry-loaded models, its artifact digest) ride
-    along so the serving path can trace-and-compile it.  Raw callables
-    leave both ``None`` and always serve interpreted.
-    """
-
-    predict: Callable[[np.ndarray], np.ndarray]
-    batchable: bool
-    version: int
-    package: Optional[Any] = None
-    digest: Optional[str] = None
 
 
 class _OutcomeWindow:
@@ -195,9 +174,12 @@ def _canary_slot(name: str, seq: int) -> float:
 
 @dataclass
 class _ModelEntry:
-    """All versions of one model name plus its deployment pointers."""
+    """The version numbers of one model name plus its deployment pointers.
 
-    versions: dict[int, _ModelVersion] = field(default_factory=dict)
+    The replicas themselves live in the serving core.
+    """
+
+    versions: set[int] = field(default_factory=set)
     active: Optional[int] = None
     previous: Optional[int] = None
     #: canary deploy-policy pointers: a candidate version receiving a
@@ -215,8 +197,8 @@ class _ModelEntry:
 class InferenceRequest:
     """One queued model invocation (server mode).
 
-    ``model`` is the version the request was admitted under — pinned by
-    ``submit``/``submit_many`` so a ``deploy`` between admission and
+    ``version`` is the version the request was admitted under — pinned
+    by ``submit``/``submit_many`` so a ``deploy`` between admission and
     serving cannot change which weights answer this request.
     """
 
@@ -225,13 +207,14 @@ class InferenceRequest:
     output_keys: tuple[str, ...]
     done: threading.Event = field(default_factory=threading.Event)
     error: Optional[Exception] = None
-    model: Optional[_ModelVersion] = None
+    version: Optional[int] = None
 
 
 class _Group(NamedTuple):
     """A vectorizable run: requests plus their already-fetched input rows."""
 
-    model: _ModelVersion
+    name: str
+    version: int
     requests: list[InferenceRequest]
     inputs: list[np.ndarray]
 
@@ -368,7 +351,6 @@ class Orchestrator:
         num_processes: int = 0,
         max_queue_depth: int = 512,
         admission_timeout_ms: float = 50.0,
-        start_method: str = "spawn",
         outcome_window: int = 128,
     ) -> None:
         if max_batch_size < 1:
@@ -389,17 +371,19 @@ class Orchestrator:
         self.batch_invariant = bool(batch_invariant)
         self.compile_plans = bool(compile_plans)
         self.num_processes = int(num_processes)
-        self._pool = None
+        # serves thread mode and direct run_model calls; in process mode
+        # each shard's worker holds a core of its own
+        self._core = ServingCore(
+            batch_invariant=self.batch_invariant,
+            compile_plans=self.compile_plans,
+            plan_cache_dir=plan_cache_dir,
+        )
+        self._pool: Optional[ProcessShardPool] = None
         if self.num_processes:
-            # deferred import: sharding pulls in procworker, which this
-            # module must not depend on at import time
-            from .sharding import ProcessShardPool
-
             self._pool = ProcessShardPool(
                 self.num_processes,
                 max_queue_depth=max_queue_depth,
                 admission_timeout_ms=admission_timeout_ms,
-                start_method=start_method,
                 batch_invariant=self.batch_invariant,
                 compile_plans=self.compile_plans,
                 plan_cache_dir=str(plan_cache_dir) if plan_cache_dir else None,
@@ -407,13 +391,6 @@ class Orchestrator:
         self._tensors: dict[str, np.ndarray] = {}  # cc: guarded-by(_lock)
         self._models: dict[str, _ModelEntry] = {}  # cc: guarded-by(_lock)
         self._lock = threading.RLock()
-        self._plan_cache = PlanCache(plan_cache_dir, enabled=self.compile_plans)
-        # fast resolution map: (name, version, row shape, dtype) -> plan or
-        # the untraceable sentinel.  Keyed by pinned version, so deploy/
-        # rollback invalidation is automatic — a swapped-in version simply
-        # resolves its own entry.
-        self._plans: dict[tuple, Any] = {}  # cc: guarded-by(_plan_lock)
-        self._plan_lock = threading.Lock()
         self._queue = _RequestQueue()
         self._workers: list[threading.Thread] = []  # cc: guarded-by(_state_lock)
         # bare reads (is_running, the worker loop) see a GIL-atomic bool;
@@ -428,14 +405,6 @@ class Orchestrator:
             "repro_orchestrator_submitted_total",
             "Inference requests queued via submit()",
         )
-        self._m_served = registry.counter(
-            "repro_orchestrator_served_total",
-            "Inference requests completed successfully by the worker",
-        )
-        self._m_failed = registry.counter(
-            "repro_orchestrator_failed_total",
-            "Inference requests that errored or were abandoned by stop()",
-        )
         self._m_queue_depth = registry.gauge(
             "repro_orchestrator_queue_depth",
             "Inference requests waiting in the server queue",
@@ -443,11 +412,6 @@ class Orchestrator:
         self._m_tensors = registry.gauge(
             "repro_orchestrator_tensor_store_size",
             "Tensors currently held in the store",
-        )
-        self._m_latency = registry.histogram(
-            "repro_orchestrator_inference_seconds",
-            "run_model wall-clock seconds per registered model",
-            labels=("model",),
         )
         self._m_batch_size = registry.histogram(
             "repro_orchestrator_batch_size",
@@ -457,10 +421,6 @@ class Orchestrator:
         self._m_batch_wait = registry.histogram(
             "repro_orchestrator_batch_wait_seconds",
             "Seconds a worker spent collecting each micro-batch",
-        )
-        self._m_batched_rows = registry.counter(
-            "repro_orchestrator_batched_rows_total",
-            "Requests served through a vectorized (B, F) forward pass",
         )
         self._m_stuck_workers = registry.gauge(
             "repro_orchestrator_stuck_workers",
@@ -511,24 +471,6 @@ class Orchestrator:
             "Canary candidates rolled back without promotion",
             labels=("model",),
         )
-        self._m_plans_built = registry.counter(
-            "repro_compile_plans_built_total",
-            "Serving plans built by tracing (missed every cache tier)",
-        )
-        self._m_plan_build = registry.histogram(
-            "repro_compile_plan_build_seconds",
-            "Seconds spent tracing + partial-evaluating one serving plan",
-        )
-        self._m_plan_exec = registry.histogram(
-            "repro_compile_plan_exec_seconds",
-            "Wall-clock seconds of forwards served by a compiled plan",
-            labels=("model",),
-        )
-        self._m_untraceable = registry.counter(
-            "repro_compile_untraceable_total",
-            "Specializations that fell back to the interpreted path",
-            labels=("reason",),
-        )
 
     # -- tensor store ---------------------------------------------------------
 
@@ -560,12 +502,7 @@ class Orchestrator:
         place.  The view is zero-copy — callers that need to write take a
         ``.copy()`` (``Client.unpack_tensor`` already does).
         """
-        with self._lock:
-            try:
-                value = self._tensors[key]
-            except KeyError:
-                raise KeyError(f"no tensor stored under key {key!r}") from None
-        return self._readonly(value)
+        return self.get_tensors([key])[0]
 
     @staticmethod
     def _readonly(value) -> Any:
@@ -578,11 +515,22 @@ class Orchestrator:
     def get_tensors(self, keys: list[str]) -> list[np.ndarray]:
         """Bulk :meth:`get_tensor`: one lock acquisition for the whole list."""
         with self._lock:
-            try:
-                values = [self._tensors[k] for k in keys]
-            except KeyError as exc:
-                raise KeyError(f"no tensor stored under key {exc.args[0]!r}") from None
+            values = self._lookup_locked(keys)
         return [self._readonly(value) for value in values]
+
+    def _lookup_locked(self, keys) -> list:  # cc: requires(_lock)
+        try:
+            return [self._tensors[k] for k in keys]
+        except KeyError as exc:
+            raise KeyError(f"no tensor stored under key {exc.args[0]!r}") from None
+
+    def _input_locked(self, keys) -> Any:  # cc: requires(_lock)
+        """One request's input: its single tensor whole, else the
+        flattened tensors concatenated."""
+        inputs = self._lookup_locked(keys)
+        if len(inputs) == 1:
+            return inputs[0]
+        return np.concatenate([np.atleast_1d(v).ravel() for v in inputs])
 
     def delete_tensors(self, keys: list[str]) -> None:
         """Bulk :meth:`delete_tensor`: one lock acquisition for the whole list."""
@@ -595,10 +543,7 @@ class Orchestrator:
                 self._m_tensors.set(len(self._tensors))
 
     def delete_tensor(self, key: str) -> None:
-        with self._lock:
-            self._tensors.pop(key, None)
-            if self._telemetry.enabled:
-                self._m_tensors.set(len(self._tensors))
+        self.delete_tensors([key])
 
     def tensor_exists(self, key: str) -> bool:
         with self._lock:
@@ -635,7 +580,7 @@ class Orchestrator:
         rows but still returns ``B`` output rows — e.g.
         ``lambda x: x / np.linalg.norm(x)``, which normalizes over the
         whole stack — would silently produce wrong per-request results if
-        batched by default.  Raw callables stay on the per-request path
+        batched by default.  Raw callables get one forward per request
         unless the caller declares them row-wise.
 
         ``package`` (a :class:`~repro.nas.package.SurrogatePackage`) opts
@@ -666,14 +611,16 @@ class Orchestrator:
             version = int(version)
             if version < 1:
                 raise ValueError("model versions start at 1")
-            replaced = version in entry.versions
-            entry.versions[version] = _ModelVersion(
-                predict, bool(batchable), version, package, digest
+            # the replica lands before the version becomes admissible
+            self._core.register(
+                name,
+                version,
+                predict,
+                batchable=bool(batchable),
+                package=package,
+                digest=digest,
             )
-            if replaced:
-                # the version number now points at different weights: every
-                # memoized resolution (plans included) is stale
-                self._purge_plan_memos(name, version, drop_plans=True)
+            entry.versions.add(version)
             if deploy:
                 self._activate(name, entry, version)
         if blob is not None:
@@ -690,17 +637,12 @@ class Orchestrator:
         requests admitted after it see the new one.  Returns the deployed
         version number.
         """
+        version = int(version)
         with self._lock:
-            entry = self._entry_locked(name)
-            version = int(version)
-            if version not in entry.versions:
-                raise ValueError(
-                    f"model {name!r} has no version {version}; "
-                    f"available: {sorted(entry.versions)}"
-                )
+            entry = self._entry_locked(name, version)
             self._activate(name, entry, version)
             self._clear_canary_locked(name, entry)
-            self._purge_plan_memos(name, version)
+        self._purge(name, version)
         return version
 
     def rollback(self, name: str) -> int:
@@ -718,10 +660,10 @@ class Orchestrator:
             target = entry.previous
             entry.previous, entry.active = entry.active, target
             self._clear_canary_locked(name, entry)
-            self._purge_plan_memos(name, target)
             if self._telemetry.enabled:
                 self._m_active_version.set(target, model=name)
                 self._m_rollbacks.inc(model=name)
+        self._purge(name, target)
         return target
 
     # -- canary deploy-policy -----------------------------------------------------
@@ -742,12 +684,7 @@ class Orchestrator:
         if not 0.0 < fraction <= 1.0:
             raise ValueError("canary fraction must be in (0, 1]")
         with self._lock:
-            entry = self._entry_locked(name)
-            if version not in entry.versions:
-                raise ValueError(
-                    f"model {name!r} has no version {version}; "
-                    f"available: {sorted(entry.versions)}"
-                )
+            entry = self._entry_locked(name, version)
             if entry.active is None:
                 raise ValueError(
                     f"model {name!r} has no active incumbent to canary against"
@@ -763,10 +700,10 @@ class Orchestrator:
             # experiment's own traffic, not outcomes recorded before it
             entry.outcomes[version] = _OutcomeWindow(self.outcome_window)
             entry.outcomes[entry.active] = _OutcomeWindow(self.outcome_window)
-            self._purge_plan_memos(name, version)
             if self._telemetry.enabled:
                 self._m_canary_version.set(version, model=name)
                 self._m_canary_fraction.set(fraction, model=name)
+        self._purge(name, version)
         return version
 
     def end_canary(self, name: str, *, promote: bool) -> int:
@@ -787,7 +724,6 @@ class Orchestrator:
             entry.canary_fraction = 0.0
             if promote:
                 self._activate(name, entry, candidate)
-                self._purge_plan_memos(name, candidate)
             if self._telemetry.enabled:
                 self._m_canary_version.set(0, model=name)
                 self._m_canary_fraction.set(0.0, model=name)
@@ -795,7 +731,10 @@ class Orchestrator:
                     self._m_canary_promotions.inc(model=name)
                 else:
                     self._m_canary_rollbacks.inc(model=name)
-            return entry.active
+            active = entry.active
+        if promote:
+            self._purge(name, candidate)
+        return active
 
     def canary_status(self, name: str) -> Optional[CanaryStatus]:
         """Windowed per-role outcome stats for the in-flight canary (or None)."""
@@ -826,12 +765,7 @@ class Orchestrator:
         """
         version = int(version)
         with self._lock:
-            entry = self._entry_locked(name)
-            if version not in entry.versions:
-                raise ValueError(
-                    f"model {name!r} has no version {version}; "
-                    f"available: {sorted(entry.versions)}"
-                )
+            entry = self._entry_locked(name, version)
             window = entry.outcomes.get(version)
             if window is None:
                 window = entry.outcomes[version] = _OutcomeWindow(
@@ -879,32 +813,29 @@ class Orchestrator:
             if swapped:
                 self._m_swaps.inc(model=name)
 
-    def _entry_locked(self, name: str) -> _ModelEntry:  # cc: requires(_lock)
+    def _purge(self, name: str, version: int) -> None:
+        """Retry ``version``'s failed compiles in whichever core serves it."""
+        self._core.purge(name, version)
+        if self._pool is not None:
+            self._pool.purge(name, version)
+
+    def _entry_locked(  # cc: requires(_lock)
+        self, name: str, version: Optional[int] = None
+    ) -> _ModelEntry:
+        """The entry of ``name``; with ``version``, check it is registered."""
         entry = self._models.get(name)
         if entry is None or not entry.versions:
             raise UnknownModelError(name, tuple(self._models))
-        return entry
-
-    def _resolve_locked(  # cc: requires(_lock)
-        self, name: str, version: Optional[int] = None
-    ) -> _ModelVersion:
-        """Active (or pinned-by-number) version of ``name``; caller holds lock."""
-        entry = self._entry_locked(name)
-        if version is None:
-            version = entry.active
-            if version is None:
-                raise UnknownModelError(name, tuple(self._models))
-        try:
-            return entry.versions[version]
-        except KeyError:
+        if version is not None and version not in entry.versions:
             raise ValueError(
                 f"model {name!r} has no version {version}; "
                 f"available: {sorted(entry.versions)}"
-            ) from None
+            )
+        return entry
 
     def _admit_locked(  # cc: requires(_lock)
         self, name: str, version: Optional[int] = None
-    ) -> _ModelVersion:
+    ) -> int:
         """Version-route one admission (caller holds ``self._lock``).
 
         An explicit ``version`` pins that version.  Otherwise the active
@@ -916,7 +847,9 @@ class Orchestrator:
         version number rides with the request.
         """
         if version is not None:
-            return self._resolve_locked(name, version)
+            version = int(version)
+            self._entry_locked(name, version)
+            return version
         entry = self._entry_locked(name)
         if entry.active is None:
             raise UnknownModelError(name, tuple(self._models))
@@ -929,7 +862,7 @@ class Orchestrator:
             if self._telemetry.enabled:
                 role = "canary" if chosen == entry.canary else "incumbent"
                 self._m_canary_requests.inc(model=name, role=role)
-        return entry.versions[chosen]
+        return chosen
 
     def model_exists(self, name: str) -> bool:
         with self._lock:
@@ -957,180 +890,17 @@ class Orchestrator:
         """Run a registered model on stored tensors, storing the outputs.
 
         Uses the active version unless ``version`` pins an explicit one
-        (a canary in flight routes its slice of unpinned calls).  Returns
-        the version that served the call.
+        (a canary in flight routes its slice of unpinned calls).  The
+        request's tensor reaches the model whole.  Returns the version
+        that served the call.
         """
-        if not self._telemetry.enabled:
-            _, served = self._run_model_inner(
-                name, input_keys, output_keys, version=version
-            )
-            return served
-        start = time.perf_counter()
-        compiled, served = self._run_model_inner(
-            name, input_keys, output_keys, version=version
-        )
-        elapsed = time.perf_counter() - start
-        self._m_latency.observe(elapsed, model=name)
-        if compiled:
-            self._m_plan_exec.observe(elapsed, model=name)
-        return served
-
-    def _run_model_inner(
-        self,
-        name: str,
-        input_keys: tuple[str, ...],
-        output_keys: tuple[str, ...],
-        *,
-        version: Optional[int] = None,
-        pinned: Optional[_ModelVersion] = None,
-    ) -> tuple[bool, int]:
-        """Serve one request; returns (plan ran it, version that served)."""
         with self._lock:
-            model = pinned if pinned is not None else self._admit_locked(
-                name, version
-            )
-            # bulk fetch under the one already-held lock: going through
-            # get_tensor would re-acquire the RLock once per key
-            try:
-                inputs = [self._tensors[k] for k in input_keys]
-            except KeyError as exc:
-                raise KeyError(
-                    f"no tensor stored under key {exc.args[0]!r}"
-                ) from None
-        x = inputs[0] if len(inputs) == 1 else np.concatenate(
-            [np.atleast_1d(v).ravel() for v in inputs]
-        )
-        # the specialization key uses the per-request row shape — the same
-        # key the micro-batcher groups on — so single and batched serving
-        # of one model share one plan.  CSR batches key on their sparsity
-        # pattern instead of a row shape.
-        if isinstance(x, CSRMatrix):
-            plan = self._plan_for(name, model, (x.shape[1],), "<f8", csr=x)
-        else:
-            plan = self._plan_for(name, model, x.shape[-1:], x.dtype.str)
-        if plan is not None:
-            y = np.asarray(plan.predict(x))
-        else:
-            with self._forward_mode():
-                y = np.asarray(model.predict(x))
+            version = self._admit_locked(name, version)
+            x = self._input_locked(input_keys)
         if len(output_keys) != 1:
             raise ValueError("multi-output splitting is the client's job; pass one key")
-        self.put_tensor(output_keys[0], y)
-        return plan is not None, model.version
-
-    def _forward_mode(self):
-        """Context every model forward runs under (see ``batch_invariant``)."""
-        if self.batch_invariant:
-            return _batch_invariant_mode()
-        return contextlib.nullcontext()
-
-    # -- compiled serving plans ---------------------------------------------------
-
-    def _purge_plan_memos(
-        self, name: str, version: int, *, drop_plans: bool = False
-    ) -> None:
-        """Forget resolution-map entries for one (name, version).
-
-        ``deploy``/``rollback`` clear only the ``_UNTRACEABLE`` negative
-        memos: an activation is an operator saying "serve this version",
-        so a specialization that once failed to compile (e.g. before its
-        plan landed in the shared disk tier) gets retried instead of
-        being stuck interpreted forever.  Resolved plans stay — they are
-        keyed by version and remain correct.  ``drop_plans=True`` (a
-        re-register that *replaced* the version's weights) drops the
-        plans too.  Lock order ``_lock`` → ``_plan_lock`` (callers hold
-        ``_lock``), same as the serving path.
-        """
-        with self._plan_lock:
-            stale = [
-                key
-                for key, resolved in self._plans.items()
-                if key[0] == name
-                and key[1] == version
-                and (drop_plans or resolved is _UNTRACEABLE)
-            ]
-            for key in stale:
-                del self._plans[key]
-
-    def _plan_for(
-        self, name: str, model: _ModelVersion, shape, dtype: str, *, csr=None
-    ):
-        """Compiled plan for one specialization key, or None (interpreted).
-
-        Resolution is a dict lookup on the hot path; compilation (or a
-        plan-cache load) happens outside every lock on first sight of a
-        key.  Two workers racing the same cold key may both compile —
-        the plans are bit-identical, ``setdefault`` keeps one, and the
-        loser's work is discarded (a benign race, never a wrong answer).
-
-        ``csr`` carries the request's :class:`CSRMatrix` for sparse-input
-        specializations; the resolution key uses its pattern digest, so
-        one plan serves every request with the same sparsity structure.
-        """
-        if not self.compile_plans or model.package is None:
-            return None
-        pattern = csr_pattern_key(csr) if csr is not None else None
-        map_key = (
-            name,
-            model.version,
-            ("csr", pattern) if pattern is not None else tuple(shape),
-            dtype,
-        )
-        with self._plan_lock:
-            resolved = self._plans.get(map_key)
-        if resolved is None:
-            plan = self._build_plan(model, shape, dtype, csr=csr, pattern=pattern)
-            with self._plan_lock:
-                resolved = self._plans.setdefault(
-                    map_key, _UNTRACEABLE if plan is None else plan
-                )
-        return None if resolved is _UNTRACEABLE else resolved
-
-    def _plan_resolved(self, name: str, model: _ModelVersion, tensor) -> bool:
-        """True when this exact specialization already resolved to a plan.
-
-        A pure dict probe — never compiles — so the micro-batcher can ask
-        it while holding ``_lock`` (lock order ``_lock`` → ``_plan_lock``;
-        plan building never takes ``_lock``, so the order is acyclic).
-        The first request for a cold key serves per-request and resolves
-        the plan; every later burst groups on it.
-        """
-        if not self.compile_plans or model.package is None:
-            return False
-        key = (name, model.version, tensor.shape, tensor.dtype.str)
-        with self._plan_lock:
-            resolved = self._plans.get(key)
-        return resolved is not None and resolved is not _UNTRACEABLE
-
-    def _build_plan(
-        self, model: _ModelVersion, shape, dtype: str, *, csr=None, pattern=None
-    ):
-        """Fetch from the plan cache or trace-and-compile (None: fall back)."""
-        try:
-            digest = model.digest or package_digest(model.package)
-            key = self._plan_cache.key(
-                digest,
-                input_shape=shape,
-                dtype=dtype,
-                batch_invariant=self.batch_invariant,
-                csr=pattern,
-            )
-            plan = self._plan_cache.get(key)
-            if plan is not None:
-                return plan
-            start = time.perf_counter()
-            plan = compile_package(
-                model.package, batch_invariant=self.batch_invariant, csr_pattern=csr
-            )
-        except Exception as exc:  # noqa: BLE001 - any compile failure means: interpret
-            if self._telemetry.enabled:
-                self._m_untraceable.inc(reason=untraceable_reason(exc))
-            return None
-        if self._telemetry.enabled:
-            self._m_plan_build.observe(time.perf_counter() - start)
-            self._m_plans_built.inc()
-        self._plan_cache.put(key, plan)
-        return plan
+        self.put_tensor(output_keys[0], self._core.serve(name, version, x))
+        return version
 
     # -- server mode -----------------------------------------------------------------
 
@@ -1203,23 +973,27 @@ class Orchestrator:
             )
         # drain: nothing can enqueue anymore (_running is False), so every
         # request left behind — and any stale sentinel — comes out here
-        abandoned = 0
+        abandoned = []
         while True:
             try:
                 request = self._queue.get_nowait()
             except queue.Empty:
                 break
-            if request is None:
-                continue
+            if request is not None:
+                abandoned.append(request)
+        self._abandon(abandoned)
+        if self._telemetry.enabled:
+            self._m_queue_depth.set(0)
+
+    def _abandon(self, requests: list[InferenceRequest]) -> None:
+        """Fail requests the pool stopped before serving."""
+        for request in requests:
             request.error = OrchestratorStopped(
                 "orchestrator stopped before this request was served"
             )
             request.done.set()
-            abandoned += 1
-        if self._telemetry.enabled:
-            if abandoned:
-                self._m_failed.inc(abandoned)
-            self._m_queue_depth.set(0)
+        if requests:
+            self._core.fail(len(requests))
 
     def _pin_versions(self, requests: list[InferenceRequest]) -> None:
         """Pin each request to the version active at admission.
@@ -1231,29 +1005,15 @@ class Orchestrator:
         """
         with self._lock:
             for request in requests:
-                if request.model is not None:
+                if request.version is not None:
                     continue
                 entry = self._models.get(request.model_name)
                 if entry is not None and entry.active is not None:
-                    request.model = self._admit_locked(request.model_name)
+                    request.version = self._admit_locked(request.model_name)
 
     def submit(self, request: InferenceRequest) -> InferenceRequest:
         """Queue an inference for the serving pool; wait on ``request.done``."""
-        with self._state_lock:
-            if not self._running:
-                raise RuntimeError("orchestrator not started; call start() first")
-            self._pin_versions([request])
-            if self._telemetry.enabled:
-                self._m_submitted.inc()
-            if self._pool is None:
-                self._queue.put(request)
-                if self._telemetry.enabled:
-                    self._m_queue_depth.set(self._queue.qsize())
-                return request
-        # process mode: dispatch outside the state lock — admission may
-        # block (backpressure) and must not serialize unrelated submitters
-        self._dispatch_process(request)
-        return request
+        return self.submit_many([request])[0]
 
     def submit_many(
         self, requests: list[InferenceRequest]
@@ -1276,112 +1036,71 @@ class Orchestrator:
                 if self._telemetry.enabled:
                     self._m_queue_depth.set(self._queue.qsize())
                 return requests
+        # process mode: dispatch outside the state lock — admission may
+        # block (backpressure) and must not serialize unrelated submitters
         for request in requests:
-            self._dispatch_process(request)
+            self._dispatch(request)
         return requests
 
     # -- process-mode dispatch -----------------------------------------------------
 
-    def _dispatch_process(self, request: InferenceRequest) -> None:
-        """Admit one store-backed request into the shard pool.
+    def _dispatch(self, request: InferenceRequest) -> None:
+        """Send one store-backed request to its shard.
 
+        Each request travels as its own message, so its admission slot
+        frees as soon as it is served rather than when a whole burst is.
         Failures — unknown model, missing input key, admission shed
         (:class:`~repro.runtime.sharding.OverloadError`) — land on
         ``request.error`` and signal ``request.done``, surfacing through
         ``InferenceFuture.result`` exactly like thread-mode errors.
         """
         try:
-            model = request.model
-            if model is None:
-                with self._lock:
-                    model = self._admit_locked(request.model_name)
-                request.model = model
             if len(request.output_keys) != 1:
                 raise ValueError(
                     "multi-output splitting is the client's job; pass one key"
                 )
             with self._lock:
-                try:
-                    inputs = [self._tensors[k] for k in request.input_keys]
-                except KeyError as exc:
-                    raise KeyError(
-                        f"no tensor stored under key {exc.args[0]!r}"
-                    ) from None
-            x = inputs[0] if len(inputs) == 1 else np.concatenate(
-                [np.atleast_1d(v).ravel() for v in inputs]
-            )
-
-            def on_done(output, error, request=request):
-                if error is None:
-                    self.put_tensor(request.output_keys[0], output)
-                else:
-                    request.error = error
-                    # worker-side failures are already counted in the
-                    # worker's merged delta; only front-end-originated
-                    # abandons are counted here
-                    if self._telemetry.enabled and isinstance(
-                        error, OrchestratorStopped
-                    ):
-                        self._m_failed.inc()
-                request.done.set()
-
-            self._pool.dispatch_one(
-                request.model_name, model.version, x, on_done
-            )
+                request.version = self._admit_locked(
+                    request.model_name, request.version
+                )
+                x = self._input_locked(request.input_keys)
         except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
             request.error = exc
             request.done.set()
-            if self._telemetry.enabled:
-                self._m_failed.inc()
+            self._core.fail()
+            return
+        on_done = functools.partial(self._finish, request)
+        self._pool.dispatch([(request.model_name, request.version, x, False, on_done)])
 
-    def run_rows_async(
-        self, name: str, rows: np.ndarray, *, version: Optional[int] = None
-    ):
-        """Bulk vectorized dispatch of stacked input rows (process mode).
-
-        ``rows`` is a ``(B, F)`` block of same-shape inputs for one model;
-        the whole block crosses the process boundary as a handful of
-        shared-memory chunks and runs as vectorized forwards on the
-        owning shard — no per-row store keys, events, or queue slots.
-        Returns a :class:`~repro.runtime.sharding.RowsResult`; may raise
-        :class:`~repro.runtime.sharding.OverloadError` on admission.
-        """
-        if self._pool is None:
-            raise RuntimeError("run_rows requires num_processes > 0")
-        if not self._running:
-            raise RuntimeError("orchestrator not started; call start() first")
-        with self._lock:
-            model = self._admit_locked(name, version)
-        stacked = np.atleast_2d(np.asarray(rows))
-        stacked = self._coerce(stacked)
-        if self._telemetry.enabled:
-            self._m_submitted.inc(stacked.shape[0])
-        return self._pool.dispatch_rows(name, model.version, stacked)
-
-    def run_rows(
+    def _finish(
         self,
-        name: str,
-        rows: np.ndarray,
-        *,
-        version: Optional[int] = None,
-        timeout: Optional[float] = None,
-    ) -> np.ndarray:
-        """Blocking :meth:`run_rows_async`: returns the stacked output rows."""
-        return self.run_rows_async(name, rows, version=version).result(timeout)
+        request: InferenceRequest,
+        output: Optional[np.ndarray],
+        error: Optional[Exception],
+    ) -> None:
+        """Complete one process-mode request with its output or error."""
+        if error is None:
+            self.put_tensor(request.output_keys[0], output)
+        else:
+            request.error = error
+            # a worker counts its own failures in its merged metrics; a
+            # shed or a stopped pool never reached one, so count it here
+            if isinstance(error, (OverloadError, OrchestratorStopped)):
+                self._core.fail()
+        request.done.set()
 
     def run_rows_many(self, groups) -> list:
         """Dispatch several ``(name, stacked_rows)`` blocks in one pool call.
 
-        The burst-coalescing bulk path: every block lands on its owning
-        shard with one wire message *per shard*, not per block
-        (:meth:`~repro.runtime.sharding.ProcessShardPool.dispatch_groups`).
+        The burst-coalescing bulk path: each ``(B, F)`` block of
+        same-shape rows for one model runs as vectorized forwards on its
+        owning shard, and every block bound for one shard shares one wire
+        message (:meth:`~repro.runtime.sharding.ProcessShardPool.dispatch_groups`).
         Per-group failures — unknown model, admission shed — fail that
         group's :class:`~repro.runtime.sharding.RowsResult` instead of
         raising, so one hot model cannot block the rest of the burst.
         Returns one result per group, in order.
         """
-        from .sharding import RowsResult  # deferred: see start()
-
         if self._pool is None:
             raise RuntimeError("run_rows_many requires num_processes > 0")
         if not self._running:
@@ -1393,15 +1112,14 @@ class Orchestrator:
         for i, (name, rows) in enumerate(groups):
             try:
                 with self._lock:
-                    model = self._admit_locked(name)
+                    version = self._admit_locked(name)
             except Exception as exc:  # noqa: BLE001 - fail this group only
-                failed = RowsResult(1)
-                failed._fail_rest(exc, 1)
-                results[i] = failed
+                results[i] = RowsResult(1)
+                results[i]._resolve(0, None, exc)
                 continue
             stacked = self._coerce(np.atleast_2d(np.asarray(rows)))
             total_rows += int(stacked.shape[0])
-            staged.append((name, model.version, stacked))
+            staged.append((name, version, stacked))
             order.append(i)
         if self._telemetry.enabled and total_rows:
             self._m_submitted.inc(total_rows)
@@ -1409,102 +1127,66 @@ class Orchestrator:
             results[i] = result
         return results
 
-    # -- serving pool internals -------------------------------------------------------
+    # -- thread-mode serving -----------------------------------------------------------
 
     def _serve(self) -> None:
         while True:
-            batch = self._collect_batch()
+            batch, waited = self._queue.get_batch(
+                self.max_batch_size, self.max_wait_ms / 1000.0
+            )
             if batch is None:
                 break
-            self._serve_batch(batch)
-
-    def _collect_batch(self) -> Optional[list[InferenceRequest]]:
-        """Drain the queue into one micro-batch (None means: worker exits)."""
-        batch, waited = self._queue.get_batch(
-            self.max_batch_size, self.max_wait_ms / 1000.0
-        )
-        if batch is not None and self._telemetry.enabled:
-            self._m_batch_size.observe(len(batch))
-            self._m_batch_wait.observe(waited)
-        return batch
-
-    def _serve_batch(self, batch: list[InferenceRequest]) -> None:
-        if not self._running:
-            # stop() is underway: abandon instead of serving late
-            for request in batch:
-                request.error = OrchestratorStopped(
-                    "orchestrator stopped before this request was served"
-                )
-                request.done.set()
             if self._telemetry.enabled:
-                self._m_failed.inc(len(batch))
-            return
-        if self._telemetry.enabled:
-            self._m_queue_depth.set(self._queue.qsize())
-        for entry in self._group_batch(batch):
-            if isinstance(entry, _Group) and len(entry.requests) > 1:
-                self._serve_group(entry)
-            elif isinstance(entry, _Group):
-                self._serve_one(entry.requests[0])
-            else:
-                self._serve_one(entry)
+                self._m_batch_size.observe(len(batch))
+                self._m_batch_wait.observe(waited)
+                self._m_queue_depth.set(self._queue.qsize())
+            if not self._running:
+                # stop() is underway: abandon instead of serving late
+                self._abandon(batch)
+                continue
+            for entry in self._group_batch(batch):
+                if isinstance(entry, InferenceRequest):
+                    self._serve_one(entry)
+                elif len(entry.requests) == 1:
+                    self._serve_one(entry.requests[0])
+                else:
+                    self._serve_group(entry)
 
-    def _group_batch(
-        self, batch: list[InferenceRequest]
-    ) -> list[Any]:
+    def _group_batch(self, batch: list[InferenceRequest]) -> list[Any]:
         """Split a drained batch into vectorizable groups.
 
-        Requests stack into one forward pass when they are pinned to the
-        same model *version* with a single 1-D input tensor of the same
-        shape and dtype, and that model either declared itself row-wise
-        (``batchable=True``) or already has a compiled plan resolved for
-        exactly this specialization key — compiled plans are row-wise by
-        construction and bit-identical across batch slicings under
-        ``batch_invariant()``, so stacking them is always safe.
-        Everything else is served on the per-request path.  Grouping on
-        the pinned version means a batch
-        drained across a ``deploy`` splits cleanly — requests admitted
-        under v1 run v1's weights, requests admitted under v2 run v2's,
-        never one mixed forward.  Groups carry the model and input
-        tensors fetched here, under one lock acquisition — tensors are
-        defensive copies, so a concurrent ``delete_tensor`` cannot
-        invalidate a group once formed.
+        Requests stack into one forward when they are pinned to the same
+        model *version* with a single 1-D input tensor of the same shape
+        and dtype; everything else is served on the per-request path.
+        Grouping on the pinned version means a batch drained across a
+        ``deploy`` splits cleanly — requests admitted under v1 run v1's
+        weights, requests admitted under v2 run v2's, never one mixed
+        forward.  Groups carry the input tensors fetched here, under one
+        lock acquisition — tensors are defensive copies, so a concurrent
+        ``delete_tensor`` cannot invalidate a group once formed.
         """
         groups: dict[tuple, _Group] = {}
         ordered: list[Any] = []
+        # requests queued before their model was deployed pin now
+        self._pin_versions(batch)
         with self._lock:
             for request in batch:
-                key: Optional[tuple] = None
+                tensor = None
                 if len(request.input_keys) == 1 and len(request.output_keys) == 1:
-                    model = request.model
-                    if model is None:
-                        # unpinned (enqueued before the model was deployed):
-                        # the version active now is the admission version
-                        entry = self._models.get(request.model_name)
-                        if entry is not None and entry.active is not None:
-                            model = entry.versions[entry.active]
                     tensor = self._tensors.get(request.input_keys[0])
-                    if (
-                        model is not None
-                        and isinstance(tensor, np.ndarray)  # CSR serves per-request
-                        and tensor.ndim == 1
-                        and (
-                            model.batchable
-                            or self._plan_resolved(request.model_name, model, tensor)
-                        )
-                    ):
-                        key = (
-                            request.model_name,
-                            model.version,
-                            tensor.shape,
-                            tensor.dtype.str,
-                        )
-                if key is None:
+                if (
+                    request.version is None  # fails at serve time
+                    or not isinstance(tensor, np.ndarray)  # CSR serves whole
+                    or tensor.ndim != 1
+                ):
                     ordered.append(request)
                     continue
+                key = (request.model_name, request.version, tensor.shape, tensor.dtype.str)
                 group = groups.get(key)
                 if group is None:
-                    group = groups[key] = _Group(model, [], [])
+                    group = groups[key] = _Group(
+                        request.model_name, request.version, [], []
+                    )
                     ordered.append(group)
                 group.requests.append(request)
                 group.inputs.append(tensor)
@@ -1512,91 +1194,41 @@ class Orchestrator:
 
     def _serve_one(self, request: InferenceRequest) -> None:
         try:
-            if not self._telemetry.enabled:
-                self._run_model_inner(
-                    request.model_name,
-                    request.input_keys,
-                    request.output_keys,
-                    pinned=request.model,
-                )
-            else:
-                start = time.perf_counter()
-                compiled, _ = self._run_model_inner(
-                    request.model_name,
-                    request.input_keys,
-                    request.output_keys,
-                    pinned=request.model,
-                )
-                elapsed = time.perf_counter() - start
-                self._m_latency.observe(elapsed, model=request.model_name)
-                if compiled:
-                    self._m_plan_exec.observe(elapsed, model=request.model_name)
+            request.version = self.run_model(
+                request.model_name,
+                request.input_keys,
+                request.output_keys,
+                version=request.version,
+            )
         except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
             request.error = exc
-            if self._telemetry.enabled:
-                self._m_failed.inc()
-        else:
-            if self._telemetry.enabled:
-                self._m_served.inc()
+            self._core.fail()
         finally:
             request.done.set()
 
     def _serve_group(self, group: _Group) -> None:
-        """One vectorized forward for a group of shape-compatible requests."""
-        requests = group.requests
-        name = requests[0].model_name
-        stacked = np.stack(group.inputs)
-        # the group key fixes (model, version, row shape, dtype), which is
-        # exactly a plan specialization key — one lookup covers the batch
-        plan = self._plan_for(
-            name, group.model, group.inputs[0].shape, group.inputs[0].dtype.str
-        )
-        if plan is None and not group.model.batchable:
-            # grouped on a resolved plan that has since been invalidated:
-            # a model never declared row-wise must not see a stacked input
-            for request in requests:
-                self._serve_one(request)
-            return
-        start = time.perf_counter()
+        """One stacked forward for a group of shape-compatible requests."""
         try:
-            if plan is not None:
-                output = np.asarray(plan.predict(stacked))
-            else:
-                with self._forward_mode():
-                    output = np.asarray(group.model.predict(stacked))
-            if output.ndim < 1 or output.shape[0] != len(requests):
-                raise ValueError(
-                    f"model {name!r} returned shape {output.shape} for a "
-                    f"batch of {len(requests)}; only row-wise models may be "
-                    "registered batchable=True"
-                )
+            output = self._core.serve(
+                group.name, group.version, np.stack(group.inputs), stacked=True
+            )
         except Exception:  # noqa: BLE001 - retried per request
-            # a poisoned row (or a non-row-wise model) must not fail its
-            # batch-mates: fall back to serving each request individually
-            for request in requests:
+            # a poisoned row (or a model that is not row-wise after all)
+            # must not fail its batch-mates: serve each request alone
+            for request in group.requests:
                 self._serve_one(request)
             return
-        elapsed = time.perf_counter() - start
-        # dtype-coerce once, then store an independent copy per row: a
-        # (B,) output yields np.float64 scalars here, and the store needs
-        # real ndarrays (get_tensor sets view flags); per-row copies also
-        # keep a stored row from pinning the whole (B, ...) output array
-        # through its view base
-        if not np.issubdtype(output.dtype, np.floating):
-            output = output.astype(np.float64)
+        # an independent copy per row: a (B,) output yields np.float64
+        # scalars here, and the store needs real ndarrays (get_tensor sets
+        # view flags); copies also keep a stored row from pinning the
+        # whole (B, ...) output through its view base
         with self._lock:
-            for request, row in zip(requests, output):
+            for request, row in zip(group.requests, output):
                 self._tensors[request.output_keys[0]] = np.array(row, copy=True)
             if self._telemetry.enabled:
                 self._m_tensors.set(len(self._tensors))
-        for request in requests:
+        for request in group.requests:
             request.done.set()
-        if self._telemetry.enabled:
-            self._m_latency.observe(elapsed, model=name)
-            self._m_served.inc(len(requests))
-            self._m_batched_rows.inc(len(requests))
-            if plan is not None:
-                self._m_plan_exec.observe(elapsed, model=name)
 
     def __enter__(self) -> "Orchestrator":
         self.start()

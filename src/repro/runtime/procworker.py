@@ -3,12 +3,13 @@
 One worker process owns one shard of the consistent-hash ring: every
 ``(name, version)`` the ring maps here is registered into this process
 (shipped pre-pickled over the control pipe) and served from this
-process only.  The worker mirrors the thread-mode serving semantics —
-compiled-plan resolution per specialization key with its own
-:class:`~repro.compile.PlanCache` (warming lazily from the shared
-on-disk tier), ``batch_invariant()`` forwards, row-wise batch
-validation — so thread-mode and process-mode outputs are bit-identical
-for ``batch_invariant()`` models.
+process only.  Serving itself is the
+:class:`~repro.runtime.core.ServingCore` that thread mode runs too —
+model replicas, compiled plans, ``batch_invariant()`` forwards, row
+checks and forward metrics — so thread-mode and process-mode outputs are
+byte-identical for ``batch_invariant()`` models.  The core's plan cache
+warms lazily from the shared on-disk tier.  This module adds only the
+transport around it.
 
 Wire protocol (all messages are small picklable tuples over raw
 ``Pipe`` connections — see :mod:`~repro.runtime.sharding` for why not
@@ -16,31 +17,32 @@ Wire protocol (all messages are small picklable tuples over raw
 :class:`~repro.runtime.shm_store.ShmHandle`):
 
 * request pipe (front-end → worker): always
-  ``("many", [subitems], recycled_segment_names)`` — a whole burst's
-  worth of subitems coalesced into ONE wire message (one pipe write,
-  one reader wake-up), answered with one ``manyok``.  Each subitem is
-  ``("one", req_id, name, version, handle)`` — one 1-D input row —
-  ``("rows", req_id, name, version, handle)`` — a stacked ``(B, F)``
-  block served as one vectorized forward — or
+  ``("many", [subitems], recycled_segment_names, purges)`` — a whole
+  burst's worth of subitems coalesced into ONE wire message (one pipe
+  write, one reader wake-up), answered with one ``manyok``.  Each subitem is
+  ``("one", req_id, name, version, handle)`` — one request's tensor,
+  served whole — ``("rows", req_id, name, version, handle)`` — a stacked
+  ``(B, F)`` block served as one vectorized forward — or
   ``("csr", req_id, name, version, ("csrmat", (indptr, indices, data,
   shape)))`` — a sparse batch shipped as pickled arrays on the pipe
-  itself (small nnz payloads; no shared-memory segment), served through
-  a pattern-keyed compiled plan when one resolves.  The recycled names are
-  output segments the front-end finished reading, piggybacked on the
-  next request instead of riding a pipe of their own: returning them
-  costs zero extra writes (and zero extra reader wake-ups).
+  itself (small nnz payloads; no shared-memory segment).  The recycled
+  names are output segments the front-end finished reading, piggybacked
+  on the next request instead of riding a pipe of their own: returning
+  them costs zero extra writes (and zero extra reader wake-ups).  The
+  purges are ``(name, version)`` pairs whose negative compile memos an
+  activation dropped; they apply before the message's subitems.
 * result pipe (worker → front-end):
   ``("manyok", [entries])`` — one ``("ok", req_id, handle)`` or
   ``("err", req_id, exception)`` entry per subitem — plus
   ``("metrics", worker_id, delta)`` / ``("bye", worker_id, segment_names)``.
 * control pipe: ``("ping",)``, ``("register", name, version, blob,
-  batchable, digest)``, ``("stop",)`` — each acknowledged with ``("ok",)``.
+  batchable, digest)``, ``("stop",)`` — each acknowledged with
+  ``("ok",)``.
 
-Telemetry reuses the thread-mode metric names (served/failed totals,
-inference latency, plan counters): the worker accumulates them on its
-own process-global registry and periodically ships *deltas*
-(:class:`~repro.obs.MetricsDeltaTracker`) through the result pipe, so
-the front-end's merged registry reads like single-process serving.
+The core's metrics accumulate on this process's own registry and ship
+periodically as *deltas* (:class:`~repro.obs.MetricsDeltaTracker`)
+through the result pipe, so the front-end's merged registry reads like
+single-process serving.
 
 Output segments are pooled (``tracked=False``): at shutdown the worker
 closes its mappings and transfers ownership of the segment names to the
@@ -50,39 +52,18 @@ race the collector, which may not yet have read the last results.
 
 from __future__ import annotations
 
-import contextlib
 import pickle
 import time
-from typing import Any, Callable, NamedTuple, Optional
-
-import numpy as np
 
 from .. import obs
-from ..compile import (
-    PlanCache,
-    compile_package,
-    csr_pattern_key,
-    package_digest,
-    untraceable_reason,
-)
-from ..nn.tensor import batch_invariant as _batch_invariant_mode
 from ..sparse import CSRMatrix
+from .core import ServingCore
 from .shm_store import SegmentAttachments, ShmTensorStore
 
 __all__ = ["worker_main"]
 
-#: memoized "this specialization cannot be traced" marker (mirrors the
-#: orchestrator's sentinel; workers are single-threaded, no lock needed)
-_UNTRACEABLE = object()
-
-
-class _WorkerModel(NamedTuple):
-    """One registered (name, version) replica held by this shard."""
-
-    predict: Callable[[np.ndarray], np.ndarray]
-    batchable: bool
-    package: Optional[Any]
-    digest: Optional[str]
+#: seconds between metric-delta flushes to the front end
+METRICS_INTERVAL_S = 0.5
 
 
 def _picklable(exc: Exception) -> Exception:
@@ -94,252 +75,71 @@ def _picklable(exc: Exception) -> Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
 
 
-class _WorkerCore:
-    """Model registry + plan cache + serving loop state for one shard."""
+def _register(core: ServingCore, name, version, blob, batchable, digest) -> None:
+    """Unpickle one shipped model version into the core."""
+    obj = pickle.loads(blob)
+    package = obj if hasattr(obj, "predict") else None
+    predict = obj.predict if package is not None else obj
+    core.register(
+        name, version, predict, batchable=batchable, package=package, digest=digest
+    )
 
-    def __init__(self, worker_id: int, config: dict) -> None:
-        self.worker_id = int(worker_id)
-        self.batch_invariant = bool(config.get("batch_invariant", True))
-        self.compile_plans = bool(config.get("compile_plans", True))
-        self.plan_cache = PlanCache(
-            config.get("plan_cache_dir"), enabled=self.compile_plans
-        )
-        self.models: dict[tuple[str, int], _WorkerModel] = {}
-        self.plans: dict[tuple, Any] = {}
-        self.out_store = ShmTensorStore(
-            prefix=f"repro_w{self.worker_id}", tracked=False
-        )
-        self.attachments = SegmentAttachments()
-        registry = obs.get_registry()
-        # same names as the thread-mode serving path: once the front-end
-        # merges the deltas, fleet totals read like one process's totals
-        self._m_served = registry.counter(
-            "repro_orchestrator_served_total",
-            "Inference requests completed successfully by the worker",
-        )
-        self._m_failed = registry.counter(
-            "repro_orchestrator_failed_total",
-            "Inference requests that errored or were abandoned by stop()",
-        )
-        self._m_latency = registry.histogram(
-            "repro_orchestrator_inference_seconds",
-            "run_model wall-clock seconds per registered model",
-            labels=("model",),
-        )
-        self._m_batched_rows = registry.counter(
-            "repro_orchestrator_batched_rows_total",
-            "Requests served through a vectorized (B, F) forward pass",
-        )
-        self._m_plans_built = registry.counter(
-            "repro_compile_plans_built_total",
-            "Serving plans built by tracing (missed every cache tier)",
-        )
-        self._m_plan_exec = registry.histogram(
-            "repro_compile_plan_exec_seconds",
-            "Wall-clock seconds of forwards served by a compiled plan",
-            labels=("model",),
-        )
-        self._m_untraceable = registry.counter(
-            "repro_compile_untraceable_total",
-            "Specializations that fell back to the interpreted path",
-            labels=("reason",),
-        )
 
-    # -- registration --------------------------------------------------------------
-
-    def register(
-        self,
-        name: str,
-        version: int,
-        blob: bytes,
-        batchable: bool,
-        digest: Optional[str],
-    ) -> None:
-        obj = pickle.loads(blob)
-        if hasattr(obj, "predict"):
-            package, predict = obj, obj.predict
+def _serve_entry(core, attachments, out_store, item: tuple) -> tuple:
+    """Serve one subitem; returns the ``ok``/``err`` entry to ship."""
+    kind, req_id, name, version, handle = item
+    requests = 1
+    try:
+        if kind == "csr":
+            indptr, indices, data, shape = handle[1]
+            x = CSRMatrix(
+                indptr=indptr, indices=indices, data=data, shape=tuple(shape)
+            )
         else:
-            package, predict = None, obj
-        key = (name, int(version))
-        if key in self.models:
-            # re-registered version number -> different weights: every
-            # memoized plan (and negative memo) for it is stale
-            self.plans = {
-                k: v for k, v in self.plans.items() if (k[0], k[1]) != key
-            }
-        self.models[key] = _WorkerModel(
-            predict, bool(batchable), package, digest
-        )
-
-    # -- serving ----------------------------------------------------------------------
-
-    def _forward_mode(self):
-        if self.batch_invariant:
-            return _batch_invariant_mode()
-        return contextlib.nullcontext()
-
-    def _plan_for(
-        self, name: str, version: int, model: _WorkerModel, shape, dtype, *, csr=None
-    ):
-        if not self.compile_plans or model.package is None:
-            return None
-        pattern = csr_pattern_key(csr) if csr is not None else None
-        key = (
-            name,
-            version,
-            ("csr", pattern) if pattern is not None else tuple(shape),
-            dtype,
-        )
-        resolved = self.plans.get(key)
-        if resolved is None:
-            plan = self._build_plan(model, shape, dtype, csr=csr, pattern=pattern)
-            resolved = self.plans[key] = _UNTRACEABLE if plan is None else plan
-        return None if resolved is _UNTRACEABLE else resolved
-
-    def _build_plan(
-        self, model: _WorkerModel, shape, dtype: str, *, csr=None, pattern=None
-    ):
-        try:
-            digest = model.digest or package_digest(model.package)
-            key = self.plan_cache.key(
-                digest,
-                input_shape=shape,
-                dtype=dtype,
-                batch_invariant=self.batch_invariant,
-                csr=pattern,
-            )
-            plan = self.plan_cache.get(key)  # per-process warm from disk tier
-            if plan is not None:
-                return plan
-            plan = compile_package(
-                model.package, batch_invariant=self.batch_invariant, csr_pattern=csr
-            )
-        except Exception as exc:  # noqa: BLE001 - any compile failure means: interpret
-            if obs.is_enabled():
-                self._m_untraceable.inc(reason=untraceable_reason(exc))
-            return None
-        if obs.is_enabled():
-            self._m_plans_built.inc()
-        self.plan_cache.put(key, plan)
-        return plan
-
-    def serve_entry(self, item: tuple) -> tuple:
-        """Serve one request tuple; returns the ``ok``/``err`` entry to ship."""
-        kind, req_id, name, version, handle = item
-        start = time.perf_counter()
-        rows = 1
-        try:
-            model = self.models.get((name, int(version)))
-            if model is None:
-                raise RuntimeError(
-                    f"shard {self.worker_id} holds no replica of model "
-                    f"{name!r} version {version} (sharding bug?)"
-                )
-            if kind == "csr":
-                # pipe-shipped sparse batch: rebuild the CSR matrix from
-                # the pickled arrays (no shared-memory segment involved)
-                indptr, indices, data, shape = handle[1]
-                x = CSRMatrix(
-                    indptr=indptr, indices=indices, data=data, shape=tuple(shape)
-                )
-                rows = int(x.shape[0])
-                y, used_plan = self._forward_csr(name, version, model, x)
-                vectorized = True
-            else:
-                x = self.attachments.view(handle)
-                if kind == "rows":
-                    rows = int(x.shape[0]) if x.ndim else 1
-                    y, used_plan, vectorized = self._forward_rows(
-                        name, version, model, x
-                    )
-                else:
-                    y, used_plan = self._forward_one(name, version, model, x)
-                    vectorized = False
-            y = np.asarray(y)
-            if not np.issubdtype(y.dtype, np.floating):
-                y = y.astype(np.float64)
-            out = self.out_store.put(y)
-        except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
-            if obs.is_enabled():
-                self._m_failed.inc(rows)
-            return ("err", req_id, _picklable(exc))
-        if obs.is_enabled():
-            elapsed = time.perf_counter() - start
-            self._m_served.inc(rows)
-            self._m_latency.observe(elapsed, model=name)
-            if vectorized and rows > 1:
-                self._m_batched_rows.inc(rows)
-            if used_plan:
-                self._m_plan_exec.observe(elapsed, model=name)
-        return ("ok", req_id, out)
-
-    def serve_item(self, item: tuple, res) -> None:
-        """One coalesced request in, one coalesced response out.
-
-        Reclaims the piggybacked recycled output segments, serves every
-        subitem, then answers with a single ``manyok``: the synchronous
-        pipe-write wake-up (the dominant fixed cost on a busy box) is
-        paid once per burst instead of once per group — and the recycle
-        traffic costs no writes at all.
-        """
-        _, subitems, recycled = item
-        for segment in recycled:
-            self.out_store.release(segment)
-        res.send(("manyok", [self.serve_entry(sub) for sub in subitems]))
-
-    def _forward_csr(self, name, version, model: _WorkerModel, x: CSRMatrix):
-        """One CSR batch: pattern-keyed plan, else the interpreted forward."""
-        plan = self._plan_for(
-            name, version, model, (x.shape[1],), "<f8", csr=x
-        )
-        if plan is not None:
-            return np.asarray(plan.predict(x)), True
-        with self._forward_mode():
-            return np.asarray(model.predict(x)), False
-
-    def _forward_one(self, name, version, model: _WorkerModel, x):
-        plan = self._plan_for(name, version, model, x.shape[-1:], x.dtype.str)
-        if plan is not None:
-            return np.asarray(plan.predict(x)), True
-        with self._forward_mode():
-            return np.asarray(model.predict(x)), False
-
-    def _forward_rows(self, name, version, model: _WorkerModel, x):
-        """One stacked (B, F) block: plan > batchable forward > row loop."""
-        batch = int(x.shape[0])
-        used_plan = vectorized = False
-        plan = self._plan_for(name, version, model, x.shape[1:], x.dtype.str)
-        if plan is not None:
-            y = np.asarray(plan.predict(x))
-            used_plan = vectorized = True
-        elif model.batchable:
-            with self._forward_mode():
-                y = np.asarray(model.predict(x))
-            vectorized = True
-        else:
-            with self._forward_mode():
-                y = np.stack([np.asarray(model.predict(x[i])) for i in range(batch)])
-        if y.ndim < 1 or y.shape[0] != batch:
-            raise ValueError(
-                f"model {name!r} returned shape {y.shape} for a batch of "
-                f"{batch}; only row-wise models may serve stacked rows"
-            )
-        return y, used_plan, vectorized
-
-    # -- shutdown ------------------------------------------------------------------
-
-    def shutdown(self) -> list[str]:
-        """Close every mapping; the returned names transfer to the front-end."""
-        self.attachments.close_all()
-        return self.out_store.detach_all()
+            x = attachments.view(handle)
+            if kind == "rows":
+                requests = len(x)
+        out = out_store.put(core.serve(name, version, x, stacked=kind == "rows"))
+    except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
+        core.fail(requests)
+        return ("err", req_id, _picklable(exc))
+    return ("ok", req_id, out)
 
 
 def worker_main(worker_id: int, conn, req_recv, res_send, config: dict) -> None:
     """Run one shard's serving loop until a ``stop`` command arrives."""
     obs.configure(enabled=bool(config.get("telemetry", True)), reset=True)
-    core = _WorkerCore(worker_id, config)
+    core = ServingCore(
+        batch_invariant=config.get("batch_invariant", True),
+        compile_plans=config.get("compile_plans", True),
+        plan_cache_dir=config.get("plan_cache_dir"),
+    )
+    out_store = ShmTensorStore(prefix=f"repro_w{worker_id}", tracked=False)
+    attachments = SegmentAttachments()
     tracker = obs.MetricsDeltaTracker(obs.get_registry())
-    flush_interval = float(config.get("metrics_interval", 0.5))
+
+    def serve_item(item: tuple) -> None:
+        """One coalesced request in, one coalesced response out.
+
+        Reclaims the piggybacked recycled output segments, applies the
+        piggybacked memo purges, serves every subitem, then answers with
+        a single ``manyok``: the synchronous
+        pipe-write wake-up (the dominant fixed cost on a busy box) is
+        paid once per burst instead of once per group — and the recycle
+        traffic costs no writes at all.
+        """
+        _, subitems, recycled, purges = item
+        for segment in recycled:
+            out_store.release(segment)
+        for name, version in purges:
+            core.purge(name, version)
+        res_send.send(
+            (
+                "manyok",
+                [_serve_entry(core, attachments, out_store, sub) for sub in subitems],
+            )
+        )
+
     last_flush = time.monotonic()
     try:
         stopping = False
@@ -354,33 +154,33 @@ def worker_main(worker_id: int, conn, req_recv, res_send, config: dict) -> None:
                     break
                 if cmd[0] == "stop":
                     stopping = True
-                    conn.send(("ok",))
+                elif cmd[0] == "register":
+                    _register(core, *cmd[1:])
+                conn.send(("ok",))
+                if stopping:
                     break
-                if cmd[0] == "register":
-                    core.register(*cmd[1:])
-                    conn.send(("ok",))
-                elif cmd[0] == "ping":
-                    conn.send(("ok",))
             if stopping:
                 break
             try:
                 if req_recv.poll(0.05):
-                    core.serve_item(req_recv.recv(), res_send)
+                    serve_item(req_recv.recv())
                     # opportunistic drain: amortize the wait over a burst
                     for _ in range(128):
                         if not req_recv.poll():
                             break
-                        core.serve_item(req_recv.recv(), res_send)
+                        serve_item(req_recv.recv())
             except (EOFError, BrokenPipeError, OSError):
                 break  # front-end tore the pipes down; exit cleanly
             now = time.monotonic()
-            if now - last_flush >= flush_interval:
+            if now - last_flush >= METRICS_INTERVAL_S:
                 delta = tracker.delta()
                 if delta is not None:
                     res_send.send(("metrics", worker_id, delta))
                 last_flush = now
     finally:
-        names = core.shutdown()
+        # close every mapping; the output names transfer to the front end
+        attachments.close_all()
+        names = out_store.detach_all()
         try:
             delta = tracker.delta()  # final flush: nothing goes uncounted
             if delta is not None:

@@ -3,12 +3,17 @@
 :class:`ProcessShardPool` splits the serving runtime into an admission
 layer (this process) and N worker *processes*
 (:func:`~repro.runtime.procworker.worker_main`), one per shard of a
-consistent-hash ring.  Every registered ``(name, version)`` lives on
-exactly one shard — :class:`ShardRing` hashes the pair over virtual
-nodes, so two versions of one model may serve from different processes,
-and ``deploy``/``rollback`` stay *front-end pointer flips*: requests are
-pinned to a version number at admission and dispatched to that version's
-shard explicitly, so a hot-swap never reroutes an admitted request.
+consistent-hash ring.  Each worker runs the same
+:class:`~repro.runtime.core.ServingCore` as thread mode, so the two modes
+serve byte-identical outputs.  Every registered ``(name, version)``
+lives on exactly one shard — :class:`ShardRing` hashes the pair over
+virtual nodes, so two versions of one model may serve from different
+processes, and ``deploy``/``rollback`` stay *front-end pointer flips*:
+requests are pinned to a version number at admission and dispatched to
+that version's shard explicitly, so a hot-swap never reroutes an
+admitted request.  The one thing an activation sends a shard is a purge
+of that version's negative compile memos, piggybacked on the next request
+message (:meth:`ProcessShardPool.purge`).
 
 Admission control is per shard: a depth counter bounded by
 ``max_queue_depth``, counted in *rows*.  A full shard exerts
@@ -36,37 +41,52 @@ thread, so the worker can be reading the request before ``dispatch``
 returns.  Sends are serialized per shard with a lock (submitters race);
 each receive side has exactly one reader thread.
 
-The bulk path is what makes sharded serving fast on any core count: a
-block of same-(model, shape, dtype) rows travels as ONE vectorized
-forward (:meth:`ProcessShardPool.dispatch_rows`) — per-request
-bookkeeping (event, store keys, queue slot) never happens — and a
-mixed-model burst coalesces further
-(:meth:`ProcessShardPool.dispatch_groups`): every group bound for one
-shard shares a single ``("many", ...)`` request and a single
-``("manyok", ...)`` response, so the synchronous pipe-write wake-ups
-(a context switch each on a loaded box) are paid per *shard*, not per
-group.
+One routine, :meth:`ProcessShardPool.dispatch`, stages and sends every
+job — a store-backed request's whole tensor, a CSR batch, or a chunk of
+a bulk group's stacked rows: it admits each job, stages its tensor, and
+sends every job bound for one shard as ONE ``("many", ...)`` message,
+answered by ONE ``("manyok", ...)`` — the synchronous pipe-write
+wake-ups (a context switch each on a loaded box) are paid per *shard*,
+not per job.  Before it blocks on a full shard it sends what it has
+already staged for that shard, so a burst larger than the queue bound
+waits on work in flight, never on its own unsent rows.  The bulk path
+(:meth:`ProcessShardPool.dispatch_groups`) cuts each block of
+same-(model, shape, dtype) rows into chunks of at most
+``max_queue_depth`` rows, each one vectorized forward on the worker —
+per-request bookkeeping (event, store keys, queue slot) never happens.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import itertools
 import multiprocessing as mp
 import threading
 import time
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..sparse import CSRMatrix
-from .orchestrator import OrchestratorStopped
+from .core import OrchestratorStopped
 from .procworker import worker_main
 from .shm_store import SegmentAttachments, ShmTensorStore, unlink_segments
 
 __all__ = ["OverloadError", "ShardRing", "ProcessShardPool", "RowsResult"]
+
+#: how worker processes start: a fresh interpreter, never a fork of a
+#: front end that holds locks and serving threads
+START_METHOD = "spawn"
+
+#: seconds a worker may take to acknowledge a control command (boot
+#: included) before the pool gives up on it
+BOOT_TIMEOUT_S = 60.0
+
+#: ``(result, error)`` completion callback of one dispatched job
+OnDone = Callable[[Optional[np.ndarray], Optional[Exception]], None]
 
 
 class OverloadError(RuntimeError):
@@ -121,14 +141,18 @@ class _Pending(NamedTuple):
     pattern-dependent), so there is no shared-memory segment to release.
     """
 
-    on_done: Callable[[Optional[np.ndarray], Optional[Exception]], None]
+    on_done: OnDone
     rows: int
     input_segment: Optional[str]
     shard_id: int
 
 
 class RowsResult:
-    """Future for one bulk rows dispatch (possibly split into chunks)."""
+    """Future for one bulk group, dispatched as one or more chunks.
+
+    The first chunk error fails the whole group at once; chunks still in
+    flight then finish unread.
+    """
 
     def __init__(self, n_chunks: int) -> None:
         self._event = threading.Event()
@@ -145,17 +169,13 @@ class RowsResult:
                 self._error = error
             self._outputs[idx] = output
             self._remaining -= 1
-            if self._remaining <= 0:
+            if self._remaining <= 0 or self._error is not None:
                 self._event.set()
 
-    def _fail_rest(self, error: Exception, undispatched: int) -> None:
-        """Account chunks that never left the front-end (admission shed)."""
+    @property
+    def failed(self) -> bool:
         with self._lock:
-            if self._error is None:
-                self._error = error
-            self._remaining -= undispatched
-            if self._remaining <= 0:
-                self._event.set()
+            return self._error is not None
 
     def result(self, timeout: Optional[float] = None) -> np.ndarray:
         """The stacked output rows; raises the first chunk error."""
@@ -166,7 +186,7 @@ class RowsResult:
         with self._lock:
             if self._error is not None:
                 raise self._error
-            outputs = [o for o in self._outputs if o is not None]
+            outputs = list(self._outputs)
         if len(outputs) == 1:
             return outputs[0]
         return np.concatenate(outputs, axis=0)
@@ -183,12 +203,15 @@ class _Shard:
         self.conn = parent_conn
         # Connection.send is not thread-safe; submitter threads race here
         self.send_lock = threading.Lock()
-        # output segments read out by the collector, awaiting a ride back
-        # to the worker on the next request message.  Deliberately NOT
-        # guarded by send_lock: the collector must never wait behind a
-        # submitter blocked on a full request pipe.
-        self.recycle_pending: list[str] = []  # cc: guarded-by(recycle_lock)
-        self.recycle_lock = threading.Lock()
+        # ride to the worker on the next request message instead of a
+        # pipe write of their own: output segments the collector has read
+        # out (to recycle) and (name, version) pairs whose negative
+        # compile memos to drop.  Deliberately NOT guarded by send_lock:
+        # the collector must never wait behind a submitter blocked on a
+        # full request pipe.
+        self.recycle_pending: list[str] = []  # cc: guarded-by(piggyback_lock)
+        self.purge_pending: list[tuple[str, int]] = []  # cc: guarded-by(piggyback_lock)
+        self.piggyback_lock = threading.Lock()
         self.proc = ctx.Process(
             target=worker_main,
             args=(shard_id, child_conn, req_recv, res_send, config),
@@ -215,13 +238,9 @@ class ProcessShardPool:
         *,
         max_queue_depth: int = 512,
         admission_timeout_ms: float = 50.0,
-        start_method: str = "spawn",
         batch_invariant: bool = True,
         compile_plans: bool = True,
         plan_cache_dir: Optional[str] = None,
-        vnodes: int = 64,
-        metrics_interval: float = 0.5,
-        boot_timeout: float = 60.0,
     ) -> None:
         if num_shards < 1:
             raise ValueError("num_shards must be >= 1")
@@ -232,15 +251,13 @@ class ProcessShardPool:
         self.num_shards = int(num_shards)
         self.max_queue_depth = int(max_queue_depth)
         self.admission_timeout = float(admission_timeout_ms) / 1000.0
-        self.ring = ShardRing(self.num_shards, vnodes=vnodes)
-        self.boot_timeout = float(boot_timeout)
-        self._ctx = mp.get_context(start_method)
+        self.ring = ShardRing(self.num_shards)
+        self._ctx = mp.get_context(START_METHOD)
         self._config = {
             "batch_invariant": bool(batch_invariant),
             "compile_plans": bool(compile_plans),
             "plan_cache_dir": str(plan_cache_dir) if plan_cache_dir else None,
             "telemetry": obs.is_enabled(),
-            "metrics_interval": float(metrics_interval),
         }
         # dispatch paths read the list without the lock: it is swapped
         # atomically in start()/never shrunk, and they gate on _running
@@ -302,10 +319,10 @@ class ProcessShardPool:
     def _control(self, shard: _Shard, cmd: tuple) -> None:  # cc: requires(_conn_lock)
         """Send one control command and wait for the worker's ack."""
         shard.conn.send(cmd)
-        if not shard.conn.poll(self.boot_timeout):
+        if not shard.conn.poll(BOOT_TIMEOUT_S):
             raise RuntimeError(
                 f"shard {shard.id} worker did not acknowledge {cmd[0]!r} "
-                f"within {self.boot_timeout:.0f}s"
+                f"within {BOOT_TIMEOUT_S:.0f}s"
             )
         ack = shard.conn.recv()
         if ack != ("ok",):
@@ -326,6 +343,20 @@ class ProcessShardPool:
             if self._running:
                 shard = self._shards[self.ring.shard_for(name, version)]
                 self._control(shard, ("register",) + entry)
+
+    def purge(self, name: str, version: int) -> None:
+        """Drop the owning worker's negative compile memos for a version.
+
+        The purge rides the next request message to that shard — the
+        only traffic it can affect — so an activation stays a front-end
+        pointer flip that never waits on a worker.  A worker that has not
+        started holds no memos to drop.
+        """
+        if not self._running:
+            return
+        shard = self._shards[self.ring.shard_for(name, version)]
+        with shard.piggyback_lock:
+            shard.purge_pending.append((name, int(version)))
 
     def stop(self, join_timeout: float = 5.0) -> None:
         """Stop workers, drain collectors, fail whatever never completed."""
@@ -377,26 +408,39 @@ class ProcessShardPool:
 
     # -- admission -----------------------------------------------------------------
 
-    def _admit(self, shard: _Shard, rows: int) -> None:
-        """Reserve ``rows`` queue slots; backpressure, then load-shed."""
+    def _admit(
+        self, shard: _Shard, rows: int, flush: Optional[Callable[[], None]]
+    ) -> None:
+        """Reserve ``rows`` queue slots; backpressure, then load-shed.
+
+        Before it first waits, ``flush()`` sends what the caller already
+        staged for this shard: those rows count toward the depth, and
+        unsent they could never drain.
+        """
         deadline: Optional[float] = None
-        with shard.cond:
-            while shard.depth + rows > self.max_queue_depth:
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + self.admission_timeout
-                remaining = deadline - now
-                if remaining <= 0 or not self._running:
-                    if self._telemetry.enabled:
-                        self._m_overload.inc()
-                    raise OverloadError(
-                        f"shard {shard.id} queue full ({shard.depth}/"
-                        f"{self.max_queue_depth} rows) for "
-                        f"{self.admission_timeout * 1e3:.0f}ms; request shed"
-                    )
-                shard.cond.wait(remaining)
-            shard.depth += rows
-            depth = shard.depth
+        while True:
+            with shard.cond:
+                if shard.depth + rows <= self.max_queue_depth:
+                    shard.depth += rows
+                    depth = shard.depth
+                    break
+                if flush is None:
+                    now = time.monotonic()
+                    if deadline is None:
+                        deadline = now + self.admission_timeout
+                    remaining = deadline - now
+                    if remaining <= 0 or not self._running:
+                        if self._telemetry.enabled:
+                            self._m_overload.inc()
+                        raise OverloadError(
+                            f"shard {shard.id} queue full ({shard.depth}/"
+                            f"{self.max_queue_depth} rows) for "
+                            f"{self.admission_timeout * 1e3:.0f}ms; request shed"
+                        )
+                    shard.cond.wait(remaining)
+                    continue
+            flush()
+            flush = None
         if self._telemetry.enabled:
             self._m_depth.set(depth, shard=str(shard.id))
 
@@ -410,158 +454,114 @@ class ProcessShardPool:
 
     # -- dispatch ------------------------------------------------------------------
 
-    def dispatch_one(
-        self,
-        name: str,
-        version: int,
-        x: np.ndarray,
-        on_done: Callable[[Optional[np.ndarray], Optional[Exception]], None],
+    def dispatch(
+        self, jobs: Iterable[tuple[str, int, Any, bool, OnDone]]
     ) -> None:
-        """Queue one input row; ``on_done(output, error)`` fires on completion.
+        """Stage and send ``(name, version, x, stacked, on_done)`` jobs.
 
-        Raises :class:`OverloadError` if the shard never drained below
-        its depth bound within the admission timeout.
+        ``x`` reaches the model whole — a CSR batch rides the request
+        pipe as pickled arrays (its nnz payload is small; the worker
+        rebuilds the matrix and its pattern-keyed plan), an array rides
+        shared memory — unless ``stacked``: then it is a block of request
+        rows served as one vectorized forward.  Every job bound for one
+        shard shares one wire message.  ``on_done(output, error)`` fires
+        once per job, from a collector thread — or right here when the
+        job never leaves the front end (admission shed, staging failure,
+        pool stopped); the other jobs proceed.
         """
-        if not self._running:
-            raise RuntimeError("process pool is not running")
-        shard = self._shards[self.ring.shard_for(name, version)]
-        if isinstance(x, CSRMatrix):
-            # CSR batches cross as pickled arrays on the request pipe:
-            # the nnz payload is small, and the worker rebuilds the
-            # matrix (and its pattern-keyed plan) on its side
-            rows = int(x.shape[0])
-            self._admit(shard, rows)
-            payload = ("csrmat", (x.indptr, x.indices, x.data, tuple(x.shape)))
-            self._enqueue(shard, "csr", name, version, payload, on_done, rows)
-            return
-        self._admit(shard, 1)
-        try:
-            handle = self._store.put(x)
-        except Exception:
-            self._release(shard, 1)
-            raise
-        self._enqueue(shard, "one", name, version, handle, on_done, 1)
-
-    def dispatch_rows(
-        self, name: str, version: int, stacked: np.ndarray
-    ) -> RowsResult:
-        """Queue a (B, F) block as vectorized chunks; returns a future.
-
-        Chunks are at most ``max_queue_depth`` rows so each can be
-        admitted whole (admission is all-or-nothing per chunk: a shed
-        chunk fails the whole :class:`RowsResult` with
-        :class:`OverloadError`, raised immediately when it is the first).
-        """
-        if not self._running:
-            raise RuntimeError("process pool is not running")
-        shard = self._shards[self.ring.shard_for(name, version)]
-        total = int(stacked.shape[0])
-        chunk = self.max_queue_depth
-        n_chunks = max(1, -(-total // chunk))
-        result = RowsResult(n_chunks)
-        for idx in range(n_chunks):
-            part = stacked[idx * chunk : (idx + 1) * chunk]
-            rows = int(part.shape[0])
+        staged: dict[int, list[tuple]] = {}
+        for name, version, x, stacked, on_done in jobs:
             try:
-                self._admit(shard, rows)
-            except OverloadError as exc:
-                result._fail_rest(exc, n_chunks - idx)
-                if idx == 0:
-                    raise  # nothing dispatched: surface the shed directly
-                return result
-            try:
-                handle = self._store.put(part)
-            except Exception:
-                self._release(shard, rows)
-                raise
-
-            def on_done(output, error, _result=result, _idx=idx):
-                _result._resolve(_idx, output, error)
-
-            self._enqueue(shard, "rows", name, version, handle, on_done, rows)
-        return result
+                if not self._running:
+                    raise OrchestratorStopped("serving pool is not running")
+                shard = self._shards[self.ring.shard_for(name, version)]
+                items = staged.setdefault(shard.id, [])
+                csr = isinstance(x, CSRMatrix)
+                rows = int(x.shape[0]) if csr or stacked else 1
+                self._admit(shard, rows, functools.partial(self._send, shard, items))
+                try:
+                    if csr:
+                        kind, segment = "csr", None
+                        payload = ("csrmat", (x.indptr, x.indices, x.data, tuple(x.shape)))
+                    else:
+                        kind = "rows" if stacked else "one"
+                        payload = self._store.put(x)
+                        segment = payload.segment
+                except Exception:
+                    self._release(shard, rows)
+                    raise
+            except Exception as exc:  # noqa: BLE001 - fails this job only
+                on_done(None, exc)
+                continue
+            req_id = next(self._req_ids)
+            with self._pending_lock:
+                self._pending[req_id] = _Pending(on_done, rows, segment, shard.id)
+            items.append((kind, req_id, name, int(version), payload))
+        for shard_id, items in staged.items():
+            self._send(self._shards[shard_id], items)
 
     def dispatch_groups(
         self, groups: Sequence[tuple[str, int, np.ndarray]]
     ) -> list[RowsResult]:
-        """Dispatch many ``(name, version, stacked)`` blocks, coalescing the wire.
+        """Dispatch ``(name, version, stacked)`` blocks; one result per group.
 
-        pmap-style burst entry point: every group is *staged* first
-        (admitted, copied into shared memory, recorded as pending), then
-        each shard that owns any of them receives ONE ``("many", ...)``
-        request covering all of its groups and answers with ONE
-        ``("manyok", ...)`` response — the synchronous pipe round trips
-        are paid per shard, not per group.  A group that sheds
-        (:class:`OverloadError`) or fails to stage fails its own
-        :class:`RowsResult` with that error; the other groups proceed,
-        so one hot model cannot block the rest of the burst.  Returns
-        one result per group, in order.
+        Each block is cut into chunks of at most ``max_queue_depth`` rows,
+        so every chunk can be admitted whole.  A chunk that fails (shed
+        with :class:`OverloadError`, staging error) fails its group, and
+        the group's remaining chunks are not sent; the other groups
+        proceed, so one hot model cannot block the rest of the burst.
         """
-        if not self._running:
-            raise RuntimeError("process pool is not running")
         results: list[RowsResult] = []
-        staged: dict[int, list[tuple]] = {}
-        for name, version, stacked in groups:
-            shard = self._shards[self.ring.shard_for(name, version)]
-            total = int(stacked.shape[0])
+
+        def jobs():
             chunk = self.max_queue_depth
-            n_chunks = max(1, -(-total // chunk))
-            result = RowsResult(n_chunks)
-            results.append(result)
-            for idx in range(n_chunks):
-                part = stacked[idx * chunk : (idx + 1) * chunk]
-                rows = int(part.shape[0])
-                try:
-                    self._admit(shard, rows)
-                except OverloadError as exc:
-                    result._fail_rest(exc, n_chunks - idx)
-                    break
-                try:
-                    handle = self._store.put(part)
-                except Exception as exc:  # noqa: BLE001 - fail this group only
-                    self._release(shard, rows)
-                    result._fail_rest(exc, n_chunks - idx)
-                    break
-
-                def on_done(output, error, _result=result, _idx=idx):
-                    _result._resolve(_idx, output, error)
-
-                req_id = next(self._req_ids)
-                with self._pending_lock:
-                    self._pending[req_id] = _Pending(
-                        on_done, rows, handle.segment, shard.id
+            for name, version, stacked in groups:
+                n_chunks = max(1, -(-len(stacked) // chunk))
+                result = RowsResult(n_chunks)
+                results.append(result)
+                for idx in range(n_chunks):
+                    if result.failed:
+                        break
+                    part = stacked[idx * chunk : (idx + 1) * chunk]
+                    yield name, version, part, True, functools.partial(
+                        result._resolve, idx
                     )
-                staged.setdefault(shard.id, []).append(
-                    ("rows", req_id, name, int(version), handle)
-                )
-        for shard_id, items in staged.items():
-            shard = self._shards[shard_id]
-            try:
-                self._send_many(shard, items)
-            except (BrokenPipeError, OSError):
-                self._abandon(shard, items)
-        if not self._running:
-            # raced stop(): its sweep may have missed entries we inserted
-            # after it ran, so finish their handshakes ourselves
-            for shard_id, items in staged.items():
-                self._abandon(self._shards[shard_id], items)
+
+        self.dispatch(jobs())
         return results
 
-    def _send_many(self, shard: _Shard, items: list[tuple]) -> None:
-        """Ship one coalesced request, piggybacking pending recycle names.
+    def _send(self, shard: _Shard, items: list[tuple]) -> None:
+        """Ship and clear the staged ``items`` as one ``("many", ...)`` message.
 
-        Raises ``BrokenPipeError``/``OSError`` if the worker is gone —
-        the recycled names are dropped with it (its segments are cleaned
-        up wholesale on the crash/stop path).
+        Output segments the collector finished reading ride along for
+        recycling, and pending memo purges ride along too.  If the worker
+        is gone (or ``stop`` raced the send), the items fail with
+        :class:`OrchestratorStopped`.
         """
-        with shard.recycle_lock:
+        if not items:
+            return
+        sent = list(items)
+        items.clear()
+        with shard.piggyback_lock:
             recycled, shard.recycle_pending = shard.recycle_pending, []
-        with shard.send_lock:
-            shard.req_send.send(("many", items, recycled))
+            purges, shard.purge_pending = shard.purge_pending, []
+        try:
+            with shard.send_lock:
+                shard.req_send.send(("many", sent, recycled, purges))
+        except (BrokenPipeError, OSError):
+            # the piggybacked names and purges are dropped with the
+            # worker: its segments are cleaned up wholesale on the
+            # crash/stop path
+            self._abandon(shard, sent)
+            return
+        if not self._running:
+            # raced stop(): its sweep may have run before our inserts, so
+            # finish the handshakes it missed ourselves
+            self._abandon(shard, sent)
 
     def _abandon(self, shard: _Shard, items: list[tuple]) -> None:
         """Fail staged dispatches whose send failed (or that raced ``stop``)."""
-        for _, req_id, _, _, handle in items:
+        for _, req_id, _, _, _ in items:
             with self._pending_lock:
                 pending = self._pending.pop(req_id, None)
             if pending is None:
@@ -575,34 +575,6 @@ class ProcessShardPool:
                 )
             except Exception:  # noqa: BLE001 - waiter bugs must not block teardown
                 pass
-
-    def _enqueue(self, shard, kind, name, version, handle, on_done, rows) -> None:
-        req_id = next(self._req_ids)
-        segment = getattr(handle, "segment", None)  # None: pipe-shipped CSR
-        pending = _Pending(on_done, rows, segment, shard.id)
-        with self._pending_lock:
-            self._pending[req_id] = pending
-        try:
-            self._send_many(
-                shard, [(kind, req_id, name, int(version), handle)]
-            )
-        except (BrokenPipeError, OSError):
-            # worker (or the whole pool) went away under us
-            with self._pending_lock:
-                self._pending.pop(req_id, None)
-            self._release(shard, rows)
-            if segment is not None:
-                self._store.release(segment)
-            on_done(None, OrchestratorStopped("serving pool stopped"))
-            return
-        if not self._running:
-            # raced stop(): its sweep may have run before our insert, so
-            # finish the handshake ourselves if the entry is still there
-            with self._pending_lock:
-                still = self._pending.pop(req_id, None)
-            if still is not None:
-                self._release(shard, rows)
-                on_done(None, OrchestratorStopped("serving pool stopped"))
 
     # -- result collection ---------------------------------------------------------
 
@@ -654,7 +626,7 @@ class ProcessShardPool:
                 if recycle:
                     # stash for the next request to carry back (piggyback
                     # recycling: no pipe write of its own)
-                    with shard.recycle_lock:
+                    with shard.piggyback_lock:
                         shard.recycle_pending.extend(recycle)
             elif kind == "metrics":
                 obs.apply_metrics_delta(obs.get_registry(), item[2])

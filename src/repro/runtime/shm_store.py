@@ -122,6 +122,7 @@ class ShmTensorStore:
         self._free: dict[int, list[str]] = {}  # cc: guarded-by(_lock)
         self._leased: dict[str, int] = {}  # cc: guarded-by(_lock)
         self._closed = False  # cc: guarded-by(_lock)
+        self._telemetry = obs.TELEMETRY
         registry = obs.get_registry()
         self._m_segments = registry.gauge(
             "repro_shm_segments",
@@ -165,7 +166,7 @@ class ShmTensorStore:
             self._segments[segment.name] = segment
             self._leased[segment.name] = size
             count = len(self._segments)
-        if obs.is_enabled():
+        if self._telemetry.enabled:
             self._m_created.inc()
             self._m_segments.set(count)
         return segment
@@ -212,7 +213,7 @@ class ShmTensorStore:
                 segment.close()
             except BufferError:  # pragma: no cover - caller leaked a view
                 pass
-        if obs.is_enabled():
+        if self._telemetry.enabled:
             self._m_segments.set(0)
         return names
 
@@ -230,7 +231,7 @@ class ShmTensorStore:
                 segment.unlink()
             except (FileNotFoundError, OSError):  # pragma: no cover - already gone
                 pass
-        if obs.is_enabled():
+        if self._telemetry.enabled:
             self._m_segments.set(0)
 
 

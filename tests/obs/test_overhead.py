@@ -61,10 +61,14 @@ class TestOrchestratorOverhead:
         orc.register_model("mm", lambda x: x @ w)
         orc.put_tensor("in", np.ones(128))
 
-        # seed-equivalent body: the exact same work without the telemetry
-        # wrapper (the disabled wrapper adds one attribute check + a call)
+        # seed-equivalent body: the exact same work — admission, input
+        # fetch, forward, store — without the core's telemetry checks
         def baseline():
-            orc._run_model_inner("mm", ("in",), ("out",))
+            with orc._lock:
+                version = orc._admit_locked("mm")
+                x = orc._input_locked(("in",))
+            y, _, _ = orc._core._forward("mm", version, x, False)
+            orc.put_tensor("out", y)
 
         def instrumented():
             orc.run_model("mm", ("in",), ("out",))

@@ -135,10 +135,13 @@ class TestParallelMap:
             parallel_map(lambda v: v, [1], workers=0)
 
     def test_threads_actually_used(self):
+        # Thread objects, not get_ident(): the OS reuses an ident once a
+        # short-lived rank thread exits, while the objects held here stay
+        # distinct for as long as the set keeps them alive
         seen = set()
 
         def fn(v):
-            seen.add(threading.get_ident())
+            seen.add(threading.current_thread())
             return v
 
         parallel_map(fn, list(range(32)), workers=4)

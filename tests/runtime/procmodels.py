@@ -9,9 +9,12 @@ the worker.  These helpers are deliberately tiny and deterministic.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
+
+from repro.nas.package import SurrogatePackage
 
 
 def affine(x: np.ndarray) -> np.ndarray:
@@ -62,3 +65,30 @@ class Tag:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         return np.full(x.shape[0], self.value)
+
+
+class FlakyTracePackage(SurrogatePackage):
+    """A package whose first ``failures`` plan compiles fail, per process.
+
+    Every compile attempt (the content digest the compiler asks for
+    first) appends a line to ``log``, so a test can count attempts made
+    inside a worker process, which monkeypatching cannot reach.  A
+    pickled copy carries the failure budget it had when it was pickled.
+    """
+
+    @classmethod
+    def wrap(cls, package: SurrogatePackage, log, failures: int = 1):
+        flaky = cls(
+            **{f.name: getattr(package, f.name) for f in dataclasses.fields(package)}
+        )
+        flaky.log = str(log)
+        flaky.failures = int(failures)
+        return flaky
+
+    def payload_meta(self) -> dict:
+        with open(self.log, "a") as fh:
+            fh.write("attempt\n")
+        if self.failures > 0:
+            self.failures -= 1
+            raise RuntimeError("transient compile failure")
+        return super().payload_meta()

@@ -11,6 +11,7 @@ import pytest
 from repro import obs
 from repro.runtime import Client, Orchestrator, OverloadError
 
+from ..compile.test_plan import make_package
 from . import procmodels
 
 
@@ -93,6 +94,36 @@ class TestLoadShedding:
             assert len(outs) == 2
         finally:
             orc.stop()
+
+
+class TestBurstAboveTheQueueBound:
+    @pytest.mark.parametrize("keyed", [False, True], ids=["bulk", "store-keyed"])
+    def test_one_model_burst_is_served_whole(self, rng, keyed):
+        # 4096 rows of one model on one idle shard with the default
+        # 512-row bound.  Bulk: 8 chunks, each waiting on the chunks
+        # already sent, never on its own unsent predecessors.  Store-keyed
+        # (named outputs): one request per row, each freeing its slot as
+        # soon as it is served
+        package = make_package(rng, activation="tanh")
+        rows = [rng.standard_normal(6) for _ in range(4096)]
+        out_keys = [f"o{i}" for i in range(len(rows))] if keyed else None
+        outs = {}
+        for mode, kwargs in {"thread": {}, "process": {"num_processes": 1}}.items():
+            orc = Orchestrator(**kwargs)
+            client = Client(orc)
+            client.set_model("m", package)
+            try:
+                orc.start()
+                outs[mode] = [
+                    np.array(out)
+                    for out in client.run_model_batch("m", rows, out_keys, timeout=120)
+                ]
+            finally:
+                orc.stop()
+        assert len(outs["process"]) == len(rows)
+        for thread_out, process_out in zip(outs["thread"], outs["process"]):
+            assert np.asarray(thread_out).tobytes() == np.asarray(process_out).tobytes()
+        assert obs.get_registry().get("repro_overload_total").total() == 0
 
 
 class TestBackpressure:

@@ -17,6 +17,7 @@ from repro.runtime import Client, Orchestrator
 
 from ..compile.test_conv_plans import cnn_package, make_csr, sparse_ae_package
 from ..compile.test_plan import make_package
+from . import procmodels
 
 
 @pytest.fixture(autouse=True)
@@ -40,7 +41,7 @@ class TestCompiledIdentity:
         orc.put_tensor("in", x)
         orc.run_model("m", ("in",), ("out",))
         np.testing.assert_array_equal(orc.get_tensor("out"), reference(package, x))
-        assert len(orc._plans) == 1  # the plan actually served it
+        assert len(orc._core._plans) == 1  # the plan actually served it
 
     def test_pooled_micro_batches_are_bit_identical(self, rng):
         package = make_package(rng, activation="tanh", hidden=(16, 8))
@@ -74,7 +75,7 @@ class TestCompiledIdentity:
         Client(orc).set_model("m", package)
         orc.put_tensor("in", rng.standard_normal(6))
         orc.run_model("m", ("in",), ("out",))
-        assert orc._plans == {}
+        assert orc._core._plans == {}
 
 
 class TestPlanStaleness:
@@ -98,7 +99,7 @@ class TestPlanStaleness:
         np.testing.assert_array_equal(orc.get_tensor("out"), reference(v1_pkg, x))
         # version is part of the plan map key: both plans coexist, neither
         # is ever served stale
-        assert len(orc._plans) == 2
+        assert len(orc._core._plans) == 2
 
     def test_pinned_version_uses_its_own_plan(self, rng):
         v1_pkg = make_package(rng)
@@ -120,7 +121,7 @@ class TestFallback:
         orc.put_tensor("in", np.ones(4))
         orc.run_model("raw", ("in",), ("out",))
         np.testing.assert_array_equal(orc.get_tensor("out"), np.full(4, 3.0))
-        assert orc._plans == {}  # no package, not even a sentinel entry
+        assert orc._core._plans == {}  # no package, not even a sentinel entry
 
     def test_untraceable_package_falls_back_without_failing(self, rng):
         class OpaquePackage:
@@ -170,7 +171,7 @@ class TestCnnAndCsrServing:
         # the plan map key carries the pattern digest, not an array shape
         assert any(
             isinstance(key[2], tuple) and key[2][0] == "csr"
-            for key in orc._plans
+            for key in orc._core._plans
         )
         assert obs.get_registry().get("repro_compile_plans_built_total").total() == 1
 
@@ -188,7 +189,7 @@ class TestCnnAndCsrServing:
         orc.run_model("m", ("s",), ("s_out",))
         np.testing.assert_array_equal(orc.get_tensor("d_out"), reference(package, dense))
         np.testing.assert_array_equal(orc.get_tensor("s_out"), reference(package, sparse))
-        assert len(orc._plans) == 2
+        assert len(orc._core._plans) == 2
 
     def test_csr_pattern_change_builds_a_second_plan(self, rng):
         package = sparse_ae_package(rng, 12, 4, 2)
@@ -202,88 +203,99 @@ class TestCnnAndCsrServing:
             np.testing.assert_array_equal(
                 orc.get_tensor(f"out{i}"), reference(package, x)
             )
-        assert len(orc._plans) == 2
+        assert len(orc._core._plans) == 2
 
 
 class TestMemoPurge:
-    """deploy()/rollback() clear stale negative compile memos."""
+    """deploy()/rollback() clear stale negative compile memos.
+
+    The memos live in whichever serving core holds the version: the
+    orchestrator's own in thread mode, the owning worker's in process
+    mode.  Compile attempts are counted through the package's attempt
+    log, which a spawned worker writes too.
+    """
+
+    @pytest.fixture(params=["thread", "process"])
+    def orc(self, request):
+        kwargs = {"num_processes": 1} if request.param == "process" else {}
+        orchestrator = Orchestrator(**kwargs)
+        yield orchestrator
+        orchestrator.stop()
 
     @staticmethod
-    def _flaky_compile(monkeypatch, fail_times):
-        import repro.runtime.orchestrator as orch_mod
+    def attempts(log):
+        return len(log.read_text().splitlines()) if log.exists() else 0
 
-        real = orch_mod.compile_package
-        calls = {"n": 0}
+    @staticmethod
+    def merged_total(orc, name):
+        orc.stop()  # a worker's final metric delta flushes on stop
+        metric = obs.get_registry().get(name)
+        return metric.total() if metric is not None else 0
 
-        def flaky(*a, **k):
-            calls["n"] += 1
-            if calls["n"] <= fail_times:
-                raise RuntimeError("transient compile failure")
-            return real(*a, **k)
-
-        monkeypatch.setattr(orch_mod, "compile_package", flaky)
-        return calls
-
-    def test_deploy_retries_untraceable_memo(self, rng, monkeypatch):
+    def test_deploy_retries_untraceable_memo(self, orc, rng, tmp_path):
         package = make_package(rng)
-        orc = Orchestrator()
+        log = tmp_path / "attempts"
         client = Client(orc)
-        v1 = client.set_model("m", package)
-        calls = self._flaky_compile(monkeypatch, 1)
+        v1 = client.set_model("m", procmodels.FlakyTracePackage.wrap(package, log))
+        orc.start()
         x = rng.standard_normal(6)
-        orc.put_tensor("in", x)
-        orc.run_model("m", ("in",), ("out",))  # compile fails -> interpreted
-        orc.run_model("m", ("in",), ("out",))  # negative memo: no retry
-        assert calls["n"] == 1
+        client.run_model("m", x, "out")  # compile fails -> interpreted
+        client.run_model("m", x, "out")  # negative memo: no retry
+        assert self.attempts(log) == 1
         client.deploy_model("m", v1)  # hot swap clears the negative memo
-        orc.run_model("m", ("in",), ("out",))
-        assert calls["n"] == 2  # retried, and this time it compiled
-        np.testing.assert_array_equal(orc.get_tensor("out"), reference(package, x))
-        orc.run_model("m", ("in",), ("out",))
-        assert calls["n"] == 2  # positive result is memoized as before
+        got = client.run_model("m", x, "out")
+        assert self.attempts(log) == 2  # retried, and this time it compiled
+        np.testing.assert_array_equal(got, reference(package, x))
+        client.run_model("m", x, "out")
+        assert self.attempts(log) == 2  # positive result is memoized as before
+        assert self.merged_total(orc, "repro_compile_untraceable_total") == 1
+        assert self.merged_total(orc, "repro_compile_plans_built_total") == 1
 
-    def test_rollback_retries_untraceable_memo(self, rng, monkeypatch):
+    def test_rollback_retries_untraceable_memo(self, orc, rng, tmp_path):
         v1_pkg = make_package(rng)
         v2_pkg = make_package(np.random.default_rng(7))
-        orc = Orchestrator()
+        log = tmp_path / "attempts"
         client = Client(orc)
-        client.set_model("m", v1_pkg)
-        client.set_model("m", v2_pkg)
-        calls = self._flaky_compile(monkeypatch, 1)
+        client.set_model("m", procmodels.FlakyTracePackage.wrap(v1_pkg, log))
+        orc.start()
         x = rng.standard_normal(6)
-        orc.put_tensor("in", x)
-        orc.run_model("m", ("in",), ("out",), version=1)  # fails, memoized
-        assert calls["n"] == 1
+        client.run_model("m", x, "out")  # v1's compile fails, memoized
+        assert self.attempts(log) == 1
+        client.set_model("m", v2_pkg)  # v2 serves; v1 keeps its memo
         client.rollback_model("m")  # back to v1: clears v1's negative memo
-        orc.run_model("m", ("in",), ("out",))
-        assert calls["n"] == 2
-        np.testing.assert_array_equal(orc.get_tensor("out"), reference(v1_pkg, x))
+        got = client.run_model("m", x, "out")
+        assert self.attempts(log) == 2
+        np.testing.assert_array_equal(got, reference(v1_pkg, x))
+        assert self.merged_total(orc, "repro_compile_plans_built_total") == 1
 
-    def test_deploy_keeps_positive_plans(self, rng):
+    def test_deploy_keeps_positive_plans(self, orc, rng, tmp_path):
         package = make_package(rng)
-        orc = Orchestrator()
+        log = tmp_path / "attempts"
         client = Client(orc)
-        v1 = client.set_model("m", package)
+        v1 = client.set_model(
+            "m", procmodels.FlakyTracePackage.wrap(package, log, failures=0)
+        )
+        orc.start()
         x = rng.standard_normal(6)
-        orc.put_tensor("in", x)
-        orc.run_model("m", ("in",), ("out",))
-        assert obs.get_registry().get("repro_compile_plans_built_total").total() == 1
+        client.run_model("m", x, "out")
+        assert self.attempts(log) == 1
         client.deploy_model("m", v1)  # redeploy must NOT drop the good plan
-        orc.run_model("m", ("in",), ("out",))
-        assert obs.get_registry().get("repro_compile_plans_built_total").total() == 1
+        client.run_model("m", x, "out")
+        assert self.attempts(log) == 1
+        assert self.merged_total(orc, "repro_compile_plans_built_total") == 1
 
-    def test_memo_purge_is_safe_under_hot_swap_traffic(self, rng):
+    def test_memo_purge_is_safe_under_hot_swap_traffic(self, orc, rng):
         import threading
 
         v1_pkg = make_package(rng)
         v2_pkg = make_package(np.random.default_rng(5))
-        orc = Orchestrator()
         client = Client(orc)
         client.set_model("m", v1_pkg)
         v2 = client.set_model("m", v2_pkg, deploy=False)
         x = rng.standard_normal((4, 6))
         expected = {reference(v1_pkg, x).tobytes(), reference(v2_pkg, x).tobytes()}
         orc.put_tensor("in", x)
+        orc.start()
         stop = threading.Event()
         errors = []
 
@@ -293,8 +305,7 @@ class TestMemoPurge:
                 out = f"out_{threading.get_ident()}_{i % 4}"
                 i += 1
                 try:
-                    orc.run_model("m", ("in",), (out,))
-                    if orc.get_tensor(out).tobytes() not in expected:
+                    if client.run_model("m", "in", out).tobytes() not in expected:
                         errors.append("served output matches neither version")
                 except Exception as exc:  # noqa: BLE001 - fail the test below
                     errors.append(repr(exc))
@@ -390,8 +401,7 @@ class TestPersistentCache:
         np.testing.assert_array_equal(
             orc.get_tensor("out"), reference(package, x)
         )
-        with orc._lock:
-            model = orc._resolve_locked("app", None)
+        model = orc._core.replica("app", orc.active_version("app"))
         assert model.digest == ref.digest
 
     def test_telemetry_names_are_exposed(self, rng):

@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.nn.tensor import batch_invariant
-from repro.runtime import Client, Orchestrator, UnknownModelError
+from repro.runtime import Client, InferenceRequest, Orchestrator, UnknownModelError
 
 from ..compile.test_conv_plans import cnn_package, make_csr, sparse_ae_package
 from ..compile.test_plan import make_package
@@ -108,19 +108,25 @@ class TestProcessServing:
         orc.register_model("aff", procmodels.affine_x10, batchable=True)
         orc.start()
         x = np.arange(4, dtype=np.float64)
-        got = orc.run_rows("aff", x[None, :], version=1, timeout=60)
-        np.testing.assert_array_equal(np.ravel(got), procmodels.affine(x))
-        got = orc.run_rows("aff", x[None, :], timeout=60)
+        orc.put_tensor("in", x)
+        pinned = orc.submit(InferenceRequest("aff", ("in",), ("out",), version=1))
+        assert pinned.done.wait(timeout=60) and pinned.error is None
         np.testing.assert_array_equal(
-            np.ravel(got), procmodels.affine_x10(x)
+            np.ravel(orc.get_tensor("out")), procmodels.affine(x)
+        )
+        (rows,) = orc.run_rows_many([("aff", x[None, :])])
+        np.testing.assert_array_equal(
+            np.ravel(rows.result(timeout=60)), procmodels.affine_x10(x)
         )
 
-    def test_run_rows_vectorizes_a_stacked_batch(self, orc, rng):
+    def test_run_rows_many_vectorizes_a_stacked_batch(self, orc, rng):
         orc.register_model("aff", procmodels.affine, batchable=True)
         orc.start()
         stacked = rng.standard_normal((16, 5))
-        got = orc.run_rows("aff", stacked, timeout=60)
-        np.testing.assert_array_equal(np.ravel(got), procmodels.affine(stacked))
+        (rows,) = orc.run_rows_many([("aff", stacked)])
+        np.testing.assert_array_equal(
+            np.ravel(rows.result(timeout=60)), procmodels.affine(stacked)
+        )
 
 
 class TestSparseAndCnnTraffic:
