@@ -16,7 +16,7 @@ session) swaps them for tracked ones after construction::
 
     orc = Orchestrator()
     instrument_object(orc)           # wraps _lock, _state_lock, ...
-    instrument_object(orc._queue)    # wraps the request queue's condvar
+    instrument_object(orc._pool._queue)  # the thread pool's queue condvar
     ... traffic ...
     RECORDER.edges()                 # {("Orchestrator._state_lock",
                                      #   "_RequestQueue._cond"): count, ...}

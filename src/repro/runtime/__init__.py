@@ -17,7 +17,7 @@ from .serving import (
     measure_serving_throughput,
     measure_sustained_qps,
 )
-from .sharding import OverloadError, ProcessShardPool, RowsResult, ShardRing
+from .sharding import OverloadError, ProcessShardPool, RowsResult, ShardRing, ThreadShardPool, WorkerLostError
 from .shm_store import SegmentAttachments, ShmHandle, ShmTensorStore
 from .guard import GuardStats, GuardedSurrogate, bounds_validator, default_validator, residual_validator
 
@@ -40,6 +40,8 @@ __all__ = [
     "ProcessShardPool",
     "RowsResult",
     "ShardRing",
+    "ThreadShardPool",
+    "WorkerLostError",
     "SegmentAttachments",
     "ShmHandle",
     "ShmTensorStore",

@@ -1,11 +1,11 @@
 """The serving core: model replicas, compiled plans and forwards (§6.3).
 
 Both serving modes run every model forward through one
-:class:`ServingCore`.  Thread mode holds one core inside the
-:class:`~repro.runtime.orchestrator.Orchestrator`; process mode holds
-one in each shard's worker process
-(:func:`~repro.runtime.procworker.worker_main`).  The core is the only
-code that
+:class:`ServingCore`.  In thread mode the serving threads of a
+:class:`~repro.runtime.sharding.ThreadShardPool` share the
+orchestrator's core; in process mode each shard's worker process holds
+one (:func:`~repro.runtime.procworker.worker_main`).  The core is the
+only code that
 
 * holds model replicas, keyed by ``(name, version)``;
 * resolves a compiled plan per specialization key — model, version, row
@@ -13,6 +13,8 @@ code that
   the negative "untraceable" result, so a model the compiler refuses is
   tried once rather than on every call (:meth:`ServingCore.purge` drops
   those negative memos when an operator re-activates a version);
+* groups compatible requests into one stacked forward, falling back to
+  one forward per request when it fails (:meth:`ServingCore.serve_many`);
 * runs forwards under :func:`repro.nn.batch_invariant`, so a row's
   output does not depend on how requests were batched, and checks that a
   stacked forward returns one row per input row;
@@ -29,7 +31,7 @@ from __future__ import annotations
 import contextlib
 import threading
 import time
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -213,6 +215,47 @@ class ServingCore:
         if y.dtype.kind != "f":
             y = y.astype(np.float64)
         return y
+
+    def serve_many(
+        self, jobs: Sequence[Sequence]
+    ) -> list[tuple[Optional[np.ndarray], Optional[Exception]]]:
+        """Serve ``(name, version, x, stacked, ...)`` jobs; one ``(output, error)`` each.
+
+        Jobs pinned to one version whose inputs are 1-D arrays of one
+        shape and dtype stack into one ``(B, F)`` forward; if it fails (a
+        poisoned row, a model not really row-wise) they are served one by
+        one, so a bad request cannot fail its batch-mates.  Any other job
+        (2-D or CSR input, stacked block) reaches the model whole.
+        """
+        groups: dict[Any, list[int]] = {}
+        for i, job in enumerate(jobs):
+            x = job[2]
+            if job[3] or not isinstance(x, np.ndarray) or x.ndim != 1:
+                key: Any = i
+            else:
+                key = (job[0], job[1], x.shape, x.dtype)
+            groups.setdefault(key, []).append(i)
+        results: list = [None] * len(jobs)
+        for idxs in groups.values():
+            if len(idxs) > 1:
+                name, version = jobs[idxs[0]][:2]
+                rows = np.stack([jobs[i][2] for i in idxs])
+                try:
+                    output = self.serve(name, version, rows, stacked=True)
+                except Exception:  # noqa: BLE001 - retried one by one below
+                    pass
+                else:
+                    for i, row in zip(idxs, output):
+                        results[i] = (row, None)
+                    continue
+            for i in idxs:
+                name, version, x, stacked = jobs[i][:4]
+                try:
+                    results[i] = (self.serve(name, version, x, stacked=stacked), None)
+                except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
+                    self.fail(len(x) if stacked else 1)
+                    results[i] = (None, exc)
+        return results
 
     def fail(self, requests: int = 1) -> None:
         """Count requests that failed or were abandoned."""

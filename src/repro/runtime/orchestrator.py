@@ -8,29 +8,19 @@ with a thread-safe in-process store in front of one serving core
 (:class:`~repro.runtime.core.ServingCore`).
 
 The orchestrator is the *front end*: the tensor store, the versioned
-model registry's pointers, canary routing and admission
-(``_admit_locked``), and — in thread mode — the request queue.  Every
-model forward runs in a serving core, which holds the model replicas,
-resolves compiled plans and records the forward metrics.  Thread mode
-(``num_processes=0``) keeps one core in this process; process mode
-(``num_processes > 0``) keeps one in each shard's worker process behind
-a :class:`~repro.runtime.sharding.ProcessShardPool`.  Both modes run the
-same core code, so their outputs are byte-identical for
-``batch_invariant()`` models.
-
-Thread-mode serving is **dynamically micro-batched**: each worker drains
-the request queue into a batch of up to ``max_batch_size`` requests
-(waiting at most ``max_wait_ms`` for the batch to fill), groups requests
-pinned to the same model version with a single 1-D input tensor of the
-same shape and dtype, and hands each group to the core as one stacked
-``(B, F)`` forward, scattering the output rows back to the per-request
-output keys.  The core runs a stacked block through the compiled plan,
-else one forward of a model declared row-wise
-(``register_model(..., batchable=True)``; ``Client.set_model`` opts
-surrogate packages in), else one forward per row.  A group whose forward
-fails — a poisoned row, a model that is not really row-wise — falls back
-to per-request serving.  Requests that cannot group (multi-key inputs,
-2-D or CSR inputs) reach the model whole, one by one.
+model registry's pointers, canary routing and admission.  Every request
+takes one path in both serving modes: ``submit_many`` validates it,
+pins its version (``_admit_locked``) and fetches its input under one
+lock, hands the jobs to the serving pool's ``dispatch``, and
+``_complete`` writes the outputs of each finished batch into the store
+under one lock.  Thread mode (``num_processes=0``) serves through a
+:class:`~repro.runtime.sharding.ThreadShardPool` whose threads share
+this process's :class:`~repro.runtime.core.ServingCore`; process mode
+(``num_processes > 0``) through a
+:class:`~repro.runtime.sharding.ProcessShardPool` whose worker processes
+hold a core each.  The core groups compatible requests into one stacked
+forward (:meth:`~repro.runtime.core.ServingCore.serve_many`), so both
+modes' outputs are byte-identical for ``batch_invariant()`` models.
 
 The model registry is **versioned**: ``register_model`` may hold several
 versions of one name, exactly one of which is *active* (serving).
@@ -53,27 +43,22 @@ windowed hit-rate trackers (the guarded f_e signal) and
 ``canary_status`` exposes them so a controller (see
 :mod:`repro.lifecycle`) can auto-promote or auto-roll-back.  Unknown model names
 raise :class:`UnknownModelError` (a ``KeyError`` naming the registered
-models), surfaced through ``InferenceFuture.result`` and
-``Client.run_model_batch`` like any other serving error.
+models); a submitted request fails with it at admission, through
+``request.error``, like any other serving error.
 
 Telemetry: the core records served/failed totals, inference latency and
-plan counters; the front end adds the submit counter, a queue-depth
-gauge, a tensor-store size gauge, and batch-size and batch-wait
-histograms for the micro-batcher — all on the process-global registry
-(:mod:`repro.obs`).  Deployments move the
+plan counters; the pools record queue depth and batching; the front end
+adds the submit counter and a tensor-store size gauge — all on the
+process-global registry (:mod:`repro.obs`).  Deployments move the
 ``repro_registry_active_version`` gauge and the swap/rollback counters.
 When telemetry is disabled the hot paths pay one attribute check.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import pickle
-import queue
 import threading
-import time
-import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -84,7 +69,7 @@ import numpy as np
 from .. import obs
 from ..sparse import CSRMatrix
 from .core import OrchestratorStopped, ServingCore
-from .sharding import OverloadError, ProcessShardPool, RowsResult
+from .sharding import OverloadError, ProcessShardPool, RowsResult, ThreadShardPool
 
 __all__ = [
     "Orchestrator",
@@ -93,10 +78,6 @@ __all__ = [
     "UnknownModelError",
     "CanaryStatus",
 ]
-
-#: batch-size histogram buckets: powers of two up to a deep GPU-style batch
-BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
-
 
 class UnknownModelError(KeyError):
     """No servable model under the requested name.
@@ -210,94 +191,6 @@ class InferenceRequest:
     version: Optional[int] = None
 
 
-class _Group(NamedTuple):
-    """A vectorizable run: requests plus their already-fetched input rows."""
-
-    name: str
-    version: int
-    requests: list[InferenceRequest]
-    inputs: list[np.ndarray]
-
-
-class _RequestQueue:
-    """Deque + condition variable tuned for micro-batched serving.
-
-    ``queue.Queue`` pays one mutex acquisition per ``put``/``get``; at
-    thousands of requests per second that becomes a measurable slice of
-    the serving budget.  This queue adds two bulk primitives — ``put_many``
-    (one lock for a whole pipeline of requests) and ``get_batch`` (one
-    lock to drain an entire micro-batch, waiting up to the deadline for
-    stragglers) — and treats ``None`` as the worker-exit sentinel.
-    """
-
-    def __init__(self) -> None:
-        self._items: "deque[Optional[InferenceRequest]]" = deque()  # cc: guarded-by(_cond)
-        self._cond = threading.Condition()
-
-    def put(self, item: Optional[InferenceRequest]) -> None:
-        with self._cond:
-            self._items.append(item)
-            self._cond.notify()
-
-    def put_many(self, items: list[InferenceRequest]) -> None:
-        with self._cond:
-            self._items.extend(items)
-            self._cond.notify_all()
-
-    def get_nowait(self) -> Optional[InferenceRequest]:
-        with self._cond:
-            if not self._items:
-                raise queue.Empty
-            return self._items.popleft()
-
-    def qsize(self) -> int:
-        # len() of a deque is GIL-atomic, but the value would be stale by
-        # the time a caller acts on it; taking the condition keeps qsize
-        # ordered after any put/drain it races with
-        with self._cond:
-            return len(self._items)
-
-    def get_batch(
-        self, max_items: int, max_wait: float
-    ) -> tuple[Optional[list[InferenceRequest]], float]:
-        """Drain up to ``max_items`` requests as one batch.
-
-        Blocks until at least one request (or sentinel) arrives.  Returns
-        ``(None, 0.0)`` when the first item is the stop sentinel; a
-        sentinel found mid-drain is pushed back so the pool still sees one
-        sentinel per worker.  The second element is the time spent waiting
-        for stragglers (the batch-wait histogram's sample); a deep queue
-        drains without touching the clock.
-        """
-        with self._cond:
-            while not self._items:
-                self._cond.wait()
-            first = self._items.popleft()
-            if first is None:
-                return None, 0.0
-            batch = [first]
-            deadline: Optional[float] = None
-            wait_started: Optional[float] = None
-            while len(batch) < max_items:
-                if self._items:
-                    item = self._items.popleft()
-                    if item is None:
-                        self._items.appendleft(None)
-                        self._cond.notify()
-                        break
-                    batch.append(item)
-                    continue
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + max_wait
-                    wait_started = now
-                remaining = deadline - now
-                if remaining <= 0 or not self._cond.wait(remaining):
-                    break
-            waited = time.monotonic() - wait_started if wait_started else 0.0
-            return batch, waited
-
-
 class Orchestrator:
     """Key-value tensor store with a model registry and a batching server.
 
@@ -327,15 +220,12 @@ class Orchestrator:
       ``<dir>/plan_cache/`` so restarts reuse them (content-addressed;
       see :class:`repro.compile.PlanCache`).  ``None`` keeps the plan
       cache in-memory only.
-    * ``num_processes`` — ``> 0`` switches the serving pool from threads
-      to worker *processes*: models shard across a consistent-hash ring
-      (:class:`~repro.runtime.sharding.ProcessShardPool`), tensors cross
-      the boundary through pooled shared-memory segments, and admission
-      control bounds each shard queue at ``max_queue_depth`` rows with
-      backpressure up to ``admission_timeout_ms`` before load-shedding a
-      typed :class:`~repro.runtime.sharding.OverloadError`.  Models must
-      be picklable in this mode (surrogate packages are).  ``0`` keeps
-      the in-process thread pool (default).
+    * ``num_processes`` — ``> 0`` serves from worker *processes*
+      (:class:`~repro.runtime.sharding.ProcessShardPool`), each shard
+      queue bounded at ``max_queue_depth`` rows with backpressure up to
+      ``admission_timeout_ms``; models must pickle (surrogate packages
+      do).  ``0`` (default) serves from threads
+      (:class:`~repro.runtime.sharding.ThreadShardPool`).
     """
 
     def __init__(
@@ -378,7 +268,6 @@ class Orchestrator:
             compile_plans=self.compile_plans,
             plan_cache_dir=plan_cache_dir,
         )
-        self._pool: Optional[ProcessShardPool] = None
         if self.num_processes:
             self._pool = ProcessShardPool(
                 self.num_processes,
@@ -388,16 +277,19 @@ class Orchestrator:
                 compile_plans=self.compile_plans,
                 plan_cache_dir=str(plan_cache_dir) if plan_cache_dir else None,
             )
+        else:
+            self._pool = ThreadShardPool(  # cc: type(ThreadShardPool, ProcessShardPool)
+                self._core,
+                max_batch_size=self.max_batch_size,
+                max_wait_ms=self.max_wait_ms,
+                num_workers=self.num_workers,
+            )
         self._tensors: dict[str, np.ndarray] = {}  # cc: guarded-by(_lock)
         self._models: dict[str, _ModelEntry] = {}  # cc: guarded-by(_lock)
         self._lock = threading.RLock()
-        self._queue = _RequestQueue()
-        self._workers: list[threading.Thread] = []  # cc: guarded-by(_state_lock)
-        # bare reads (is_running, the worker loop) see a GIL-atomic bool;
-        # transitions are serialized by _state_lock
+        # bare reads (is_running) see a GIL-atomic bool; transitions are
+        # serialized by _state_lock
         self._running = False          # cc: guarded-by(_state_lock, atomic-reads)
-        # serializes start/stop/submit state transitions so no request can
-        # slip into the queue after stop() has drained it
         self._state_lock = threading.Lock()
         self._telemetry = obs.TELEMETRY
         registry = obs.get_registry()
@@ -405,26 +297,9 @@ class Orchestrator:
             "repro_orchestrator_submitted_total",
             "Inference requests queued via submit()",
         )
-        self._m_queue_depth = registry.gauge(
-            "repro_orchestrator_queue_depth",
-            "Inference requests waiting in the server queue",
-        )
         self._m_tensors = registry.gauge(
             "repro_orchestrator_tensor_store_size",
             "Tensors currently held in the store",
-        )
-        self._m_batch_size = registry.histogram(
-            "repro_orchestrator_batch_size",
-            "Requests per micro-batch drained by a serving worker",
-            buckets=BATCH_SIZE_BUCKETS,
-        )
-        self._m_batch_wait = registry.histogram(
-            "repro_orchestrator_batch_wait_seconds",
-            "Seconds a worker spent collecting each micro-batch",
-        )
-        self._m_stuck_workers = registry.gauge(
-            "repro_orchestrator_stuck_workers",
-            "Serving workers that failed to join within the stop() timeout",
         )
         self._m_active_version = registry.gauge(
             "repro_registry_active_version",
@@ -527,6 +402,8 @@ class Orchestrator:
     def _input_locked(self, keys) -> Any:  # cc: requires(_lock)
         """One request's input: its single tensor whole, else the
         flattened tensors concatenated."""
+        if len(keys) == 1 and keys[0] in self._tensors:
+            return self._tensors[keys[0]]  # the common case, one dict lookup
         inputs = self._lookup_locked(keys)
         if len(inputs) == 1:
             return inputs[0]
@@ -592,7 +469,7 @@ class Orchestrator:
         if not callable(predict):
             raise TypeError("model must be callable")
         blob: Optional[bytes] = None
-        if self._pool is not None:
+        if self.num_processes:
             # pickle BEFORE registering locally so an unservable model
             # fails cleanly instead of leaving front-end/worker split-brain
             target = package if package is not None else predict
@@ -783,15 +660,6 @@ class Orchestrator:
                 if rate is not None:
                     self._m_canary_hit_rate.set(rate, model=name, role=role)
 
-    def outcome_stats(self, name: str) -> dict[int, tuple[int, Optional[float]]]:
-        """``{version: (window count, windowed hit rate)}`` for ``name``."""
-        with self._lock:
-            entry = self._entry_locked(name)
-            return {
-                version: (window.count, window.hit_rate)
-                for version, window in entry.outcomes.items()
-            }
-
     def _clear_canary_locked(self, name: str, entry: _ModelEntry) -> None:  # cc: requires(_lock)
         """Cancel any in-flight canary (a manual deploy/rollback supersedes it)."""
         if entry.canary is None:
@@ -816,7 +684,7 @@ class Orchestrator:
     def _purge(self, name: str, version: int) -> None:
         """Retry ``version``'s failed compiles in whichever core serves it."""
         self._core.purge(name, version)
-        if self._pool is not None:
+        if self.num_processes:
             self._pool.purge(name, version)
 
     def _entry_locked(  # cc: requires(_lock)
@@ -895,12 +763,21 @@ class Orchestrator:
         that served the call.
         """
         with self._lock:
-            version = self._admit_locked(name, version)
-            x = self._input_locked(input_keys)
-        if len(output_keys) != 1:
-            raise ValueError("multi-output splitting is the client's job; pass one key")
+            version, x = self._prepare_locked(name, version, input_keys, output_keys)
         self.put_tensor(output_keys[0], self._core.serve(name, version, x))
         return version
+
+    def _prepare_locked(  # cc: requires(_lock)
+        self,
+        name: str,
+        version: Optional[int],
+        input_keys: tuple[str, ...],
+        output_keys: tuple[str, ...],
+    ) -> tuple[int, Any]:
+        """Check, version-route and fetch one request: ``(version, input)``."""
+        if len(output_keys) != 1:
+            raise ValueError("multi-output splitting is the client's job; pass one key")
+        return self._admit_locked(name, version), self._input_locked(input_keys)
 
     # -- server mode -----------------------------------------------------------------
 
@@ -908,108 +785,27 @@ class Orchestrator:
     def is_running(self) -> bool:
         return self._running
 
-    def start(self, block: bool = False) -> None:
-        """Start the background serving pool (``exp.start(orc, block=False)``)."""
+    def start(self) -> None:
+        """Start the serving pool (``exp.start(orc)``)."""
         with self._state_lock:
             if self._running:
                 return
-            if self._pool is not None:
-                # process mode: admission + dispatch happen inline in
-                # submit(); the pool's collector threads complete requests
-                self._pool.start()
-                self._running = True
-                self._workers = []
-                return
+            self._pool.start()
             self._running = True
-            self._workers = [
-                threading.Thread(
-                    target=self._serve, daemon=True, name=f"orchestrator-worker-{i}"
-                )
-                for i in range(self.num_workers)
-            ]
-            for worker in self._workers:
-                worker.start()
-            # snapshot under the lock: a concurrent stop() swaps
-            # self._workers out, and iterating it bare races that swap
-            workers = list(self._workers)
-        if block:  # pragma: no cover - interactive convenience
-            for worker in workers:
-                worker.join()
 
     def stop(self, join_timeout: float = 5.0) -> None:
-        """Stop the pool and fail any request still waiting in the queue.
+        """Stop the pool and fail every request it has not served.
 
         Every pending :class:`InferenceRequest` gets ``error`` set to
         :class:`OrchestratorStopped` and its ``done`` event signalled, so
-        no waiter blocks forever.  A worker that fails to join within
-        ``join_timeout`` seconds (e.g. wedged inside a model forward) is
-        recorded on the ``repro_orchestrator_stuck_workers`` gauge and
-        reported with a :class:`RuntimeWarning` instead of being silently
-        ignored.  Safe to call repeatedly.
+        no waiter blocks forever.  ``join_timeout`` bounds the wait for
+        each serving thread or worker process.  Safe to call repeatedly.
         """
         with self._state_lock:
             if not self._running:
                 return
             self._running = False
-            workers, self._workers = self._workers, []
-            for _ in workers:
-                self._queue.put(None)
-        if self._pool is not None:
             self._pool.stop(join_timeout)
-        stuck = 0
-        for worker in workers:
-            worker.join(timeout=join_timeout)
-            if worker.is_alive():
-                stuck += 1
-        if self._telemetry.enabled:
-            self._m_stuck_workers.set(stuck)
-        if stuck:
-            warnings.warn(
-                f"{stuck} orchestrator worker(s) still alive after "
-                f"{join_timeout:.1f}s join timeout; their in-flight requests "
-                "may never complete",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        # drain: nothing can enqueue anymore (_running is False), so every
-        # request left behind — and any stale sentinel — comes out here
-        abandoned = []
-        while True:
-            try:
-                request = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            if request is not None:
-                abandoned.append(request)
-        self._abandon(abandoned)
-        if self._telemetry.enabled:
-            self._m_queue_depth.set(0)
-
-    def _abandon(self, requests: list[InferenceRequest]) -> None:
-        """Fail requests the pool stopped before serving."""
-        for request in requests:
-            request.error = OrchestratorStopped(
-                "orchestrator stopped before this request was served"
-            )
-            request.done.set()
-        if requests:
-            self._core.fail(len(requests))
-
-    def _pin_versions(self, requests: list[InferenceRequest]) -> None:
-        """Pin each request to the version active at admission.
-
-        Requests whose model is not (yet) registered or has no deployed
-        version stay unpinned and resolve at serve time, so the error —
-        :class:`UnknownModelError` if still absent — reaches the waiter
-        through the request instead of blowing up the submitter.
-        """
-        with self._lock:
-            for request in requests:
-                if request.version is not None:
-                    continue
-                entry = self._models.get(request.model_name)
-                if entry is not None and entry.active is not None:
-                    request.version = self._admit_locked(request.model_name)
 
     def submit(self, request: InferenceRequest) -> InferenceRequest:
         """Queue an inference for the serving pool; wait on ``request.done``."""
@@ -1018,76 +814,70 @@ class Orchestrator:
     def submit_many(
         self, requests: list[InferenceRequest]
     ) -> list[InferenceRequest]:
-        """Queue a whole request list in one state transition.
+        """Admit a whole request list and hand it to the serving pool.
 
-        Functionally ``[submit(r) for r in requests]``, but the state lock
-        and telemetry updates are paid once per call instead of once per
-        request — the difference between client-bound and server-bound
-        serving when a rank pipelines hundreds of inferences.
+        Under one lock acquisition each request is checked, pinned to a
+        version (``request.version``) and its input fetched; the pool then
+        serves the admitted ones and :meth:`_complete` finishes them.  A
+        request that cannot be admitted — unknown model, missing input
+        key, more than one output key — fails at once through
+        ``request.error``.
         """
+        jobs, rejected = [], []
+        complete = self._complete
         with self._state_lock:
             if not self._running:
                 raise RuntimeError("orchestrator not started; call start() first")
-            self._pin_versions(requests)
-            if self._telemetry.enabled:
-                self._m_submitted.inc(len(requests))
-            if self._pool is None:
-                self._queue.put_many(requests)
-                if self._telemetry.enabled:
-                    self._m_queue_depth.set(self._queue.qsize())
-                return requests
-        # process mode: dispatch outside the state lock — admission may
-        # block (backpressure) and must not serialize unrelated submitters
-        for request in requests:
-            self._dispatch(request)
+            with self._lock:
+                for request in requests:
+                    try:
+                        request.version, x = self._prepare_locked(
+                            request.model_name,
+                            request.version,
+                            request.input_keys,
+                            request.output_keys,
+                        )
+                    except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
+                        request.error = exc
+                        rejected.append(request)
+                        continue
+                    jobs.append(
+                        (request.model_name, request.version, x, False, request, complete)
+                    )
+        if self._telemetry.enabled:
+            self._m_submitted.inc(len(requests))
+        if rejected:
+            self._core.fail(len(rejected))
+            for request in rejected:
+                request.done.set()
+        # outside the state lock: process-mode admission may block
+        # (backpressure) and must not serialize unrelated submitters
+        self._pool.dispatch(jobs)
         return requests
 
-    # -- process-mode dispatch -----------------------------------------------------
-
-    def _dispatch(self, request: InferenceRequest) -> None:
-        """Send one store-backed request to its shard.
-
-        Each request travels as its own message, so its admission slot
-        frees as soon as it is served rather than when a whole burst is.
-        Failures — unknown model, missing input key, admission shed
-        (:class:`~repro.runtime.sharding.OverloadError`) — land on
-        ``request.error`` and signal ``request.done``, surfacing through
-        ``InferenceFuture.result`` exactly like thread-mode errors.
-        """
-        try:
-            if len(request.output_keys) != 1:
-                raise ValueError(
-                    "multi-output splitting is the client's job; pass one key"
-                )
-            with self._lock:
-                request.version = self._admit_locked(
-                    request.model_name, request.version
-                )
-                x = self._input_locked(request.input_keys)
-        except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
-            request.error = exc
+    def _complete(self, done: list[tuple[InferenceRequest, Any, Any]]) -> None:
+        """Finish ``(request, output, error)``s; outputs enter the store
+        under one lock.  The serving core counts forward failures; a shed,
+        a stopped pool or a lost worker never reached one, so those are
+        counted here."""
+        pool_failures = 0
+        with self._lock:
+            for request, output, error in done:
+                if error is None:
+                    # an independent copy: a row of a stacked output is a
+                    # view (or an np.float64 scalar), and the store needs
+                    # a real ndarray that pins no larger base
+                    self._tensors[request.output_keys[0]] = np.array(output, copy=True)
+                else:
+                    request.error = error
+                    if isinstance(error, (OverloadError, OrchestratorStopped)):
+                        pool_failures += 1
+            if self._telemetry.enabled:
+                self._m_tensors.set(len(self._tensors))
+        if pool_failures:
+            self._core.fail(pool_failures)
+        for request, _, _ in done:
             request.done.set()
-            self._core.fail()
-            return
-        on_done = functools.partial(self._finish, request)
-        self._pool.dispatch([(request.model_name, request.version, x, False, on_done)])
-
-    def _finish(
-        self,
-        request: InferenceRequest,
-        output: Optional[np.ndarray],
-        error: Optional[Exception],
-    ) -> None:
-        """Complete one process-mode request with its output or error."""
-        if error is None:
-            self.put_tensor(request.output_keys[0], output)
-        else:
-            request.error = error
-            # a worker counts its own failures in its merged metrics; a
-            # shed or a stopped pool never reached one, so count it here
-            if isinstance(error, (OverloadError, OrchestratorStopped)):
-                self._core.fail()
-        request.done.set()
 
     def run_rows_many(self, groups) -> list:
         """Dispatch several ``(name, stacked_rows)`` blocks in one pool call.
@@ -1101,7 +891,7 @@ class Orchestrator:
         raising, so one hot model cannot block the rest of the burst.
         Returns one result per group, in order.
         """
-        if self._pool is None:
+        if not self.num_processes:
             raise RuntimeError("run_rows_many requires num_processes > 0")
         if not self._running:
             raise RuntimeError("orchestrator not started; call start() first")
@@ -1115,7 +905,7 @@ class Orchestrator:
                     version = self._admit_locked(name)
             except Exception as exc:  # noqa: BLE001 - fail this group only
                 results[i] = RowsResult(1)
-                results[i]._resolve(0, None, exc)
+                results[i]([(0, None, exc)])
                 continue
             stacked = self._coerce(np.atleast_2d(np.asarray(rows)))
             total_rows += int(stacked.shape[0])
@@ -1126,109 +916,6 @@ class Orchestrator:
         for i, result in zip(order, self._pool.dispatch_groups(staged)):
             results[i] = result
         return results
-
-    # -- thread-mode serving -----------------------------------------------------------
-
-    def _serve(self) -> None:
-        while True:
-            batch, waited = self._queue.get_batch(
-                self.max_batch_size, self.max_wait_ms / 1000.0
-            )
-            if batch is None:
-                break
-            if self._telemetry.enabled:
-                self._m_batch_size.observe(len(batch))
-                self._m_batch_wait.observe(waited)
-                self._m_queue_depth.set(self._queue.qsize())
-            if not self._running:
-                # stop() is underway: abandon instead of serving late
-                self._abandon(batch)
-                continue
-            for entry in self._group_batch(batch):
-                if isinstance(entry, InferenceRequest):
-                    self._serve_one(entry)
-                elif len(entry.requests) == 1:
-                    self._serve_one(entry.requests[0])
-                else:
-                    self._serve_group(entry)
-
-    def _group_batch(self, batch: list[InferenceRequest]) -> list[Any]:
-        """Split a drained batch into vectorizable groups.
-
-        Requests stack into one forward when they are pinned to the same
-        model *version* with a single 1-D input tensor of the same shape
-        and dtype; everything else is served on the per-request path.
-        Grouping on the pinned version means a batch drained across a
-        ``deploy`` splits cleanly — requests admitted under v1 run v1's
-        weights, requests admitted under v2 run v2's, never one mixed
-        forward.  Groups carry the input tensors fetched here, under one
-        lock acquisition — tensors are defensive copies, so a concurrent
-        ``delete_tensor`` cannot invalidate a group once formed.
-        """
-        groups: dict[tuple, _Group] = {}
-        ordered: list[Any] = []
-        # requests queued before their model was deployed pin now
-        self._pin_versions(batch)
-        with self._lock:
-            for request in batch:
-                tensor = None
-                if len(request.input_keys) == 1 and len(request.output_keys) == 1:
-                    tensor = self._tensors.get(request.input_keys[0])
-                if (
-                    request.version is None  # fails at serve time
-                    or not isinstance(tensor, np.ndarray)  # CSR serves whole
-                    or tensor.ndim != 1
-                ):
-                    ordered.append(request)
-                    continue
-                key = (request.model_name, request.version, tensor.shape, tensor.dtype.str)
-                group = groups.get(key)
-                if group is None:
-                    group = groups[key] = _Group(
-                        request.model_name, request.version, [], []
-                    )
-                    ordered.append(group)
-                group.requests.append(request)
-                group.inputs.append(tensor)
-        return ordered
-
-    def _serve_one(self, request: InferenceRequest) -> None:
-        try:
-            request.version = self.run_model(
-                request.model_name,
-                request.input_keys,
-                request.output_keys,
-                version=request.version,
-            )
-        except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
-            request.error = exc
-            self._core.fail()
-        finally:
-            request.done.set()
-
-    def _serve_group(self, group: _Group) -> None:
-        """One stacked forward for a group of shape-compatible requests."""
-        try:
-            output = self._core.serve(
-                group.name, group.version, np.stack(group.inputs), stacked=True
-            )
-        except Exception:  # noqa: BLE001 - retried per request
-            # a poisoned row (or a model that is not row-wise after all)
-            # must not fail its batch-mates: serve each request alone
-            for request in group.requests:
-                self._serve_one(request)
-            return
-        # an independent copy per row: a (B,) output yields np.float64
-        # scalars here, and the store needs real ndarrays (get_tensor sets
-        # view flags); copies also keep a stored row from pinning the
-        # whole (B, ...) output through its view base
-        with self._lock:
-            for request, row in zip(group.requests, output):
-                self._tensors[request.output_keys[0]] = np.array(row, copy=True)
-            if self._telemetry.enabled:
-                self._m_tensors.set(len(self._tensors))
-        for request in group.requests:
-            request.done.set()
 
     def __enter__(self) -> "Orchestrator":
         self.start()

@@ -17,24 +17,26 @@ Wire protocol (all messages are small picklable tuples over raw
 :class:`~repro.runtime.shm_store.ShmHandle`):
 
 * request pipe (front-end → worker): always
-  ``("many", [subitems], recycled_segment_names, purges)`` — a whole
-  burst's worth of subitems coalesced into ONE wire message (one pipe
-  write, one reader wake-up), answered with one ``manyok``.  Each subitem is
-  ``("one", req_id, name, version, handle)`` — one request's tensor,
-  served whole — ``("rows", req_id, name, version, handle)`` — a stacked
-  ``(B, F)`` block served as one vectorized forward — or
-  ``("csr", req_id, name, version, ("csrmat", (indptr, indices, data,
-  shape)))`` — a sparse batch shipped as pickled arrays on the pipe
-  itself (small nnz payloads; no shared-memory segment).  The recycled
+  ``("many", [subitems], recycled_segment_names, purges)``, answered
+  with one ``manyok`` (one pipe write, one reader wake-up).  Each subitem
+  is ``("one", req_id, name, version, handle)`` — one request's tensor,
+  which travels alone — ``("rows", req_id, name, version, handle)`` — a
+  stacked ``(B, F)`` chunk of a bulk group; one message carries every
+  chunk bound for this shard — or ``("csr", req_id, name, version,
+  ("csrmat", (indptr, indices, data, shape)))`` — a sparse batch shipped
+  as pickled arrays on the pipe itself (small nnz payloads; no
+  shared-memory segment).  A message's subitems are served together by
+  :meth:`~repro.runtime.core.ServingCore.serve_many`.  The recycled
   names are output segments the front-end finished reading, piggybacked
-  on the next request instead of riding a pipe of their own: returning
-  them costs zero extra writes (and zero extra reader wake-ups).  The
-  purges are ``(name, version)`` pairs whose negative compile memos an
+  on the next request instead of riding a pipe of their own.  The purges
+  are ``(name, version)`` pairs whose negative compile memos an
   activation dropped; they apply before the message's subitems.
 * result pipe (worker → front-end):
   ``("manyok", [entries])`` — one ``("ok", req_id, handle)`` or
   ``("err", req_id, exception)`` entry per subitem — plus
   ``("metrics", worker_id, delta)`` / ``("bye", worker_id, segment_names)``.
+  A worker that stops answering while its pool runs is lost: the front
+  end fails that shard's unanswered requests at once.
 * control pipe: ``("ping",)``, ``("register", name, version, blob,
   batchable, digest)``, ``("stop",)`` — each acknowledged with
   ``("ok",)``.
@@ -85,25 +87,12 @@ def _register(core: ServingCore, name, version, blob, batchable, digest) -> None
     )
 
 
-def _serve_entry(core, attachments, out_store, item: tuple) -> tuple:
-    """Serve one subitem; returns the ``ok``/``err`` entry to ship."""
-    kind, req_id, name, version, handle = item
-    requests = 1
-    try:
-        if kind == "csr":
-            indptr, indices, data, shape = handle[1]
-            x = CSRMatrix(
-                indptr=indptr, indices=indices, data=data, shape=tuple(shape)
-            )
-        else:
-            x = attachments.view(handle)
-            if kind == "rows":
-                requests = len(x)
-        out = out_store.put(core.serve(name, version, x, stacked=kind == "rows"))
-    except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
-        core.fail(requests)
-        return ("err", req_id, _picklable(exc))
-    return ("ok", req_id, out)
+def _decode(attachments, kind: str, handle):
+    """A subitem's input: a CSR batch from the pipe, else a shared-memory view."""
+    if kind == "csr":
+        indptr, indices, data, shape = handle[1]
+        return CSRMatrix(indptr=indptr, indices=indices, data=data, shape=tuple(shape))
+    return attachments.view(handle)
 
 
 def worker_main(worker_id: int, conn, req_recv, res_send, config: dict) -> None:
@@ -122,23 +111,32 @@ def worker_main(worker_id: int, conn, req_recv, res_send, config: dict) -> None:
         """One coalesced request in, one coalesced response out.
 
         Reclaims the piggybacked recycled output segments, applies the
-        piggybacked memo purges, serves every subitem, then answers with
-        a single ``manyok``: the synchronous
-        pipe-write wake-up (the dominant fixed cost on a busy box) is
-        paid once per burst instead of once per group — and the recycle
-        traffic costs no writes at all.
+        piggybacked memo purges, serves every subitem through
+        :meth:`~repro.runtime.core.ServingCore.serve_many`, then answers
+        with a single ``manyok``: the synchronous pipe-write wake-up (the
+        dominant fixed cost on a busy box) is paid once per burst instead
+        of once per group — and the recycle traffic costs no writes at
+        all.
         """
         _, subitems, recycled, purges = item
         for segment in recycled:
             out_store.release(segment)
         for name, version in purges:
             core.purge(name, version)
-        res_send.send(
-            (
-                "manyok",
-                [_serve_entry(core, attachments, out_store, sub) for sub in subitems],
-            )
-        )
+        jobs = [
+            (name, version, _decode(attachments, kind, handle), kind == "rows")
+            for kind, _, name, version, handle in subitems
+        ]
+        entries = []
+        for sub, (output, error) in zip(subitems, core.serve_many(jobs)):
+            if error is None:
+                try:
+                    entries.append(("ok", sub[1], out_store.put(output)))
+                    continue
+                except Exception as exc:  # noqa: BLE001 - e.g. /dev/shm full: this request only
+                    error = exc
+            entries.append(("err", sub[1], _picklable(error)))
+        res_send.send(("manyok", entries))
 
     last_flush = time.monotonic()
     try:
@@ -164,9 +162,10 @@ def worker_main(worker_id: int, conn, req_recv, res_send, config: dict) -> None:
             try:
                 if req_recv.poll(0.05):
                     serve_item(req_recv.recv())
-                    # opportunistic drain: amortize the wait over a burst
+                    # opportunistic drain: amortize the wait over a burst;
+                    # a pending control command (a stop) wins over the rest
                     for _ in range(128):
-                        if not req_recv.poll():
+                        if conn.poll() or not req_recv.poll():
                             break
                         serve_item(req_recv.recv())
             except (EOFError, BrokenPipeError, OSError):

@@ -345,19 +345,3 @@ class ServingSession:
             self.client.put_tensor("out", out)
             result = self.client.unpack_tensor("out")
         return result[0] if np.asarray(raw_input).ndim == 1 else result
-
-    def infer_batch(
-        self, rows: Union[np.ndarray, list], key: str = "in"
-    ) -> np.ndarray:
-        """Serve a stack of per-request rows through one phase-timed pass.
-
-        ``rows`` is a ``(B, F)`` array or a list of ``(F,)`` rows; the four
-        §7.3 phases are each timed once for the whole batch, which is how
-        the micro-batching server amortizes per-invocation overhead.
-        """
-        stacked = (
-            rows if isinstance(rows, np.ndarray) else np.stack([np.asarray(r) for r in rows])
-        )
-        if stacked.ndim != 2:
-            raise ValueError(f"expected a (B, F) batch, got shape {stacked.shape}")
-        return self.infer(stacked, key=key)

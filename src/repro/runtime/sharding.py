@@ -1,59 +1,58 @@
-"""Front-end for multi-process sharded serving: ring, admission, dispatch.
+"""Serving pools: one dispatch surface for thread and process mode.
 
-:class:`ProcessShardPool` splits the serving runtime into an admission
-layer (this process) and N worker *processes*
+Both pools take jobs through one call, ``dispatch(jobs)``.  A job is
+``(name, version, x, stacked, tag, on_done)``: the orchestrator has
+already admitted it (its version is pinned) and fetched its input ``x``;
+``on_done`` later receives ``(tag, output, error)`` triples, every job
+of one served batch in one call.  Either pool serves through the same
+:class:`~repro.runtime.core.ServingCore`, so the modes' outputs are
+byte-identical.
+
+:class:`ThreadShardPool` (thread mode) is one in-process shard: worker
+threads drain a queue into micro-batches (up to ``max_batch_size`` jobs,
+waiting at most ``max_wait_ms`` for stragglers) and serve each with
+:meth:`~repro.runtime.core.ServingCore.serve_many`.
+
+:class:`ProcessShardPool` (process mode) splits serving into this
+admission layer and N worker *processes*
 (:func:`~repro.runtime.procworker.worker_main`), one per shard of a
-consistent-hash ring.  Each worker runs the same
-:class:`~repro.runtime.core.ServingCore` as thread mode, so the two modes
-serve byte-identical outputs.  Every registered ``(name, version)``
-lives on exactly one shard — :class:`ShardRing` hashes the pair over
-virtual nodes, so two versions of one model may serve from different
-processes, and ``deploy``/``rollback`` stay *front-end pointer flips*:
-requests are pinned to a version number at admission and dispatched to
-that version's shard explicitly, so a hot-swap never reroutes an
-admitted request.  The one thing an activation sends a shard is a purge
-of that version's negative compile memos, piggybacked on the next request
-message (:meth:`ProcessShardPool.purge`).
+consistent-hash ring.  :class:`ShardRing` maps each registered
+``(name, version)`` to exactly one shard, so ``deploy``/``rollback``
+stay front-end pointer flips: a request carries its pinned version to
+that version's shard, and a hot-swap never reroutes an admitted request.
+The one thing an activation sends a shard is a purge of that version's
+negative compile memos, piggybacked on the next request message
+(:meth:`ProcessShardPool.purge`).
 
 Admission control is per shard: a depth counter bounded by
 ``max_queue_depth``, counted in *rows*.  A full shard exerts
-**backpressure** (the submitter blocks up to ``admission_timeout_ms``
-waiting for the queue to drain) and then **load-sheds** with a typed
-:class:`OverloadError` — the caller sees a clean typed failure instead
-of an unbounded queue.  ``repro_overload_total`` counts sheds;
-``repro_shard_queue_depth{shard}`` tracks depth.
+**backpressure** (the submitter blocks up to ``admission_timeout_ms``)
+and then **load-sheds** with a typed :class:`OverloadError`;
+``repro_overload_total`` counts sheds and
+``repro_shard_queue_depth{shard}`` tracks depth.  A request travels as
+its own wire message, so its slot frees as soon as it is served; the
+stacked chunks of a bulk group (:meth:`ProcessShardPool.dispatch_groups`,
+each at most ``max_queue_depth`` rows and one vectorized forward) bound
+for one shard share one message.  Before it blocks on a full shard,
+``dispatch`` sends what it already staged there, so a burst larger than
+the bound waits on work in flight, never on its own unsent rows.
 
 Tensors cross the process boundary through pooled shared-memory
 segments (:mod:`~repro.runtime.shm_store`): the front-end owns the
-input-side pool, each worker owns its output-side pool, and read-out
-output segments ride back to their worker *piggybacked on the next
-request message* — recycling costs zero extra pipe writes.  One
-collector thread per shard gathers results, resolves waiters, stashes
-segments for recycling, and merges worker metric deltas into this
-process's registry (:func:`repro.obs.apply_metrics_delta`).
+input-side pool, each worker its output-side pool, and read-out output
+segments ride back to their worker on the next request message.  One
+collector thread per shard resolves waiters, stashes segments for
+recycling and merges worker metric deltas into this process's registry
+(:func:`repro.obs.apply_metrics_delta`).  When a worker exits, its
+collector fails that shard's unanswered requests at once with
+:class:`WorkerLostError` and gives back their rows and input segments.
 
-The data channels are raw ``Pipe`` connections, not ``mp.Queue``:
-a queue ``put`` hands the message to a feeder *thread* that must win
-the GIL before anything hits the wire — under serving load that hop
-roughly doubles round-trip latency and stops grouped dispatches from
-pipelining.  A ``Connection.send`` pickles and writes in the calling
-thread, so the worker can be reading the request before ``dispatch``
-returns.  Sends are serialized per shard with a lock (submitters race);
-each receive side has exactly one reader thread.
-
-One routine, :meth:`ProcessShardPool.dispatch`, stages and sends every
-job — a store-backed request's whole tensor, a CSR batch, or a chunk of
-a bulk group's stacked rows: it admits each job, stages its tensor, and
-sends every job bound for one shard as ONE ``("many", ...)`` message,
-answered by ONE ``("manyok", ...)`` — the synchronous pipe-write
-wake-ups (a context switch each on a loaded box) are paid per *shard*,
-not per job.  Before it blocks on a full shard it sends what it has
-already staged for that shard, so a burst larger than the queue bound
-waits on work in flight, never on its own unsent rows.  The bulk path
-(:meth:`ProcessShardPool.dispatch_groups`) cuts each block of
-same-(model, shape, dtype) rows into chunks of at most
-``max_queue_depth`` rows, each one vectorized forward on the worker —
-per-request bookkeeping (event, store keys, queue slot) never happens.
+The data channels are raw ``Pipe`` connections, not ``mp.Queue``: a
+queue ``put`` hands the message to a feeder *thread* that must win the
+GIL before anything hits the wire, which roughly doubles round-trip
+latency under load.  A ``Connection.send`` pickles and writes in the
+calling thread.  Sends are serialized per shard with a lock; each
+receive side has exactly one reader thread.
 """
 
 from __future__ import annotations
@@ -65,17 +64,26 @@ import itertools
 import multiprocessing as mp
 import threading
 import time
+import warnings
+from collections import deque
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .. import obs
 from ..sparse import CSRMatrix
-from .core import OrchestratorStopped
+from .core import OrchestratorStopped, ServingCore
 from .procworker import worker_main
 from .shm_store import SegmentAttachments, ShmTensorStore, unlink_segments
 
-__all__ = ["OverloadError", "ShardRing", "ProcessShardPool", "RowsResult"]
+__all__ = [
+    "OverloadError",
+    "ProcessShardPool",
+    "RowsResult",
+    "ShardRing",
+    "ThreadShardPool",
+    "WorkerLostError",
+]
 
 #: how worker processes start: a fresh interpreter, never a fork of a
 #: front end that holds locks and serving threads
@@ -85,8 +93,12 @@ START_METHOD = "spawn"
 #: included) before the pool gives up on it
 BOOT_TIMEOUT_S = 60.0
 
-#: ``(result, error)`` completion callback of one dispatched job
-OnDone = Callable[[Optional[np.ndarray], Optional[Exception]], None]
+#: batch-size histogram buckets: powers of two up to a deep GPU-style batch
+BATCH_SIZE_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+#: one job for a pool: ``(name, version, x, stacked, tag, on_done)``;
+#: ``on_done`` takes a list of finished jobs' ``(tag, output, error)``
+Job = tuple[str, int, Any, bool, Any, Callable[[list], None]]
 
 
 class OverloadError(RuntimeError):
@@ -97,6 +109,27 @@ class OverloadError(RuntimeError):
     admission timeout.  Typed so callers can distinguish "back off and
     retry" from a genuine serving failure.
     """
+
+
+class WorkerLostError(OrchestratorStopped):
+    """The worker process serving this request exited before answering.
+
+    Every waiter of the lost shard gets it as soon as the worker goes; a
+    pool-side failure, like a stop, so the front end counts it.
+    """
+
+
+def _complete(jobs: Sequence[Job], results: Iterable[tuple]) -> None:
+    """Report each job's ``(output, error)``: every distinct ``on_done`` is
+    called once, with its jobs' ``(tag, output, error)`` triples."""
+    grouped: dict[Callable, list] = {}
+    for job, (output, error) in zip(jobs, results):
+        grouped.setdefault(job[5], []).append((job[4], output, error))
+    for on_done, done in grouped.items():
+        try:
+            on_done(done)
+        except Exception:  # noqa: BLE001 - a waiter bug must not kill a pool thread
+            pass
 
 
 class ShardRing:
@@ -141,7 +174,7 @@ class _Pending(NamedTuple):
     pattern-dependent), so there is no shared-memory segment to release.
     """
 
-    on_done: OnDone
+    job: Job
     rows: int
     input_segment: Optional[str]
     shard_id: int
@@ -161,14 +194,14 @@ class RowsResult:
         self._error: Optional[Exception] = None  # cc: guarded-by(_lock)
         self._remaining = n_chunks  # cc: guarded-by(_lock)
 
-    def _resolve(
-        self, idx: int, output: Optional[np.ndarray], error: Optional[Exception]
-    ) -> None:
+    def __call__(self, done: list[tuple]) -> None:
+        """``on_done`` of this group's chunks, each tagged with its index."""
         with self._lock:
-            if error is not None and self._error is None:
-                self._error = error
-            self._outputs[idx] = output
-            self._remaining -= 1
+            for idx, output, error in done:
+                if error is not None and self._error is None:
+                    self._error = error
+                self._outputs[idx] = output
+                self._remaining -= 1
             if self._remaining <= 0 or self._error is not None:
                 self._event.set()
 
@@ -287,10 +320,6 @@ class ProcessShardPool:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    @property
-    def is_running(self) -> bool:
-        return self._running
-
     def start(self) -> None:
         with self._state_lock:
             if self._running:
@@ -381,20 +410,7 @@ class ProcessShardPool:
         for shard in shards:
             if shard.collector is not None:
                 shard.collector.join(join_timeout)
-        with self._pending_lock:
-            leftovers, self._pending = self._pending, {}
-        for pending in leftovers.values():
-            self._release(shards[pending.shard_id], pending.rows)
-            try:
-                pending.on_done(
-                    None,
-                    OrchestratorStopped(
-                        "serving pool stopped before this request was served"
-                    ),
-                )
-            except Exception:  # noqa: BLE001 - waiter callbacks must not block stop
-                pass
-        for shard in shards:
+            self._fail(shard)  # whatever a wedged collector left behind
             for conn in (shard.req_send, shard.res_recv, shard.conn):
                 try:
                     conn.close()
@@ -454,23 +470,23 @@ class ProcessShardPool:
 
     # -- dispatch ------------------------------------------------------------------
 
-    def dispatch(
-        self, jobs: Iterable[tuple[str, int, Any, bool, OnDone]]
-    ) -> None:
-        """Stage and send ``(name, version, x, stacked, on_done)`` jobs.
+    def dispatch(self, jobs: Iterable[Job]) -> None:
+        """Stage and send ``(name, version, x, stacked, tag, on_done)`` jobs.
 
         ``x`` reaches the model whole — a CSR batch rides the request
         pipe as pickled arrays (its nnz payload is small; the worker
         rebuilds the matrix and its pattern-keyed plan), an array rides
         shared memory — unless ``stacked``: then it is a block of request
-        rows served as one vectorized forward.  Every job bound for one
-        shard shares one wire message.  ``on_done(output, error)`` fires
-        once per job, from a collector thread — or right here when the
-        job never leaves the front end (admission shed, staging failure,
-        pool stopped); the other jobs proceed.
+        rows served as one vectorized forward.  The stacked jobs bound for
+        one shard share one wire message; any other job is one request
+        and travels alone.  ``on_done([(tag, output,
+        error)])`` covers each job once, from a collector thread — or
+        right here when the job never leaves the front end (admission
+        shed, staging failure, pool stopped); the other jobs proceed.
         """
         staged: dict[int, list[tuple]] = {}
-        for name, version, x, stacked, on_done in jobs:
+        for job in jobs:
+            name, version, x, stacked, tag, on_done = job
             try:
                 if not self._running:
                     raise OrchestratorStopped("serving pool is not running")
@@ -491,12 +507,16 @@ class ProcessShardPool:
                     self._release(shard, rows)
                     raise
             except Exception as exc:  # noqa: BLE001 - fails this job only
-                on_done(None, exc)
+                on_done([(tag, None, exc)])
                 continue
             req_id = next(self._req_ids)
             with self._pending_lock:
-                self._pending[req_id] = _Pending(on_done, rows, segment, shard.id)
+                self._pending[req_id] = _Pending(job, rows, segment, shard.id)
             items.append((kind, req_id, name, int(version), payload))
+            if not stacked:
+                # a request travels alone, so its admission slot frees as
+                # soon as it is served, not when a whole burst is
+                self._send(shard, items)
         for shard_id, items in staged.items():
             self._send(self._shards[shard_id], items)
 
@@ -523,9 +543,7 @@ class ProcessShardPool:
                     if result.failed:
                         break
                     part = stacked[idx * chunk : (idx + 1) * chunk]
-                    yield name, version, part, True, functools.partial(
-                        result._resolve, idx
-                    )
+                    yield name, version, part, True, idx, result
 
         self.dispatch(jobs())
         return results
@@ -535,8 +553,7 @@ class ProcessShardPool:
 
         Output segments the collector finished reading ride along for
         recycling, and pending memo purges ride along too.  If the worker
-        is gone (or ``stop`` raced the send), the items fail with
-        :class:`OrchestratorStopped`.
+        is gone (or ``stop`` raced the send), the items fail at once.
         """
         if not items:
             return
@@ -548,62 +565,76 @@ class ProcessShardPool:
         try:
             with shard.send_lock:
                 shard.req_send.send(("many", sent, recycled, purges))
+            if self._running:
+                return
         except (BrokenPipeError, OSError):
             # the piggybacked names and purges are dropped with the
             # worker: its segments are cleaned up wholesale on the
             # crash/stop path
-            self._abandon(shard, sent)
-            return
-        if not self._running:
-            # raced stop(): its sweep may have run before our inserts, so
-            # finish the handshakes it missed ourselves
-            self._abandon(shard, sent)
+            pass
+        # lost the worker, or raced stop(), whose sweep may have run
+        # before our inserts: finish the handshakes it missed ourselves
+        self._fail(shard, [item[1] for item in sent])
 
-    def _abandon(self, shard: _Shard, items: list[tuple]) -> None:
-        """Fail staged dispatches whose send failed (or that raced ``stop``)."""
-        for _, req_id, _, _, _ in items:
-            with self._pending_lock:
-                pending = self._pending.pop(req_id, None)
-            if pending is None:
-                continue  # stop()'s sweep (or the collector) got there first
-            self._release(shard, pending.rows)
+    def _fail(self, shard: _Shard, req_ids: Optional[list[int]] = None) -> None:
+        """Fail ``shard``'s pending dispatches (all, or those in ``req_ids``)
+        with :class:`WorkerLostError` while the pool runs — the worker is
+        gone — else with :class:`OrchestratorStopped`."""
+        with self._pending_lock:
+            if req_ids is None:
+                req_ids = [
+                    req_id
+                    for req_id, pending in self._pending.items()
+                    if pending.shard_id == shard.id
+                ]
+            failed = [self._pending.pop(req_id, None) for req_id in req_ids]
+        if self._running:
+            error, message = WorkerLostError, f"shard {shard.id} worker exited"
+        else:
+            error, message = OrchestratorStopped, "serving pool stopped"
+        failed = [pending for pending in failed if pending is not None]
+        self._settle(shard, failed, [(None, error(message)) for _ in failed])
+
+    def _settle(self, shard: _Shard, pendings: list[_Pending], results: list) -> None:
+        """Finish ``shard``'s dispatches with their ``(output, error)`` results.
+
+        Their admission rows and input segments go back first — the
+        worker is done reading the inputs (CSR dispatches shipped by pipe
+        have none) — then every waiter completes.
+        """
+        rows = 0
+        for pending in pendings:
+            rows += pending.rows
             if pending.input_segment is not None:
                 self._store.release(pending.input_segment)
-            try:
-                pending.on_done(
-                    None, OrchestratorStopped("serving pool stopped")
-                )
-            except Exception:  # noqa: BLE001 - waiter bugs must not block teardown
-                pass
+        if rows:
+            self._release(shard, rows)
+        _complete([pending.job for pending in pendings], results)
 
     # -- result collection ---------------------------------------------------------
 
-    def _resolve_entry(
-        self, shard: _Shard, attachments: SegmentAttachments, entry: tuple
-    ) -> list[str]:
-        """Resolve one ``ok``/``err`` entry's waiter; returns segments to recycle."""
-        kind, req_id = entry[0], entry[1]
+    def _resolve(
+        self, shard: _Shard, attachments: SegmentAttachments, entries: list[tuple]
+    ) -> None:
+        """Complete one ``manyok``'s ``ok``/``err`` entries."""
         with self._pending_lock:
-            pending = self._pending.pop(req_id, None)
-        if pending is None:
-            return []  # stop() already failed this waiter
-        recycle: list[str] = []
-        if kind == "ok":
-            handle = entry[2]
-            output, error = attachments.take(handle), None
-            recycle.append(handle.segment)
-        else:
-            output, error = None, entry[2]
-        # worker is done reading the input: its segment can carry the
-        # next request (CSR dispatches shipped by pipe have none)
-        if pending.input_segment is not None:
-            self._store.release(pending.input_segment)
-        self._release(shard, pending.rows)
-        try:
-            pending.on_done(output, error)
-        except Exception:  # noqa: BLE001 - a waiter bug must not kill the collector
-            pass
-        return recycle
+            pendings = [self._pending.pop(entry[1], None) for entry in entries]
+        settled, results, recycle = [], [], []
+        for (kind, _, payload), pending in zip(entries, pendings):
+            if pending is None:
+                continue  # stop() already failed this waiter
+            settled.append(pending)
+            if kind == "ok":
+                results.append((attachments.take(payload), None))
+                recycle.append(payload.segment)
+            else:
+                results.append((None, payload))
+        self._settle(shard, settled, results)
+        if recycle:
+            # stash for the next request to carry back (piggyback
+            # recycling: no pipe write of its own)
+            with shard.piggyback_lock:
+                shard.recycle_pending.extend(recycle)
 
     def _collect(self, shard: _Shard) -> None:
         """Per-shard gather loop: resolve waiters, recycle segments, merge metrics."""
@@ -618,23 +649,232 @@ class ProcessShardPool:
                 break
             kind = item[0]
             if kind == "manyok":
-                recycle = [
-                    seg
-                    for entry in item[1]
-                    for seg in self._resolve_entry(shard, attachments, entry)
-                ]
-                if recycle:
-                    # stash for the next request to carry back (piggyback
-                    # recycling: no pipe write of its own)
-                    with shard.piggyback_lock:
-                        shard.recycle_pending.extend(recycle)
+                self._resolve(shard, attachments, item[1])
             elif kind == "metrics":
                 obs.apply_metrics_delta(obs.get_registry(), item[2])
             elif kind == "bye":
-                names = item[2]
-                if names is None:  # crashed worker: best-effort teardown
-                    attachments.close_all(unlink=True)
-                else:  # clean exit: segment ownership transferred to us
-                    attachments.close_all()
-                    unlink_segments(names)
+                # the worker's output segments are ours now
+                attachments.close_all()
+                unlink_segments(item[2])
                 break
+        # the worker is gone: its unanswered requests never will be, so
+        # their waiters fail now rather than at their timeouts
+        self._fail(shard)
+
+
+# -- thread mode ---------------------------------------------------------------------
+
+
+class _RequestQueue:
+    """Deque + condition variable tuned for micro-batched serving.
+
+    ``queue.Queue`` pays one mutex acquisition per ``put``/``get``; this
+    queue pays one per burst (``put_many``) and one per micro-batch
+    (``get_batch``).  ``None`` is the worker-exit sentinel.  A closed
+    queue refuses jobs, so none can slip in after ``stop`` drained it.
+    """
+
+    def __init__(self) -> None:
+        self._items: "deque[Optional[Job]]" = deque()  # cc: guarded-by(_cond)
+        self._closed = True  # cc: guarded-by(_cond)
+        self._cond = threading.Condition()
+
+    def open(self) -> None:
+        with self._cond:
+            self._closed = False
+
+    def close(self, workers: int) -> None:
+        """Refuse further jobs and queue one exit sentinel per worker."""
+        with self._cond:
+            self._closed = True
+            self._items.extend([None] * workers)
+            self._cond.notify_all()
+
+    def put_many(self, items: list[Job]) -> Optional[int]:
+        """Append ``items``; returns the new depth (None: the queue is closed)."""
+        with self._cond:
+            if self._closed:
+                return None
+            self._items.extend(items)
+            self._cond.notify_all()
+            return len(self._items)
+
+    def drain(self) -> list[Job]:
+        """Remove every queued job (sentinels are dropped)."""
+        with self._cond:
+            items = [item for item in self._items if item is not None]
+            self._items.clear()
+        return items
+
+    def qsize(self) -> int:
+        # len() of a deque is GIL-atomic, but the value would be stale by
+        # the time a caller acts on it; taking the condition keeps qsize
+        # ordered after any put/drain it races with
+        with self._cond:
+            return len(self._items)
+
+    def get_batch(
+        self, max_items: int, max_wait: float
+    ) -> tuple[Optional[list[Job]], float]:
+        """Drain up to ``max_items`` jobs as one batch.
+
+        Blocks until at least one job (or sentinel) arrives.  Returns
+        ``(None, 0.0)`` when the first item is the stop sentinel; a
+        sentinel found mid-drain is pushed back so the pool still sees one
+        sentinel per worker.  The second element is the time spent waiting
+        for stragglers (the batch-wait histogram's sample); a deep queue
+        drains without touching the clock.
+        """
+        with self._cond:
+            while not self._items:
+                self._cond.wait()
+            first = self._items.popleft()
+            if first is None:
+                return None, 0.0
+            batch = [first]
+            deadline: Optional[float] = None
+            wait_started: Optional[float] = None
+            while len(batch) < max_items:
+                if self._items:
+                    item = self._items.popleft()
+                    if item is None:
+                        self._items.appendleft(None)
+                        self._cond.notify()
+                        break
+                    batch.append(item)
+                    continue
+                now = time.monotonic()
+                if deadline is None:
+                    deadline = now + max_wait
+                    wait_started = now
+                remaining = deadline - now
+                if remaining <= 0 or not self._cond.wait(remaining):
+                    break
+            waited = time.monotonic() - wait_started if wait_started else 0.0
+            return batch, waited
+
+
+class ThreadShardPool:
+    """Thread mode's pool: one in-process shard served by worker threads.
+
+    Each of ``num_workers`` threads drains the queue into a micro-batch of
+    up to ``max_batch_size`` jobs — waiting at most ``max_wait_ms`` for
+    stragglers, which only a dry queue pays — and serves it with
+    :meth:`~repro.runtime.core.ServingCore.serve_many`.
+    """
+
+    def __init__(
+        self,
+        core: ServingCore,
+        *,
+        max_batch_size: int = 32,
+        max_wait_ms: float = 2.0,
+        num_workers: int = 1,
+    ) -> None:
+        self._core = core
+        self.max_batch_size = int(max_batch_size)
+        self.max_wait = float(max_wait_ms) / 1000.0
+        self.num_workers = int(num_workers)
+        self._queue = _RequestQueue()
+        self._workers: list[threading.Thread] = []  # cc: guarded-by(_state_lock)
+        # bare reads (the worker loop) see a GIL-atomic bool; transitions
+        # under _state_lock
+        self._running = False  # cc: guarded-by(_state_lock, atomic-reads)
+        self._state_lock = threading.Lock()
+        self._telemetry = obs.TELEMETRY
+        registry = obs.get_registry()
+        self._m_queue_depth = registry.gauge(
+            "repro_orchestrator_queue_depth",
+            "Inference requests waiting in the server queue",
+        )
+        self._m_batch_size = registry.histogram(
+            "repro_orchestrator_batch_size",
+            "Requests per micro-batch drained by a serving worker",
+            buckets=BATCH_SIZE_BUCKETS,
+        )
+        self._m_batch_wait = registry.histogram(
+            "repro_orchestrator_batch_wait_seconds",
+            "Seconds a worker spent collecting each micro-batch",
+        )
+        self._m_stuck_workers = registry.gauge(
+            "repro_orchestrator_stuck_workers",
+            "Serving workers that failed to join within the stop() timeout",
+        )
+
+    def start(self) -> None:
+        with self._state_lock:
+            if self._running:
+                return
+            self._running = True
+            self._queue.open()
+            self._workers = [
+                threading.Thread(
+                    target=self._serve, daemon=True, name=f"orchestrator-worker-{i}"
+                )
+                for i in range(self.num_workers)
+            ]
+            for worker in self._workers:
+                worker.start()
+
+    def stop(self, join_timeout: float = 5.0) -> None:
+        """Stop the workers and fail every job still queued.
+
+        A worker still alive after ``join_timeout`` seconds (wedged in a
+        forward) is counted on ``repro_orchestrator_stuck_workers`` and
+        reported with a :class:`RuntimeWarning`.
+        """
+        with self._state_lock:
+            if not self._running:
+                return
+            self._running = False
+            workers, self._workers = self._workers, []
+            self._queue.close(len(workers))
+        stuck = 0
+        for worker in workers:
+            worker.join(timeout=join_timeout)
+            if worker.is_alive():
+                stuck += 1
+        if self._telemetry.enabled:
+            self._m_stuck_workers.set(stuck)
+        if stuck:
+            warnings.warn(
+                f"{stuck} orchestrator worker(s) still alive after "
+                f"{join_timeout:.1f}s join timeout; their in-flight requests "
+                "may never complete",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+        # the queue is closed: every job left behind comes out here
+        self._abandon(self._queue.drain())
+        if self._telemetry.enabled:
+            self._m_queue_depth.set(0)
+
+    def dispatch(self, jobs: Iterable[Job]) -> None:
+        """Queue jobs; a stopped pool fails them with :class:`OrchestratorStopped`."""
+        jobs = list(jobs)
+        depth = self._queue.put_many(jobs)
+        if depth is None:
+            self._abandon(jobs)
+        elif self._telemetry.enabled:
+            self._m_queue_depth.set(depth)
+
+    def _serve(self) -> None:
+        while True:
+            batch, waited = self._queue.get_batch(self.max_batch_size, self.max_wait)
+            if batch is None:
+                break
+            if self._telemetry.enabled:
+                self._m_batch_size.observe(len(batch))
+                self._m_batch_wait.observe(waited)
+                self._m_queue_depth.set(self._queue.qsize())
+            if not self._running:
+                # stop() is underway: abandon instead of serving late
+                self._abandon(batch)
+                continue
+            _complete(batch, self._core.serve_many(batch))
+
+    @staticmethod
+    def _abandon(jobs: list[Job]) -> None:
+        """Fail jobs the pool stopped before serving."""
+        message = "orchestrator stopped before this request was served"
+        _complete(jobs, [(None, OrchestratorStopped(message)) for _ in jobs])

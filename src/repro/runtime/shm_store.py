@@ -266,15 +266,6 @@ class SegmentAttachments:
         """An independent (owned) copy of the tensor behind ``handle``."""
         return np.array(self.view(handle))
 
-    def forget(self, segment_name: str) -> None:
-        """Drop one cached attachment (e.g. after its owner unlinked it)."""
-        segment = self._attached.pop(segment_name, None)
-        if segment is not None:
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - caller leaked a view
-                pass
-
     def close_all(self, unlink: bool = False) -> Optional[list[str]]:
         """Detach everything; ``unlink=True`` additionally destroys segments.
 

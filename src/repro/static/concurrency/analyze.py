@@ -208,6 +208,7 @@ def _index_class(
             type_pragma = pragma_for(pragmas, stmt, "type")
             if type_pragma is not None and type_pragma.args:
                 info.members[attr] = type_pragma.args[0]
+                info.alternates[attr] = type_pragma.args[1:]
             elif lock is None:
                 candidate = _class_candidate(value)
                 if candidate is not None:
@@ -531,11 +532,13 @@ class _MethodWalker:
             return
         member = self._member_class(base)
         if member is not None:
-            self.summary.calls.append(CallSite(
-                target_class=member.name, method=attr,
-                held=tuple(self.held),
-                line=node.lineno, col=node.col_offset,
-            ))
+            alternates = self.cls.alternates.get(base[0], ()) if len(base) == 1 else ()
+            for target in (member.name, *alternates):
+                self.summary.calls.append(CallSite(
+                    target_class=target, method=attr,
+                    held=tuple(self.held),
+                    line=node.lineno, col=node.col_offset,
+                ))
             return
         kind = "mutate" if attr in _MUTATORS else "read"
         self._record(base, kind, node)

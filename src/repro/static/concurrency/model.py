@@ -203,6 +203,9 @@ class ClassInfo:
     bases: tuple[str, ...] = ()
     locks: dict[str, LockDecl] = field(default_factory=dict)
     members: dict[str, str] = field(default_factory=dict)   # attr -> class name
+    #: further classes a member may hold (``type(A, B)``): calls through it
+    #: reach each of them
+    alternates: dict[str, tuple[str, ...]] = field(default_factory=dict)
     guards: dict[str, FieldGuard] = field(default_factory=dict)
     methods: dict[str, MethodDef] = field(default_factory=dict)
 

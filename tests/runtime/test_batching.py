@@ -64,10 +64,9 @@ class TestMicroBatching:
         requests = [
             InferenceRequest("scale", (f"in{i}",), (f"out{i}",)) for i in range(8)
         ]
-        # enqueue everything before the worker starts so one drain sees all
-        for req in requests:
-            orc._queue.put(req)
+        # one submit_many queues everything at once, so one drain sees all
         orc.start()
+        orc.submit_many(requests)
         for req in requests:
             assert req.done.wait(timeout=5.0)
             assert req.error is None
@@ -91,9 +90,8 @@ class TestMicroBatching:
         requests = [
             InferenceRequest("neg", (k,), (f"o_{k}",)) for k in ("a", "b", "c")
         ]
-        for req in requests:
-            orc._queue.put(req)
         orc.start()
+        orc.submit_many(requests)
         for req in requests:
             assert req.done.wait(timeout=5.0)
             assert req.error is None
@@ -114,8 +112,8 @@ class TestMicroBatching:
         orc.put_tensor("p", np.ones(2))
         orc.put_tensor("q", np.ones(3))
         req = InferenceRequest("sum", ("p", "q"), ("out",))
-        orc._queue.put(req)
         orc.start()
+        orc.submit(req)
         assert req.done.wait(timeout=5.0)
         orc.stop()
         assert req.error is None
@@ -134,9 +132,8 @@ class TestMicroBatching:
         for i in range(4):
             orc.put_tensor(f"i{i}", np.ones(2))
         requests = [InferenceRequest("m", (f"i{i}",), (f"o{i}",)) for i in range(4)]
-        for req in requests:
-            orc._queue.put(req)
         orc.start()
+        orc.submit_many(requests)
         for req in requests:
             assert req.done.wait(timeout=5.0)
             assert req.error is None
@@ -155,9 +152,8 @@ class TestMicroBatching:
             InferenceRequest("m", (k,), (f"o_{k}",))
             for k in ("good1", "bad", "good2")
         ]
-        for req in requests:
-            orc._queue.put(req)
         orc.start()
+        orc.submit_many(requests)
         for req in requests:
             assert req.done.wait(timeout=5.0)
         orc.stop()
@@ -182,9 +178,8 @@ class TestMicroBatching:
         requests = [
             InferenceRequest("norm", (k,), (f"o_{k}",)) for k in ("a", "b")
         ]
-        for req in requests:
-            orc._queue.put(req)
         orc.start()
+        orc.submit_many(requests)
         for req in requests:
             assert req.done.wait(timeout=5.0)
             assert req.error is None
@@ -228,9 +223,8 @@ class TestMicroBatching:
         requests = [
             InferenceRequest("collapse", (k,), (f"o_{k}",)) for k in ("u", "v")
         ]
-        for req in requests:
-            orc._queue.put(req)
         orc.start()
+        orc.submit_many(requests)
         for req in requests:
             assert req.done.wait(timeout=5.0)
             assert req.error is None

@@ -12,7 +12,7 @@ from repro import obs
 from repro.obs.locks import LockOrderRecorder, TrackedCondition, instrument_object
 from repro.runtime import InferenceRequest, Orchestrator
 from repro.runtime.guard import GuardStats
-from repro.runtime.orchestrator import _RequestQueue
+from repro.runtime.sharding import _RequestQueue
 from repro.static import cross_validate_lock_orders, lock_order_graph
 
 PACKAGE_DIR = os.path.join(
@@ -32,13 +32,21 @@ def static_graph():
     return lock_order_graph(PACKAGE_DIR)
 
 
+def _queue(*items):
+    """An open request queue holding ``items``."""
+    q = _RequestQueue()
+    q.open()
+    q.put_many(list(items))
+    return q
+
+
 class TestLockOrderCrossValidation:
     def test_recorded_serving_edges_subset_of_static_graph(self, static_graph):
         """Every lock nesting real traffic exercises must be a static edge."""
         recorder = LockOrderRecorder()
         orc = Orchestrator(max_batch_size=4, max_wait_ms=5.0, num_workers=2)
         instrument_object(orc, recorder=recorder)
-        instrument_object(orc._queue, recorder=recorder)
+        instrument_object(orc._pool._queue, recorder=recorder)
         orc.register_model("double", lambda x: np.asarray(x) * 2.0)
         orc.start()
         try:
@@ -60,7 +68,8 @@ class TestLockOrderCrossValidation:
         assert recorded, "traffic should nest at least one lock pair"
         xval = cross_validate_lock_orders(static_graph, recorded)
         assert xval.agrees, xval.summary()
-        # the submit path's nesting is the edge we specifically modeled
+        # stop's nesting (the state lock over the pool's queue) is the
+        # edge we specifically modeled
         assert ("Orchestrator._state_lock", "_RequestQueue._cond") in recorded
 
     def test_static_graph_is_acyclic(self, static_graph):
@@ -86,8 +95,7 @@ class TestGetBatchTimeoutEdges:
     def test_spurious_wakeups_do_not_extend_the_deadline(self):
         # regression shape: the wait must recompute remaining time from
         # one fixed deadline, not restart max_wait per wakeup
-        q = _RequestQueue()
-        q.put(InferenceRequest("m", ("a",), ("b",)))
+        q = _queue(InferenceRequest("m", ("a",), ("b",)))
         result = {}
 
         def drain():
@@ -112,9 +120,9 @@ class TestGetBatchTimeoutEdges:
         assert 0.0 < result["waited"] < 1.0
 
     def test_zero_wait_drains_without_blocking(self):
-        q = _RequestQueue()
-        for i in range(3):
-            q.put(InferenceRequest("m", (f"a{i}",), (f"b{i}",)))
+        q = _queue(
+            *(InferenceRequest("m", (f"a{i}",), (f"b{i}",)) for i in range(3))
+        )
         start = time.monotonic()
         batch, waited = q.get_batch(max_items=8, max_wait=0.0)
         assert len(batch) == 3
@@ -122,25 +130,24 @@ class TestGetBatchTimeoutEdges:
         assert waited < 0.1
 
     def test_deep_queue_never_touches_the_clock(self):
-        q = _RequestQueue()
-        for i in range(8):
-            q.put(InferenceRequest("m", (f"a{i}",), (f"b{i}",)))
+        q = _queue(
+            *(InferenceRequest("m", (f"a{i}",), (f"b{i}",)) for i in range(8))
+        )
         batch, waited = q.get_batch(max_items=4, max_wait=10.0)
         assert len(batch) == 4
         assert waited == 0.0
 
     def test_sentinel_mid_drain_is_pushed_back(self):
-        q = _RequestQueue()
         req = InferenceRequest("m", ("a",), ("b",))
-        q.put(req)
-        q.put(None)
+        q = _queue(req)
+        q.close(1)  # the exit sentinel queues behind the request
         batch, _ = q.get_batch(max_items=8, max_wait=0.0)
         assert batch == [req]
         # the sentinel is back at the head for the next worker
         assert q.get_batch(max_items=8, max_wait=0.0) == (None, 0.0)
 
     def test_one_sentinel_wakes_each_blocked_worker(self):
-        q = _RequestQueue()
+        q = _queue()
         results = []
         threads = [
             threading.Thread(
@@ -151,26 +158,11 @@ class TestGetBatchTimeoutEdges:
         for t in threads:
             t.start()
         time.sleep(0.05)        # let all three block in wait()
-        for _ in threads:
-            q.put(None)
+        q.close(len(threads))  # one sentinel per worker
         for t in threads:
             t.join(timeout=5.0)
             assert not t.is_alive()
         assert results == [(None, 0.0)] * 3
-
-
-class TestStartStopRegression:
-    def test_blocking_start_survives_concurrent_stop(self):
-        # regression: start(block=True) used to iterate self._workers
-        # after dropping the state lock, racing stop()'s swap-to-empty
-        orc = Orchestrator(num_workers=2)
-        blocker = threading.Thread(target=orc.start, kwargs={"block": True})
-        blocker.start()
-        time.sleep(0.05)
-        orc.stop()
-        blocker.join(timeout=5.0)
-        assert not blocker.is_alive()
-        assert not orc.is_running
 
 
 class TestGuardStatsRegression:

@@ -1,6 +1,9 @@
-"""Orchestrator lifecycle: stop() drains pending work, telemetry reconciles,
-and stored tensors cannot be aliased."""
+"""Orchestrator lifecycle in thread and process mode: stop() drains
+pending work, telemetry reconciles, a lost worker fails its waiters at
+once, and stored tensors cannot be aliased."""
 
+import os
+import signal
 import threading
 import time
 
@@ -8,7 +11,16 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.runtime import Client, InferenceRequest, Orchestrator, OrchestratorStopped
+from repro.runtime import (
+    Client,
+    InferenceRequest,
+    Orchestrator,
+    OrchestratorStopped,
+    UnknownModelError,
+    WorkerLostError,
+)
+
+from . import procmodels
 
 
 @pytest.fixture(autouse=True)
@@ -23,16 +35,36 @@ def _counter(name: str) -> float:
     return metric.total() if metric is not None else 0.0
 
 
+MODES = ("thread", "process")
+
+
+def _orchestrator(mode: str) -> Orchestrator:
+    """A default thread-mode orchestrator, or one with a single worker process."""
+    return Orchestrator(num_processes=1 if mode == "process" else 0)
+
+
+def _held(mode: str, release: threading.Event):
+    """A model that holds its worker until ``release`` is set.
+
+    A worker process cannot see the event, so there the model holds for
+    a fixed half second instead.
+    """
+    if mode == "process":
+        return procmodels.SleepyModel(0.5)
+
+    def held(x):
+        release.wait(timeout=10.0)
+        return x
+
+    return held
+
+
 class TestStopDrainsQueue:
-    def test_pending_requests_complete_with_error(self):
-        orc = Orchestrator()
+    @pytest.mark.parametrize("mode", MODES)
+    def test_pending_requests_complete_with_error(self, mode):
+        orc = _orchestrator(mode)
         release = threading.Event()
-
-        def slow(x):
-            release.wait(timeout=10.0)
-            return x
-
-        orc.register_model("slow", slow)
+        orc.register_model("slow", _held(mode, release))
         orc.put_tensor("a", np.ones(2))
         orc.start()
         # first request occupies the worker; the rest stay queued
@@ -52,10 +84,11 @@ class TestStopDrainsQueue:
         errors = [r.error for r in requests]
         assert any(isinstance(e, OrchestratorStopped) for e in errors)
 
-    def test_blocked_waiter_unblocks(self):
-        orc = Orchestrator()
+    @pytest.mark.parametrize("mode", MODES)
+    def test_blocked_waiter_unblocks(self, mode):
+        orc = _orchestrator(mode)
         hold = threading.Event()
-        orc.register_model("hold", lambda x: (hold.wait(10.0), x)[1])
+        orc.register_model("hold", _held(mode, hold))
         orc.put_tensor("a", np.ones(1))
         orc.start()
         orc.submit(InferenceRequest("hold", ("a",), ("x",)))
@@ -74,9 +107,10 @@ class TestStopDrainsQueue:
         assert unblocked.wait(timeout=5.0)
         t.join(timeout=5.0)
 
-    def test_double_stop_is_idempotent_and_restartable(self):
-        orc = Orchestrator()
-        orc.register_model("id", lambda x: x)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_double_stop_is_idempotent_and_restartable(self, mode):
+        orc = _orchestrator(mode)
+        orc.register_model("id", procmodels.affine)
         orc.put_tensor("a", np.ones(2))
         orc.start()
         orc.stop()
@@ -90,8 +124,9 @@ class TestStopDrainsQueue:
         assert req.error is None
         orc.stop()
 
-    def test_submit_after_stop_raises(self):
-        orc = Orchestrator()
+    @pytest.mark.parametrize("mode", MODES)
+    def test_submit_after_stop_raises(self, mode):
+        orc = _orchestrator(mode)
         orc.start()
         orc.stop()
         with pytest.raises(RuntimeError):
@@ -99,11 +134,12 @@ class TestStopDrainsQueue:
 
 
 class TestMetricsReconcile:
-    def test_submitted_equals_served_plus_failed_under_concurrency(self):
-        orc = Orchestrator()
-        orc.register_model("double", lambda x: x * 2.0)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_submitted_equals_served_plus_failed_under_concurrency(self, mode):
+        orc = _orchestrator(mode)
+        orc.register_model("double", procmodels.affine)
         # "broken" raises for some inputs -> failed counter
-        orc.register_model("broken", lambda x: 1 / 0)
+        orc.register_model("broken", procmodels.FailingModel())
         n_producers, per_producer = 6, 25
         results: list[InferenceRequest] = []
         lock = threading.Lock()
@@ -145,9 +181,33 @@ class TestMetricsReconcile:
         ok = sum(1 for r in results if r.error is None)
         assert served == ok
 
-    def test_queue_depth_returns_to_zero(self):
-        orc = Orchestrator()
-        orc.register_model("id", lambda x: x)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_admission_failures_fail_at_submit(self, mode):
+        orc = _orchestrator(mode)
+        orc.register_model("id", procmodels.affine)
+        orc.put_tensor("a", np.ones(2))
+        with orc:
+            unknown = orc.submit(InferenceRequest("ghost", ("a",), ("o1",)))
+            missing = orc.submit(InferenceRequest("id", ("nope",), ("o2",)))
+            # failed at admission: done before any worker saw them
+            assert unknown.done.is_set() and missing.done.is_set()
+        assert isinstance(unknown.error, UnknownModelError)
+        assert isinstance(missing.error, KeyError)
+        assert _counter("repro_orchestrator_submitted_total") == 2
+        assert _counter("repro_orchestrator_failed_total") == 2
+        assert _counter("repro_orchestrator_served_total") == 0
+
+    @pytest.mark.parametrize(
+        "mode, gauge_name, labels",
+        [
+            ("thread", "repro_orchestrator_queue_depth", {}),
+            ("process", "repro_shard_queue_depth", {"shard": "0"}),
+        ],
+        ids=MODES,
+    )
+    def test_queue_depth_returns_to_zero(self, mode, gauge_name, labels):
+        orc = _orchestrator(mode)
+        orc.register_model("id", procmodels.affine)
         orc.put_tensor("a", np.ones(2))
         with orc:
             reqs = [
@@ -156,8 +216,8 @@ class TestMetricsReconcile:
             ]
             for r in reqs:
                 r.done.wait(timeout=5.0)
-        gauge = obs.get_registry().get("repro_orchestrator_queue_depth")
-        assert gauge.value() == 0
+        gauge = obs.get_registry().get(gauge_name)
+        assert gauge.value(**labels) == 0
 
     def test_tensor_store_gauge_tracks_size(self):
         orc = Orchestrator()
@@ -166,6 +226,28 @@ class TestMetricsReconcile:
         orc.delete_tensor("a")
         gauge = obs.get_registry().get("repro_orchestrator_tensor_store_size")
         assert gauge.value() == 1
+
+
+class TestWorkerLoss:
+    def test_killed_worker_fails_its_waiters_at_once(self):
+        orc = Orchestrator(num_processes=1)
+        client = Client(orc)
+        orc.register_model("sleepy", procmodels.SleepyModel(5.0))
+        with orc:
+            future = client.run_model_async("sleepy", np.ones(3), "out")
+            time.sleep(0.3)  # the worker is inside the 5 s forward
+            shard = orc._pool._shards[0]
+            os.kill(shard.proc.pid, signal.SIGKILL)
+            killed = time.monotonic()
+            with pytest.raises(WorkerLostError):
+                future.result(timeout=5.0)
+            assert time.monotonic() - killed < 2.0
+            assert shard.depth == 0
+        submitted = _counter("repro_orchestrator_submitted_total")
+        served = _counter("repro_orchestrator_served_total")
+        failed = _counter("repro_orchestrator_failed_total")
+        assert submitted == served + failed == 1
+        assert not [n for n in os.listdir("/dev/shm") if n.startswith("repro_")]
 
 
 class TestTensorAliasing:

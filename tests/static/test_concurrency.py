@@ -235,6 +235,40 @@ class TestLockOrderGraph:
         graph, _ = build_graph(analyze_sources([("<mem>", source)]))
         assert ("Outer._lock", "Inner._lock") in graph.edge_set()
 
+    def test_member_of_either_class_reaches_both(self):
+        source = (
+            PREAMBLE
+            + "class ThreadPool:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "    def stop(self):\n"
+            "        with self._lock:\n"
+            "            pass\n"
+            "class ProcPool:\n"
+            "    def __init__(self):\n"
+            "        self._lock = threading.Lock()\n"
+            "    def stop(self):\n"
+            "        with self._lock:\n"
+            "            pass\n"
+            "class Front:\n"
+            "    def __init__(self, procs):\n"
+            "        self._lock = threading.Lock()\n"
+            "        if procs:\n"
+            "            self.pool = ProcPool()\n"
+            "        else:\n"
+            "            self.pool = ThreadPool()  # cc: type(ThreadPool, ProcPool)\n"
+            "    def stop(self):\n"
+            "        with self._lock:\n"
+            "            self.pool.stop()\n"
+        )
+        report = lint_concurrency_source(source)
+        assert not report.at_least(Severity.WARNING)
+        from repro.static.concurrency import analyze_sources, build_graph
+
+        graph, _ = build_graph(analyze_sources([("<mem>", source)]))
+        assert ("Front._lock", "ThreadPool._lock") in graph.edge_set()
+        assert ("Front._lock", "ProcPool._lock") in graph.edge_set()
+
 
 class TestCondvars:
     def test_seeded_condvar_lints(self):
