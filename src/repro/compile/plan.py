@@ -563,11 +563,15 @@ class _CsrGemmStep:
     ``CSRMatrix.matmul_dense`` gathers ``W[indices]`` per call; for a
     fixed pattern that gather is a compile-time constant, so serving a
     request is one multiply of the value vector against prebaked rows
-    plus the same ``np.add.at`` scatter the interpreter runs.
+    plus one ``np.bincount`` over prebaked flat output positions.
+    ``bincount`` adds each cell's products in stored order from +0.0,
+    the sums the interpreter's ``np.add.at`` scatter (or, for wide
+    batches, its entry-position loop) gives, signed zeros included, in
+    less time than ``np.add.at``.
     """
 
     kind = "csr_gemm"
-    __slots__ = ("weight", "bias", "act", "pattern", "_wrows", "out_dim")
+    __slots__ = ("weight", "bias", "act", "pattern", "_wrows", "_flat", "out_dim")
 
     def __init__(
         self, weight: np.ndarray, bias: np.ndarray, act: str, pattern: _CsrPattern
@@ -583,11 +587,15 @@ class _CsrGemmStep:
             )
         self._wrows = self.weight[pattern.indices]
         self.out_dim = int(self.weight.shape[1])
+        # flat position in the (rows, out_dim) output of every product
+        self._flat = (
+            pattern.rows[:, None] * self.out_dim + np.arange(self.out_dim)
+        ).ravel()
 
     def run_values(self, values: np.ndarray, out: np.ndarray) -> None:
-        out.fill(0.0)
         contrib = values[:, None] * self._wrows
-        np.add.at(out, self.pattern.rows, contrib)
+        sums = np.bincount(self._flat, weights=contrib.ravel(), minlength=out.size)
+        out[...] = sums.reshape(out.shape)
         out += self.bias
         _act_inplace(self.act, out)
 

@@ -176,11 +176,11 @@ class SparseDense(Module):
             self._last_nnz = x.nnz
             data = x.matmul_dense(self.weight.data) + self.bias.data
             weight, bias = self.weight, self.bias
-            x_t = x.transpose()
 
             def backward(out: Tensor) -> None:
                 if weight.requires_grad:
-                    weight._accumulate(x_t.matmul_dense(out.grad))
+                    # transposing sorts the entries; only a backward pays it
+                    weight._accumulate(x.transpose().matmul_dense(out.grad))
                 if bias.requires_grad:
                     bias._accumulate(out.grad.sum(axis=0))
 

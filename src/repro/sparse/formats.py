@@ -21,6 +21,11 @@ import numpy as np
 
 __all__ = ["COOMatrix", "CSRMatrix", "CSCMatrix", "from_dense"]
 
+# ``CSRMatrix.matmul_dense`` takes its entry-position loop, one NumPy step
+# per entry of the longest row, only when the steps average more products
+# than this; below it one ``np.add.at`` call is as fast or faster.
+_PRODUCTS_PER_POSITION = 1024
+
 
 def _check_shape(shape: tuple[int, int]) -> tuple[int, int]:
     rows, cols = int(shape[0]), int(shape[1])
@@ -199,17 +204,49 @@ class CSRMatrix:
         This is the "TensorFlow embedding API" equivalent used by the first
         autoencoder layer (§4.2): the multiplication is performed directly on
         the compressed representation and only the (small) result is dense.
+
+        Each output row is the sum of its products in stored order, starting
+        from +0.0, which is what an ``np.add.at`` scatter of the products
+        gives, signed zeros included.  One scatter call is fastest when each
+        entry position holds few products; otherwise the entry-position loop
+        reaches the same sums without the scatter and its nnz×width
+        temporary.
         """
         other = np.asarray(other, dtype=np.float64)
         if other.ndim != 2 or other.shape[0] != self.shape[1]:
             raise ValueError(
                 f"dimension mismatch: {self.shape} @ {other.shape}"
             )
+        lengths = np.diff(self.indptr)
+        longest = int(lengths.max(initial=0))
+        if self.nnz * other.shape[1] > _PRODUCTS_PER_POSITION * longest:
+            return self._product_by_position(other)
         out = np.zeros((self.shape[0], other.shape[1]), dtype=np.float64)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        rows = np.repeat(np.arange(self.shape[0]), lengths)
         # gather the needed rows of `other`, scale by values, scatter-add
         contrib = self.data[:, None] * other[self.indices]
         np.add.at(out, rows, contrib)
+        return out
+
+    def _product_by_position(self, other: np.ndarray) -> np.ndarray:
+        """``matmul_dense`` by one update per entry position of the longest
+        row: step k adds entry k of every row that has one into a +0.0
+        accumulator, so each row sums in stored order."""
+        out = np.zeros((self.shape[0], other.shape[1]), dtype=np.float64)
+        lengths = np.diff(self.indptr)
+        filled = np.flatnonzero(lengths)
+        longest = int(lengths.max(initial=0))
+        # longest rows first, so the rows still holding an entry at
+        # position k are a prefix of ``order``
+        order = filled[np.argsort(-lengths[filled], kind="stable")]
+        starts = self.indptr[order]
+        # active[k]: how many rows hold an entry at position k
+        active = np.searchsorted(-lengths[order], -np.arange(longest))
+        acc = np.zeros((order.size, other.shape[1]), dtype=np.float64)
+        for k, n in enumerate(active):
+            pos = starts[:n] + k
+            acc[:n] += self.data[pos, None] * other[self.indices[pos]]
+        out[order] = acc
         return out
 
     def transpose(self) -> "CSRMatrix":

@@ -285,6 +285,27 @@ class TestCsrPlans:
         plan = compile_package(package, csr_pattern=x)
         assert_bit_identical(package, plan, x)
 
+    def test_empty_row_and_negative_zero_product(self, rng):
+        # the plan's scatter and the interpreter must agree on an empty
+        # row and on a row whose only product is -0.0 (it sums to +0.0
+        # from the +0.0 start)
+        package = sparse_ae_package(rng, 12, 4, 2)
+        first = package.autoencoder.encoder.layers[0]
+        first.weight.data[5] = 0.0
+        first.bias.data[:] = 0.0
+        row = np.array([0, 0, 2, 3, 3])
+        col = np.array([1, 5, 5, 2, 9])
+        data = np.array([0.7, -1.5, -2.0, 1.1, -0.4])
+        x = COOMatrix(row, col, data, (4, 12)).to_csr()
+        plan = compile_package(package, csr_pattern=x)
+        assert "csr_gemm" in plan.step_kinds()
+        assert not np.signbit(x.matmul_dense(first.weight.data)[[1, 2]]).any()
+        with batch_invariant():
+            ref = package.predict(x)
+        out = plan.predict(x)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(out.view(np.uint64), ref.view(np.uint64))
+
     def test_duplicate_column_coo_round_trip(self, rng):
         # duplicate (row, col) coordinates accumulate on to_csr(); the
         # canonicalized pattern must compile and serve bit-identically

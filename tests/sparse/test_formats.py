@@ -12,6 +12,27 @@ def random_dense(rng, rows=7, cols=5, density=0.4):
     return rng.standard_normal((rows, cols)) * mask
 
 
+def add_at_product(csr, other):
+    """Reference CSR × dense: scatter every product with ``np.add.at``."""
+    out = np.zeros((csr.shape[0], other.shape[1]))
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    np.add.at(out, rows, csr.data[:, None] * other[csr.indices])
+    return out
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def assert_product_exact(csr, other):
+    """``matmul_dense`` and its entry-position loop, whichever branch the
+    shape selects, both equal the scatter bit for bit."""
+    expected = add_at_product(csr, other)
+    assert_bitwise(csr.matmul_dense(other), expected)
+    assert_bitwise(csr._product_by_position(other), expected)
+
+
 # ---------------------------------------------------------------- COO basics
 
 
@@ -86,6 +107,69 @@ class TestCSR:
         csr = from_dense(d, "csr")
         w = rng.standard_normal((d.shape[1], 3))
         assert np.allclose(csr.matmul_dense(w), d @ w)
+
+    def test_matmul_dense_empty_rows_exact(self, rng):
+        d = random_dense(rng, rows=9, cols=6, density=0.5)
+        d[[0, 4, 8]] = 0.0
+        assert_product_exact(from_dense(d), rng.standard_normal((6, 4)))
+
+    def test_matmul_dense_all_empty_exact(self, rng):
+        csr = from_dense(np.zeros((5, 7)))
+        out = csr.matmul_dense(rng.standard_normal((7, 3)))
+        assert_bitwise(out, np.zeros((5, 3)))
+
+    def test_matmul_dense_single_long_row_exact(self, rng):
+        d = rng.standard_normal((1, 300))
+        assert_product_exact(from_dense(d), rng.standard_normal((300, 16)))
+
+    def test_matmul_dense_many_short_rows_exact(self, rng):
+        d = random_dense(rng, rows=200, cols=40, density=0.05)
+        d[np.arange(200), rng.integers(0, 40, 200)] = 1.5
+        assert_product_exact(from_dense(d), rng.standard_normal((40, 8)))
+
+    @pytest.mark.parametrize("rows", [1, 50])
+    def test_matmul_dense_negative_zero_products(self, rng, rows):
+        # -0.0 products sum to +0.0, as from a +0.0 start
+        d = rng.standard_normal((rows, 30)) + 5.0
+        other = np.zeros((30, 40))
+        other[:, 1] = -0.0
+        other[::2, 2] = -0.0
+        other[:, 3:] = rng.standard_normal((30, 37))
+        csr = from_dense(d)
+        negative = CSRMatrix(csr.indptr, csr.indices, -csr.data, csr.shape)
+        for m in (csr, negative):
+            for out in (m.matmul_dense(other), m._product_by_position(other)):
+                assert not np.signbit(out[:, :3]).any()
+            assert_product_exact(m, other)
+
+    def test_matmul_dense_sparse_dense_backward_shape_exact(self, rng):
+        # SparseDense's weight gradient is x.T @ dY: 230 short columns of
+        # a 32-row batch over 1406 mostly dead features
+        live = rng.choice(1406, 230, replace=False)
+        d = np.zeros((32, 1406))
+        d[:, live] = rng.standard_normal((32, 230)) * (rng.random((32, 230)) < 0.8)
+        x = from_dense(d)
+        assert_product_exact(x, rng.standard_normal((1406, 12)))
+        assert_product_exact(x.transpose(), rng.standard_normal((32, 12)))
+
+    def test_matmul_dense_loops_by_position_only_for_wide_steps(
+        self, rng, monkeypatch
+    ):
+        # 32 rows x width 64 put 2048 products in each position step: the
+        # loop; one row puts 64: a single scatter call
+        taken = []
+        by_position = CSRMatrix._product_by_position
+
+        def record(self, other):
+            taken.append(self.shape)
+            return by_position(self, other)
+
+        monkeypatch.setattr(CSRMatrix, "_product_by_position", record)
+        for rows in (32, 1):
+            x = from_dense(rng.standard_normal((rows, 40)))
+            w = rng.standard_normal((40, 64))
+            assert_bitwise(x.matmul_dense(w), add_at_product(x, w))
+        assert taken == [(32, 40)]
 
     def test_matmul_dense_dim_mismatch(self, rng):
         csr = from_dense(random_dense(rng), "csr")
@@ -204,3 +288,28 @@ def test_transpose_involution(dense):
 def test_nnz_preserved_across_conversions(dense):
     coo = from_dense(dense, "coo")
     assert coo.nnz == coo.to_csr().nnz == coo.to_csc().nnz
+
+
+@st.composite
+def signed_zero_products(draw):
+    """A CSR matrix with ±0.0 stored values and a dense factor with ±0.0."""
+    rows = draw(st.integers(0, 9))
+    cols = draw(st.integers(1, 9))
+    width = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.0, 1.0))
+    d = rng.standard_normal((rows, cols)) * (rng.random((rows, cols)) < density)
+    csr = from_dense(d)
+    data = np.where(rng.random(csr.nnz) < 0.2, -0.0, csr.data)
+    csr = CSRMatrix(csr.indptr, csr.indices, data, csr.shape)
+    other = rng.standard_normal((cols, width))
+    other[rng.random(other.shape) < 0.3] = rng.choice([0.0, -0.0])
+    return csr, other, rng.standard_normal((rows, width))
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_zero_products())
+def test_csr_matmul_dense_is_stored_order_sum(case):
+    csr, other, upstream = case
+    assert_product_exact(csr, other)
+    assert_product_exact(csr.transpose(), upstream)
