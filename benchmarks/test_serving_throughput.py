@@ -74,11 +74,11 @@ class TestServingThroughput:
     def test_batched_speedup_over_per_request(self, quickstart_rows):
         package, rows = quickstart_rows
         per_request = best_throughput(
-            package, rows, max_batch_size=1, max_wait_ms=0.0,
+            package, rows, max_batch_size=1,
             batch_invariant=False,
         )
         batched = best_throughput(
-            package, rows, max_batch_size=BATCH, max_wait_ms=2.0,
+            package, rows, max_batch_size=BATCH,
             batch_invariant=False,
         )
         speedup = batched / per_request

@@ -170,10 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="most requests one vectorized forward may carry (1 = per-request)",
     )
     serve.add_argument(
-        "--max-wait-ms", type=float, default=2.0,
-        help="how long a worker holds a partial batch waiting for more requests",
-    )
-    serve.add_argument(
         "--workers", type=int, default=1, help="serving threads in the pool"
     )
     serve.add_argument(
@@ -440,7 +436,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         surrogate.package,
         rows,
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         num_workers=args.workers,
         batch_invariant=not args.no_batch_invariant,
         model_name=app.name,
@@ -448,26 +443,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_processes=args.processes,
     )
     print(result.format())
-    # snapshot the batching histograms before the baseline run pollutes
-    # them with its 1-request batches (the registry is process-global)
+    # snapshot the batch-size histogram before the baseline run pollutes
+    # it with its 1-request batches (the registry is process-global)
     registry = obs.get_registry()
     batch_size = registry.get("repro_orchestrator_batch_size")
-    batch_wait = registry.get("repro_orchestrator_batch_wait_seconds")
     if batch_size is not None and batch_size.count():
         p = batch_size.percentiles()
         print(
             f"micro-batches: {batch_size.count()} "
             f"(size p50 {p['p50']:.0f}, p99 {p['p99']:.0f})"
         )
-    if batch_wait is not None and batch_wait.count():
-        p = batch_wait.percentiles()
-        print(f"batch wait: p50 {p['p50'] * 1e3:.2f}ms, p99 {p['p99'] * 1e3:.2f}ms")
     if args.baseline:
         baseline = measure_serving_throughput(
             surrogate.package,
             rows,
             max_batch_size=1,
-            max_wait_ms=0.0,
             num_workers=1,
             batch_invariant=not args.no_batch_invariant,
             model_name=app.name,
@@ -491,7 +481,6 @@ def _hot_swap_smoke(name, package, rows, args: argparse.Namespace) -> int:
 
     orc = Orchestrator(
         max_batch_size=args.max_batch_size,
-        max_wait_ms=args.max_wait_ms,
         num_workers=args.workers,
         batch_invariant=not args.no_batch_invariant,
         compile_plans=not args.no_compile,

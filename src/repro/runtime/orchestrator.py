@@ -200,10 +200,9 @@ class Orchestrator:
     Serving knobs:
 
     * ``max_batch_size`` — most requests one vectorized forward may carry.
-      ``1`` disables micro-batching (strict per-request serving).
-    * ``max_wait_ms`` — how long a worker holding a partial batch waits for
-      more requests before dispatching what it has.  The queue only pays
-      this when it runs dry; a deep queue drains without waiting.
+      ``1`` disables micro-batching (strict per-request serving).  A
+      worker batches the requests queued while it was busy and never
+      waits for more, so a lone request is served at once.
     * ``num_workers`` — serving threads pulling batches concurrently.
     * ``batch_invariant`` — run model forwards under
       :func:`repro.nn.batch_invariant` so outputs are bit-identical no
@@ -233,7 +232,6 @@ class Orchestrator:
         port: int = 6379,
         *,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         num_workers: int = 1,
         batch_invariant: bool = True,
         compile_plans: bool = True,
@@ -245,8 +243,6 @@ class Orchestrator:
     ) -> None:
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if max_wait_ms < 0:
-            raise ValueError("max_wait_ms must be >= 0")
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
         if num_processes < 0:
@@ -256,7 +252,6 @@ class Orchestrator:
         self.port = int(port)
         self.outcome_window = int(outcome_window)
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_ms = float(max_wait_ms)
         self.num_workers = int(num_workers)
         self.batch_invariant = bool(batch_invariant)
         self.compile_plans = bool(compile_plans)
@@ -281,7 +276,6 @@ class Orchestrator:
             self._pool = ThreadShardPool(  # cc: type(ThreadShardPool, ProcessShardPool)
                 self._core,
                 max_batch_size=self.max_batch_size,
-                max_wait_ms=self.max_wait_ms,
                 num_workers=self.num_workers,
             )
         self._tensors: dict[str, np.ndarray] = {}  # cc: guarded-by(_lock)

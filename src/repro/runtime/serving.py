@@ -128,7 +128,6 @@ def measure_serving_throughput(
     rows: np.ndarray,
     *,
     max_batch_size: int = 32,
-    max_wait_ms: float = 2.0,
     num_workers: int = 1,
     batch_invariant: bool = True,
     model_name: str = "surrogate",
@@ -154,7 +153,6 @@ def measure_serving_throughput(
     rows = np.atleast_2d(np.asarray(rows))
     orchestrator = Orchestrator(
         max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
         num_workers=num_workers,
         batch_invariant=batch_invariant,
         compile_plans=compile_plans,
@@ -211,7 +209,6 @@ def measure_sustained_qps(
     duration_s: float = 2.0,
     burst: int = 64,
     max_batch_size: int = 32,
-    max_wait_ms: float = 2.0,
     num_workers: int = 4,
     batch_invariant: bool = True,
     max_queue_depth: int = 512,
@@ -235,7 +232,6 @@ def measure_sustained_qps(
     """
     orchestrator = Orchestrator(
         max_batch_size=max_batch_size,
-        max_wait_ms=max_wait_ms,
         num_workers=num_workers,
         batch_invariant=batch_invariant,
         num_processes=num_processes,

@@ -8,10 +8,12 @@ of one served batch in one call.  Either pool serves through the same
 :class:`~repro.runtime.core.ServingCore`, so the modes' outputs are
 byte-identical.
 
-:class:`ThreadShardPool` (thread mode) is one in-process shard: worker
-threads drain a queue into micro-batches (up to ``max_batch_size`` jobs,
-waiting at most ``max_wait_ms`` for stragglers) and serve each with
-:meth:`~repro.runtime.core.ServingCore.serve_many`.
+:class:`ThreadShardPool` (thread mode) is one in-process shard: a worker
+thread takes what is queued (up to ``max_batch_size`` jobs) as one
+micro-batch and serves it with
+:meth:`~repro.runtime.core.ServingCore.serve_many`.  Nothing waits for
+stragglers: requests that arrive while the workers are busy batch, as
+they do in a process-mode worker, and a lone request is served at once.
 
 :class:`ProcessShardPool` (process mode) splits serving into this
 admission layer and N worker *processes*
@@ -713,53 +715,38 @@ class _RequestQueue:
         with self._cond:
             return len(self._items)
 
-    def get_batch(
-        self, max_items: int, max_wait: float
-    ) -> tuple[Optional[list[Job]], float]:
+    def get_batch(self, max_items: int) -> Optional[list[Job]]:
         """Drain up to ``max_items`` jobs as one batch.
 
-        Blocks until at least one job (or sentinel) arrives.  Returns
-        ``(None, 0.0)`` when the first item is the stop sentinel; a
-        sentinel found mid-drain is pushed back so the pool still sees one
-        sentinel per worker.  The second element is the time spent waiting
-        for stragglers (the batch-wait histogram's sample); a deep queue
-        drains without touching the clock.
+        Blocks until at least one job (or sentinel) arrives, then takes
+        whatever else is already queued and returns at once: requests that
+        arrived while the workers were busy batch, and nothing waits for
+        stragglers.  Returns ``None`` when the first item is the stop
+        sentinel; a sentinel found mid-drain is pushed back so the pool
+        still sees one sentinel per worker.
         """
         with self._cond:
             while not self._items:
                 self._cond.wait()
             first = self._items.popleft()
             if first is None:
-                return None, 0.0
+                return None
             batch = [first]
-            deadline: Optional[float] = None
-            wait_started: Optional[float] = None
-            while len(batch) < max_items:
-                if self._items:
-                    item = self._items.popleft()
-                    if item is None:
-                        self._items.appendleft(None)
-                        self._cond.notify()
-                        break
-                    batch.append(item)
-                    continue
-                now = time.monotonic()
-                if deadline is None:
-                    deadline = now + max_wait
-                    wait_started = now
-                remaining = deadline - now
-                if remaining <= 0 or not self._cond.wait(remaining):
+            while self._items and len(batch) < max_items:
+                item = self._items.popleft()
+                if item is None:
+                    self._items.appendleft(None)
+                    self._cond.notify()
                     break
-            waited = time.monotonic() - wait_started if wait_started else 0.0
-            return batch, waited
+                batch.append(item)
+            return batch
 
 
 class ThreadShardPool:
     """Thread mode's pool: one in-process shard served by worker threads.
 
-    Each of ``num_workers`` threads drains the queue into a micro-batch of
-    up to ``max_batch_size`` jobs — waiting at most ``max_wait_ms`` for
-    stragglers, which only a dry queue pays — and serves it with
+    Each of ``num_workers`` threads takes what is queued, up to
+    ``max_batch_size`` jobs, as one micro-batch and serves it with
     :meth:`~repro.runtime.core.ServingCore.serve_many`.
     """
 
@@ -768,12 +755,10 @@ class ThreadShardPool:
         core: ServingCore,
         *,
         max_batch_size: int = 32,
-        max_wait_ms: float = 2.0,
         num_workers: int = 1,
     ) -> None:
         self._core = core
         self.max_batch_size = int(max_batch_size)
-        self.max_wait = float(max_wait_ms) / 1000.0
         self.num_workers = int(num_workers)
         self._queue = _RequestQueue()
         self._workers: list[threading.Thread] = []  # cc: guarded-by(_state_lock)
@@ -791,10 +776,6 @@ class ThreadShardPool:
             "repro_orchestrator_batch_size",
             "Requests per micro-batch drained by a serving worker",
             buckets=BATCH_SIZE_BUCKETS,
-        )
-        self._m_batch_wait = registry.histogram(
-            "repro_orchestrator_batch_wait_seconds",
-            "Seconds a worker spent collecting each micro-batch",
         )
         self._m_stuck_workers = registry.gauge(
             "repro_orchestrator_stuck_workers",
@@ -860,12 +841,11 @@ class ThreadShardPool:
 
     def _serve(self) -> None:
         while True:
-            batch, waited = self._queue.get_batch(self.max_batch_size, self.max_wait)
+            batch = self._queue.get_batch(self.max_batch_size)
             if batch is None:
                 break
             if self._telemetry.enabled:
                 self._m_batch_size.observe(len(batch))
-                self._m_batch_wait.observe(waited)
                 self._m_queue_depth.set(self._queue.qsize())
             if not self._running:
                 # stop() is underway: abandon instead of serving late

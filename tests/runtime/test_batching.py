@@ -32,7 +32,6 @@ class TestConstructorKnobs:
     def test_defaults(self):
         orc = Orchestrator()
         assert orc.max_batch_size == 32
-        assert orc.max_wait_ms == 2.0
         assert orc.num_workers == 1
         assert orc.batch_invariant
 
@@ -40,7 +39,7 @@ class TestConstructorKnobs:
         "kwargs",
         [
             {"max_batch_size": 0},
-            {"max_wait_ms": -1.0},
+            {"num_processes": -1},
             {"num_workers": 0},
         ],
     )
@@ -57,7 +56,7 @@ class TestMicroBatching:
             calls.append(np.asarray(x).shape)
             return np.asarray(x) * 2.0
 
-        orc = Orchestrator(max_batch_size=16, max_wait_ms=50.0)
+        orc = Orchestrator(max_batch_size=16)
         orc.register_model("scale", model, batchable=True)
         for i in range(8):
             orc.put_tensor(f"in{i}", np.full(4, float(i)))
@@ -82,7 +81,7 @@ class TestMicroBatching:
             shapes_seen.append(np.asarray(x).shape)
             return np.asarray(x) * -1.0
 
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=50.0)
+        orc = Orchestrator(max_batch_size=8)
         orc.register_model("neg", model, batchable=True)
         orc.put_tensor("a", np.ones(3))
         orc.put_tensor("b", np.ones(3))
@@ -107,7 +106,7 @@ class TestMicroBatching:
             shapes_seen.append(np.asarray(x).shape)
             return np.asarray(x).sum(keepdims=True)
 
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=50.0)
+        orc = Orchestrator(max_batch_size=8)
         orc.register_model("sum", model, batchable=False)
         orc.put_tensor("p", np.ones(2))
         orc.put_tensor("q", np.ones(3))
@@ -127,7 +126,7 @@ class TestMicroBatching:
             shapes_seen.append(np.asarray(x).shape)
             return np.asarray(x) * 3.0
 
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=50.0)
+        orc = Orchestrator(max_batch_size=8)
         orc.register_model("m", model, batchable=False)
         for i in range(4):
             orc.put_tensor(f"i{i}", np.ones(2))
@@ -142,7 +141,7 @@ class TestMicroBatching:
         assert len(shapes_seen) == 4
 
     def test_bad_request_does_not_poison_batchmates(self, rng):
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=50.0)
+        orc = Orchestrator(max_batch_size=8)
         pkg = make_package(rng)
         orc.register_model("m", pkg.predict, batchable=True)
         orc.put_tensor("good1", rng.standard_normal(6))
@@ -171,7 +170,7 @@ class TestMicroBatching:
             x = np.asarray(x)
             return x / np.linalg.norm(x)
 
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=50.0)
+        orc = Orchestrator(max_batch_size=8)
         orc.register_model("norm", normalize)  # default: per-request path
         orc.put_tensor("a", np.array([3.0, 4.0]))
         orc.put_tensor("b", np.array([30.0, 40.0]))
@@ -192,7 +191,7 @@ class TestMicroBatching:
         # regression (REVIEW medium): a row-wise model returning one scalar
         # per row — predict((B, F)) -> (B,) — must scatter real 0-d
         # ndarrays, not np.float64 scalars that break get_tensor
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=50.0)
+        orc = Orchestrator(max_batch_size=8)
         orc.register_model(
             "rowsum", lambda x: np.asarray(x).sum(axis=-1), batchable=True
         )
@@ -216,7 +215,7 @@ class TestMicroBatching:
             x = np.atleast_2d(np.asarray(x))
             return x.sum(axis=0)
 
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=50.0)
+        orc = Orchestrator(max_batch_size=8)
         orc.register_model("collapse", collapse, batchable=True)
         orc.put_tensor("u", np.full(3, 1.0))
         orc.put_tensor("v", np.full(3, 2.0))
@@ -234,7 +233,7 @@ class TestMicroBatching:
 
     def test_worker_pool_serves_all_requests(self, rng):
         pkg = make_package(rng)
-        orc = Orchestrator(max_batch_size=4, max_wait_ms=1.0, num_workers=4)
+        orc = Orchestrator(max_batch_size=4, num_workers=4)
         client = Client(orc)
         client.set_model("m", pkg)
         x = rng.standard_normal((40, 6))
@@ -252,19 +251,15 @@ class TestMicroBatching:
             "repro_orchestrator_batched_rows_total"
         ).total()
         pkg = make_package(rng)
-        orc = Orchestrator(max_batch_size=16, max_wait_ms=100.0)
+        orc = Orchestrator(max_batch_size=16)
         client = Client(orc)
         client.set_model("m", pkg)
         x = rng.standard_normal((16, 6))
         with orc:
-            futures = [
-                client.run_model_async("m", x[i], f"o{i}") for i in range(16)
-            ]
-            for f in futures:
-                f.result(timeout=10.0)
+            # one submit_many queues all 16 rows before the worker drains
+            client.run_model_batch("m", list(x), timeout=10.0)
         assert registry.counter("repro_orchestrator_batched_rows_total").total() > rows_before
         assert registry.histogram("repro_orchestrator_batch_size").count() > 0
-        assert registry.histogram("repro_orchestrator_batch_wait_seconds").count() > 0
 
 
 class TestPlanGroupedBatching:
@@ -279,7 +274,7 @@ class TestPlanGroupedBatching:
     def test_warm_plan_vectorizes_a_burst(self, rng):
         registry = obs.get_registry()
         pkg = make_package(rng)
-        orc = Orchestrator(max_batch_size=16, max_wait_ms=50.0)
+        orc = Orchestrator(max_batch_size=16)
         # deliberately NOT batchable: only the plan legitimizes grouping
         orc.register_model("m", pkg.predict, package=pkg, batchable=False)
         client = Client(orc)
@@ -289,10 +284,11 @@ class TestPlanGroupedBatching:
             rows_before = registry.counter(
                 "repro_orchestrator_batched_rows_total"
             ).total()
-            futures = [
-                client.run_model_async("m", x[i], f"o{i}") for i in range(12)
+            # one submit_many queues the whole burst before a drain
+            outs = [
+                out.copy()
+                for out in client.run_model_batch("m", list(x), timeout=10.0)
             ]
-            outs = [f.result(timeout=10.0).copy() for f in futures]
             # the burst crossed the vectorized path, not 12 singles
             assert (
                 registry.counter("repro_orchestrator_batched_rows_total").total()
@@ -312,9 +308,7 @@ class TestPlanGroupedBatching:
             "repro_orchestrator_batched_rows_total"
         ).total()
         pkg = make_package(rng)
-        orc = Orchestrator(
-            max_batch_size=16, max_wait_ms=50.0, compile_plans=False
-        )
+        orc = Orchestrator(max_batch_size=16, compile_plans=False)
         orc.register_model("m", pkg.predict, package=pkg, batchable=False)
         client = Client(orc)
         x = rng.standard_normal((6, 6))
@@ -344,7 +338,7 @@ class TestBitIdentity:
         x = rng.standard_normal((batch + 1, din))
 
         per_request = Orchestrator(max_batch_size=1)
-        batched = Orchestrator(max_batch_size=batch, max_wait_ms=100.0)
+        batched = Orchestrator(max_batch_size=batch)
         c_per, c_bat = Client(per_request), Client(batched)
         c_per.set_model("m", pkg)
         c_bat.set_model("m", pkg)
@@ -353,10 +347,11 @@ class TestBitIdentity:
                 c_per.run_model("m", x[i], f"r{i}").copy() for i in range(len(x))
             ]
         with batched:
-            futures = [
-                c_bat.run_model_async("m", x[i], f"b{i}") for i in range(len(x))
+            # one submit_many: the worker drains full batches
+            got = [
+                out.copy()
+                for out in c_bat.run_model_batch("m", list(x), timeout=10.0)
             ]
-            got = [f.result(timeout=10.0).copy() for f in futures]
         for i in range(len(x)):
             assert np.array_equal(ref[i], got[i]), f"row {i} differs"
 
@@ -369,7 +364,7 @@ class TestBitIdentity:
         offline.run_model("m", ("in",), ("out",))
         direct = offline.get_tensor("out").copy()
 
-        served = Orchestrator(max_batch_size=32, max_wait_ms=10.0)
+        served = Orchestrator(max_batch_size=32)
         client = Client(served)
         client.set_model("m", pkg)
         with served:
@@ -380,15 +375,17 @@ class TestBitIdentity:
         pkg = make_package(rng)
         x = rng.standard_normal((9, 6)).astype(np.float32)
         per_request = Orchestrator(max_batch_size=1)
-        batched = Orchestrator(max_batch_size=8, max_wait_ms=100.0)
+        batched = Orchestrator(max_batch_size=8)
         c_per, c_bat = Client(per_request), Client(batched)
         c_per.set_model("m", pkg)
         c_bat.set_model("m", pkg)
         with per_request:
             ref = [c_per.run_model("m", x[i], f"r{i}").copy() for i in range(9)]
         with batched:
-            futures = [c_bat.run_model_async("m", x[i], f"b{i}") for i in range(9)]
-            got = [f.result(timeout=10.0).copy() for f in futures]
+            got = [
+                out.copy()
+                for out in c_bat.run_model_batch("m", list(x), timeout=10.0)
+            ]
         for a, b in zip(ref, got):
             assert np.array_equal(a, b)
 
@@ -396,7 +393,7 @@ class TestBitIdentity:
 class TestAsyncClient:
     def test_future_resolves_with_result(self, rng):
         pkg = make_package(rng)
-        orc = Orchestrator(max_batch_size=4, max_wait_ms=1.0)
+        orc = Orchestrator(max_batch_size=4)
         client = Client(orc)
         client.set_model("m", pkg)
         x = rng.standard_normal(6)
@@ -412,7 +409,7 @@ class TestAsyncClient:
         assert np.allclose(out, pkg.predict(x))
 
     def test_future_raises_serving_error(self):
-        orc = Orchestrator(max_batch_size=4, max_wait_ms=1.0)
+        orc = Orchestrator(max_batch_size=4)
         client = Client(orc)
         with orc:
             future = client.run_model_async("ghost", np.ones(3), "out")
@@ -493,7 +490,7 @@ class TestAsyncClient:
 
     def test_run_model_batch_orders_outputs(self, rng):
         pkg = make_package(rng)
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=5.0)
+        orc = Orchestrator(max_batch_size=8)
         client = Client(orc)
         client.set_model("m", pkg)
         x = rng.standard_normal((12, 6))
@@ -512,7 +509,7 @@ class TestAsyncClient:
 
     def test_scratch_keys_unique_and_cleaned(self, rng):
         pkg = make_package(rng)
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=5.0)
+        orc = Orchestrator(max_batch_size=8)
         client = Client(orc)
         client.set_model("m", pkg)
         x = rng.standard_normal((6, 6))
@@ -584,7 +581,7 @@ class TestStopDiagnostics:
         assert gauge.value() == 0
 
     def test_stop_abandons_queued_requests_in_batches(self):
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=1.0)
+        orc = Orchestrator(max_batch_size=8)
         orc.register_model("id", lambda x: x)
         orc.put_tensor("a", np.ones(2))
         orc.start()
@@ -612,9 +609,7 @@ class TestThroughputHelper:
     def test_measure_reports_all_requests(self, rng):
         pkg = make_package(rng)
         rows = rng.standard_normal((32, 6))
-        result = measure_serving_throughput(
-            pkg, rows, max_batch_size=8, max_wait_ms=1.0
-        )
+        result = measure_serving_throughput(pkg, rows, max_batch_size=8)
         assert result.requests == 32
         assert result.seconds > 0
         assert result.requests_per_sec > 0

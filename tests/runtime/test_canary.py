@@ -191,7 +191,7 @@ class TestCanaryUnderThreadedTraffic:
 
             return predict
 
-        orc = Orchestrator(max_batch_size=4, max_wait_ms=1.0)
+        orc = Orchestrator(max_batch_size=4)
         orc.register_model("m", slow_tagged(1.0), batchable=True)
         orc.register_model("m", slow_tagged(2.0), batchable=True, deploy=False)
         orc.canary("m", 2, 0.25)
@@ -222,7 +222,7 @@ class TestCanaryUnderThreadedTraffic:
 
             return predict
 
-        orc = Orchestrator(max_batch_size=4, max_wait_ms=1.0)
+        orc = Orchestrator(max_batch_size=4)
         orc.register_model("m", slow_tagged(1.0), batchable=True)
         orc.register_model("m", slow_tagged(2.0), batchable=True, deploy=False)
         orc.canary("m", 2, 0.5)

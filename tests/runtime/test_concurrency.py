@@ -81,7 +81,7 @@ class TestParallelAccess:
         ).package
         inputs = rng.standard_normal((8, 25, 5))
         expected = [[pkg.predict(inputs[w, i]) for i in range(25)] for w in range(8)]
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=1.0, num_workers=2)
+        orc = Orchestrator(max_batch_size=8, num_workers=2)
         primary = Client(orc)
         primary.set_model("m", pkg)
         failures = []
@@ -103,7 +103,7 @@ class TestParallelAccess:
 
     def test_concurrent_async_batch_calls(self, rng):
         """Pipelined run_model_batch from several threads at once."""
-        orc = Orchestrator(max_batch_size=16, max_wait_ms=1.0, num_workers=2)
+        orc = Orchestrator(max_batch_size=16, num_workers=2)
         orc.register_model("affine", lambda x: x * 2.0 + 1.0)
         results = {}
 

@@ -149,7 +149,7 @@ class TestAdmissionPinning:
             assert release.wait(5.0)
             return np.asarray(x) * 0.0 + 1.0
 
-        orc = Orchestrator(max_batch_size=1, max_wait_ms=0.0, num_workers=1)
+        orc = Orchestrator(max_batch_size=1, num_workers=1)
         orc.register_model("m", v1)
         orc.put_tensor("in", np.zeros(2))
         with orc:
@@ -170,7 +170,7 @@ class TestAdmissionPinning:
         """Deploy v2 while run_model_batch traffic is in flight: nothing is
         lost or failed, and every response is attributable to exactly one
         version (all elements carry a single version's tag)."""
-        orc = Orchestrator(max_batch_size=8, max_wait_ms=1.0, num_workers=2)
+        orc = Orchestrator(max_batch_size=8, num_workers=2)
         client = Client(orc)
         v1 = orc.register_model("m", tagged(1.0), batchable=True)
         v2 = orc.register_model("m", tagged(2.0), batchable=True, deploy=False)

@@ -44,7 +44,7 @@ class TestLockOrderCrossValidation:
     def test_recorded_serving_edges_subset_of_static_graph(self, static_graph):
         """Every lock nesting real traffic exercises must be a static edge."""
         recorder = LockOrderRecorder()
-        orc = Orchestrator(max_batch_size=4, max_wait_ms=5.0, num_workers=2)
+        orc = Orchestrator(max_batch_size=4, num_workers=2)
         instrument_object(orc, recorder=recorder)
         instrument_object(orc._pool._queue, recorder=recorder)
         orc.register_model("double", lambda x: np.asarray(x) * 2.0)
@@ -92,67 +92,63 @@ class TestQsizeRegression:
 
 
 class TestGetBatchTimeoutEdges:
-    def test_spurious_wakeups_do_not_extend_the_deadline(self):
-        # regression shape: the wait must recompute remaining time from
-        # one fixed deadline, not restart max_wait per wakeup
-        q = _queue(InferenceRequest("m", ("a",), ("b",)))
-        result = {}
+    """Edges of ``get_batch``'s one blocking wait: what a woken worker
+    takes, and how the stop sentinels end the wait."""
 
-        def drain():
-            start = time.monotonic()
-            batch, waited = q.get_batch(max_items=8, max_wait=0.3)
-            result["elapsed"] = time.monotonic() - start
-            result["batch"] = batch
-            result["waited"] = waited
+    @staticmethod
+    def _count_waits(q):
+        """Record the queue depth at every ``_cond.wait`` call."""
+        depths = []
+        wait = q._cond.wait
 
-        t = threading.Thread(target=drain)
+        def counting_wait(timeout=None):
+            depths.append(len(q._items))
+            return wait(timeout)
+
+        q._cond.wait = counting_wait
+        return depths
+
+    def test_held_item_returns_with_everything_queued(self):
+        requests = [InferenceRequest("m", (f"a{i}",), (f"b{i}",)) for i in range(8)]
+        few = _queue(*requests[:3])
+        waits = self._count_waits(few)
+        assert few.get_batch(max_items=8) == requests[:3]
+        deep = _queue(*requests)
+        waits += self._count_waits(deep)
+        assert deep.get_batch(max_items=4) == requests[:4]
+        assert deep.qsize() == 4
+        # a held item never waits for the batch to fill
+        assert waits == []
+
+    def test_lone_item_is_served_without_waiting_for_more(self):
+        q = _queue()
+        waits = self._count_waits(q)
+        req = InferenceRequest("m", ("a",), ("b",))
+        result = []
+        t = threading.Thread(target=lambda: result.append(q.get_batch(8)))
         t.start()
-        deadline = time.monotonic() + 2.0
-        while not result and time.monotonic() < deadline:
-            with q._cond:           # spurious wakeup: notify, no item
-                q._cond.notify_all()
-            time.sleep(0.02)
+        time.sleep(0.05)  # let the worker block on the empty queue
+        q.put_many([req])
         t.join(timeout=5.0)
         assert not t.is_alive()
-        assert len(result["batch"]) == 1
-        # ~15 spurious wakeups: a per-wakeup restart would take >= 2s
-        assert result["elapsed"] < 1.0
-        assert 0.0 < result["waited"] < 1.0
-
-    def test_zero_wait_drains_without_blocking(self):
-        q = _queue(
-            *(InferenceRequest("m", (f"a{i}",), (f"b{i}",)) for i in range(3))
-        )
-        start = time.monotonic()
-        batch, waited = q.get_batch(max_items=8, max_wait=0.0)
-        assert len(batch) == 3
-        assert time.monotonic() - start < 0.1
-        assert waited < 0.1
-
-    def test_deep_queue_never_touches_the_clock(self):
-        q = _queue(
-            *(InferenceRequest("m", (f"a{i}",), (f"b{i}",)) for i in range(8))
-        )
-        batch, waited = q.get_batch(max_items=4, max_wait=10.0)
-        assert len(batch) == 4
-        assert waited == 0.0
+        assert result == [[req]]
+        # one wait at most, on the empty queue before the item arrived;
+        # none after it, for a batch that never fills
+        assert waits in ([], [0])
 
     def test_sentinel_mid_drain_is_pushed_back(self):
         req = InferenceRequest("m", ("a",), ("b",))
         q = _queue(req)
         q.close(1)  # the exit sentinel queues behind the request
-        batch, _ = q.get_batch(max_items=8, max_wait=0.0)
-        assert batch == [req]
+        assert q.get_batch(max_items=8) == [req]
         # the sentinel is back at the head for the next worker
-        assert q.get_batch(max_items=8, max_wait=0.0) == (None, 0.0)
+        assert q.get_batch(max_items=8) is None
 
     def test_one_sentinel_wakes_each_blocked_worker(self):
         q = _queue()
         results = []
         threads = [
-            threading.Thread(
-                target=lambda: results.append(q.get_batch(4, 0.1))
-            )
+            threading.Thread(target=lambda: results.append(q.get_batch(4)))
             for _ in range(3)
         ]
         for t in threads:
@@ -162,7 +158,7 @@ class TestGetBatchTimeoutEdges:
         for t in threads:
             t.join(timeout=5.0)
             assert not t.is_alive()
-        assert results == [(None, 0.0)] * 3
+        assert results == [None] * 3
 
 
 class TestGuardStatsRegression:

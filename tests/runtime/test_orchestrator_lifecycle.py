@@ -6,6 +6,7 @@ import os
 import signal
 import threading
 import time
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -43,16 +44,25 @@ def _orchestrator(mode: str) -> Orchestrator:
     return Orchestrator(num_processes=1 if mode == "process" else 0)
 
 
-def _held(mode: str, release: threading.Event):
-    """A model that holds its worker until ``release`` is set.
+def _held(
+    mode: str,
+    release: threading.Event,
+    started: Optional[threading.Event] = None,
+):
+    """A model that holds its worker until ``release`` is set, setting
+    ``started`` once a forward holds the worker.
 
-    A worker process cannot see the event, so there the model holds for
-    a fixed half second instead.
+    A worker process cannot see the events, so there the model holds for
+    a fixed half second instead and ``started`` is set at once.
     """
     if mode == "process":
+        if started is not None:
+            started.set()
         return procmodels.SleepyModel(0.5)
 
     def held(x):
+        if started is not None:
+            started.set()
         release.wait(timeout=10.0)
         return x
 
@@ -63,14 +73,16 @@ class TestStopDrainsQueue:
     @pytest.mark.parametrize("mode", MODES)
     def test_pending_requests_complete_with_error(self, mode):
         orc = _orchestrator(mode)
-        release = threading.Event()
-        orc.register_model("slow", _held(mode, release))
+        release, started = threading.Event(), threading.Event()
+        orc.register_model("slow", _held(mode, release, started))
         orc.put_tensor("a", np.ones(2))
         orc.start()
         # first request occupies the worker; the rest stay queued
-        requests = [
+        requests = [orc.submit(InferenceRequest("slow", ("a",), ("o0",)))]
+        assert started.wait(timeout=5.0)
+        requests += [
             orc.submit(InferenceRequest("slow", ("a",), (f"o{i}",)))
-            for i in range(5)
+            for i in range(1, 5)
         ]
         stopper = threading.Thread(target=orc.stop)
         stopper.start()
