@@ -448,11 +448,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     registry = obs.get_registry()
     batch_size = registry.get("repro_orchestrator_batch_size")
     if batch_size is not None and batch_size.count():
-        p = batch_size.percentiles()
-        print(
-            f"micro-batches: {batch_size.count()} "
-            f"(size p50 {p['p50']:.0f}, p99 {p['p99']:.0f})"
-        )
+        # exact figures: the histogram's percentiles interpolate in-bucket
+        count = batch_size.count()
+        print(f"micro-batches: {count} (mean size {batch_size.sum() / count:.1f})")
     if args.baseline:
         baseline = measure_serving_throughput(
             surrogate.package,

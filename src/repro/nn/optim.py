@@ -6,7 +6,7 @@ State buffers are allocated once per parameter and updated in place, per the
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 import numpy as np
 
@@ -62,16 +62,7 @@ class SGD(Optimizer):
 
 
 class Adam(Optimizer):
-    """Adam with bias correction — default optimizer for all training here.
-
-    A 2-D parameter keeps a cumulative mask of the rows whose gradient
-    has ever been nonzero; the moment and parameter updates skip the
-    other rows.  That skip is exact: such a row's ``m`` and ``v`` are
-    ``+0.0`` (``0.0 + (±0.0)`` is ``+0.0``), so its update would be
-    ``lr·0/(sqrt(0)+eps) = 0.0``.  On a sparse first layer (§4.2) the
-    never-set input columns are exactly those rows.  Decoupled weight
-    decay still touches every row.
-    """
+    """Adam with bias correction — default optimizer for all training here."""
 
     def __init__(
         self,
@@ -89,46 +80,21 @@ class Adam(Optimizer):
         self.weight_decay = float(weight_decay)
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
-        # None once every row is live (or for non-matrix parameters)
-        self._live: List[Optional[np.ndarray]] = [
-            np.zeros(p.data.shape[0], dtype=bool) if p.data.ndim == 2 else None
-            for p in self.params
-        ]
         self._t = 0
-
-    def _live_rows(self, i: int, grad: np.ndarray) -> Optional[np.ndarray]:
-        """Indices of parameter ``i``'s live rows, or None for all of them."""
-        live = self._live[i]
-        if live is None:
-            return None
-        np.logical_or(live, grad.any(axis=1), out=live)
-        if live.all():
-            self._live[i] = None
-            return None
-        return np.flatnonzero(live)
-
-    def _update(self, p, g, m, v, bc1: float, bc2: float) -> None:
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g**2
-        p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
     def step(self) -> None:
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
-        for i, (p, m, v) in enumerate(zip(self.params, self._m, self._v)):
+        for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if g is None:
                 continue
-            rows = self._live_rows(i, g)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g**2
             if self.weight_decay:
-                # decoupled (AdamW-style) decay, on every row
+                # decoupled (AdamW-style) decay
                 p.data -= self.lr * self.weight_decay * p.data
-            if rows is None:
-                self._update(p.data, g, m, v, bc1, bc2)
-            elif rows.size:
-                live_p, live_m, live_v = p.data[rows], m[rows], v[rows]
-                self._update(live_p, g[rows], live_m, live_v, bc1, bc2)
-                p.data[rows], m[rows], v[rows] = live_p, live_m, live_v
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

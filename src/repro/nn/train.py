@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .layers import Module
+from .layers import Dense, Module, Sequential, SparseDense
 from .losses import mse_loss
 from .optim import Adam
 from .tensor import Tensor, no_grad
@@ -83,6 +83,23 @@ def _split(
     return perm[:cut], perm[cut:]
 
 
+def _first_layer_live_columns(
+    model: Module, x: np.ndarray
+) -> Optional[tuple[Module, np.ndarray]]:
+    """The first layer and ``x``'s live columns, when some column is dead.
+
+    A column that is zero in every row of ``x`` gives its first-layer
+    weight row an exactly zero gradient, so that row only ever decays.
+    """
+    first = model.layers[0] if isinstance(model, Sequential) and len(model) else model
+    if not isinstance(first, (Dense, SparseDense)) or x.ndim != 2:
+        return None
+    if x.shape[1] != first.in_features:
+        return None
+    live = np.flatnonzero(x.any(axis=0))
+    return (first, live) if live.size < x.shape[1] else None
+
+
 def train_model(
     model: Module,
     x: np.ndarray,
@@ -100,6 +117,12 @@ def train_model(
     ``epoch_callback(epoch, train_loss, val_loss)`` runs after every epoch;
     returning truthy stops training early (independently of ``patience``) —
     this is how the NAS inner loop prunes unpromising trials mid-training.
+
+    With the default forward, input columns that are zero in every row of
+    ``x`` are dropped: the first layer trains a compact weight of its live
+    rows, and the full weight ``Tensor`` gets them back when training ends
+    (DESIGN §5b).  Its dead rows get the weight-decay steps Adam would have
+    given them, and nothing else, exactly as in a full-width run.
     """
     x = _as_float_array(x)
     y = _as_float_array(y)
@@ -110,51 +133,72 @@ def train_model(
 
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = _split(x.shape[0], config.train_ratio, rng)
+    compact = _first_layer_live_columns(model, x) if forward is None else None
+    if compact is not None:
+        layer, live = compact
+        full = layer.weight
+        x = x[:, live]
+        layer.weight = Tensor(full.data[live], requires_grad=True, name="weight")
+        layer.in_features = live.size
     optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     run = forward or (lambda m, batch: m(Tensor(batch)))
 
     result = TrainResult()
     stale = 0
-    for epoch in range(config.num_epochs):
-        order = rng.permutation(train_idx)
-        epoch_loss = 0.0
-        batches = 0
-        for start in range(0, order.size, config.batch_size):
-            batch = order[start : start + config.batch_size]
-            optimizer.zero_grad()
-            pred = run(model, x[batch])
-            loss = loss_fn(pred, Tensor(y[batch]))
-            loss.backward()
-            optimizer.step()
-            epoch_loss += loss.item()
-            batches += 1
-        result.train_losses.append(epoch_loss / max(batches, 1))
+    try:
+        for epoch in range(config.num_epochs):
+            order = rng.permutation(train_idx)
+            epoch_loss = 0.0
+            batches = 0
+            for start in range(0, order.size, config.batch_size):
+                batch = order[start : start + config.batch_size]
+                optimizer.zero_grad()
+                pred = run(model, x[batch])
+                loss = loss_fn(pred, Tensor(y[batch]))
+                loss.backward()
+                optimizer.step()
+                epoch_loss += loss.item()
+                batches += 1
+            result.train_losses.append(epoch_loss / max(batches, 1))
 
-        if val_idx.size:
-            with no_grad():
-                val_pred = run(model, x[val_idx])
-                val_loss = loss_fn(val_pred, Tensor(y[val_idx])).item()
-        else:
-            val_loss = result.train_losses[-1]
-        result.val_losses.append(val_loss)
-        result.epochs_run = epoch + 1
+            if val_idx.size:
+                with no_grad():
+                    val_pred = run(model, x[val_idx])
+                    val_loss = loss_fn(val_pred, Tensor(y[val_idx])).item()
+            else:
+                val_loss = result.train_losses[-1]
+            result.val_losses.append(val_loss)
+            result.epochs_run = epoch + 1
 
-        if epoch_callback is not None and epoch_callback(
-            epoch, result.train_losses[-1], val_loss
-        ):
-            result.stopped_by_callback = True
-            if val_loss < result.best_val_loss:
-                result.best_val_loss = val_loss
-            break
-
-        if val_loss < result.best_val_loss - config.min_delta:
-            result.best_val_loss = val_loss
-            stale = 0
-        else:
-            stale += 1
-            if stale >= config.patience:
+            if epoch_callback is not None and epoch_callback(
+                epoch, result.train_losses[-1], val_loss
+            ):
+                result.stopped_by_callback = True
+                if val_loss < result.best_val_loss:
+                    result.best_val_loss = val_loss
                 break
-    return result
+
+            if val_loss < result.best_val_loss - config.min_delta:
+                result.best_val_loss = val_loss
+                stale = 0
+            else:
+                stale += 1
+                if stale >= config.patience:
+                    break
+        return result
+    finally:
+        if compact is not None:
+            full.data[live] = layer.weight.data
+            decay = optimizer.lr * optimizer.weight_decay
+            if decay:
+                dead = np.ones(full.shape[0], dtype=bool)
+                dead[live] = False
+                rows = full.data[dead]
+                # Adam.step's decoupled decay, once per step it took
+                for _ in range(optimizer._t):
+                    rows -= decay * rows
+                full.data[dead] = rows
+            layer.weight, layer.in_features = full, full.shape[0]
 
 
 def predict(model: Module, x: np.ndarray) -> np.ndarray:

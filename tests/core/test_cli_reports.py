@@ -1,8 +1,11 @@
 """CLI and report-formatting tests."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro import cli, obs
 from repro.cli import build_parser, main
 from repro.core.reports import (
     format_build_report,
@@ -10,6 +13,8 @@ from repro.core.reports import (
     format_phase_table,
 )
 from repro.core.evaluation import EvaluationRow
+from repro.nas.evaluation import evaluate_topology
+from repro.nn.mlp import Topology
 from repro.perf.metrics import SpeedupBreakdown
 
 
@@ -78,3 +83,38 @@ class TestCLIExecution:
     def test_unknown_app_raises(self):
         with pytest.raises(ValueError):
             main(["trace", "doom"])
+
+
+class TestServeReport:
+    @pytest.fixture(autouse=True)
+    def fresh_telemetry(self):
+        obs.configure(enabled=True, reset=True)
+        yield
+        obs.configure(enabled=True, reset=True)
+
+    def test_micro_batch_line_prints_exact_count_and_mean(
+        self, monkeypatch, capsys, rng
+    ):
+        x = rng.standard_normal((80, 4))
+        package = evaluate_topology(
+            Topology(hidden=(8,)), x, x @ rng.standard_normal((4, 2)), rng=rng
+        ).package
+        surrogate = SimpleNamespace(
+            input_schema=SimpleNamespace(flatten=lambda problem: np.ones(4)),
+            x_scaler=SimpleNamespace(transform=lambda rows: rows),
+            package=package,
+        )
+
+        class StubBuilder:
+            def __init__(self, config):
+                pass
+
+            def build(self, app):
+                return SimpleNamespace(surrogate=surrogate)
+
+        monkeypatch.setattr(cli, "AutoHPCnet", StubBuilder)
+        # 256 requests queued in one call drain as 8 batches of 32; the
+        # old in-bucket percentile line printed "size p50 24" for them
+        assert main(["serve", "Blackscholes", "--requests", "256"]) == 0
+        out = capsys.readouterr().out
+        assert "micro-batches: 8 (mean size 32.0)" in out

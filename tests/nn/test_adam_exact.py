@@ -1,4 +1,8 @@
-"""Adam's live-row update is bit-for-bit the dense update it replaces."""
+"""Adam's update is bit-for-bit the plain full-array reference update.
+
+Rows whose gradient is always ``±0.0`` (weight rows fed only by
+all-zero input columns) keep ``m = v = +0.0`` and move only by weight decay.
+"""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -7,7 +11,7 @@ from repro.nn import Adam, Tensor
 
 
 class DenseAdam:
-    """The plain full-array Adam update, kept as the exactness reference."""
+    """The plain full-array Adam update, the exactness reference."""
 
     def __init__(self, params, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
         self.params = params
@@ -43,7 +47,7 @@ def assert_bitwise(a, b):
 
 @st.composite
 def schedules(draw):
-    """Shapes, per-row first-live steps and a seed for one training run."""
+    """Shapes, per-row first nonzero-gradient steps and a seed for one run."""
     steps = draw(st.integers(1, 12))
     rows = draw(st.integers(1, 7))
     cols = draw(st.integers(1, 5))
@@ -71,7 +75,7 @@ def test_live_row_adam_matches_dense_update(schedule, weight_decay):
     for step in range(steps):
         grads = [rng.standard_normal(x.shape) for x in init]
         signed_zeros = rng.choice([0.0, -0.0], size=grads[0].shape)
-        # a live row's gradient may fall back to zero; its moments still move
+        # a row's gradient may return to zero; its moments still move
         quiet = (live_at > step) | (rng.random(rows) < 0.3)
         grads[0] = np.where(quiet[:, None], signed_zeros, grads[0])
         grads[2][rng.random(cols) < 0.5] = -0.0
