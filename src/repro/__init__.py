@@ -22,23 +22,15 @@ Quickstart::
     print(row.format())
 """
 
-from .core import (
-    AutoHPCnet,
-    AutoHPCnetConfig,
-    BuildResult,
-    DeployedSurrogate,
-    EvaluationRow,
-    evaluate_surrogate,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AutoHPCnet",
-    "AutoHPCnetConfig",
-    "BuildResult",
-    "DeployedSurrogate",
-    "EvaluationRow",
-    "evaluate_surrogate",
-    "__version__",
-]
+# the offline build loads on first use: importing any submodule (a
+# serving worker's ``repro.runtime``) runs this file first
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".core.config": ["AutoHPCnetConfig"],
+    ".core.pipeline": ["AutoHPCnet", "BuildResult", "DeployedSurrogate"],
+    ".core.evaluation": ["EvaluationRow", "evaluate_surrogate"],
+})
+__all__.append("__version__")

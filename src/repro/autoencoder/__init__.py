@@ -1,15 +1,9 @@
 """Customized autoencoder for sparse-input feature reduction (paper §4)."""
 
-from .model import Autoencoder, hourglass_widths
-from .training import AETrainConfig, AETrainResult, train_autoencoder
-from .serialize import load_autoencoder, save_autoencoder
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Autoencoder",
-    "hourglass_widths",
-    "AETrainConfig",
-    "AETrainResult",
-    "train_autoencoder",
-    "load_autoencoder",
-    "save_autoencoder",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".model": ["Autoencoder", "hourglass_widths"],
+    ".training": ["AETrainConfig", "AETrainResult", "train_autoencoder"],
+    ".serialize": ["load_autoencoder", "save_autoencoder"],
+})

@@ -10,7 +10,7 @@ credits for the BO-vs-grid efficiency gap (§7.2).
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = [
     "expected_improvement",
@@ -19,6 +19,13 @@ __all__ = [
     "probability_feasible",
     "constrained_expected_improvement",
 ]
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z):
+    """Standard normal density, the formula ``scipy.stats.norm.pdf`` uses."""
+    return np.exp(-z**2 / 2.0) / _SQRT_2PI
 
 
 def expected_improvement(
@@ -29,7 +36,7 @@ def expected_improvement(
     std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
     gap = best - mean - xi
     z = gap / std
-    return gap * norm.cdf(z) + std * norm.pdf(z)
+    return gap * ndtr(z) + std * _norm_pdf(z)
 
 
 def lower_confidence_bound(
@@ -44,7 +51,7 @@ def probability_of_improvement(
 ) -> np.ndarray:
     """P[f < best - xi]."""
     std = np.maximum(np.asarray(std, dtype=np.float64), 1e-12)
-    return norm.cdf((best - np.asarray(mean) - xi) / std)
+    return ndtr((best - np.asarray(mean) - xi) / std)
 
 
 def probability_feasible(
@@ -52,7 +59,7 @@ def probability_feasible(
 ) -> np.ndarray:
     """P[constraint <= threshold] under a Gaussian posterior."""
     c_std = np.maximum(np.asarray(c_std, dtype=np.float64), 1e-12)
-    return norm.cdf((threshold - np.asarray(c_mean)) / c_std)
+    return ndtr((threshold - np.asarray(c_mean)) / c_std)
 
 
 def constrained_expected_improvement(

@@ -1,20 +1,11 @@
 """Auto-HPCnet core: configuration, end-to-end pipeline, evaluation."""
 
-from .config import AutoHPCnetConfig
-from .scaling import Scaler
-from .pipeline import AutoHPCnet, BuildResult, DeployedSurrogate
-from .evaluation import EvaluationRow, evaluate_surrogate
-from .reports import format_build_report, format_evaluation_table, format_phase_table
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AutoHPCnetConfig",
-    "Scaler",
-    "AutoHPCnet",
-    "BuildResult",
-    "DeployedSurrogate",
-    "EvaluationRow",
-    "evaluate_surrogate",
-    "format_build_report",
-    "format_evaluation_table",
-    "format_phase_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".config": ["AutoHPCnetConfig"],
+    ".scaling": ["Scaler"],
+    ".pipeline": ["AutoHPCnet", "BuildResult", "DeployedSurrogate"],
+    ".evaluation": ["EvaluationRow", "evaluate_surrogate"],
+    ".reports": ["format_build_report", "format_evaluation_table", "format_phase_table"],
+})

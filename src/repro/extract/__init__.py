@@ -6,26 +6,17 @@ This subpackage is the LLVM-Tracer substitute (DESIGN.md §2).  Public API::
     from repro.extract import classify_io, acquire, Perturbation
 """
 
-from .analysis import analyze_statement, count_ops, names_read, names_written
-from .directives import RegionSpec, code_region, get_region_spec
-from .events import LoopTrace, StmtHit, StmtInfo, Trace
-from .tracer import Recorder, RegionTracer
-from .dddg import DDDG, IOClassification, build_dddg, classify_io
-from .liveness import live_in, uses_before_defs
-from .features import FeatureField, FeatureSchema, batch_to_csr, build_schema
-from .sampling import Perturbation, SampleGenerator, perturb_value, returned_names
-from .acquisition import AcquisitionResult, acquire
-from .export import summarize_dddg, to_dot, write_dot
+from .._lazy import lazy_exports
 
-__all__ = [
-    "analyze_statement", "count_ops", "names_read", "names_written",
-    "RegionSpec", "code_region", "get_region_spec",
-    "LoopTrace", "StmtHit", "StmtInfo", "Trace",
-    "Recorder", "RegionTracer",
-    "DDDG", "IOClassification", "build_dddg", "classify_io",
-    "live_in", "uses_before_defs",
-    "FeatureField", "FeatureSchema", "batch_to_csr", "build_schema",
-    "Perturbation", "SampleGenerator", "perturb_value", "returned_names",
-    "AcquisitionResult", "acquire",
-    "summarize_dddg", "to_dot", "write_dot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".analysis": ["analyze_statement", "count_ops", "names_read", "names_written"],
+    ".directives": ["RegionSpec", "code_region", "get_region_spec"],
+    ".events": ["LoopTrace", "StmtHit", "StmtInfo", "Trace"],
+    ".tracer": ["Recorder", "RegionTracer"],
+    ".dddg": ["DDDG", "IOClassification", "build_dddg", "classify_io"],
+    ".liveness": ["live_in", "uses_before_defs"],
+    ".features": ["FeatureField", "FeatureSchema", "batch_to_csr", "build_schema"],
+    ".sampling": ["Perturbation", "SampleGenerator", "perturb_value", "returned_names"],
+    ".acquisition": ["AcquisitionResult", "acquire"],
+    ".export": ["summarize_dddg", "to_dot", "write_dot"],
+})

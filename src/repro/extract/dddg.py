@@ -21,15 +21,14 @@ from __future__ import annotations
 import builtins
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, KeysView, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from ..sparse import COOMatrix, CSCMatrix, CSRMatrix
 from .events import Trace
 
-__all__ = ["DDDG", "build_dddg", "IOClassification", "classify_io"]
+__all__ = ["DDDG", "DependencyGraph", "Edge", "build_dddg", "IOClassification", "classify_io"]
 
 _DATA_TYPES = (int, float, complex, np.ndarray, np.generic, COOMatrix, CSRMatrix, CSCMatrix)
 
@@ -39,10 +38,68 @@ def _node(name: str, version: int) -> str:
 
 
 @dataclass
+class Edge:
+    """One operation edge: the first statement that made it, and how many
+    dynamic executions (loop multiplicity) it stands for."""
+
+    stmt: int
+    weight: int
+
+
+class DependencyGraph:
+    """Directed graph over version nodes, kept in insertion order.
+
+    Nodes iterate in the order they were first added; edges iterate by
+    source node in that order, then by target in the order each edge was
+    first added (the order ``networkx.DiGraph`` uses, so exported text
+    keeps its layout).
+    """
+
+    def __init__(self) -> None:
+        self.succ: dict[str, dict[str, Edge]] = {}
+        self._in_degree: dict[str, int] = {}
+
+    def add_node(self, node: str) -> None:
+        if node not in self.succ:
+            self.succ[node] = {}
+            self._in_degree[node] = 0
+
+    def add_edge(self, src: str, dst: str, stmt: int, weight: int) -> None:
+        """Add ``src -> dst``; an edge already present keeps its statement
+        and accumulates ``weight``."""
+        self.add_node(src)
+        self.add_node(dst)
+        edge = self.succ[src].get(dst)
+        if edge is None:
+            self.succ[src][dst] = Edge(stmt, weight)
+            self._in_degree[dst] += 1
+        else:
+            edge.weight += weight
+
+    @property
+    def nodes(self) -> KeysView[str]:
+        return self.succ.keys()
+
+    def edges(self) -> Iterator[tuple[str, str, Edge]]:
+        for src, targets in self.succ.items():
+            for dst, edge in targets.items():
+                yield src, dst, edge
+
+    def out_degree(self, node: str) -> int:
+        return len(self.succ[node])
+
+    def degree(self, node: str) -> int:
+        return len(self.succ[node]) + self._in_degree[node]
+
+    def number_of_edges(self) -> int:
+        return sum(len(targets) for targets in self.succ.values())
+
+
+@dataclass
 class DDDG:
     """The dependency graph plus the summaries classification needs."""
 
-    graph: nx.DiGraph
+    graph: DependencyGraph
     root_reads: frozenset[str]     # vars read at version 0 (read before written)
     written: frozenset[str]        # vars written at least once in the region
     read: frozenset[str]           # vars read at least once
@@ -134,7 +191,7 @@ def build_dddg(trace: Trace, *, workers: int = 1) -> DDDG:
                 )
             )
 
-    graph = nx.DiGraph()
+    graph = DependencyGraph()
     root_reads: set[str] = set()
     written: set[str] = set()
     read: set[str] = set()
@@ -146,10 +203,7 @@ def build_dddg(trace: Trace, *, workers: int = 1) -> DDDG:
         written |= chunk_written
         read |= chunk_read
         for src, dst, stmt_id, mult in edges:
-            if graph.has_edge(src, dst):
-                graph[src][dst]["weight"] += mult
-            else:
-                graph.add_edge(src, dst, stmt=stmt_id, weight=mult)
+            graph.add_edge(src, dst, stmt_id, mult)
 
     # ensure every version-0 node of a root read exists even if isolated
     for name in root_reads:

@@ -59,10 +59,9 @@ def to_dot(
         else:
             style = 'shape=ellipse, style=filled, fillcolor="#eeeeee"'
         lines.append(f'  "{node}" [{style}];')
-    for src, dst, data in graph.edges(data=True):
+    for src, dst, edge in graph.edges():
         if src in keep and dst in keep:
-            weight = data.get("weight", 1)
-            label = f' [label="x{weight}"]' if weight > 1 else ""
+            label = f' [label="x{edge.weight}"]' if edge.weight > 1 else ""
             lines.append(f'  "{src}" -> "{dst}"{label};')
     lines.append("}")
     return "\n".join(lines)
@@ -89,7 +88,7 @@ def summarize_dddg(dddg: DDDG, io: Optional[IOClassification] = None) -> str:
         versions[var] = versions.get(var, 0) + 1
     hottest = sorted(versions.items(), key=lambda kv: -kv[1])[:8]
     lines = [
-        f"DDDG: {graph.number_of_nodes()} nodes, {graph.number_of_edges()} edges",
+        f"DDDG: {len(graph.nodes)} nodes, {graph.number_of_edges()} edges",
         f"roots (read-before-written): {sorted(dddg.root_reads)}",
         f"leaf variables: {sorted(dddg.final_version_vars())}",
         "most-versioned variables: "

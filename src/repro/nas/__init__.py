@@ -1,22 +1,14 @@
 """2D neural architecture search (paper §5) and the deployable surrogate."""
 
-from .space import CNNSpace, InputDimSpace, TopologySpace
-from .package import SurrogatePackage
-from .cache import AutoencoderCache, CachedEncoding, fingerprint_array
-from .evaluation import CandidateResult, evaluate_topology, validation_quality
-from .inner import InnerSearchResult, TopologySearch
-from .hierarchical import (
-    Hierarchical2DSearch,
-    OuterObservation,
-    SearchConfig,
-    SearchResult,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CNNSpace", "InputDimSpace", "TopologySpace",
-    "SurrogatePackage",
-    "AutoencoderCache", "CachedEncoding", "fingerprint_array",
-    "CandidateResult", "evaluate_topology", "validation_quality",
-    "InnerSearchResult", "TopologySearch",
-    "Hierarchical2DSearch", "OuterObservation", "SearchConfig", "SearchResult",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".space": ["CNNSpace", "InputDimSpace", "TopologySpace"],
+    ".package": ["SurrogatePackage"],
+    ".cache": ["AutoencoderCache", "CachedEncoding", "fingerprint_array"],
+    ".evaluation": ["CandidateResult", "evaluate_topology", "validation_quality"],
+    ".inner": ["InnerSearchResult", "TopologySearch"],
+    ".hierarchical": [
+        "Hierarchical2DSearch", "OuterObservation", "SearchConfig", "SearchResult",
+    ],
+})

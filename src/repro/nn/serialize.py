@@ -16,7 +16,6 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from ..registry.formats import read_model_npz, write_model_npz
 from .cnn import AnyTopology
 from .layers import Sequential
 
@@ -31,11 +30,16 @@ def save_model(
     path: Union[str, Path],
 ) -> Path:
     """Persist a surrogate built by :func:`repro.nn.cnn.build_model`."""
+    # imported on call: ``registry.formats`` imports ``repro.nn`` itself
+    from ..registry.formats import write_model_npz
+
     return write_model_npz(model, topology, in_features, out_features, path)
 
 
 def load_model(path: Union[str, Path]) -> tuple[Sequential, AnyTopology, int, int]:
     """Rebuild a saved surrogate; returns (model, topology, in, out)."""
+    from ..registry.formats import read_model_npz
+
     return read_model_npz(path)
 
 

@@ -21,12 +21,14 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 import numpy as np
 
 from .. import obs
-from ..core.pipeline import DeployedSurrogate
+
+if TYPE_CHECKING:  # the offline pipeline is not part of the serving import
+    from ..core.pipeline import DeployedSurrogate
 
 __all__ = ["GuardStats", "GuardedSurrogate", "residual_validator", "bounds_validator", "default_validator"]
 

@@ -44,9 +44,11 @@ class TestConstruction:
         trace, _ = trace_pcg(rng)
         seq = build_dddg(trace, workers=1)
         par = build_dddg(trace, workers=workers)
-        assert set(seq.graph.edges) == set(par.graph.edges)
-        for edge in seq.graph.edges:
-            assert seq.graph.edges[edge]["weight"] == par.graph.edges[edge]["weight"]
+        seq_edges = {(src, dst): edge for src, dst, edge in seq.graph.edges()}
+        par_edges = {(src, dst): edge for src, dst, edge in par.graph.edges()}
+        assert set(seq_edges) == set(par_edges)
+        for key in seq_edges:
+            assert seq_edges[key].weight == par_edges[key].weight
         assert seq.root_reads == par.root_reads
         assert seq.written == par.written
 
@@ -54,7 +56,7 @@ class TestConstruction:
         vals = rng.random(30)
         _, trace = RegionTracer(regions.loop_sum).trace(values=vals, n=30)
         dddg = build_dddg(trace)
-        weights = [d["weight"] for _, _, d in dddg.graph.edges(data=True)]
+        weights = [edge.weight for _, _, edge in dddg.graph.edges()]
         assert max(weights) >= 30  # the compressed loop body edge
 
 

@@ -1,5 +1,11 @@
 """DDDG export tests."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,14 +20,21 @@ from repro.extract import (
 
 from . import regions
 
+GOLDEN = Path(__file__).parent / "golden"
 
-@pytest.fixture
-def pcg_graph(rng):
+
+def pcg_trace(rng):
     n = 6
     m = rng.random((n, n))
     A = m @ m.T + n * np.eye(n)
     inputs = dict(A=A, b=rng.random(n), x0=np.zeros(n), iters=30, tol=1e-14)
     _, trace = RegionTracer(regions.pcg_like).trace(**inputs)
+    return trace, inputs
+
+
+@pytest.fixture
+def pcg_graph(rng):
+    trace, inputs = pcg_trace(rng)
     dddg = build_dddg(trace)
     io = classify_io(dddg, inputs, {"x"})
     return dddg, io
@@ -73,3 +86,54 @@ class TestSummary:
         text = summarize_dddg(dddg)
         assert "classified inputs" not in text
         assert "roots" in text
+
+
+#: renders ``pcg_graph`` (the ``rng`` fixture's seed) in a fresh
+#: interpreter; a statement's reads are a frozenset, so node order
+#: follows the string hash seed
+RENDER = """
+import json, sys
+import numpy as np
+from repro.extract import build_dddg, classify_io, summarize_dddg, to_dot
+from tests.extract.test_export import pcg_trace
+
+trace, inputs = pcg_trace(np.random.default_rng(12345))
+dddg = build_dddg(trace)
+io = classify_io(dddg, inputs, {"x"})
+json.dump({
+    "pcg.dot": to_dot(dddg, io),
+    "pcg_truncated.dot": to_dot(dddg, io, max_nodes=5),
+    "pcg_summary.txt": summarize_dddg(dddg, io),
+    "pcg_summary_noio.txt": summarize_dddg(dddg),
+    "workers": [to_dot(build_dddg(trace, workers=w), io) for w in (2, 4)],
+}, sys.stdout)
+"""
+
+
+class TestGoldenText:
+    """The exporters' text, captured when the DDDG was a
+    ``networkx.DiGraph``, at string hash seed 0."""
+
+    @pytest.fixture(scope="class")
+    def rendered(self):
+        root = Path(__file__).resolve().parents[2]
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED="0",
+            PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", RENDER],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize(
+        "name", ["pcg.dot", "pcg_truncated.dot", "pcg_summary.txt", "pcg_summary_noio.txt"]
+    )
+    def test_matches_golden(self, rendered, name):
+        assert rendered[name] == (GOLDEN / name).read_text()
+
+    def test_parallel_build_renders_the_same(self, rendered):
+        golden = (GOLDEN / "pcg.dot").read_text()
+        assert rendered["workers"] == [golden, golden]
