@@ -36,20 +36,20 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from . import obs
-from .apps import ALL_APPLICATIONS, make_application
-from .core import AutoHPCnet, AutoHPCnetConfig, evaluate_surrogate
-from .core.reports import (
-    format_build_report,
-    format_evaluation_table,
-    format_metrics_table,
-)
 from .lifecycle.cli import add_lifecycle_parser, cmd_lifecycle
 from .registry.cli import add_registry_parser, cmd_registry
+
+if TYPE_CHECKING:
+    from .core import AutoHPCnetConfig
+
+# The applications, the pipeline and the reports load SciPy and the
+# search, so each handler imports what it runs: ``registry`` and
+# ``lifecycle`` never pay for them.
 
 __all__ = ["main", "build_parser"]
 
@@ -108,12 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--quality-loss", type=float, default=0.10)
     build.add_argument("--seed", type=int, default=0)
     build.add_argument("--out", help="directory for the package + checkpoint")
-    build.add_argument(
-        "--preflight-concurrency", choices=("off", "warn", "error"),
-        default="off",
-        help="also lint the serving runtime's lock discipline (CC rules) "
-        "before building",
-    )
     build.add_argument(
         "--no-compile", action="store_true",
         help="skip warming the serving plan cache after publishing",
@@ -289,6 +283,8 @@ def _flush_telemetry(args: argparse.Namespace) -> None:
 
 
 def _config(args: argparse.Namespace) -> AutoHPCnetConfig:
+    from .core import AutoHPCnetConfig
+
     return AutoHPCnetConfig(
         n_samples=args.samples,
         outer_iterations=getattr(args, "outer", 2),
@@ -299,12 +295,13 @@ def _config(args: argparse.Namespace) -> AutoHPCnetConfig:
         prune_trials=getattr(args, "prune_trials", False),
         ae_cache=not getattr(args, "no_ae_cache", False),
         compile_plans=not getattr(args, "no_compile", False),
-        preflight_concurrency=getattr(args, "preflight_concurrency", "off"),
         seed=args.seed,
     )
 
 
 def _cmd_list_apps() -> int:
+    from .apps import ALL_APPLICATIONS
+
     print(f"{'name':<16}{'type':<6}{'replaced function':<22}{'QoI'}")
     for cls in ALL_APPLICATIONS:
         print(f"{cls.name:<16}{cls.app_type:<6}{cls.replaced_function:<22}{cls.qoi_name}")
@@ -314,6 +311,7 @@ def _cmd_list_apps() -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import os
 
+    from .apps import ALL_APPLICATIONS, make_application
     from .static import LintReport, Severity, cross_validate, lint_region_fn, lint_module
 
     app_names = {cls.name.lower() for cls in ALL_APPLICATIONS}
@@ -346,6 +344,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from .apps import make_application
+
     app = make_application(args.app)
     acq = app.acquire(n_samples=args.samples, rng=np.random.default_rng(args.seed))
     print(acq.summary())
@@ -361,6 +361,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from .apps import make_application
+    from .core import AutoHPCnet
+    from .core.reports import format_build_report
+
     app = make_application(args.app)
     build = AutoHPCnet(_config(args)).build(app, checkpoint_dir=args.out)
     print(format_build_report(build))
@@ -377,6 +381,10 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    from .apps import make_application
+    from .core import AutoHPCnet, evaluate_surrogate
+    from .core.reports import format_evaluation_table
+
     app = make_application(args.app)
     build = AutoHPCnet(_config(args)).build(app)
     row = evaluate_surrogate(
@@ -392,6 +400,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     if args.app:
+        from .apps import make_application
+        from .core import AutoHPCnet
         from .runtime import ServingSession, default_validator, GuardedSurrogate
 
         app = make_application(args.app)
@@ -409,12 +419,16 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
     elif args.fmt == "json":
         print(registry.to_json())
     else:
+        from .core.reports import format_metrics_table
+
         print(format_metrics_table(registry.snapshot()))
     _flush_telemetry(args)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from .apps import make_application
+    from .core import AutoHPCnet
     from .runtime import measure_serving_throughput
 
     app = make_application(args.app)
@@ -566,7 +580,9 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
+    from .apps import make_application
     from .baselines import compare_methods
+    from .core import AutoHPCnetConfig
 
     app = make_application(args.app)
     config = AutoHPCnetConfig(n_samples=args.samples, seed=args.seed)

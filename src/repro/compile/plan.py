@@ -26,15 +26,16 @@ the compiled outputs are bit-identical to ``package.predict``:
   :class:`repro.nn.tensor.Tensor` (e.g. sigmoid's clip/negate/exp/add/
   divide chain) element-wise in place.
 
-The conv/pool family lowers to **im2col with precomputed gather-index
-plans**: every tap of a same-padded convolution becomes one gather
-through an index array baked at compile time, followed by the exact
-per-tap einsum/matmul the interpreter runs, accumulated tap-by-tap in
-the interpreter's order (a single fused im2col gemm would *reorder* the
-accumulation and break bit-identity, so we never do that).  Pooling and
-upsampling lower to the same staged reductions and index gathers the
-``Tensor`` graph performs — ``mean`` replays as ``sum``-then-scale with
-the identical reciprocal, never ``np.mean``.
+The 1-D conv/pool family (the CNN space of :mod:`repro.nn.cnn`) lowers
+to **im2col with precomputed gather-index plans**: every tap of a
+same-padded convolution becomes one gather through an index array baked
+at compile time, followed by the exact per-tap einsum/matmul the
+interpreter runs, accumulated tap-by-tap in the interpreter's order (a
+single fused im2col gemm would *reorder* the accumulation and break
+bit-identity, so we never do that).  Pooling and upsampling lower to the
+same staged reduction and index gather the ``Tensor`` graph performs —
+``mean`` replays as ``sum``-then-scale with the identical reciprocal,
+never ``np.mean``.
 
 CSR sparse-input packages compile through ``csr_pattern``: the sparsity
 *pattern* (row pointers, column indices, the expanded row map and the
@@ -88,7 +89,7 @@ _LEAKY_SLOPE = 0.01
 #: ``repro compile list`` so operators can see the remaining gaps
 UNTRACEABLE_KINDS = {
     "opaque": "callables without trace_spec hooks (raw lambdas, foreign models)",
-    "unknown-module": "module kinds with no plan lowering yet (e.g. recurrent layers)",
+    "unknown-module": "module kinds with no plan lowering yet",
     "conv": "conv/pool geometries the lowering rejects (non-dividing pool or view sizes)",
     "csr": "CSR inputs whose package lacks a sparse-input first layer",
 }
@@ -320,96 +321,6 @@ class _Conv1dStep:
         )
 
 
-class _Conv2dStep:
-    """Same-padded Conv2d via per-tap precomputed gathers (see Conv1d)."""
-
-    kind = "conv2d"
-    __slots__ = (
-        "weight", "bias", "act", "channels", "height", "width",
-        "kernel", "out_channels", "taps_idx", "out_dim", "_tls",
-    )
-
-    def __init__(
-        self, weight: np.ndarray, bias: np.ndarray, act: str,
-        kernel: int, channels: int, height: int, width: int,
-    ) -> None:
-        self.weight = np.ascontiguousarray(weight, dtype=np.float64)
-        self.bias = np.ascontiguousarray(bias, dtype=np.float64)
-        self.act = act
-        self.kernel = int(kernel)
-        self.channels = int(channels)
-        self.height = int(height)
-        self.width = int(width)
-        taps, c_in, c_out = self.weight.shape
-        if taps != self.kernel * self.kernel or c_in != self.channels:
-            raise UntraceableModelError(
-                f"Conv2d weight {self.weight.shape} does not match kernel "
-                f"{self.kernel} over {self.channels} channels", reason="conv",
-            )
-        self.out_channels = int(c_out)
-        self.out_dim = self.out_channels * self.height * self.width
-        pad = self.kernel // 2
-        ph, pw = self.height + 2 * pad, self.width + 2 * pad
-        y_idx = np.arange(self.height)
-        x_idx = np.arange(self.width)
-        c_idx = np.arange(self.channels)
-        rows = []
-        for dy in range(self.kernel):
-            for dx in range(self.kernel):
-                spatial = (
-                    (dy + y_idx)[:, None] * pw + (dx + x_idx)[None, :]
-                ).reshape(-1)
-                rows.append(
-                    (c_idx[None, :] * (ph * pw) + spatial[:, None]).ravel()
-                )
-        self.taps_idx = np.stack(rows)
-        self._tls = threading.local()
-
-    def _scratch(self, batch: int) -> _ConvScratch:
-        scratch = getattr(self._tls, "s", None)
-        if scratch is None or scratch.capacity < batch:
-            pad = self.kernel // 2
-            points = self.height * self.width
-            scratch = _ConvScratch(
-                batch,
-                (self.channels, self.height + 2 * pad, self.width + 2 * pad),
-                points * self.channels,
-                points * self.out_channels,
-            )
-            self._tls.s = scratch
-        return scratch
-
-    def run(self, x: np.ndarray, out: np.ndarray, invariant: bool) -> None:
-        batch = x.shape[0]
-        height, width = self.height, self.width
-        points = height * width
-        pad = self.kernel // 2
-        s = self._scratch(batch)
-        s.padded[:batch, :, pad:pad + height, pad:pad + width] = x.reshape(
-            batch, self.channels, height, width
-        )
-        flat_padded = s.padded[:batch].reshape(batch, -1)
-        gathered = s.gathered[:batch]
-        gmat = gathered.reshape(batch * points, self.channels)
-        acc = s.acc[:batch].reshape(batch * points, self.out_channels)
-        tap = s.tap[:batch].reshape(batch * points, self.out_channels)
-        for k in range(self.taps_idx.shape[0]):
-            np.take(flat_padded, self.taps_idx[k], axis=1, out=gathered)
-            target = acc if k == 0 else tap
-            _matmul_into(gmat, self.weight[k], target, invariant)
-            if k:
-                np.add(acc, tap, out=acc)
-        acc3 = s.acc[:batch].reshape(batch, points, self.out_channels)
-        acc3 += self.bias
-        _act_inplace(self.act, acc3)
-        np.copyto(
-            out.reshape(batch, self.out_channels, height, width),
-            s.acc[:batch].reshape(
-                batch, height, width, self.out_channels
-            ).transpose(0, 3, 1, 2),
-        )
-
-
 class _Pool1dStep:
     """Non-overlapping 1-D pooling as the interpreter's staged reduction.
 
@@ -441,46 +352,6 @@ class _Pool1dStep:
             target *= 1.0 / self.pool
 
 
-class _Pool2dStep:
-    """Non-overlapping 2-D pooling: reduce axis 5 then axis 3, in order."""
-
-    kind = "pool2d"
-    __slots__ = ("op", "pool", "channels", "height", "width", "out_dim", "_tls")
-
-    def __init__(
-        self, op: str, pool: int, channels: int, height: int, width: int
-    ) -> None:
-        self.op = op
-        self.pool = int(pool)
-        self.channels = int(channels)
-        self.height = int(height)
-        self.width = int(width)
-        self.out_dim = self.channels * (self.height // self.pool) * (
-            self.width // self.pool
-        )
-        self._tls = threading.local()
-
-    def run(self, x: np.ndarray, out: np.ndarray, invariant: bool) -> None:
-        batch = x.shape[0]
-        p = self.pool
-        h2, w2 = self.height // p, self.width // p
-        stage = getattr(self._tls, "stage", None)
-        if stage is None or stage.shape[0] < batch:
-            stage = np.empty((max(batch, 32), self.channels, h2, p, w2))
-            self._tls.stage = stage
-        blocks = x.reshape(batch, self.channels, h2, p, w2, p)
-        mid = stage[:batch]
-        target = out.reshape(batch, self.channels, h2, w2)
-        if self.op == "max":
-            np.max(blocks, axis=5, out=mid)
-            np.max(mid, axis=3, out=target)
-        else:
-            np.sum(blocks, axis=5, out=mid)
-            mid *= 1.0 / p
-            np.sum(mid, axis=3, out=target)
-            target *= 1.0 / p
-
-
 class _Upsample1dStep:
     """Nearest-neighbour repeat as a single precomputed index gather."""
 
@@ -501,34 +372,6 @@ class _Upsample1dStep:
             self.idx,
             axis=2,
             out=out.reshape(batch, self.channels, self.length * self.factor),
-        )
-
-
-class _Upsample2dStep:
-    """2-D nearest-neighbour repeat: rows-then-cols folded into one gather."""
-
-    kind = "upsample2d"
-    __slots__ = ("factor", "channels", "height", "width", "idx", "out_dim")
-
-    def __init__(self, factor: int, channels: int, height: int, width: int) -> None:
-        self.factor = int(factor)
-        self.channels = int(channels)
-        self.height = int(height)
-        self.width = int(width)
-        rows = np.repeat(np.arange(self.height), self.factor)
-        cols = np.repeat(np.arange(self.width), self.factor)
-        self.idx = (rows[:, None] * self.width + cols[None, :]).ravel()
-        self.out_dim = (
-            self.channels * self.height * self.factor * self.width * self.factor
-        )
-
-    def run(self, x: np.ndarray, out: np.ndarray, invariant: bool) -> None:
-        batch = x.shape[0]
-        np.take(
-            x.reshape(batch, self.channels, self.height * self.width),
-            self.idx,
-            axis=2,
-            out=out.reshape(batch, self.channels, self.idx.size),
         )
 
 
@@ -791,8 +634,8 @@ def _flatten_spec(module) -> list:
     if kind == "residual":
         return [("residual", _flatten_spec(spec[1]))]
     if kind in (
-        "dense", "activation", "conv1d", "conv2d", "pool1d", "pool2d",
-        "upsample1d", "upsample2d", "signal_view", "image_view", "flatten",
+        "dense", "activation", "conv1d", "pool1d", "upsample1d",
+        "signal_view", "flatten",
     ):
         return [spec]
     raise UntraceableModelError(
@@ -811,11 +654,10 @@ def _lower(ops: list, in_dim: int, layout) -> tuple[list, int, Optional[tuple]]:
     """Partial evaluation with layout inference.
 
     ``layout`` tracks how the flat ``(B, dim)`` executor buffer is
-    currently viewed: ``None`` for flat rows, ``("signal", C, L)`` or
-    ``("image", C, H, W)`` for the conv families.  View adapters
-    (SignalView/ImageView/Flatten) are free — reshapes of a contiguous
-    flat buffer move no data — so they lower to *no step at all*, just a
-    layout change.
+    currently viewed: ``None`` for flat rows, ``("signal", C, L)`` for
+    the 1-D conv family.  View adapters (SignalView/Flatten) are free —
+    reshapes of a contiguous flat buffer move no data — so they lower to
+    *no step at all*, just a layout change.
     """
     steps: list = []
     dim = in_dim
@@ -846,14 +688,6 @@ def _lower(ops: list, in_dim: int, layout) -> tuple[list, int, Optional[tuple]]:
                     f"{dim} features", reason="conv",
                 )
             layout = ("signal", channels, dim // channels)
-        elif kind == "image_view":
-            height, width = int(op[1]), int(op[2])
-            if layout is not None or dim != height * width:
-                raise UntraceableModelError(
-                    f"image view {height}x{width} does not match {dim} "
-                    "features", reason="conv",
-                )
-            layout = ("image", 1, height, width)
         elif kind == "flatten":
             layout = None
         elif kind == "conv1d":
@@ -865,18 +699,6 @@ def _lower(ops: list, in_dim: int, layout) -> tuple[list, int, Optional[tuple]]:
             step = _Conv1dStep(op[1], op[2], act, layout[1], layout[2])
             steps.append(step)
             layout = ("signal", step.out_channels, layout[2])
-            dim = step.out_dim
-        elif kind == "conv2d":
-            if layout is None or layout[0] != "image":
-                raise UntraceableModelError(
-                    "conv2d applied outside an image layout", reason="conv"
-                )
-            act, i = _fused_act(ops, i)
-            step = _Conv2dStep(
-                op[1], op[2], act, int(op[3]), layout[1], layout[2], layout[3]
-            )
-            steps.append(step)
-            layout = ("image", step.out_channels, layout[2], layout[3])
             dim = step.out_dim
         elif kind == "pool1d":
             pool = int(op[2])
@@ -890,21 +712,6 @@ def _lower(ops: list, in_dim: int, layout) -> tuple[list, int, Optional[tuple]]:
                 steps.append(step)
                 layout = ("signal", layout[1], layout[2] // pool)
                 dim = step.out_dim
-        elif kind == "pool2d":
-            pool = int(op[2])
-            if pool > 1:
-                if (
-                    layout is None or layout[0] != "image"
-                    or layout[2] % pool or layout[3] % pool
-                ):
-                    raise UntraceableModelError(
-                        f"2-D pool of {pool} does not divide the image",
-                        reason="conv",
-                    )
-                step = _Pool2dStep(op[1], pool, layout[1], layout[2], layout[3])
-                steps.append(step)
-                layout = ("image", layout[1], layout[2] // pool, layout[3] // pool)
-                dim = step.out_dim
         elif kind == "upsample1d":
             factor = int(op[1])
             if factor > 1:
@@ -915,17 +722,6 @@ def _lower(ops: list, in_dim: int, layout) -> tuple[list, int, Optional[tuple]]:
                 step = _Upsample1dStep(factor, layout[1], layout[2])
                 steps.append(step)
                 layout = ("signal", layout[1], layout[2] * factor)
-                dim = step.out_dim
-        elif kind == "upsample2d":
-            factor = int(op[1])
-            if factor > 1:
-                if layout is None or layout[0] != "image":
-                    raise UntraceableModelError(
-                        "2-D upsample outside an image layout", reason="conv"
-                    )
-                step = _Upsample2dStep(factor, layout[1], layout[2], layout[3])
-                steps.append(step)
-                layout = ("image", layout[1], layout[2] * factor, layout[3] * factor)
                 dim = step.out_dim
         else:  # unreachable: _flatten_spec validated the kinds
             raise UntraceableModelError(
@@ -1016,17 +812,12 @@ def plan_payload(plan: CompiledPlan) -> tuple[dict, dict]:
         for i, step in enumerate(steps):
             tag = f"{prefix}{i}"
             kind = step.kind
-            if kind in ("gemm", "conv1d", "conv2d", "csr_gemm"):
+            if kind in ("gemm", "conv1d", "csr_gemm"):
                 arrays[f"w_{tag}"] = step.weight
                 arrays[f"b_{tag}"] = step.bias
                 spec = {"kind": kind, "act": step.act, "id": tag}
                 if kind == "conv1d":
                     spec.update(channels=step.channels, length=step.length)
-                elif kind == "conv2d":
-                    spec.update(
-                        kernel=step.kernel, channels=step.channels,
-                        height=step.height, width=step.width,
-                    )
                 encoded.append(spec)
             elif kind == "act":
                 encoded.append({"kind": "act", "act": step.act, "dim": step.out_dim})
@@ -1035,31 +826,21 @@ def plan_payload(plan: CompiledPlan) -> tuple[dict, dict]:
                     "kind": kind, "op": step.op, "pool": step.pool,
                     "channels": step.channels, "length": step.length,
                 })
-            elif kind == "pool2d":
-                encoded.append({
-                    "kind": kind, "op": step.op, "pool": step.pool,
-                    "channels": step.channels, "height": step.height,
-                    "width": step.width,
-                })
             elif kind == "upsample1d":
                 encoded.append({
                     "kind": kind, "factor": step.factor,
                     "channels": step.channels, "length": step.length,
                 })
-            elif kind == "upsample2d":
-                encoded.append({
-                    "kind": kind, "factor": step.factor,
-                    "channels": step.channels, "height": step.height,
-                    "width": step.width,
-                })
             elif kind == "csr_densify":
                 encoded.append({"kind": kind})
-            else:  # residual
+            elif kind == "residual":
                 encoded.append({
                     "kind": "residual",
                     "dim": step.out_dim,
                     "steps": encode(step.steps, tag + "_"),
                 })
+            else:
+                raise ValueError(f"plan step kind {kind!r} has no payload form")
         return encoded
 
     meta = {
@@ -1111,38 +892,16 @@ def plan_from_payload(meta: dict, arrays: dict) -> CompiledPlan:
                         spec["act"], spec["channels"], spec["length"],
                     )
                 )
-            elif kind == "conv2d":
-                steps.append(
-                    _Conv2dStep(
-                        arrays[f"w_{spec['id']}"], arrays[f"b_{spec['id']}"],
-                        spec["act"], spec["kernel"], spec["channels"],
-                        spec["height"], spec["width"],
-                    )
-                )
             elif kind == "pool1d":
                 steps.append(
                     _Pool1dStep(
                         spec["op"], spec["pool"], spec["channels"], spec["length"]
                     )
                 )
-            elif kind == "pool2d":
-                steps.append(
-                    _Pool2dStep(
-                        spec["op"], spec["pool"], spec["channels"],
-                        spec["height"], spec["width"],
-                    )
-                )
             elif kind == "upsample1d":
                 steps.append(
                     _Upsample1dStep(
                         spec["factor"], spec["channels"], spec["length"]
-                    )
-                )
-            elif kind == "upsample2d":
-                steps.append(
-                    _Upsample2dStep(
-                        spec["factor"], spec["channels"],
-                        spec["height"], spec["width"],
                     )
                 )
             elif kind == "csr_gemm":
@@ -1154,8 +913,13 @@ def plan_from_payload(meta: dict, arrays: dict) -> CompiledPlan:
                 )
             elif kind == "csr_densify":
                 steps.append(_CsrDensifyStep(csr))
-            else:
+            elif kind == "residual":
                 steps.append(_ResidualStep(decode(spec["steps"]), spec["dim"]))
+            else:
+                raise ValueError(
+                    f"unknown plan step kind {kind!r} in a schema "
+                    f"{PLAN_SCHEMA_VERSION} payload"
+                )
         return steps
 
     return CompiledPlan(

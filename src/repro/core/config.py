@@ -44,7 +44,6 @@ class AutoHPCnetConfig:
     cost_metric: str = "time"           # f_c metric: "time" | "energy" (§5.1)
     model_type: str = "mlp"             # surrogate family: "mlp" | "cnn" (Table 1)
     preflight: str = "error"            # static fitness preflight: off | warn | error
-    preflight_concurrency: str = "off"  # CC lint of the repro runtime: off | warn | error
     # --- search throughput (batched BO / caching / pruning) ---
     parallel_trials: int = 1            # inner trials proposed+evaluated per batch
     trial_workers: Optional[int] = None  # eval threads per batch (None: = batch size)
@@ -60,10 +59,6 @@ class AutoHPCnetConfig:
             raise ValueError("model_type must be 'mlp' or 'cnn'")
         if self.preflight not in ("off", "warn", "error"):
             raise ValueError("preflight must be 'off', 'warn' or 'error'")
-        if self.preflight_concurrency not in ("off", "warn", "error"):
-            raise ValueError(
-                "preflight_concurrency must be 'off', 'warn' or 'error'"
-            )
         if not 0.0 <= self.quality_loss:
             raise ValueError("quality_loss must be non-negative")
         if self.n_samples < 10:

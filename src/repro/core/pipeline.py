@@ -30,7 +30,7 @@ from ..nas.space import CNNSpace, InputDimSpace, TopologySpace
 from ..perf.metrics import relative_qoi_error
 from ..perf.timers import PhaseTimer
 from ..registry import ArtifactRef, ModelRegistry
-from ..static.preflight import preflight_concurrency, preflight_region
+from ..static.preflight import preflight_region
 from .config import AutoHPCnetConfig
 from .scaling import Scaler
 
@@ -168,9 +168,6 @@ class AutoHPCnet:
                 # paid; raises PreflightError in "error" mode, warns in
                 # "warn" mode
                 preflight_region(app.region_fn, mode=cfg.preflight)
-                # opt-in second gate: lint the serving runtime's own lock
-                # discipline (CC rules) before entrusting it with the build
-                preflight_concurrency(mode=cfg.preflight_concurrency)
 
             with obs.span("build.acquire"), timers.measure("trace_generation"):
                 acq = app.acquire(

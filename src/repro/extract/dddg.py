@@ -138,13 +138,13 @@ def _chunk_edges(
     for stmt_id, mult in chunk:
         info = stmt_table[stmt_id]
         read_nodes = []
-        for r in info.reads:
+        for r in sorted(info.reads):
             v = versions.get(r, 0)
             if v == 0:
                 root_reads.add(r)
             read.add(r)
             read_nodes.append(_node(r, v))
-        for w in info.writes:
+        for w in sorted(info.writes):
             versions[w] = versions.get(w, 0) + 1
             written.add(w)
             dst = _node(w, versions[w])
@@ -206,7 +206,7 @@ def build_dddg(trace: Trace, *, workers: int = 1) -> DDDG:
             graph.add_edge(src, dst, stmt_id, mult)
 
     # ensure every version-0 node of a root read exists even if isolated
-    for name in root_reads:
+    for name in sorted(root_reads):
         graph.add_node(_node(name, 0))
 
     return DDDG(

@@ -35,8 +35,6 @@ from .optim import Adam, Optimizer, SGD
 from .mlp import Topology, build_mlp
 from .conv import AvgPool1d, Conv1d, Flatten, MaxPool1d, SignalView, Upsample1d
 from .cnn import AnyTopology, CNNTopology, build_cnn, build_model
-from .conv2d import AvgPool2d, Conv2d, Deconv2d, ImageView, MaxPool2d, Upsample2d
-from .recurrent import LastStep, RNN, SequenceView
 from .train import TrainConfig, TrainResult, predict, train_model
 from .checkpoint import CheckpointSequential, activation_bytes, checkpoint
 from .serialize import load_mlp, load_model, save_mlp, save_model
@@ -51,8 +49,6 @@ __all__ = [
     "Topology", "build_mlp",
     "AvgPool1d", "Conv1d", "Flatten", "MaxPool1d", "SignalView", "Upsample1d",
     "AnyTopology", "CNNTopology", "build_cnn", "build_model",
-    "AvgPool2d", "Conv2d", "Deconv2d", "ImageView", "MaxPool2d", "Upsample2d",
-    "LastStep", "RNN", "SequenceView",
     "TrainConfig", "TrainResult", "predict", "train_model",
     "CheckpointSequential", "activation_bytes", "checkpoint",
     "load_mlp", "load_model", "save_mlp", "save_model",

@@ -84,13 +84,9 @@ class Module:
             ("residual", inner_module)                # y = inner(x) + x
             ("sequential", [module, ...])             # composition
             ("conv1d", weight, bias)                  # (K, C_in, C_out) taps
-            ("conv2d", weight, bias, kernel_size)     # (K*K, C_in, C_out) taps
             ("pool1d", "max"|"avg", pool_size)        # non-overlapping pooling
-            ("pool2d", "max"|"avg", pool_size)
             ("upsample1d", factor)                    # nearest-neighbour repeat
-            ("upsample2d", factor)
             ("signal_view", channels)                 # (B,F) -> (B,C,F//C)
-            ("image_view", height, width)             # (B,F) -> (B,1,H,W)
             ("flatten",)                              # (B,C,...) -> (B,prod)
         """
         return None

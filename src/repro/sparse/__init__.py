@@ -8,7 +8,6 @@ Public API::
 
 from .formats import COOMatrix, CSCMatrix, CSRMatrix, from_dense
 from .generate import banded_spd, npb_cg_matrix, poisson_1d, poisson_2d, random_sparse
-from .precond import ICPreconditioner, JacobiPreconditioner, SSORPreconditioner, pcg
 
 __all__ = [
     "COOMatrix",
@@ -20,8 +19,4 @@ __all__ = [
     "npb_cg_matrix",
     "poisson_1d",
     "poisson_2d",
-    "ICPreconditioner",
-    "JacobiPreconditioner",
-    "SSORPreconditioner",
-    "pcg",
 ]

@@ -52,7 +52,6 @@ from .preflight import (
     PREFLIGHT_MODES,
     PreflightError,
     PreflightWarning,
-    preflight_concurrency,
     preflight_region,
 )
 
@@ -66,5 +65,5 @@ __all__ = [
     "CC_RULES", "LockOrderCrossValidation", "LockOrderGraph",
     "cross_validate_lock_orders", "lint_concurrency", "lock_order_graph",
     "PREFLIGHT_MODES", "PreflightError", "PreflightWarning",
-    "preflight_concurrency", "preflight_region",
+    "preflight_region",
 ]

@@ -17,9 +17,8 @@ Modes (``AutoHPCnetConfig.preflight``):
 
 from __future__ import annotations
 
-import os
 import warnings
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .diagnostics import Diagnostic, Severity
 from .linter import lint_region_fn
@@ -28,7 +27,6 @@ __all__ = [
     "PreflightError",
     "PreflightWarning",
     "preflight_region",
-    "preflight_concurrency",
     "PREFLIGHT_MODES",
 ]
 
@@ -67,40 +65,6 @@ def preflight_region(fn, *, mode: str = "error") -> list[Diagnostic]:
     errors = [d for d in diags if d.severity >= Severity.ERROR]
     if errors and mode == "error":
         raise PreflightError(report.region_name, diags)
-    for d in diags:
-        if d.severity >= Severity.WARNING:
-            warnings.warn(d.format(), PreflightWarning, stacklevel=2)
-    return diags
-
-
-def preflight_concurrency(
-    target: Optional[str] = None, *, mode: str = "off"
-) -> list[Diagnostic]:
-    """Run the CC concurrency rules over ``target`` and enforce ``mode``.
-
-    ``target`` defaults to the installed ``repro`` package itself — the
-    serving stack the pipeline is about to trust.  Off by default
-    (``AutoHPCnetConfig.preflight_concurrency``): the region preflight
-    guards *user* code on every build, while this guards *our* runtime
-    and is primarily a CI/deploy gate.
-    """
-    if mode not in PREFLIGHT_MODES:
-        raise ValueError(
-            f"unknown preflight mode {mode!r}; expected one of {PREFLIGHT_MODES}"
-        )
-    if mode == "off":
-        return []
-    from .concurrency.linter import lint_concurrency
-
-    if target is None:
-        import repro
-
-        target = os.path.dirname(os.path.abspath(repro.__file__))
-    report = lint_concurrency(target)
-    diags = report.diagnostics
-    errors = [d for d in diags if d.severity >= Severity.ERROR]
-    if errors and mode == "error":
-        raise PreflightError(f"concurrency:{target}", diags)
     for d in diags:
         if d.severity >= Severity.WARNING:
             warnings.warn(d.format(), PreflightWarning, stacklevel=2)

@@ -179,6 +179,28 @@ class TestSchemaAndCsr:
         write_plan_npz(payload, dict(meta, schema=1), arrays)
         assert PlanCache(tmp_path).get(key) is None
 
+    def test_unknown_step_kind_is_rejected_by_name(self, rng, tmp_path):
+        # a step kind this build cannot execute (conv2d has no lowering)
+        # must fail by name, not fall through to another branch
+        package = make_package(rng)
+        meta, arrays = plan_payload(compile_package(package))
+        meta["steps"][0]["kind"] = "conv2d"
+        with pytest.raises(ValueError, match="'conv2d'"):
+            plan_from_payload(meta, arrays)
+        # ...and on disk such an entry reads as a miss that recompiles
+        key = key_for(package)
+        PlanCache(tmp_path).put(key, compile_package(package))
+        payload = next((tmp_path / "plan_cache" / key).rglob("plan.npz"))
+        write_plan_npz(payload, meta, arrays)
+        cache = PlanCache(tmp_path)
+        assert cache.get(key) is None
+        assert warm_plan_cache(cache, package, modes=(True,)) == [key]
+        x = rng.standard_normal((3, package.input_dim))
+        with batch_invariant():
+            np.testing.assert_array_equal(
+                cache.get(key).predict(x), package.predict(x)
+            )
+
     def test_plan_from_payload_rejects_old_schema(self, rng):
         plan = compile_package(make_package(rng))
         meta, arrays = plan_payload(plan)

@@ -22,15 +22,7 @@ from repro.compile import (
 from repro.nas.package import SurrogatePackage
 from repro.nn.cnn import CNNTopology, build_model
 from repro.nn.conv import Flatten, SignalView
-from repro.nn.conv2d import (
-    AvgPool2d,
-    Conv2d,
-    Deconv2d,
-    ImageView,
-    MaxPool2d,
-    Upsample2d,
-)
-from repro.nn.layers import Activation, Dense, Sequential
+from repro.nn.layers import Dense, Sequential
 from repro.nn.mlp import Topology, build_mlp
 from repro.nn.tensor import batch_invariant
 from repro.sparse.formats import COOMatrix, CSRMatrix
@@ -47,16 +39,6 @@ def randomize(model, rng):
 def cnn_package(rng, in_dim, out_dim, topology):
     model = build_model(in_dim, out_dim, topology)
     randomize(model, rng)
-    return SurrogatePackage(
-        model=model, topology=topology, input_dim=in_dim, output_dim=out_dim
-    )
-
-
-def chain_package(rng, layers, in_dim, out_dim):
-    """A hand-built 2-D chain packaged under a placeholder topology."""
-    model = Sequential(layers)
-    randomize(model, rng)
-    topology = CNNTopology(channels=(1,), kernel_sizes=(1,), pools=(0,))
     return SurrogatePackage(
         model=model, topology=topology, input_dim=in_dim, output_dim=out_dim
     )
@@ -130,113 +112,6 @@ class TestConv1dFamily:
         x = rng.standard_normal((9, 12))
         np.testing.assert_array_equal(reloaded.predict(x), plan.predict(x))
         assert reloaded.step_kinds() == plan.step_kinds()
-
-
-class TestConv2dFamily:
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    @pytest.mark.parametrize("batch", BATCHES)
-    def test_full_image_chain(self, rng, activation, batch):
-        # odd 5x7 grid -> conv -> upsample -> pool back down -> dense head
-        in_dim, out_dim = 5 * 7, 3
-        package = chain_package(
-            rng,
-            [
-                ImageView(5, 7),
-                Conv2d(1, 4, 3, rng),
-                Activation(activation),
-                Upsample2d(2),
-                MaxPool2d(2),
-                Flatten(),
-                Dense(4 * 5 * 7, out_dim, rng),
-            ],
-            in_dim,
-            out_dim,
-        )
-        plan = compile_package(package)
-        assert {"conv2d", "pool2d", "upsample2d"} <= set(plan.step_kinds())
-        assert_bit_identical(
-            package, plan, rng.standard_normal((batch, in_dim))
-        )
-
-    def test_deconv_and_avg_pool(self, rng):
-        in_dim, out_dim = 6 * 8, 2
-        package = chain_package(
-            rng,
-            [
-                ImageView(6, 8),
-                Conv2d(1, 4, 3, rng),
-                Activation("relu"),
-                AvgPool2d(2),
-                Deconv2d(4, 2, 5, 2, rng),
-                Activation("sigmoid"),
-                Flatten(),
-                Dense(2 * 6 * 8, out_dim, rng),
-            ],
-            in_dim,
-            out_dim,
-        )
-        plan = compile_package(package)
-        for batch in BATCHES:
-            assert_bit_identical(
-                package, plan, rng.standard_normal((batch, in_dim))
-            )
-
-    def test_one_by_one_kernel(self, rng):
-        # kernel 1 = zero padding: the degenerate im2col case
-        in_dim = 3 * 5
-        package = chain_package(
-            rng,
-            [
-                ImageView(3, 5),
-                Conv2d(1, 2, 1, rng),
-                Flatten(),
-                Dense(2 * 3 * 5, 2, rng),
-            ],
-            in_dim,
-            2,
-        )
-        plan = compile_package(package)
-        assert_bit_identical(package, plan, rng.standard_normal((4, in_dim)))
-
-    def test_kernel_wider_than_image(self, rng):
-        in_dim = 3 * 3
-        package = chain_package(
-            rng,
-            [
-                ImageView(3, 3),
-                Conv2d(1, 2, 5, rng),
-                Activation("tanh"),
-                Flatten(),
-                Dense(2 * 3 * 3, 2, rng),
-            ],
-            in_dim,
-            2,
-        )
-        plan = compile_package(package)
-        assert_bit_identical(package, plan, rng.standard_normal((3, in_dim)))
-
-    def test_float32_and_payload_round_trip(self, rng):
-        in_dim = 4 * 6
-        package = chain_package(
-            rng,
-            [
-                ImageView(4, 6),
-                Conv2d(1, 3, 3, rng),
-                Activation("relu"),
-                MaxPool2d(2),
-                Flatten(),
-                Dense(3 * 2 * 3, 2, rng),
-            ],
-            in_dim,
-            2,
-        )
-        plan = compile_package(package)
-        assert_bit_identical(
-            package, plan, rng.standard_normal((5, in_dim)).astype(np.float32)
-        )
-        reloaded = plan_from_payload(*plan_payload(plan))
-        x = rng.standard_normal((5, in_dim))
-        np.testing.assert_array_equal(reloaded.predict(x), plan.predict(x))
 
 
 def make_csr(rng, rows, cols, *, density=0.3, empty_rows=()):

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro import cli, obs
+from repro import core, obs
 from repro.cli import build_parser, main
 from repro.core.reports import (
     format_build_report,
@@ -112,7 +112,8 @@ class TestServeReport:
             def build(self, app):
                 return SimpleNamespace(surrogate=surrogate)
 
-        monkeypatch.setattr(cli, "AutoHPCnet", StubBuilder)
+        # the serve handler imports the pipeline when it runs
+        monkeypatch.setattr(core, "AutoHPCnet", StubBuilder)
         # 256 requests queued in one call drain as 8 batches of 32; the
         # old in-bucket percentile line printed "size p50 24" for them
         assert main(["serve", "Blackscholes", "--requests", "256"]) == 0

@@ -1,7 +1,5 @@
 """Pipeline preflight hook tests."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from repro.core import AutoHPCnet, AutoHPCnetConfig
 from repro.static import (
     PreflightError,
     PreflightWarning,
-    preflight_concurrency,
     preflight_region,
 )
 
@@ -68,32 +65,6 @@ class TestPreflightRegion:
             preflight_region(fixture_regions.clean_saxpy, mode="loud")
 
 
-class TestPreflightConcurrency:
-    FIXTURE = os.path.join(
-        os.path.dirname(__file__), "fixture_concurrency_bugs.py"
-    )
-
-    def test_off_mode_skips(self):
-        assert preflight_concurrency(self.FIXTURE, mode="off") == []
-
-    def test_shipped_package_passes_error_mode(self):
-        # default target is the installed repro package — which is clean
-        assert preflight_concurrency(mode="error") == []
-
-    def test_error_mode_raises_on_seeded_bugs(self):
-        with pytest.raises(PreflightError, match="CC201"):
-            preflight_concurrency(self.FIXTURE, mode="error")
-
-    def test_warn_mode_warns_instead(self):
-        with pytest.warns(PreflightWarning, match="CC"):
-            diags = preflight_concurrency(self.FIXTURE, mode="warn")
-        assert any(d.rule.startswith("CC") for d in diags)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="preflight mode"):
-            preflight_concurrency(self.FIXTURE, mode="loud")
-
-
 class TestPipelineIntegration:
     def test_build_refuses_unfit_region(self):
         framework = AutoHPCnet(AutoHPCnetConfig(n_samples=10))
@@ -104,12 +75,5 @@ class TestPipelineIntegration:
         with pytest.raises(ValueError, match="preflight"):
             AutoHPCnetConfig(preflight="loud")
 
-    def test_config_validates_preflight_concurrency(self):
-        with pytest.raises(ValueError, match="preflight_concurrency"):
-            AutoHPCnetConfig(preflight_concurrency="loud")
-
     def test_config_default_is_error(self):
         assert AutoHPCnetConfig().preflight == "error"
-        # the concurrency gate is opt-in: it lints our runtime, not the
-        # user's region, and is primarily a CI/deploy check
-        assert AutoHPCnetConfig().preflight_concurrency == "off"

@@ -115,7 +115,8 @@ def test_module_imports_alone(module):
     run_python("-c", f"import {module}")
 
 
-@pytest.mark.parametrize("module", SERVING_ENTRIES)
+# the CLI too: ``repro registry`` and ``repro lifecycle`` load no build code
+@pytest.mark.parametrize("module", SERVING_ENTRIES + ("repro.cli",))
 def test_serving_entry_loads_no_offline_module(module):
     out = run_python("-c", f"import {module}\n{REPORT_OFFLINE}")
     assert json.loads(out.splitlines()[-1]) == []
@@ -123,6 +124,34 @@ def test_serving_entry_loads_no_offline_module(module):
 
 def test_listing2_call_loads_no_offline_module():
     out = run_python("-c", LISTING2 + REPORT_OFFLINE)
+    assert json.loads(out.splitlines()[-1]) == []
+
+
+def small_registry(root: Path) -> Path:
+    from repro.lifecycle.state import LifecycleRecord, LifecycleStore
+    from repro.registry import ModelRegistry
+
+    registry = ModelRegistry(root)
+    registry.publish(
+        "demo", "nn-model", lambda staged: (staged / "blob.bin").write_bytes(b"x"),
+        input_dim=4, output_dim=2,
+    )
+    LifecycleStore(registry, "demo").save(LifecycleRecord(model="demo", incumbent=1))
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    ["registry", "list", "{root}"],
+    ["lifecycle", "status", "{root}", "--model", "demo", "--registry", "{root}"],
+])
+def test_operator_subcommand_loads_no_offline_module(argv, tmp_path):
+    root = str(small_registry(tmp_path / "registry"))
+    argv = [a.format(root=root) for a in argv]
+    out = run_python("-c", f"""
+from repro.cli import main
+assert main({argv!r}) == 0
+{REPORT_OFFLINE}""")
+    assert "demo" in out
     assert json.loads(out.splitlines()[-1]) == []
 
 
