@@ -245,8 +245,10 @@ class PlanCache:
             return None
 
     def _store_disk(self, key: str, plan: CompiledPlan) -> None:
-        if self._registry is None or self._registry.exists(key):
-            return  # entries are content-addressed: one version is enough
+        # entries are content-addressed: one readable version is enough,
+        # and an unreadable latest version is replaced by a fresh one
+        if self._registry is None or self._load_disk(key) is not None:
+            return
         meta, arrays = plan_payload(plan)
         self._registry.publish(
             key,

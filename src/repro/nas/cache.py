@@ -179,8 +179,12 @@ class AutoencoderCache:
         return CachedEncoding(autoencoder=ae, sigma=float(meta["sigma"]), z=z)
 
     def _store_disk(self, key: str, entry: CachedEncoding) -> None:
-        if self._registry is None or self._registry.exists(key):
-            return  # entries are content-addressed: one version is enough
+        # entries are content-addressed: one readable version is enough,
+        # and an unreadable latest version is replaced by a fresh one
+        if self._registry is None or (
+            self._registry.exists(key) and self._load_disk(key) is not None
+        ):
+            return
         ae = entry.autoencoder
 
         def writer(staged: Path) -> None:

@@ -13,30 +13,35 @@ the pipeline otherwise discovers the expensive way:
 
 A third pass (:mod:`~repro.static.crossval`) diffs the static answer
 against the dynamic DDDG of a traced region, so each analysis checks the
-other.  Entry points::
+other.  The concurrency rules (:mod:`~repro.static.concurrency`, CC ids)
+share the one lint driver (:mod:`~repro.static.linter`): a file,
+directory or dotted target is parsed once and checked by both rule
+families.  Entry points::
 
-    from repro.static import lint_module, lint_region_fn   # linter
-    from repro.static import cross_validate                # static vs trace
-    from repro.static import preflight_region              # pipeline hook
+    from repro.static import lint_module       # file, directory or dotted name
+    from repro.static import lint_source       # one in-memory module
+    from repro.static import lint_region_fn    # a live region (SF rules)
+    from repro.static import cross_validate    # static vs trace
+    from repro.static import preflight_region  # pipeline hook
+    from repro.static import lock_order_graph  # static lock-order graph
 
 plus the ``repro lint`` CLI subcommand (see README.md).
 """
 
-from .diagnostics import Diagnostic, LintReport, Severity
+from .diagnostics import RULES, Diagnostic, LintReport, Severity
 from .inference import (
     RegionMeta,
     StaticRegionReport,
     infer_function,
     infer_region_fn,
 )
-from .rules import RULES, run_rules
+from .rules import run_rules
 from .linter import (
     discover_regions,
-    lint_directory,
     lint_module,
-    lint_path,
     lint_region_fn,
     lint_source,
+    lock_order_graph,
     resolve_target,
 )
 from .crossval import CrossValidation, cross_validate
@@ -45,8 +50,6 @@ from .concurrency import (
     LockOrderCrossValidation,
     LockOrderGraph,
     cross_validate_lock_orders,
-    lint_concurrency,
-    lock_order_graph,
 )
 from .preflight import (
     PREFLIGHT_MODES,
@@ -59,11 +62,11 @@ __all__ = [
     "Diagnostic", "LintReport", "Severity",
     "RegionMeta", "StaticRegionReport", "infer_function", "infer_region_fn",
     "RULES", "run_rules",
-    "discover_regions", "lint_directory", "lint_module", "lint_path",
-    "lint_region_fn", "lint_source", "resolve_target",
+    "discover_regions", "lint_module", "lint_region_fn", "lint_source",
+    "resolve_target",
     "CrossValidation", "cross_validate",
     "CC_RULES", "LockOrderCrossValidation", "LockOrderGraph",
-    "cross_validate_lock_orders", "lint_concurrency", "lock_order_graph",
+    "cross_validate_lock_orders", "lock_order_graph",
     "PREFLIGHT_MODES", "PreflightError", "PreflightWarning",
     "preflight_region",
 ]

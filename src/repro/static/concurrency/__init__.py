@@ -15,18 +15,19 @@ purely on the AST (nothing is imported):
 The static graph cross-validates against acquisition orders recorded at
 runtime by :mod:`repro.obs.locks` (CC4xx), mirroring how the static
 region I/O is checked against the dynamic DDDG.
+
+This subpackage holds the analyzer only.  The CC rules run through the
+one lint driver, :mod:`repro.static.linter` (``lint_module`` for a file,
+directory or dotted target, ``lint_source`` for one in-memory module),
+next to the SF rules and over the same parsed modules;
+``repro.static.lock_order_graph`` gives the graph of a file or directory.
+Entry points here: :func:`analyze_sources`, :func:`build_graph`,
+:func:`check_package` and :func:`cross_validate_lock_orders`.
 """
 
 from .analyze import AnnotationIssue, PackageAnalysis, analyze_sources
 from .crossval import LockOrderCrossValidation, cross_validate_lock_orders
 from .graph import EdgeSite, LockOrderGraph, Reentry, build_graph
-from .linter import (
-    analyze_target,
-    collect_sources,
-    lint_concurrency,
-    lint_concurrency_source,
-    lock_order_graph,
-)
 from .model import parse_pragmas
 from .rules import CC_RULES, check_package
 
@@ -40,11 +41,6 @@ __all__ = [
     "LockOrderGraph",
     "Reentry",
     "build_graph",
-    "analyze_target",
-    "collect_sources",
-    "lint_concurrency",
-    "lint_concurrency_source",
-    "lock_order_graph",
     "parse_pragmas",
     "CC_RULES",
     "check_package",

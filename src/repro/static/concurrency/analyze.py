@@ -605,17 +605,24 @@ def analyze_sources(sources: list[tuple[str, str]]) -> PackageAnalysis:
     Files that do not parse are skipped here — the SF linter already
     reports syntax errors (SF102) on a per-file basis.
     """
-    analysis = PackageAnalysis(index=PackageIndex())
-    trees: list[tuple[str, ast.Module]] = []
-    for filename, source in sorted(sources):
+    modules = []
+    for filename, source in sources:
         try:
-            tree = ast.parse(source)
+            modules.append((filename, source, ast.parse(source)))
         except SyntaxError:
             continue
-        pragmas = parse_pragmas(source)
-        trees.append((filename, tree))
+    return analyze_modules(modules)
+
+
+def analyze_modules(
+    modules: list[tuple[str, str, ast.Module]],
+) -> PackageAnalysis:
+    """Analyze already-parsed ``[(filename, source, tree), ...]`` as one
+    package (the source text carries the ``# cc:`` pragmas)."""
+    analysis = PackageAnalysis(index=PackageIndex())
+    for filename, source, tree in sorted(modules, key=lambda m: m[:2]):
         analysis.files.append(filename)
-        index_module(tree, filename, pragmas, analysis)
+        index_module(tree, filename, parse_pragmas(source), analysis)
     for cls in list(analysis.index.classes.values()):
         summarize_class(cls, analysis.index, analysis)
     analysis.finalize()

@@ -23,9 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..diagnostics import Diagnostic, Severity
+from ..diagnostics import Diagnostic, Severity, diagnostic
 from .graph import LockOrderGraph
-from .rules import CC_RULES
 
 __all__ = ["LockOrderCrossValidation", "cross_validate_lock_orders"]
 
@@ -63,12 +62,10 @@ def cross_validate_lock_orders(
 
     diags: list[Diagnostic] = []
     for held, acquired in sorted(dynamic_edges - static_edges):
-        severity, _ = CC_RULES["CC401"]
         count = recorded[(held, acquired)]
-        diags.append(Diagnostic(
-            rule="CC401",
-            severity=severity,
-            message=(
+        diags.append(diagnostic(
+            "CC401",
+            (
                 f"runtime acquired {acquired} while holding {held} "
                 f"({count} time(s)) but the static lock-order graph has no "
                 "such edge — the analyzer has a blind spot on this path"
@@ -76,12 +73,10 @@ def cross_validate_lock_orders(
             region=acquired,
         ))
     for held, acquired in sorted(static_edges - dynamic_edges):
-        severity, _ = CC_RULES["CC402"]
         site = graph.edges[(held, acquired)][0]
-        diags.append(Diagnostic(
-            rule="CC402",
-            severity=severity,
-            message=(
+        diags.append(diagnostic(
+            "CC402",
+            (
                 f"static edge {held} -> {acquired} "
                 f"({site.cls}.{site.method} at {site.file}:{site.line}) was "
                 "never exercised by the recorded traffic — untested lock "

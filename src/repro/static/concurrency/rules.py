@@ -44,36 +44,15 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
-from ..diagnostics import Diagnostic, Severity
+from ..diagnostics import RULES, Diagnostic, diagnostic
 from .analyze import PackageAnalysis
 from .graph import LockOrderGraph, Reentry
 from .model import ClassInfo, FieldAccess, FieldGuard, QLock
 
 __all__ = ["CC_RULES", "check_package"]
 
-#: rule id -> (severity, one-line summary) — the documented catalogue
-CC_RULES: dict[str, tuple[Severity, str]] = {
-    "CC101": (Severity.ERROR, "write to guarded field without its lock"),
-    "CC102": (Severity.WARNING, "read of guarded field without its lock"),
-    "CC103": (Severity.WARNING, "field locked inconsistently"),
-    "CC104": (Severity.ERROR, "requires()-method called without the lock"),
-    "CC105": (Severity.ERROR, "unresolvable concurrency annotation"),
-    "CC201": (Severity.ERROR, "lock-acquisition cycle (potential deadlock)"),
-    "CC202": (Severity.ERROR, "non-reentrant lock re-acquired while held"),
-    "CC203": (Severity.WARNING, "blocking wait while holding another lock"),
-    "CC301": (Severity.ERROR, "condvar wait() outside a predicate loop"),
-    "CC302": (Severity.ERROR, "condvar verb without the condition held"),
-    "CC303": (Severity.WARNING, "inline timeout arithmetic in timed wait"),
-    "CC401": (Severity.ERROR, "dynamic-only lock-order edge"),
-    "CC402": (Severity.INFO, "static-only lock-order edge never exercised"),
-}
-
-
-def _diag(rule: str, message: str, *, region: Optional[str] = None,
-          file: Optional[str] = None, line: int = 0, col: int = 0) -> Diagnostic:
-    severity, _ = CC_RULES[rule]
-    return Diagnostic(rule=rule, severity=severity, message=message,
-                      region=region, file=file, line=line, col=col)
+#: the CC part of the one rule catalogue
+CC_RULES = {rule: entry for rule, entry in RULES.items() if rule.startswith("CC")}
 
 
 def _held_names(access) -> set[str]:
@@ -191,7 +170,7 @@ def _check_guards(analysis: PackageAnalysis) -> list[Diagnostic]:
         if guard is not None:
             qlock = _qualify_guard(analysis, owner, guard.guard_path)
             if qlock is None:
-                diags.append(_diag(
+                diags.append(diagnostic(
                     "CC105",
                     f"guarded-by({'.'.join(guard.guard_path)}) on {region} "
                     "does not resolve to a known lock (declare the lock or "
@@ -217,7 +196,7 @@ def _check_declared(
             continue
         where = f"{entry.from_cls}.{entry.from_method}"
         if access.kind in ("write", "mutate"):
-            diags.append(_diag(
+            diags.append(diagnostic(
                 "CC101",
                 f"{_access_verb(access.kind)} {region} in {where} without "
                 f"holding its declared guard {qlock.name}",
@@ -225,7 +204,7 @@ def _check_declared(
                 line=access.line, col=access.col,
             ))
         elif not guard.atomic_reads:
-            diags.append(_diag(
+            diags.append(diagnostic(
                 "CC102",
                 f"read of {region} in {where} without holding its declared "
                 f"guard {qlock.name} (annotate 'atomic-reads' if a stale "
@@ -255,7 +234,7 @@ def _infer_guard(entries: list[_PooledAccess], region: str) -> list[Diagnostic]:
         rivals = sorted(name for name, count in ranked
                         if count == candidate_votes)
         first = writes[0]
-        return [_diag(
+        return [diagnostic(
             "CC103",
             f"{region} is written under different locks with no dominant "
             f"guard ({', '.join(rivals)}) — annotate the intended guard "
@@ -269,7 +248,7 @@ def _infer_guard(entries: list[_PooledAccess], region: str) -> list[Diagnostic]:
         if candidate in _held_names(entry.access):
             continue
         where = f"{entry.from_cls}.{entry.from_method}"
-        diags.append(_diag(
+        diags.append(diagnostic(
             "CC101",
             f"{_access_verb(entry.access.kind)} {region} in {where} without "
             f"holding {candidate}, which guards its other writes",
@@ -284,7 +263,7 @@ def _infer_guard(entries: list[_PooledAccess], region: str) -> list[Diagnostic]:
         if candidate in _held_names(entry.access):
             continue
         where = f"{entry.from_cls}.{entry.from_method}"
-        diags.append(_diag(
+        diags.append(diagnostic(
             "CC102",
             f"read of {region} in {where} without holding {candidate}, "
             f"which guards every write (annotate "
@@ -320,7 +299,7 @@ def _check_requires(analysis: PackageAnalysis) -> list[Diagnostic]:
                 if qlock is None or qlock.name in held:
                     continue  # unresolvable paths already reported as CC105
                 region = f"{call.target_class}.{call.method}"
-                diags.append(_diag(
+                diags.append(diagnostic(
                     "CC104",
                     f"{summary.cls}.{summary.method} calls {region}, which "
                     f"requires {qlock.name}, without holding it",
@@ -344,7 +323,7 @@ def _check_cond_ops(analysis: PackageAnalysis) -> list[Diagnostic]:
             region = op.lock.name
             if op.lock.kind == "condition":
                 if op.lock.name not in held:
-                    diags.append(_diag(
+                    diags.append(diagnostic(
                         "CC302",
                         f"{op.op}() on {op.lock.name} in {where} without "
                         "holding the condition (raises RuntimeError at "
@@ -352,7 +331,7 @@ def _check_cond_ops(analysis: PackageAnalysis) -> list[Diagnostic]:
                         region=region, file=file, line=op.line, col=op.col,
                     ))
                 if op.op == "wait" and not op.in_while:
-                    diags.append(_diag(
+                    diags.append(diagnostic(
                         "CC301",
                         f"wait() on {op.lock.name} in {where} is not inside "
                         "a while loop — spurious wakeups make un-looped "
@@ -361,7 +340,7 @@ def _check_cond_ops(analysis: PackageAnalysis) -> list[Diagnostic]:
                         region=region, file=file, line=op.line, col=op.col,
                     ))
                 if op.op in ("wait", "wait_for") and op.timeout_inline_arith:
-                    diags.append(_diag(
+                    diags.append(diagnostic(
                         "CC303",
                         f"timed {op.op}() on {op.lock.name} in {where} "
                         "computes its timeout inline — bind the remaining "
@@ -372,7 +351,7 @@ def _check_cond_ops(analysis: PackageAnalysis) -> list[Diagnostic]:
             if op.op in ("wait", "wait_for"):
                 others = sorted(held - {op.lock.name})
                 if others:
-                    diags.append(_diag(
+                    diags.append(diagnostic(
                         "CC203",
                         f"{op.op}() on {op.lock.name} in {where} while "
                         f"holding {', '.join(others)} — those locks stay "
@@ -398,7 +377,7 @@ def _check_graph(graph: LockOrderGraph,
             + (f" (via {s.via})" if s.via else "")
             for s in sites[:4]
         )
-        diags.append(_diag(
+        diags.append(diagnostic(
             "CC201",
             f"lock-acquisition cycle {chain} — threads taking these locks "
             f"in different orders can deadlock (evidence: {evidence})",
@@ -410,7 +389,7 @@ def _check_graph(graph: LockOrderGraph,
                           key=lambda r: (r.site.file, r.site.line)):
         site = reentry.site
         via = f" via {site.via}" if site.via else ""
-        diags.append(_diag(
+        diags.append(diagnostic(
             "CC202",
             f"{site.cls}.{site.method} (re)acquires non-reentrant "
             f"{reentry.lock.name} while already holding it{via} — a plain "
@@ -430,7 +409,7 @@ def check_package(
 ) -> list[Diagnostic]:
     """All CC diagnostics for one analyzed package."""
     diags = [
-        _diag("CC105", issue.message, file=issue.file, line=issue.line)
+        diagnostic("CC105", issue.message, file=issue.file, line=issue.line)
         for issue in analysis.issues
     ]
     diags.extend(_check_guards(analysis))

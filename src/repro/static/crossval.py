@@ -28,16 +28,16 @@ from ..extract.directives import get_region_spec
 from ..extract.liveness import live_in
 from ..extract.sampling import returned_names
 from ..extract.tracer import RegionTracer
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, diagnostic
 from .inference import StaticRegionReport, infer_region_fn
 
 __all__ = ["CrossValidation", "cross_validate"]
 
 _RULES = {
-    "static_only_input": ("SF301", Severity.WARNING),
-    "dynamic_only_input": ("SF302", Severity.ERROR),
-    "static_only_output": ("SF303", Severity.WARNING),
-    "dynamic_only_output": ("SF304", Severity.ERROR),
+    "static_only_input": "SF301",
+    "dynamic_only_input": "SF302",
+    "static_only_output": "SF303",
+    "dynamic_only_output": "SF304",
 }
 
 
@@ -83,14 +83,12 @@ def _diff(
     report: StaticRegionReport,
     filename: Optional[str],
 ) -> list[Diagnostic]:
-    rule, severity = _RULES[kind]
     side, _, what = kind.partition("_only_")
     other = "dynamic trace" if side == "static" else "static analysis"
     return [
-        Diagnostic(
-            rule=rule,
-            severity=severity,
-            message=(
+        diagnostic(
+            _RULES[kind],
+            (
                 f"{side}-only {what} {name!r}: identified by "
                 f"{side} analysis but not by the {other}"
             ),

@@ -7,16 +7,22 @@ location and a human-readable message.  :class:`LintReport` aggregates the
 diagnostics for one lint target and renders them as text (one
 ``file:line:col`` line per finding, the format editors and CI annotate) or
 as JSON (for machine consumption).
+
+:data:`RULES` is the one catalogue of rule ids — the SF rules of
+:mod:`repro.static.rules` and :mod:`repro.static.crossval`, and the CC
+rules of :mod:`repro.static.concurrency` — and :func:`diagnostic` the one
+constructor that gives each finding its catalogued severity.
 """
 
 from __future__ import annotations
 
+import ast
 import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Optional, Sequence
 
-__all__ = ["Severity", "Diagnostic", "LintReport"]
+__all__ = ["Severity", "Diagnostic", "LintReport", "RULES", "diagnostic"]
 
 
 class Severity(IntEnum):
@@ -68,6 +74,61 @@ class Diagnostic:
             "line": self.line,
             "col": self.col,
         }
+
+
+#: rule id -> (severity, one-line summary) — the documented catalogue
+RULES: dict[str, tuple[Severity, str]] = {
+    "SF001": (Severity.INFO, "no annotated regions found"),
+    "SF002": (Severity.ERROR, "lint target cannot be resolved"),
+    "SF101": (Severity.ERROR, "region has no non-empty name"),
+    "SF102": (Severity.ERROR, "continuation_source does not parse"),
+    "SF103": (Severity.ERROR, "live_after name never written by the region"),
+    "SF104": (Severity.WARNING, "region outputs cannot be derived"),
+    "SF105": (Severity.INFO, "returned name not declared live_after"),
+    "SF106": (Severity.WARNING, "live_after inconsistent with continuation_source"),
+    "SF107": (Severity.ERROR, "duplicate region name in module"),
+    "SF201": (Severity.ERROR, "nondeterministic call in region"),
+    "SF202": (Severity.ERROR, "I/O call in region"),
+    "SF203": (Severity.ERROR, "global or nonlocal mutation in region"),
+    "SF204": (Severity.ERROR, "mutation of input argument not declared live_after"),
+    "SF205": (Severity.ERROR, "unsupported construct in region"),
+    "SF206": (Severity.WARNING, "closure over region-local state"),
+    "SF301": (Severity.WARNING, "static-only input (cross-validation)"),
+    "SF302": (Severity.ERROR, "dynamic-only input (cross-validation)"),
+    "SF303": (Severity.WARNING, "static-only output (cross-validation)"),
+    "SF304": (Severity.ERROR, "dynamic-only output (cross-validation)"),
+    "CC101": (Severity.ERROR, "write to guarded field without its lock"),
+    "CC102": (Severity.WARNING, "read of guarded field without its lock"),
+    "CC103": (Severity.WARNING, "field locked inconsistently"),
+    "CC104": (Severity.ERROR, "requires()-method called without the lock"),
+    "CC105": (Severity.ERROR, "unresolvable concurrency annotation"),
+    "CC201": (Severity.ERROR, "lock-acquisition cycle (potential deadlock)"),
+    "CC202": (Severity.ERROR, "non-reentrant lock re-acquired while held"),
+    "CC203": (Severity.WARNING, "blocking wait while holding another lock"),
+    "CC301": (Severity.ERROR, "condvar wait() outside a predicate loop"),
+    "CC302": (Severity.ERROR, "condvar verb without the condition held"),
+    "CC303": (Severity.WARNING, "inline timeout arithmetic in timed wait"),
+    "CC401": (Severity.ERROR, "dynamic-only lock-order edge"),
+    "CC402": (Severity.INFO, "static-only lock-order edge never exercised"),
+}
+
+
+def diagnostic(
+    rule: str,
+    message: str,
+    *,
+    node: Optional[ast.AST] = None,
+    region: Optional[str] = None,
+    file: Optional[str] = None,
+    line: int = 0,
+    col: int = 0,
+) -> Diagnostic:
+    """A finding of ``rule`` at its catalogued severity; an AST ``node``
+    gives the line and column."""
+    if node is not None:
+        line, col = node.lineno, node.col_offset
+    return Diagnostic(rule=rule, severity=RULES[rule][0], message=message,
+                      region=region, file=file, line=line, col=col)
 
 
 @dataclass

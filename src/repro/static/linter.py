@@ -1,18 +1,24 @@
-"""Region discovery and the lint driver.
+"""Region discovery and the one lint driver.
 
-Two front ends share the same inference + rules core:
+:func:`lint_sources` turns ``(filename, source)`` pairs into one
+:class:`LintReport`.  Each source is parsed once; the SF rules run on
+every ``@code_region`` function of each module, and the CC analyzer runs
+once over all the modules as one package, so lock-order edges and
+``requires`` contracts cross file boundaries.  ``# cc: ignore(CCxxx)``
+pragmas suppress matching CC findings on their line, and the CC findings
+are ordered by file, line and rule.  Nothing is imported, so linting
+untrusted or heavyweight modules is free of side effects; ``@code_region``
+metadata is recovered from the decorator's literal arguments.
 
-* :func:`lint_path` / :func:`lint_source` — **pure AST**: the target file
-  is parsed, never imported, so linting untrusted or heavyweight modules
-  is free of side effects.  ``@code_region`` metadata is recovered from
-  the decorator's literal arguments.
+Entry points:
+
+* :func:`lint_module` — a file, a directory (every ``*.py`` under it, as
+  one package) or a dotted module name; the ``repro lint`` CLI;
+* :func:`lint_source` — one in-memory module;
 * :func:`lint_region_fn` — **runtime**: a live decorated function is
   analyzed via its attached :class:`RegionSpec` (authoritative metadata)
   and ``inspect``-recovered source, with line numbers mapped back to the
-  defining file.
-
-Both return plain :class:`Diagnostic` lists; :func:`lint_module` wraps
-them into a :class:`LintReport` for the CLI.
+  defining file (the SF rules only; this is the build's preflight).
 """
 
 from __future__ import annotations
@@ -22,8 +28,10 @@ import importlib.util
 import os
 from typing import Optional
 
-from .concurrency.linter import collect_sources, lint_concurrency_source
-from .diagnostics import Diagnostic, LintReport, Severity
+from .concurrency.analyze import PackageAnalysis, analyze_modules, analyze_sources
+from .concurrency.graph import LockOrderGraph, build_graph
+from .concurrency.rules import check_package
+from .diagnostics import Diagnostic, LintReport, diagnostic
 from .inference import (
     RegionMeta,
     StaticRegionReport,
@@ -33,12 +41,13 @@ from .inference import (
 from .rules import run_rules
 
 __all__ = [
+    "collect_sources",
     "discover_regions",
+    "lint_sources",
     "lint_source",
-    "lint_path",
-    "lint_directory",
     "lint_region_fn",
     "lint_module",
+    "lock_order_graph",
     "resolve_target",
 ]
 
@@ -124,91 +133,108 @@ def _lint_one(
     return report, run_rules(func, meta, report, filename)
 
 
-def lint_source(
-    source: str, filename: str = "<string>", *, concurrency: bool = True
-) -> LintReport:
-    """Pure-AST lint of a module's source text (SF rules plus, unless
-    disabled, the single-file concurrency CC rules)."""
-    report = LintReport(target=filename)
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        report.diagnostics.append(
-            Diagnostic(
-                rule="SF102",
-                severity=Severity.ERROR,
-                message=f"module does not parse: {exc.msg}",
-                file=filename,
-                line=exc.lineno or 0,
-            )
-        )
-        return report
+def collect_sources(target: str) -> list[tuple[str, str]]:
+    """``[(filename, source), ...]`` for a file, or for every ``*.py``
+    under a directory (unreadable files there are skipped)."""
+    if not os.path.isdir(target):
+        with open(target, "r", encoding="utf-8") as handle:
+            return [(target, handle.read())]
+    sources = []
+    for root, dirs, files in os.walk(target):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+        for name in sorted(files):
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(root, name)
+            try:
+                with open(path, "r", encoding="utf-8") as handle:
+                    sources.append((path, handle.read()))
+            except OSError:
+                continue
+    return sources
 
-    regions = discover_regions(tree)
+
+def _lint_regions(
+    tree: ast.Module, filename: str, report: LintReport
+) -> list[str]:
+    """SF rules over one module's regions; returns the region names."""
     names: list[str] = []
     seen: dict[str, int] = {}
-    for func, meta in regions:
+    for func, meta in discover_regions(tree):
         static_report, diags = _lint_one(func, meta, filename)
         names.append(static_report.region_name)
         report.extend(diags)
         key = meta.name or static_report.region_name
         if key in seen:
-            report.diagnostics.append(
-                Diagnostic(
-                    rule="SF107",
-                    severity=Severity.ERROR,
-                    message=(
-                        f"duplicate region name {key!r} (first defined at "
-                        f"line {seen[key]})"
-                    ),
-                    region=key,
-                    file=filename,
-                    line=func.lineno,
-                )
-            )
+            report.diagnostics.append(diagnostic(
+                "SF107",
+                f"duplicate region name {key!r} (first defined at "
+                f"line {seen[key]})",
+                region=key, file=filename, line=func.lineno,
+            ))
         else:
             seen[key] = func.lineno
-    report.regions = tuple(names)
-
-    if not regions:
-        report.diagnostics.append(
-            Diagnostic(
-                rule="SF001",
-                severity=Severity.INFO,
-                message="no @code_region-annotated functions found",
-                file=filename,
-            )
-        )
-    if concurrency:
-        report.extend(lint_concurrency_source(source, filename).diagnostics)
-    return report
+    return names
 
 
-def lint_path(path: str) -> LintReport:
-    """Pure-AST lint of a Python file (the file is read, never imported)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(source, filename=path)
+def _suppressed(diag: Diagnostic, analysis: PackageAnalysis) -> bool:
+    """Whether a ``# cc: ignore`` pragma on the finding's line covers it."""
+    if diag.file is None:
+        return False
+    codes = analysis.ignores.get(diag.file, {}).get(diag.line)
+    if codes is None:
+        return False
+    return any(diag.rule == code or (code == "CC" and diag.rule.startswith("CC"))
+               for code in codes)
 
 
-def lint_directory(target: str) -> LintReport:
-    """Lint every ``*.py`` under a directory as one package.
+def lint_sources(target: str, sources: list[tuple[str, str]]) -> LintReport:
+    """Lint ``[(filename, source), ...]`` as one package.
 
-    SF rules run per file (the per-file "no regions" info is dropped —
-    most modules of a package rightly have none); CC rules run once over
-    the whole package so lock-order edges cross file boundaries.
+    A module that does not parse is reported (SF102) and left out of the
+    CC analysis.  SF001 is reported when the parsed modules hold no
+    region at all: at the file when there is one, else at ``target``.
     """
-    from .concurrency.linter import lint_concurrency
-
     report = LintReport(target=target)
+    modules: list[tuple[str, str, ast.Module]] = []
     names: list[str] = []
-    for path, source in collect_sources(target):
-        sub = lint_source(source, filename=path, concurrency=False)
-        names.extend(sub.regions)
-        report.extend(d for d in sub.diagnostics if d.rule != "SF001")
+    for filename, source in sources:
+        try:
+            tree = ast.parse(source)
+        except SyntaxError as exc:
+            report.diagnostics.append(diagnostic(
+                "SF102", f"module does not parse: {exc.msg}",
+                file=filename, line=exc.lineno or 0,
+            ))
+            continue
+        modules.append((filename, source, tree))
+        names.extend(_lint_regions(tree, filename, report))
     report.regions = tuple(names)
-    report.extend(lint_concurrency(target).diagnostics)
+    if modules and not names:
+        report.diagnostics.append(diagnostic(
+            "SF001", "no @code_region-annotated functions found",
+            file=modules[0][0] if len(modules) == 1 else target,
+        ))
+
+    analysis = analyze_modules(modules)
+    graph, reentries = build_graph(analysis)
+    report.extend(sorted(
+        (d for d in check_package(analysis, graph, reentries)
+         if not _suppressed(d, analysis)),
+        key=lambda d: (d.file or "", d.line, d.rule),
+    ))
     return report
+
+
+def lint_source(source: str, filename: str = "<string>") -> LintReport:
+    """Lint one in-memory module (SF and CC rules)."""
+    return lint_sources(filename, [(filename, source)])
+
+
+def lock_order_graph(target: str) -> LockOrderGraph:
+    """The static lock-order graph of a file or package directory."""
+    graph, _ = build_graph(analyze_sources(collect_sources(target)))
+    return graph
 
 
 def lint_region_fn(fn) -> tuple[StaticRegionReport, list[Diagnostic]]:
@@ -249,21 +275,15 @@ def resolve_target(target: str) -> Optional[str]:
 def lint_module(target: str) -> LintReport:
     """Lint a file, directory, or dotted module name; never imports it."""
     if os.path.isdir(target):
-        return lint_directory(target)
+        return lint_sources(target, collect_sources(target))
     path = resolve_target(target)
     if path is None:
         report = LintReport(target=target)
-        report.diagnostics.append(
-            Diagnostic(
-                rule="SF002",
-                severity=Severity.ERROR,
-                message=(
-                    f"cannot resolve lint target {target!r} to a Python "
-                    "file (expected a path, dotted module, or app name)"
-                ),
-            )
-        )
+        report.diagnostics.append(diagnostic(
+            "SF002",
+            f"cannot resolve lint target {target!r} to a Python "
+            "file (expected a path, dotted module, or app name)",
+        ))
         return report
-    report = lint_path(path)
-    report.target = target if target == path else f"{target} ({path})"
-    return report
+    label = target if target == path else f"{target} ({path})"
+    return lint_sources(label, collect_sources(path))

@@ -45,7 +45,8 @@ SF304     error     dynamic-only output (cross-validation)
 
 Concurrency rules (CC1xx guarded-by, CC2xx lock order, CC3xx condvars,
 CC4xx lock-order cross-validation) are catalogued in
-:mod:`repro.static.concurrency.rules` and merged into :data:`RULES`.
+:mod:`repro.static.concurrency.rules`; both families share the one
+:data:`~repro.static.diagnostics.RULES` table.
 """
 
 from __future__ import annotations
@@ -55,35 +56,10 @@ import builtins
 from typing import Iterator, Optional
 
 from ..extract.liveness import live_in
-from .concurrency.rules import CC_RULES
-from .diagnostics import Diagnostic, Severity
+from .diagnostics import Diagnostic, diagnostic
 from .inference import RegionMeta, StaticRegionReport, function_params
 
-__all__ = ["RULES", "run_rules"]
-
-#: rule id -> (severity, one-line summary) — the documented catalogue
-RULES: dict[str, tuple[Severity, str]] = {
-    "SF001": (Severity.INFO, "no annotated regions found"),
-    "SF002": (Severity.ERROR, "lint target cannot be resolved"),
-    "SF101": (Severity.ERROR, "region has no non-empty name"),
-    "SF102": (Severity.ERROR, "continuation_source does not parse"),
-    "SF103": (Severity.ERROR, "live_after name never written by the region"),
-    "SF104": (Severity.WARNING, "region outputs cannot be derived"),
-    "SF105": (Severity.INFO, "returned name not declared live_after"),
-    "SF106": (Severity.WARNING, "live_after inconsistent with continuation_source"),
-    "SF107": (Severity.ERROR, "duplicate region name in module"),
-    "SF201": (Severity.ERROR, "nondeterministic call in region"),
-    "SF202": (Severity.ERROR, "I/O call in region"),
-    "SF203": (Severity.ERROR, "global or nonlocal mutation in region"),
-    "SF204": (Severity.ERROR, "mutation of input argument not declared live_after"),
-    "SF205": (Severity.ERROR, "unsupported construct in region"),
-    "SF206": (Severity.WARNING, "closure over region-local state"),
-    "SF301": (Severity.WARNING, "static-only input (cross-validation)"),
-    "SF302": (Severity.ERROR, "dynamic-only input (cross-validation)"),
-    "SF303": (Severity.WARNING, "static-only output (cross-validation)"),
-    "SF304": (Severity.ERROR, "dynamic-only output (cross-validation)"),
-}
-RULES.update(CC_RULES)
+__all__ = ["run_rules"]
 
 # call-name denylists (matched against the dotted source text of the callee)
 _NONDET_PREFIXES = (
@@ -148,26 +124,6 @@ def _local_bindings(func: ast.FunctionDef | ast.AsyncFunctionDef) -> frozenset[s
     return frozenset(bound)
 
 
-def _diag(
-    rule: str,
-    message: str,
-    node: ast.AST,
-    meta: RegionMeta,
-    filename: Optional[str],
-    region: Optional[str],
-) -> Diagnostic:
-    severity, _ = RULES[rule]
-    return Diagnostic(
-        rule=rule,
-        severity=severity,
-        message=message,
-        region=region,
-        file=filename,
-        line=getattr(node, "lineno", meta.lineno),
-        col=getattr(node, "col_offset", 0),
-    )
-
-
 # -- metadata rules (SF1xx) ------------------------------------------------
 
 
@@ -180,57 +136,58 @@ def _metadata_rules(
     region = report.region_name
 
     if meta.name is not None and not meta.name:
-        yield _diag("SF101", "@code_region name is empty", func, meta, filename, region)
+        yield diagnostic("SF101", "@code_region name is empty", node=func,
+                         region=region, file=filename)
 
     continuation_live: Optional[frozenset[str]] = None
     if meta.continuation_source is not None:
         try:
             continuation_live = live_in(meta.continuation_source)
         except SyntaxError as exc:
-            yield _diag(
+            yield diagnostic(
                 "SF102",
                 f"continuation_source does not parse: {exc.msg} "
                 f"(continuation line {exc.lineno})",
-                func, meta, filename, region,
+                node=func, region=region, file=filename,
             )
 
     writes = set(report.writes)
     for name in meta.live_after or ():
         if name not in writes and name not in report.params:
-            yield _diag(
+            yield diagnostic(
                 "SF103",
                 f"live_after name {name!r} is never written by the region "
                 f"(writes: {sorted(writes) or 'none'})",
-                func, meta, filename, region,
+                node=func, region=region, file=filename,
             )
 
     if report.live is None:
-        yield _diag(
+        yield diagnostic(
             "SF104",
             "cannot derive outputs: no live_after, no continuation_source, "
             "and the final return does not name its values",
-            func, meta, filename, region,
+            node=func, region=region, file=filename,
         )
 
     if meta.live_after:
         for name in report.returns:
             if name not in meta.live_after:
-                yield _diag(
+                yield diagnostic(
                     "SF105",
                     f"returned name {name!r} is not declared live_after "
                     "(dropped from the surrogate's outputs)",
-                    func, meta, filename, region,
+                    node=func, region=region, file=filename,
                 )
 
     if meta.live_after and continuation_live is not None:
         declared = set(meta.live_after) & writes
         derived = set(continuation_live) & writes
         if declared != derived:
-            yield _diag(
+            yield diagnostic(
                 "SF106",
                 f"live_after {sorted(declared)} disagrees with liveness of "
                 f"continuation_source {sorted(derived)}",
-                func, meta, filename, region,
+                node=func, region=region, file=filename,
             )
 
 
@@ -239,7 +196,6 @@ def _metadata_rules(
 
 def _call_rules(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
-    meta: RegionMeta,
     filename: Optional[str],
     region: str,
 ) -> Iterator[Diagnostic]:
@@ -250,25 +206,25 @@ def _call_rules(
         if dotted is None:
             continue
         if dotted in _UNSUPPORTED_EXACT:
-            yield _diag(
+            yield diagnostic(
                 "SF205",
                 f"call to {dotted}() — dynamic execution/attribute access "
                 "cannot be traced or replayed by a surrogate",
-                node, meta, filename, region,
+                node=node, region=region, file=filename,
             )
         elif dotted in _NONDET_EXACT or dotted.startswith(_NONDET_PREFIXES):
-            yield _diag(
+            yield diagnostic(
                 "SF201",
                 f"nondeterministic call {dotted}() — the region must be a "
                 "deterministic function of its inputs",
-                node, meta, filename, region,
+                node=node, region=region, file=filename,
             )
         elif dotted in _IO_EXACT or dotted.startswith(_IO_PREFIXES):
-            yield _diag(
+            yield diagnostic(
                 "SF202",
                 f"I/O call {dotted}() — a surrogate cannot reproduce side "
                 "effects",
-                node, meta, filename, region,
+                node=node, region=region, file=filename,
             )
 
 
@@ -297,35 +253,35 @@ def _construct_rules(
         kind = "element" if isinstance(target, ast.Subscript) else "attribute"
         if base in report.params:
             if base not in declared_live:
-                yield _diag(
+                yield diagnostic(
                     "SF204",
                     f"{kind} write mutates input argument {base!r}, which is "
                     "not declared live_after — the caller observes a side "
                     "effect the surrogate will not reproduce",
-                    target, meta, filename, region,
+                    node=target, region=region, file=filename,
                 )
         elif base not in local and not hasattr(builtins, base):
-            yield _diag(
+            yield diagnostic(
                 "SF203",
                 f"{kind} write mutates global {base!r} — hidden state makes "
                 "the region non-replayable",
-                target, meta, filename, region,
+                node=target, region=region, file=filename,
             )
 
     for node in ast.walk(func):
         if isinstance(node, ast.Global):
-            yield _diag(
+            yield diagnostic(
                 "SF203",
                 f"'global {', '.join(node.names)}' — the region writes "
                 "module state",
-                node, meta, filename, region,
+                node=node, region=region, file=filename,
             )
         elif isinstance(node, ast.Nonlocal):
-            yield _diag(
+            yield diagnostic(
                 "SF203",
                 f"'nonlocal {', '.join(node.names)}' — the region writes "
                 "enclosing-scope state",
-                node, meta, filename, region,
+                node=node, region=region, file=filename,
             )
         elif isinstance(node, (ast.Subscript, ast.Attribute)) and isinstance(
             getattr(node, "ctx", None), (ast.Store, ast.Del)
@@ -334,31 +290,30 @@ def _construct_rules(
         elif isinstance(node, ast.AugAssign):
             yield from check_mutation(node.target)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            yield _diag(
+            yield diagnostic(
                 "SF205",
                 "import inside the region — move imports to module scope so "
                 "the region stays a pure data transformation",
-                node, meta, filename, region,
+                node=node, region=region, file=filename,
             )
         elif isinstance(node, (ast.Yield, ast.YieldFrom)):
-            yield _diag(
+            yield diagnostic(
                 "SF205",
                 "yield inside the region — generators cannot be replaced by "
                 "a one-shot surrogate",
-                node, meta, filename, region,
+                node=node, region=region, file=filename,
             )
         elif isinstance(node, (ast.Await, ast.AsyncFor, ast.AsyncWith)):
-            yield _diag(
+            yield diagnostic(
                 "SF205",
                 "async construct inside the region — the tracer and runtime "
                 "replay are synchronous",
-                node, meta, filename, region,
+                node=node, region=region, file=filename,
             )
 
 
 def _closure_rules(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
-    meta: RegionMeta,
     filename: Optional[str],
     region: str,
 ) -> Iterator[Diagnostic]:
@@ -389,11 +344,11 @@ def _closure_rules(
         )
         if captured:
             label = getattr(node, "name", "<lambda>")
-            yield _diag(
+            yield diagnostic(
                 "SF206",
                 f"nested {label!r} closes over region variables "
                 f"{captured} — captured state is invisible to the tracer",
-                node, meta, filename, region,
+                node=node, region=region, file=filename,
             )
 
 
@@ -409,7 +364,7 @@ def run_rules(
     """All per-region rule diagnostics for one region definition."""
     region = report.region_name
     diags = list(_metadata_rules(func, meta, report, filename))
-    diags.extend(_call_rules(func, meta, filename, region))
+    diags.extend(_call_rules(func, filename, region))
     diags.extend(_construct_rules(func, meta, report, filename))
-    diags.extend(_closure_rules(func, meta, filename, region))
+    diags.extend(_closure_rules(func, filename, region))
     return diags

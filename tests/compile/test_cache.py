@@ -164,6 +164,26 @@ class TestCrashSafety:
         payload.write_bytes(b"\x00" * 16)
         assert cache.get(key) is None  # treated as a miss, no crash
 
+    def test_unreadable_entry_is_replaced_by_the_next_put(self, rng, tmp_path):
+        # a miss on an unreadable entry recompiles; that put must publish
+        # a readable version, or every new process misses again
+        package = make_package(rng, activation="tanh", hidden=(8, 4))
+        key = key_for(package)
+        PlanCache(tmp_path).put(key, compile_package(package))
+        payload = next((tmp_path / "plan_cache" / key).rglob("plan.npz"))
+        payload.write_bytes(b"\x00" * 16)
+        cache = PlanCache(tmp_path)
+        assert cache.get(key) is None
+        cache.put(key, compile_package(package))
+        reloaded = PlanCache(tmp_path).get(key)
+        assert reloaded is not None
+        assert obs.get_registry().get(
+            "repro_compile_cache_hits_total"
+        ).value(tier="disk") == 1
+        x = rng.standard_normal((5, package.input_dim))
+        with batch_invariant():
+            np.testing.assert_array_equal(reloaded.predict(x), package.predict(x))
+
 
 class TestSchemaAndCsr:
     def test_old_schema_disk_entry_reads_as_miss(self, rng, tmp_path):

@@ -103,6 +103,32 @@ class TestTiers:
             loaded.autoencoder.encode(x), entry.autoencoder.encode(x)
         )
 
+    def test_unreadable_entry_is_replaced_by_the_next_put(self, rng, tmp_path):
+        # a miss on an unreadable entry retrains; that put must publish a
+        # readable version, or every new process misses again
+        x = rng.standard_normal((30, 6))
+        key = AutoencoderCache.key(x, 3, **base_key_kwargs())
+        entry = self._trained_entry(rng, x)
+        AutoencoderCache(tmp_path).put(key, entry)
+        payload = next((tmp_path / "ae_cache" / key).rglob("autoencoder.npz"))
+        payload.write_bytes(b"\x00" * 16)
+        cache = AutoencoderCache(tmp_path)
+        assert cache.get(key) is None
+        cache.put(key, entry)
+
+        loaded = AutoencoderCache(tmp_path).get(key)
+        assert loaded is not None
+        assert obs.get_registry().get(
+            "repro_nas_ae_cache_hits_total"
+        ).value(tier="disk") == 1
+        assert loaded.sigma == entry.sigma
+        np.testing.assert_array_equal(loaded.z, entry.z)
+        for p_new, p_old in zip(
+            loaded.autoencoder.parameters(), entry.autoencoder.parameters()
+        ):
+            assert p_new.data.dtype == p_old.data.dtype
+            np.testing.assert_array_equal(p_new.data, p_old.data)
+
     def test_disabled_cache_is_inert(self, rng, tmp_path):
         x = rng.standard_normal((30, 6))
         cache = AutoencoderCache(tmp_path, enabled=False)

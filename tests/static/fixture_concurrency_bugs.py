@@ -2,7 +2,7 @@
 
 Each class below plants exactly one family of defect the analyzer must
 catch.  Nothing here is ever executed — the module exists to be parsed
-(``lint_concurrency`` / ``repro lint``), and the deadlocks are only
+(``lint_module`` / ``repro lint``), and the deadlocks are only
 deadlocks if you call them, which nobody does.
 """
 

@@ -6,14 +6,8 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.static import Severity
-from repro.static.concurrency import (
-    CC_RULES,
-    cross_validate_lock_orders,
-    lint_concurrency,
-    lint_concurrency_source,
-    lock_order_graph,
-)
+from repro.static import Severity, lint_module, lint_source, lock_order_graph
+from repro.static.concurrency import CC_RULES, cross_validate_lock_orders
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixture_concurrency_bugs.py")
 
@@ -23,7 +17,11 @@ def rules_of(report):
 
 
 def lint(source):
-    return lint_concurrency_source(source)
+    return lint_source(source).filter(select=("CC",))
+
+
+def lint_fixture():
+    return lint_module(FIXTURE).filter(select=("CC",))
 
 
 PREAMBLE = "import threading\n"
@@ -183,11 +181,11 @@ class TestRequires:
 
 class TestLockOrderGraph:
     def test_cycle_is_cc201(self):
-        report = lint_concurrency(FIXTURE)
+        report = lint_fixture()
         assert "CC201" in rules_of(report)
 
     def test_interprocedural_reacquire_is_cc202(self):
-        report = lint_concurrency(FIXTURE)
+        report = lint_fixture()
         assert "CC202" in rules_of(report)
 
     def test_rlock_reacquire_is_fine(self):
@@ -228,7 +226,7 @@ class TestLockOrderGraph:
             "        with self._lock:\n"
             "            self.inner.poke()\n"
         )
-        report = lint_concurrency_source(source)
+        report = lint(source)
         assert not report.at_least(Severity.ERROR)
         from repro.static.concurrency import analyze_sources, build_graph
 
@@ -261,7 +259,7 @@ class TestLockOrderGraph:
             "        with self._lock:\n"
             "            self.pool.stop()\n"
         )
-        report = lint_concurrency_source(source)
+        report = lint(source)
         assert not report.at_least(Severity.WARNING)
         from repro.static.concurrency import analyze_sources, build_graph
 
@@ -272,7 +270,7 @@ class TestLockOrderGraph:
 
 class TestCondvars:
     def test_seeded_condvar_lints(self):
-        report = lint_concurrency(FIXTURE)
+        report = lint_fixture()
         assert {"CC301", "CC302", "CC303"} <= rules_of(report)
 
     def test_wait_for_is_loop_exempt(self):
@@ -333,18 +331,18 @@ class TestSuppression:
 
 class TestReportFilter:
     def test_select_prefix(self):
-        report = lint_concurrency(FIXTURE)
+        report = lint_fixture()
         only_3xx = report.filter(select=["CC3"])
         assert rules_of(only_3xx) == {"CC301", "CC302", "CC303"}
 
     def test_ignore_prefix(self):
-        report = lint_concurrency(FIXTURE)
+        report = lint_fixture()
         no_1xx = report.filter(ignore=["CC1"])
         assert not any(r.startswith("CC1") for r in rules_of(no_1xx))
         assert "CC201" in rules_of(no_1xx)
 
     def test_select_then_ignore(self):
-        report = lint_concurrency(FIXTURE)
+        report = lint_fixture()
         picked = report.filter(select=["CC2"], ignore=["CC202"])
         assert rules_of(picked) == {"CC201"}
 
@@ -425,5 +423,5 @@ class TestRuleCatalog:
         assert set(CC_RULES) <= set(RULES)
 
     def test_all_emitted_rules_are_cataloged(self):
-        report = lint_concurrency(FIXTURE)
+        report = lint_fixture()
         assert rules_of(report) <= set(CC_RULES)

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.static import Severity, lint_module, lint_path, lint_source
+from repro.static import Severity, lint_module, lint_source
 
 FIXTURE_DIR = os.path.dirname(__file__)
 BAD_FIXTURE = os.path.join(FIXTURE_DIR, "fixture_bad_regions.py")
@@ -55,13 +55,13 @@ class TestDiscovery:
 
 class TestReportRendering:
     def test_text_format_has_location_lines(self):
-        text = lint_path(BAD_FIXTURE).format_text()
+        text = lint_module(BAD_FIXTURE).format_text()
         assert "fixture_bad_regions.py" in text
         assert "error SF201" in text
         assert "error(s)" in text
 
     def test_json_roundtrip(self):
-        payload = json.loads(lint_path(BAD_FIXTURE).format_json())
+        payload = json.loads(lint_module(BAD_FIXTURE).format_json())
         assert payload["summary"]["error"] >= 4
         assert {"rule", "severity", "message", "file", "line", "col", "region"} <= set(
             payload["diagnostics"][0]
@@ -90,6 +90,99 @@ class TestLintModuleResolution:
         report = lint_module("no.such.module")
         assert {d.rule for d in report.errors} == {"SF002"}
         assert report.exit_code() == 1
+
+
+_PACKAGE_FILES = {
+    "regions.py": (
+        "from repro.extract import code_region\n"
+        "\n"
+        "@code_region(name='noisy', live_after=('y',))\n"
+        "def noisy(x):\n"
+        "    y = x + 1\n"
+        "    print(y)\n"
+        "    return y\n"
+    ),
+    "left.py": (
+        "import threading\n"
+        "\n"
+        "class Left:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "        self.n = 0  # cc: guarded-by(_lock)\n"
+        "        self.right = Right()\n"
+        "    def drive(self):\n"
+        "        with self._lock:\n"
+        "            self.right.poke()\n"
+        "    def poke(self):\n"
+        "        with self._lock:\n"
+        "            pass\n"
+        "    def waived(self):\n"
+        "        self.n = 1  # cc: ignore(CC101)\n"
+    ),
+    "right.py": (
+        "import threading\n"
+        "\n"
+        "class Right:\n"
+        "    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n"
+        "        self.left = Left()\n"
+        "    def drive(self):\n"
+        "        with self._lock:\n"
+        "            self.left.poke()\n"
+        "    def poke(self):\n"
+        "        with self._lock:\n"
+        "            pass\n"
+    ),
+}
+
+
+class TestDirectoryTarget:
+    """A directory is linted as one package: SF per file, CC across files."""
+
+    @pytest.fixture
+    def package(self, tmp_path):
+        for name, source in _PACKAGE_FILES.items():
+            (tmp_path / name).write_text(source)
+        return str(tmp_path)
+
+    def test_one_report_for_the_package(self, package):
+        report = lint_module(package)
+        rules = {d.rule for d in report.diagnostics}
+        assert report.regions == ("noisy",)
+        sf202 = [d for d in report.diagnostics if d.rule == "SF202"]
+        assert [(os.path.basename(d.file), d.line) for d in sf202] == [
+            ("regions.py", 6)
+        ]
+        cycles = [d for d in report.diagnostics if d.rule == "CC201"]
+        assert cycles and "Left._lock" in cycles[0].message
+        assert "Right._lock" in cycles[0].message
+        # the ignored write is the only unguarded access in the package
+        assert "CC101" not in rules
+        assert "SF001" not in rules
+
+    def test_package_without_regions_reports_sf001_once(self, package):
+        os.remove(os.path.join(package, "regions.py"))
+        report = lint_module(package)
+        sf001 = [d for d in report.diagnostics if d.rule == "SF001"]
+        assert [d.file for d in sf001] == [package]
+        assert report.regions == ()
+
+    def test_cycle_needs_both_files(self, package):
+        for name in ("left.py", "right.py"):
+            alone = lint_module(os.path.join(package, name))
+            assert "CC201" not in {d.rule for d in alone.diagnostics}
+
+    def test_ignore_pragma_is_what_hides_the_write(self, package):
+        left = os.path.join(package, "left.py")
+        with open(left) as handle:
+            source = handle.read()
+        with open(left, "w") as handle:
+            handle.write(source.replace("  # cc: ignore(CC101)", ""))
+        report = lint_module(package)
+        assert [
+            (os.path.basename(d.file), d.line)
+            for d in report.diagnostics if d.rule == "CC101"
+        ] == [("left.py", 15)]
 
 
 class TestCLI:

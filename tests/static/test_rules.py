@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.static import RULES, Severity, lint_path, lint_source
+from repro.static import RULES, Severity, lint_module, lint_source
 
 FIXTURE_DIR = os.path.dirname(__file__)
 BAD_FIXTURE = os.path.join(FIXTURE_DIR, "fixture_bad_regions.py")
@@ -29,13 +29,13 @@ class TestBadFixtureModule:
     """The acceptance fixture: an unfit module hits >= 4 error-level rules."""
 
     def test_at_least_four_distinct_error_rules(self):
-        report = lint_path(BAD_FIXTURE)
+        report = lint_module(BAD_FIXTURE)
         error_rules = rules_of(report.errors)
         assert {"SF201", "SF202", "SF203", "SF204", "SF205"} <= error_rules
         assert len(error_rules) >= 4
 
     def test_metadata_errors_found_without_importing(self):
-        report = lint_path(BAD_FIXTURE)
+        report = lint_module(BAD_FIXTURE)
         error_rules = rules_of(report.errors)
         assert "SF102" in error_rules   # continuation_source does not parse
         assert "SF103" in error_rules   # live_after name never written
@@ -50,10 +50,10 @@ class TestBadFixtureModule:
             spec.loader.exec_module(module)
 
     def test_exit_code_nonzero(self):
-        assert lint_path(BAD_FIXTURE).exit_code() == 1
+        assert lint_module(BAD_FIXTURE).exit_code() == 1
 
     def test_diagnostics_carry_locations(self):
-        report = lint_path(BAD_FIXTURE)
+        report = lint_module(BAD_FIXTURE)
         for d in report.errors:
             assert d.file == BAD_FIXTURE
             assert d.line > 0
@@ -204,7 +204,7 @@ class TestMetadataRules:
 
 class TestCatalogue:
     def test_every_diagnostic_rule_is_documented(self):
-        report = lint_path(BAD_FIXTURE)
+        report = lint_module(BAD_FIXTURE)
         for d in report.diagnostics:
             assert d.rule in RULES
             assert d.severity == RULES[d.rule][0]

@@ -11,7 +11,7 @@ import os
 import pytest
 
 from repro.apps import ALL_APPLICATIONS
-from repro.static import Severity, lint_concurrency, lint_path, lint_region_fn
+from repro.static import Severity, lint_module, lint_region_fn
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
 PACKAGE_DIR = os.path.join(REPO_ROOT, "src", "repro")
@@ -26,7 +26,7 @@ def test_fixture_paths_found():
 
 @pytest.mark.parametrize("path", APP_FILES + EXAMPLE_FILES, ids=os.path.basename)
 def test_module_lints_clean(path):
-    report = lint_path(path)
+    report = lint_module(path)
     noisy = report.at_least(Severity.WARNING)
     assert not noisy, "\n".join(d.format() for d in noisy)
     assert report.exit_code() == 0
@@ -48,16 +48,17 @@ class TestConcurrencySelfhost:
     alone, with zero ``# cc: ignore`` escapes."""
 
     def test_package_is_cc_clean(self):
-        report = lint_concurrency(PACKAGE_DIR)
+        report = lint_module(PACKAGE_DIR).filter(select=("CC",))
         noisy = report.at_least(Severity.INFO)
         assert not noisy, "\n".join(d.format() for d in noisy)
 
     def test_no_suppressions_anywhere_in_package(self):
         # tokenize-level check: docstrings *documenting* the pragma are
         # fine, an actual `# cc: ignore(...)` comment is not
-        from repro.static.concurrency import analyze_target
+        from repro.static.concurrency import analyze_sources
+        from repro.static.linter import collect_sources
 
-        analysis, _, _ = analyze_target(PACKAGE_DIR)
+        analysis = analyze_sources(collect_sources(PACKAGE_DIR))
         offenders = [
             f"{path}:{line}"
             for path, lines in sorted(analysis.ignores.items())
