@@ -48,7 +48,7 @@ def main() -> None:
     workdir = tempfile.mkdtemp(prefix="autohpcnet_")
     build.surrogate.package.save(f"{workdir}/AI-CFD-net")
 
-    orchestrator = Orchestrator(port=6379)
+    orchestrator = Orchestrator()
     client = Client(orchestrator, cluster=False)
     package = client.set_model_from_file(
         "AI-CFD-net", f"{workdir}/AI-CFD-net", "TORCH", "GPU"

@@ -1,6 +1,7 @@
 """Online serving substrate: orchestrator, client, serving cost model (§6.3)."""
 
 from .orchestrator import (
+    BatchResult,
     CanaryStatus,
     InferenceRequest,
     Orchestrator,
@@ -17,11 +18,12 @@ from .serving import (
     measure_serving_throughput,
     measure_sustained_qps,
 )
-from .sharding import OverloadError, ProcessShardPool, RowsResult, ShardRing, ThreadShardPool, WorkerLostError
+from .sharding import OverloadError, ProcessShardPool, ShardRing, ThreadShardPool, WorkerLostError
 from .shm_store import SegmentAttachments, ShmHandle, ShmTensorStore
 from .guard import GuardStats, GuardedSurrogate, bounds_validator, default_validator, residual_validator
 
 __all__ = [
+    "BatchResult",
     "CanaryStatus",
     "InferenceRequest",
     "Orchestrator",
@@ -38,7 +40,6 @@ __all__ = [
     "measure_sustained_qps",
     "OverloadError",
     "ProcessShardPool",
-    "RowsResult",
     "ShardRing",
     "ThreadShardPool",
     "WorkerLostError",

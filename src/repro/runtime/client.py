@@ -6,25 +6,27 @@ results.  ``set_model_from_file`` loads a surrogate saved by
 :class:`~repro.nas.package.SurrogatePackage`; ``autoencoder`` runs the
 online feature reduction directly on a sparse tensor (Listing 2 line 14).
 
-Three invocation styles feed the orchestrator's micro-batching server:
+Three invocation styles feed the orchestrator's serving pool:
 
 * :meth:`Client.run_model` — the blocking Listing-1 call;
 * :meth:`Client.run_model_async` — returns an :class:`InferenceFuture`
   immediately, so an HPC rank can overlap its own compute with the
   surrogate's and pipeline many requests into one vectorized forward;
-* :meth:`Client.run_model_batch` — submits a whole list of inputs at once
-  and gathers the outputs in order.
+* :meth:`Client.run_model_batch` — the bulk call: a whole list of inputs
+  goes to :meth:`Orchestrator.run_batch`, which admits each request,
+  stacks same-shape rows into vectorized forwards in either serving mode
+  and returns the outputs in order.
 
-Raw-array inputs are staged under *unique* per-request scratch keys and
-deleted once the result is retrieved, so concurrent clients (or pipelined
-requests from one client) never clobber each other's inputs.
+The first two stage raw-array inputs under *unique* per-request scratch
+keys and delete them once the result is retrieved, so concurrent clients
+(or pipelined requests from one client) never clobber each other's
+inputs; the bulk call hands arrays over without staging them.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-import time
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -39,66 +41,6 @@ __all__ = ["Client", "InferenceFuture"]
 
 #: process-wide scratch-key sequence; itertools.count is atomic under the GIL
 _SCRATCH_IDS = itertools.count()
-
-
-class _BatchLatch:
-    """Counts down as batched requests finish; fires one Event at zero.
-
-    ``threading.Event`` construction costs ~3us — per-request Events are
-    the single largest client-side overhead when pipelining thousands of
-    requests.  Requests submitted together share this latch through
-    :class:`_LatchedDone` handles instead.
-    """
-
-    __slots__ = ("_lock", "_event", "_remaining")
-
-    def __init__(self, n: int) -> None:
-        self._lock = threading.Lock()
-        self._event = threading.Event()
-        self._remaining = n
-        if n <= 0:
-            self._event.set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._event.wait(timeout)
-
-
-class _LatchedDone:
-    """Event-compatible ``done`` handle for bulk-submitted requests.
-
-    ``set()``/``is_set()`` match :class:`threading.Event`; ``wait()`` is
-    conservative — it blocks until the *whole* latch fires (all sibling
-    requests finished), which implies this request finished too.  That is
-    exactly the semantics :meth:`Client.run_model_batch` needs, at a
-    fraction of an Event's construction cost.
-    """
-
-    __slots__ = ("_latch", "_flag")
-
-    def __init__(self, latch: _BatchLatch) -> None:
-        self._latch = latch            # cc: type(_BatchLatch)
-        # bare reads see a GIL-atomic bool; the Event provides ordering
-        self._flag = False             # cc: guarded-by(_latch._lock, atomic-reads)
-
-    def set(self) -> None:
-        latch = self._latch
-        with latch._lock:
-            if self._flag:
-                return
-            self._flag = True
-            latch._remaining -= 1
-            if latch._remaining <= 0:
-                latch._event.set()
-
-    def is_set(self) -> bool:
-        return self._flag
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        if self._flag:
-            return True
-        if self._latch.wait(timeout):
-            return True
-        return self._flag
 
 
 class InferenceFuture:
@@ -413,139 +355,29 @@ class Client:
         """Submit many inferences at once and gather the outputs in order.
 
         ``name`` may be one model name for the whole list or one name per
-        request (mixed multi-model traffic).  ``outputs`` may be omitted:
-        results are returned (in input order) without the caller naming
-        store keys.  ``timeout`` bounds the wait for the *whole* batch;
-        :class:`TimeoutError` is raised if it elapses first (the scratch
-        inputs are still cleaned up).
+        request (mixed multi-model traffic).  Each input is an array or
+        the store key(s) holding it.  ``outputs`` may be omitted: results
+        are returned (in input order) without the caller naming store
+        keys; named keys also receive their output in the store.
+        ``timeout`` bounds the wait for the *whole* batch;
+        :class:`TimeoutError` is raised if it elapses first.
 
-        With ``num_processes > 0`` and raw-array inputs and no explicit
-        output keys, requests take the sharded **bulk path**: rows are
-        grouped by (model, shape, dtype), each group crosses the process
-        boundary as one shared-memory block, and the owning shard runs
-        one vectorized compiled-plan forward per group — bit-identical to
-        the thread path for ``batch_invariant()`` models, with none of
-        the per-request store/queue/event bookkeeping.  Admission may
-        raise :class:`~repro.runtime.sharding.OverloadError` here.
-
-        Pipelining the whole list before the first wait is what lets the
-        serving pool drain the requests into large micro-batches.
+        The whole list takes one path (:meth:`Orchestrator.run_batch`):
+        every request is admitted on its own, 1-D rows of one model and
+        shape run as stacked vectorized forwards, and the first failed
+        request's error is raised — e.g.
+        :class:`~repro.runtime.sharding.OverloadError` when a shard sheds.
         """
-        names = [name] * len(inputs) if isinstance(name, str) else list(name)
-        if len(names) != len(inputs):
-            raise ValueError(
-                f"got {len(inputs)} inputs but {len(names)} model names"
-            )
-        if outputs is not None and len(inputs) != len(outputs):
-            raise ValueError(
-                f"got {len(inputs)} inputs but {len(outputs)} outputs"
-            )
-        if not inputs:
-            return []
-        if (
-            outputs is None
-            and self._orc.is_running
-            and getattr(self._orc, "num_processes", 0) > 0
-            and all(isinstance(x, np.ndarray) and x.ndim == 1 for x in inputs)
-        ):
-            return self._run_rows_grouped(names, inputs, timeout)
-        scratch_outs: list[str] = []
-        if outputs is None:
-            outputs = [
-                f"__scratch_out_{next(_SCRATCH_IDS)}__" for _ in inputs
-            ]
-            scratch_outs = list(outputs)
-        try:
-            if not self._orc.is_running:
-                futures = [
-                    self.run_model_async(n, x, out)
-                    for n, x, out in zip(names, inputs, outputs)
-                ]
-                return [future.result(timeout) for future in futures]
-            return self._run_batch_store(names, inputs, outputs, timeout)
-        finally:
-            if scratch_outs:
-                self._orc.delete_tensors(scratch_outs)
-
-    def _run_batch_store(
-        self,
-        names: list[str],
-        inputs: Sequence[Union[str, Sequence[str], np.ndarray]],
-        outputs: Sequence[Union[str, Sequence[str]]],
-        timeout: Optional[float],
-    ) -> list[np.ndarray]:
-        """Store-keyed bulk path: stage, submit_many, gather in order.
-
-        Requests share one completion latch and outputs are gathered
-        under one store lock, so the per-request client overhead stays
-        far below the serving cost.
-        """
-        staged = [self._stage_inputs(x) for x in inputs]
-        out_keys_list = [
-            (out,) if isinstance(out, str) else tuple(out) for out in outputs
+        resolved = [
+            x if isinstance(x, np.ndarray) else (x,) if isinstance(x, str) else tuple(x)
+            for x in inputs
         ]
-        latch = _BatchLatch(len(inputs))
-        requests = [
-            InferenceRequest(
-                model_name=n,
-                input_keys=in_keys,
-                output_keys=out_keys,
-                done=_LatchedDone(latch),
-            )
-            for n, (in_keys, _), out_keys in zip(names, staged, out_keys_list)
-        ]
-        scratch_keys = [key for _, scratch in staged for key in scratch]
-        try:
-            self._orc.submit_many(requests)
-            if not latch.wait(timeout):
-                raise TimeoutError(
-                    f"{len(requests)} batched inferences did not complete "
-                    f"within {timeout}s"
-                )
-            for request in requests:
-                if request.error is not None:
-                    raise request.error
-            # outputs are views of stored arrays: the arrays stay alive
-            # through the views even if the keys are deleted afterwards
-            return self._orc.get_tensors([keys[0] for keys in out_keys_list])
-        finally:
-            self._orc.delete_tensors(scratch_keys)
-
-    def _run_rows_grouped(
-        self,
-        names: list[str],
-        inputs: Sequence[np.ndarray],
-        timeout: Optional[float],
-    ) -> list[np.ndarray]:
-        """Sharded bulk path: group rows, fan groups out, gather, reorder.
-
-        Groups dispatch pmap-style — every group is in flight before the
-        first gather — so shards with different models work concurrently.
-        The whole burst crosses to the pool in one call
-        (:meth:`Orchestrator.run_rows_many`), which coalesces all groups
-        bound for one shard into a single wire message.
-        """
-        groups: dict[tuple, list[int]] = {}
-        for i, (n, x) in enumerate(zip(names, inputs)):
-            groups.setdefault((n, x.shape, x.dtype.str), []).append(i)
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        index_blocks = list(groups.values())
-        stacked_groups = [
-            (n, np.stack([inputs[i] for i in idxs]))
-            for (n, _, _), idxs in groups.items()
-        ]
-        rows_results = self._orc.run_rows_many(stacked_groups)
-        results: list[Optional[np.ndarray]] = [None] * len(inputs)
-        for idxs, rows_result in zip(index_blocks, rows_results):
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            block = rows_result.result(remaining)
-            for j, i in enumerate(idxs):
-                results[i] = block[j]
-        return results
+        if outputs is not None:
+            keys = [(out,) if isinstance(out, str) else tuple(out) for out in outputs]
+            if any(len(k) != 1 for k in keys):
+                raise ValueError("run_model_batch takes one output key per input")
+            outputs = [k[0] for k in keys]
+        return self._orc.run_batch(name, resolved, outputs).result(timeout)
 
     # -- online feature reduction ---------------------------------------------------------
 

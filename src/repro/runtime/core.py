@@ -13,8 +13,9 @@ only code that
   the negative "untraceable" result, so a model the compiler refuses is
   tried once rather than on every call (:meth:`ServingCore.purge` drops
   those negative memos when an operator re-activates a version);
-* groups compatible requests into one stacked forward, falling back to
-  one forward per request when it fails (:meth:`ServingCore.serve_many`);
+* runs each stacked block of request rows — or group of compatible
+  requests — as one forward, falling back to one forward per row when
+  it fails (:meth:`ServingCore.serve_many`);
 * runs forwards under :func:`repro.nn.batch_invariant`, so a row's
   output does not depend on how requests were batched, and checks that a
   stacked forward returns one row per input row;
@@ -46,7 +47,7 @@ from ..compile import (
 from ..nn.tensor import batch_invariant as _batch_invariant_mode
 from ..sparse import CSRMatrix
 
-__all__ = ["OrchestratorStopped", "Replica", "ServingCore"]
+__all__ = ["OrchestratorStopped", "Replica", "RowResults", "ServingCore"]
 
 #: plan-map marker for specializations the compiler cannot trace
 _UNTRACEABLE = object()
@@ -54,6 +55,24 @@ _UNTRACEABLE = object()
 
 class OrchestratorStopped(RuntimeError):
     """Raised to waiters whose request was still queued when stop() ran."""
+
+
+class RowResults(Exception):
+    """A stacked block whose forward failed, served again row by row.
+
+    ``results`` holds one ``(output, error)`` per row of the block.  It
+    travels where the block's error would, so a poisoned row fails only
+    itself; it is an exception only to whoever does not unpack it.
+    """
+
+    def __init__(self, results: list) -> None:
+        super().__init__(results)
+        self.results = results
+
+    def __str__(self) -> str:
+        errors = [error for _, error in self.results if error is not None]
+        first = f": {errors[0]!r}" if errors else ""
+        return f"{len(errors)} of {len(self.results)} rows failed{first}"
 
 
 class Replica(NamedTuple):
@@ -221,11 +240,13 @@ class ServingCore:
     ) -> list[tuple[Optional[np.ndarray], Optional[Exception]]]:
         """Serve ``(name, version, x, stacked, ...)`` jobs; one ``(output, error)`` each.
 
-        Jobs pinned to one version whose inputs are 1-D arrays of one
-        shape and dtype stack into one ``(B, F)`` forward; if it fails (a
-        poisoned row, a model not really row-wise) they are served one by
-        one, so a bad request cannot fail its batch-mates.  Any other job
-        (2-D or CSR input, stacked block) reaches the model whole.
+        A stacked job's ``x`` is a ``(B, F)`` block of request rows; jobs
+        pinned to one version whose inputs are 1-D arrays of one shape and
+        dtype stack into such a block too.  A block runs as one forward;
+        if it fails (a poisoned row, a model not really row-wise) its rows
+        are served one by one, so a bad row cannot fail its block-mates —
+        a stacked job served that way answers with :class:`RowResults`.
+        Any other job (2-D or CSR input) reaches the model whole.
         """
         groups: dict[Any, list[int]] = {}
         for i, job in enumerate(jobs):
@@ -237,24 +258,38 @@ class ServingCore:
             groups.setdefault(key, []).append(i)
         results: list = [None] * len(jobs)
         for idxs in groups.values():
+            name, version, x, stacked = jobs[idxs[0]][:4]
             if len(idxs) > 1:
-                name, version = jobs[idxs[0]][:2]
-                rows = np.stack([jobs[i][2] for i in idxs])
-                try:
-                    output = self.serve(name, version, rows, stacked=True)
-                except Exception:  # noqa: BLE001 - retried one by one below
-                    pass
+                x, stacked = np.stack([jobs[i][2] for i in idxs]), True
+            try:
+                output = self.serve(name, version, x, stacked=stacked)
+            except Exception as exc:  # noqa: BLE001 - a block is retried row by row
+                if not stacked:
+                    self.fail()
+                    results[idxs[0]] = (None, exc)
+                elif len(idxs) > 1:
+                    for i, result in zip(idxs, self._serve_rows(name, version, x)):
+                        results[i] = result
                 else:
-                    for i, row in zip(idxs, output):
-                        results[i] = (row, None)
-                    continue
-            for i in idxs:
-                name, version, x, stacked = jobs[i][:4]
-                try:
-                    results[i] = (self.serve(name, version, x, stacked=stacked), None)
-                except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
-                    self.fail(len(x) if stacked else 1)
-                    results[i] = (None, exc)
+                    retried = RowResults(self._serve_rows(name, version, x))
+                    results[idxs[0]] = (None, retried)
+                continue
+            if len(idxs) > 1:
+                for i, row in zip(idxs, output):
+                    results[i] = (row, None)
+            else:
+                results[idxs[0]] = (output, None)
+        return results
+
+    def _serve_rows(self, name: str, version: int, rows) -> list[tuple]:
+        """Serve each row of a block alone; one ``(output, error)`` per row."""
+        results = []
+        for row in rows:
+            try:
+                results.append((self.serve(name, version, row), None))
+            except Exception as exc:  # noqa: BLE001 - surfaced to the row's waiter
+                self.fail()
+                results.append((None, exc))
         return results
 
     def fail(self, requests: int = 1) -> None:

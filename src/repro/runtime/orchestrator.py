@@ -21,6 +21,9 @@ this process's :class:`~repro.runtime.core.ServingCore`; process mode
 hold a core each.  The core groups compatible requests into one stacked
 forward (:meth:`~repro.runtime.core.ServingCore.serve_many`), so both
 modes' outputs are byte-identical for ``batch_invariant()`` models.
+The bulk call, :meth:`Orchestrator.run_batch`, takes the same route in
+both modes: one admission per row under one lock, 1-D rows stacked into
+blocks of at most the pool's row bound, one ``dispatch``.
 
 The model registry is **versioned**: ``register_model`` may hold several
 versions of one name, exactly one of which is *active* (serving).
@@ -62,16 +65,17 @@ import threading
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional, Union
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from .. import obs
 from ..sparse import CSRMatrix
-from .core import OrchestratorStopped, ServingCore
-from .sharding import OverloadError, ProcessShardPool, RowsResult, ThreadShardPool
+from .core import OrchestratorStopped, RowResults, ServingCore
+from .sharding import OverloadError, ProcessShardPool, ThreadShardPool
 
 __all__ = [
+    "BatchResult",
     "Orchestrator",
     "InferenceRequest",
     "OrchestratorStopped",
@@ -174,6 +178,57 @@ class _ModelEntry:
     outcomes: dict[int, _OutcomeWindow] = field(default_factory=dict)
 
 
+class BatchResult:
+    """Handle to one :meth:`Orchestrator.run_batch` call.
+
+    Rows finish in any order, a job at a time; :meth:`result` waits for
+    all of them and returns the outputs in input order.
+    """
+
+    def __init__(self, n: int, output_keys: Optional[Sequence[str]]) -> None:
+        self.output_keys = output_keys
+        # written under _lock until the last row is in; read once _done
+        # is set, when nothing writes them any more
+        self._outputs: list = [None] * n  # cc: guarded-by(_lock, atomic-reads)
+        self._errors: list = [None] * n  # cc: guarded-by(_lock, atomic-reads)
+        self._remaining = n  # cc: guarded-by(_lock)
+        self._lock = threading.Lock()
+        self._done = threading.Event()
+        if n == 0:
+            self._done.set()
+
+    def _record(self, idxs: list[int], stacked: bool, output, error) -> bool:
+        """Take one job's result for rows ``idxs``; True once every row is in."""
+        if isinstance(error, RowResults):
+            results = error.results
+        elif error is not None:
+            results = [(None, error)] * len(idxs)
+        elif stacked:
+            # ``output[k, ...]`` is a 0-d array where ``output[k]`` would
+            # be a NumPy scalar
+            results = [(output[k, ...], None) for k in range(len(idxs))]
+        else:
+            results = [(output, None)]
+        with self._lock:
+            for i, (out, err) in zip(idxs, results):
+                self._outputs[i] = out
+                self._errors[i] = err
+            self._remaining -= len(idxs)
+            return self._remaining == 0
+
+    def result(self, timeout: Optional[float] = None) -> list:
+        """The outputs in input order; raises the first request's error."""
+        if not self._done.wait(timeout):
+            raise TimeoutError(
+                f"{len(self._outputs)} batched inferences did not complete "
+                f"within {timeout}s"
+            )
+        for error in self._errors:
+            if error is not None:
+                raise error
+        return list(self._outputs)
+
+
 @dataclass
 class InferenceRequest:
     """One queued model invocation (server mode).
@@ -194,10 +249,7 @@ class InferenceRequest:
 class Orchestrator:
     """Key-value tensor store with a model registry and a batching server.
 
-    ``port`` is cosmetic (API parity with ``Orchestrator(port=REDIS_PORT)``
-    in Listing 2); everything lives in process memory.
-
-    Serving knobs:
+    Everything lives in process memory.  Serving knobs:
 
     * ``max_batch_size`` — most requests one vectorized forward may carry.
       ``1`` disables micro-batching (strict per-request serving).  A
@@ -229,7 +281,6 @@ class Orchestrator:
 
     def __init__(
         self,
-        port: int = 6379,
         *,
         max_batch_size: int = 32,
         num_workers: int = 1,
@@ -249,13 +300,18 @@ class Orchestrator:
             raise ValueError("num_processes must be >= 0")
         if outcome_window < 1:
             raise ValueError("outcome_window must be >= 1")
-        self.port = int(port)
         self.outcome_window = int(outcome_window)
         self.max_batch_size = int(max_batch_size)
         self.num_workers = int(num_workers)
         self.batch_invariant = bool(batch_invariant)
         self.compile_plans = bool(compile_plans)
         self.num_processes = int(num_processes)
+        # the most rows one stacked block of a bulk call carries: what
+        # one forward may batch in thread mode, what a shard queue holds
+        # in process mode (a larger block could never be admitted)
+        self._block_rows = (
+            int(max_queue_depth) if self.num_processes else self.max_batch_size
+        )
         # serves thread mode and direct run_model calls; in process mode
         # each shard's worker holds a core of its own
         self._core = ServingCore(
@@ -873,43 +929,113 @@ class Orchestrator:
         for request, _, _ in done:
             request.done.set()
 
-    def run_rows_many(self, groups) -> list:
-        """Dispatch several ``(name, stacked_rows)`` blocks in one pool call.
+    def run_batch(
+        self,
+        name: Union[str, Sequence[str]],
+        inputs: Sequence[Any],
+        output_keys: Optional[Sequence[str]] = None,
+    ) -> "BatchResult":
+        """Serve many requests in one pass: the bulk path of both modes.
 
-        The burst-coalescing bulk path: each ``(B, F)`` block of
-        same-shape rows for one model runs as vectorized forwards on its
-        owning shard, and every block bound for one shard shares one wire
-        message (:meth:`~repro.runtime.sharding.ProcessShardPool.dispatch_groups`).
-        Per-group failures — unknown model, admission shed — fail that
-        group's :class:`~repro.runtime.sharding.RowsResult` instead of
-        raising, so one hot model cannot block the rest of the burst.
-        Returns one result per group, in order.
+        ``name`` is one model name for every request or one per request;
+        ``inputs[i]`` is request ``i``'s input itself or a tuple of store
+        keys holding it.  Under one lock each request is admitted — its
+        own version pin and canary slot — and its input resolved.  1-D
+        rows of one (name, version, shape, dtype) stack into blocks of at
+        most the pool's row bound (``max_batch_size`` in thread mode,
+        ``max_queue_depth`` in process mode), each one vectorized
+        forward; any other input is a job of its own.  Every job reaches
+        the pool in one ``dispatch`` — or, with the pool stopped, the
+        serving core runs them here.  With ``output_keys`` each output
+        also enters the store under its key, all under one lock once the
+        last row is in.  Failures (unknown model, missing key, shed,
+        forward error) are per request; the returned handle raises the
+        first in input order.
         """
-        if not self.num_processes:
-            raise RuntimeError("run_rows_many requires num_processes > 0")
-        if not self._running:
-            raise RuntimeError("orchestrator not started; call start() first")
-        results: list = [None] * len(groups)
-        staged: list[tuple[str, int, np.ndarray]] = []
-        order: list[int] = []
-        total_rows = 0
-        for i, (name, rows) in enumerate(groups):
-            try:
-                with self._lock:
-                    version = self._admit_locked(name)
-            except Exception as exc:  # noqa: BLE001 - fail this group only
-                results[i] = RowsResult(1)
-                results[i]([(0, None, exc)])
-                continue
-            stacked = self._coerce(np.atleast_2d(np.asarray(rows)))
-            total_rows += int(stacked.shape[0])
-            staged.append((name, version, stacked))
-            order.append(i)
-        if self._telemetry.enabled and total_rows:
-            self._m_submitted.inc(total_rows)
-        for i, result in zip(order, self._pool.dispatch_groups(staged)):
-            results[i] = result
-        return results
+        n = len(inputs)
+        names = [name] * n if isinstance(name, str) else list(name)
+        if len(names) != n:
+            raise ValueError(f"got {n} inputs but {len(names)} model names")
+        if output_keys is not None and len(output_keys) != n:
+            raise ValueError(f"got {n} inputs but {len(output_keys)} output keys")
+        batch = BatchResult(n, output_keys)
+        complete = self._complete_rows
+        rows: list = [None] * n
+        blocks: dict[tuple, list[int]] = {}
+        jobs, rejected = [], []
+        with self._lock:
+            for i, (model, x) in enumerate(zip(names, inputs)):
+                try:
+                    version = self._admit_locked(model)
+                    if isinstance(x, tuple):
+                        x = self._input_locked(x)
+                except Exception as exc:  # noqa: BLE001 - fails this request only
+                    rejected.append(((batch, [i], False), None, exc))
+                    continue
+                if isinstance(x, np.ndarray) and x.ndim == 1:
+                    rows[i] = x
+                    blocks.setdefault((model, version, x.shape, x.dtype), []).append(i)
+                else:
+                    tag = (batch, [i], False)
+                    jobs.append((model, version, self._coerce(x), False, tag, complete))
+        bound = self._block_rows
+        for (model, version, _, _), idxs in blocks.items():
+            for lo in range(0, len(idxs), bound):
+                part = idxs[lo : lo + bound]
+                block = np.stack([rows[i] for i in part])
+                if block.dtype.kind != "f":
+                    block = block.astype(np.float64)
+                jobs.append((model, version, block, True, (batch, part, True), complete))
+        if self._telemetry.enabled:
+            self._m_submitted.inc(n)
+        if rejected:
+            self._core.fail(len(rejected))
+            complete(rejected)
+        if self._running:
+            self._pool.dispatch(jobs)
+        elif jobs:
+            served = self._core.serve_many(jobs)
+            complete([(job[4], out, err) for job, (out, err) in zip(jobs, served)])
+        return batch
+
+    def _complete_rows(self, done: list[tuple]) -> None:
+        """``on_done`` of :meth:`run_batch`'s jobs, tagged ``(batch, rows,
+        stacked)``.  A batch whose last row is in stores its named
+        outputs under one lock, then wakes its waiter.  As in
+        :meth:`_complete`, rows failed by the pool (shed, stopped, worker
+        lost) are counted here; the core counts forward failures."""
+        pool_failures, finished = 0, []
+        for (batch, idxs, stacked), output, error in done:
+            if isinstance(error, (OverloadError, OrchestratorStopped)):
+                pool_failures += len(idxs)
+            if batch._record(idxs, stacked, output, error):
+                finished.append(batch)
+        if pool_failures:
+            self._core.fail(pool_failures)
+        named = [batch for batch in finished if batch.output_keys is not None]
+        if named:
+            with self._lock:
+                for batch in named:
+                    for key, output, error in zip(
+                        batch.output_keys, batch._outputs, batch._errors
+                    ):
+                        if error is None:
+                            self._tensors[key] = np.array(output, copy=True)
+                if self._telemetry.enabled:
+                    self._m_tensors.set(len(self._tensors))
+        for batch in finished:
+            batch._done.set()
+
+    def run_rows_many(self, groups) -> list["BatchResult"]:
+        """Serve ``(name, rows)`` blocks of 1-D rows; one handle per block.
+
+        Each block's rows are the requests of one :meth:`run_batch`, so
+        ``result()`` returns the block's output rows in order.
+        """
+        return [
+            self.run_batch(name, list(np.atleast_2d(np.asarray(rows))))
+            for name, rows in groups
+        ]
 
     def __enter__(self) -> "Orchestrator":
         self.start()

@@ -21,8 +21,8 @@ Wire protocol (all messages are small picklable tuples over raw
   with one ``manyok`` (one pipe write, one reader wake-up).  Each subitem
   is ``("one", req_id, name, version, handle)`` — one request's tensor,
   which travels alone — ``("rows", req_id, name, version, handle)`` — a
-  stacked ``(B, F)`` chunk of a bulk group; one message carries every
-  chunk bound for this shard — or ``("csr", req_id, name, version,
+  stacked ``(B, F)`` block of a bulk call; one message carries every
+  block bound for this shard — or ``("csr", req_id, name, version,
   ("csrmat", (indptr, indices, data, shape)))`` — a sparse batch shipped
   as pickled arrays on the pipe itself (small nnz payloads; no
   shared-memory segment).  A message's subitems are served together by
@@ -33,7 +33,9 @@ Wire protocol (all messages are small picklable tuples over raw
   activation dropped; they apply before the message's subitems.
 * result pipe (worker → front-end):
   ``("manyok", [entries])`` — one ``("ok", req_id, handle)`` or
-  ``("err", req_id, exception)`` entry per subitem — plus
+  ``("err", req_id, exception)`` entry per subitem (a ``rows`` block
+  whose rows were served one by one answers ``err`` with a
+  :class:`~repro.runtime.core.RowResults`) — plus
   ``("metrics", worker_id, delta)`` / ``("bye", worker_id, segment_names)``.
   A worker that stops answering while its pool runs is lost: the front
   end fails that shard's unanswered requests at once.
@@ -59,7 +61,7 @@ import time
 
 from .. import obs
 from ..sparse import CSRMatrix
-from .core import ServingCore
+from .core import RowResults, ServingCore
 from .shm_store import SegmentAttachments, ShmTensorStore
 
 __all__ = ["worker_main"]
@@ -69,7 +71,15 @@ METRICS_INTERVAL_S = 0.5
 
 
 def _picklable(exc: Exception) -> Exception:
-    """The exception itself if it survives pickling, else a summary."""
+    """The exception itself if it survives pickling, else a summary.
+
+    A :class:`~repro.runtime.core.RowResults` keeps its row outputs and
+    checks each row's error on its own.
+    """
+    if isinstance(exc, RowResults):
+        return RowResults(
+            [(out, err if err is None else _picklable(err)) for out, err in exc.results]
+        )
     try:
         pickle.loads(pickle.dumps(exc))
         return exc

@@ -9,8 +9,8 @@ of one served batch in one call.  Either pool serves through the same
 byte-identical.
 
 :class:`ThreadShardPool` (thread mode) is one in-process shard: a worker
-thread takes what is queued (up to ``max_batch_size`` jobs) as one
-micro-batch and serves it with
+thread takes what is queued (up to ``max_batch_size`` request rows; a
+stacked block counts its rows) as one micro-batch and serves it with
 :meth:`~repro.runtime.core.ServingCore.serve_many`.  Nothing waits for
 stragglers: requests that arrive while the workers are busy batch, as
 they do in a process-mode worker, and a lone request is served at once.
@@ -33,9 +33,9 @@ and then **load-sheds** with a typed :class:`OverloadError`;
 ``repro_overload_total`` counts sheds and
 ``repro_shard_queue_depth{shard}`` tracks depth.  A request travels as
 its own wire message, so its slot frees as soon as it is served; the
-stacked chunks of a bulk group (:meth:`ProcessShardPool.dispatch_groups`,
-each at most ``max_queue_depth`` rows and one vectorized forward) bound
-for one shard share one message.  Before it blocks on a full shard,
+stacked blocks of a bulk call (each at most ``max_queue_depth`` rows and
+one vectorized forward; the orchestrator cuts them) bound for one shard
+share one message.  Before it blocks on a full shard,
 ``dispatch`` sends what it already staged there, so a burst larger than
 the bound waits on work in flight, never on its own unsent rows.
 
@@ -70,8 +70,6 @@ import warnings
 from collections import deque
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .. import obs
 from ..sparse import CSRMatrix
 from .core import OrchestratorStopped, ServingCore
@@ -81,7 +79,6 @@ from .shm_store import SegmentAttachments, ShmTensorStore, unlink_segments
 __all__ = [
     "OverloadError",
     "ProcessShardPool",
-    "RowsResult",
     "ShardRing",
     "ThreadShardPool",
     "WorkerLostError",
@@ -119,6 +116,11 @@ class WorkerLostError(OrchestratorStopped):
     Every waiter of the lost shard gets it as soon as the worker goes; a
     pool-side failure, like a stop, so the front end counts it.
     """
+
+
+def _job_rows(job: Job) -> int:
+    """Request rows one job carries: a stacked block its rows, else one."""
+    return len(job[2]) if job[3] else 1
 
 
 def _complete(jobs: Sequence[Job], results: Iterable[tuple]) -> None:
@@ -180,51 +182,6 @@ class _Pending(NamedTuple):
     rows: int
     input_segment: Optional[str]
     shard_id: int
-
-
-class RowsResult:
-    """Future for one bulk group, dispatched as one or more chunks.
-
-    The first chunk error fails the whole group at once; chunks still in
-    flight then finish unread.
-    """
-
-    def __init__(self, n_chunks: int) -> None:
-        self._event = threading.Event()
-        self._lock = threading.Lock()
-        self._outputs: list[Optional[np.ndarray]] = [None] * n_chunks  # cc: guarded-by(_lock)
-        self._error: Optional[Exception] = None  # cc: guarded-by(_lock)
-        self._remaining = n_chunks  # cc: guarded-by(_lock)
-
-    def __call__(self, done: list[tuple]) -> None:
-        """``on_done`` of this group's chunks, each tagged with its index."""
-        with self._lock:
-            for idx, output, error in done:
-                if error is not None and self._error is None:
-                    self._error = error
-                self._outputs[idx] = output
-                self._remaining -= 1
-            if self._remaining <= 0 or self._error is not None:
-                self._event.set()
-
-    @property
-    def failed(self) -> bool:
-        with self._lock:
-            return self._error is not None
-
-    def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        """The stacked output rows; raises the first chunk error."""
-        if not self._event.wait(timeout):
-            raise TimeoutError(
-                f"bulk rows dispatch did not complete within {timeout}s"
-            )
-        with self._lock:
-            if self._error is not None:
-                raise self._error
-            outputs = list(self._outputs)
-        if len(outputs) == 1:
-            return outputs[0]
-        return np.concatenate(outputs, axis=0)
 
 
 class _Shard:
@@ -522,34 +479,6 @@ class ProcessShardPool:
         for shard_id, items in staged.items():
             self._send(self._shards[shard_id], items)
 
-    def dispatch_groups(
-        self, groups: Sequence[tuple[str, int, np.ndarray]]
-    ) -> list[RowsResult]:
-        """Dispatch ``(name, version, stacked)`` blocks; one result per group.
-
-        Each block is cut into chunks of at most ``max_queue_depth`` rows,
-        so every chunk can be admitted whole.  A chunk that fails (shed
-        with :class:`OverloadError`, staging error) fails its group, and
-        the group's remaining chunks are not sent; the other groups
-        proceed, so one hot model cannot block the rest of the burst.
-        """
-        results: list[RowsResult] = []
-
-        def jobs():
-            chunk = self.max_queue_depth
-            for name, version, stacked in groups:
-                n_chunks = max(1, -(-len(stacked) // chunk))
-                result = RowsResult(n_chunks)
-                results.append(result)
-                for idx in range(n_chunks):
-                    if result.failed:
-                        break
-                    part = stacked[idx * chunk : (idx + 1) * chunk]
-                    yield name, version, part, True, idx, result
-
-        self.dispatch(jobs())
-        return results
-
     def _send(self, shard: _Shard, items: list[tuple]) -> None:
         """Ship and clear the staged ``items`` as one ``("many", ...)`` message.
 
@@ -715,15 +644,17 @@ class _RequestQueue:
         with self._cond:
             return len(self._items)
 
-    def get_batch(self, max_items: int) -> Optional[list[Job]]:
-        """Drain up to ``max_items`` jobs as one batch.
+    def get_batch(
+        self, max_items: int, size: Callable[[Any], int] = lambda item: 1
+    ) -> Optional[list[Job]]:
+        """Drain queued items of total ``size`` up to ``max_items`` as one batch.
 
-        Blocks until at least one job (or sentinel) arrives, then takes
-        whatever else is already queued and returns at once: requests that
-        arrived while the workers were busy batch, and nothing waits for
-        stragglers.  Returns ``None`` when the first item is the stop
-        sentinel; a sentinel found mid-drain is pushed back so the pool
-        still sees one sentinel per worker.
+        Blocks until at least one item (or sentinel) arrives, then takes
+        whatever else is already queued and fits, and returns at once:
+        requests that arrived while the workers were busy batch, and
+        nothing waits for stragglers.  Returns ``None`` when the first
+        item is the stop sentinel; a sentinel found mid-drain stays
+        queued so the pool still sees one sentinel per worker.
         """
         with self._cond:
             while not self._items:
@@ -731,14 +662,16 @@ class _RequestQueue:
             first = self._items.popleft()
             if first is None:
                 return None
-            batch = [first]
-            while self._items and len(batch) < max_items:
-                item = self._items.popleft()
+            batch, total = [first], size(first)
+            while self._items:
+                item = self._items[0]
                 if item is None:
-                    self._items.appendleft(None)
                     self._cond.notify()
                     break
-                batch.append(item)
+                total += size(item)
+                if total > max_items:
+                    break
+                batch.append(self._items.popleft())
             return batch
 
 
@@ -746,7 +679,7 @@ class ThreadShardPool:
     """Thread mode's pool: one in-process shard served by worker threads.
 
     Each of ``num_workers`` threads takes what is queued, up to
-    ``max_batch_size`` jobs, as one micro-batch and serves it with
+    ``max_batch_size`` request rows, as one micro-batch and serves it with
     :meth:`~repro.runtime.core.ServingCore.serve_many`.
     """
 
@@ -841,11 +774,11 @@ class ThreadShardPool:
 
     def _serve(self) -> None:
         while True:
-            batch = self._queue.get_batch(self.max_batch_size)
+            batch = self._queue.get_batch(self.max_batch_size, _job_rows)
             if batch is None:
                 break
             if self._telemetry.enabled:
-                self._m_batch_size.observe(len(batch))
+                self._m_batch_size.observe(sum(map(_job_rows, batch)))
                 self._m_queue_depth.set(self._queue.qsize())
             if not self._running:
                 # stop() is underway: abandon instead of serving late

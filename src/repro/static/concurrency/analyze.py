@@ -602,8 +602,8 @@ def summarize_class(
 def analyze_sources(sources: list[tuple[str, str]]) -> PackageAnalysis:
     """Analyze ``[(filename, source), ...]`` as one package.
 
-    Files that do not parse are skipped here — the SF linter already
-    reports syntax errors (SF102) on a per-file basis.
+    Files that cannot be decoded or parsed are skipped here — the linter
+    reports them (SF003) on a per-file basis.
     """
     modules = []
     for filename, source in sources:

@@ -80,6 +80,7 @@ class Diagnostic:
 RULES: dict[str, tuple[Severity, str]] = {
     "SF001": (Severity.INFO, "no annotated regions found"),
     "SF002": (Severity.ERROR, "lint target cannot be resolved"),
+    "SF003": (Severity.ERROR, "module cannot be decoded or parsed"),
     "SF101": (Severity.ERROR, "region has no non-empty name"),
     "SF102": (Severity.ERROR, "continuation_source does not parse"),
     "SF103": (Severity.ERROR, "live_after name never written by the region"),

@@ -25,8 +25,10 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import io
 import os
-from typing import Optional
+import tokenize
+from typing import Optional, Union
 
 from .concurrency.analyze import PackageAnalysis, analyze_modules, analyze_sources
 from .concurrency.graph import LockOrderGraph, build_graph
@@ -133,12 +135,17 @@ def _lint_one(
     return report, run_rules(func, meta, report, filename)
 
 
-def collect_sources(target: str) -> list[tuple[str, str]]:
+def collect_sources(target: str) -> list[tuple[str, Union[str, bytes]]]:
     """``[(filename, source), ...]`` for a file, or for every ``*.py``
-    under a directory (unreadable files there are skipped)."""
+    under a directory (unreadable files there are skipped).
+
+    A source is decoded as Python decodes it (its coding declaration,
+    else UTF-8); one that cannot be decoded stays raw bytes, which do not
+    parse either, so the linter reports the file (SF003) instead of
+    failing on it.
+    """
     if not os.path.isdir(target):
-        with open(target, "r", encoding="utf-8") as handle:
-            return [(target, handle.read())]
+        return [(target, _read_source(target))]
     sources = []
     for root, dirs, files in os.walk(target):
         dirs[:] = sorted(d for d in dirs if d != "__pycache__")
@@ -147,11 +154,20 @@ def collect_sources(target: str) -> list[tuple[str, str]]:
                 continue
             path = os.path.join(root, name)
             try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    sources.append((path, handle.read()))
+                sources.append((path, _read_source(path)))
             except OSError:
                 continue
     return sources
+
+
+def _read_source(path: str) -> Union[str, bytes]:
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        encoding, _ = tokenize.detect_encoding(io.BytesIO(raw).readline)
+        return raw.decode(encoding)
+    except (SyntaxError, UnicodeDecodeError, LookupError):
+        return raw
 
 
 def _lint_regions(
@@ -188,12 +204,15 @@ def _suppressed(diag: Diagnostic, analysis: PackageAnalysis) -> bool:
                for code in codes)
 
 
-def lint_sources(target: str, sources: list[tuple[str, str]]) -> LintReport:
+def lint_sources(
+    target: str, sources: list[tuple[str, Union[str, bytes]]]
+) -> LintReport:
     """Lint ``[(filename, source), ...]`` as one package.
 
-    A module that does not parse is reported (SF102) and left out of the
-    CC analysis.  SF001 is reported when the parsed modules hold no
-    region at all: at the file when there is one, else at ``target``.
+    A module that cannot be decoded or parsed is reported (SF003) and
+    left out of the CC analysis.  SF001 is reported when the parsed
+    modules hold no region at all: at the file when there is one, else
+    at ``target``.
     """
     report = LintReport(target=target)
     modules: list[tuple[str, str, ast.Module]] = []
@@ -203,7 +222,7 @@ def lint_sources(target: str, sources: list[tuple[str, str]]) -> LintReport:
             tree = ast.parse(source)
         except SyntaxError as exc:
             report.diagnostics.append(diagnostic(
-                "SF102", f"module does not parse: {exc.msg}",
+                "SF003", f"module cannot be decoded or parsed: {exc.msg}",
                 file=filename, line=exc.lineno or 0,
             ))
             continue

@@ -16,6 +16,7 @@ id        severity  meaning
 ========  ========  =====================================================
 SF001     info      no annotated regions found in the lint target
 SF002     error     lint target cannot be resolved to a Python file
+SF003     error     a module of the target cannot be decoded or parsed
 SF101     error     region has no (statically known) non-empty name
 SF102     error     ``continuation_source`` does not parse
 SF103     error     ``live_after`` names a variable the region never

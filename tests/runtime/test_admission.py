@@ -172,3 +172,42 @@ class TestAdmissionTimePinning:
             )
         finally:
             orc.stop()
+
+
+class TestBulkPathFailures:
+    """A bulk call fails, and is counted, row by row in both modes."""
+
+    @pytest.mark.parametrize("num_processes", [0, 1], ids=["threads", "processes"])
+    def test_non_rowwise_model_is_served_per_row(self, rng, num_processes):
+        # the stacked block's forward returns one row for eight, so the
+        # core serves the block again row by row
+        orc = make_orc(num_processes=num_processes)
+        orc.register_model("collapse", procmodels.collapse, batchable=True)
+        rows = [rng.standard_normal(3) for _ in range(8)]
+        try:
+            orc.start()
+            outs = Client(orc).run_model_batch("collapse", rows, timeout=60)
+        finally:
+            orc.stop()
+        for row, out in zip(rows, outs):
+            np.testing.assert_array_equal(np.ravel(out), procmodels.collapse(row))
+
+    def test_shed_rows_count_as_failed(self):
+        orc = make_orc()
+        orc.register_model("slow", procmodels.SleepyModel(0.4), batchable=True)
+        failed = obs.get_registry().get("repro_orchestrator_failed_total")
+        try:
+            orc.start()
+            client = Client(orc)
+            jam = [
+                client.run_model_async("slow", np.ones(3), f"o{i}")
+                for i in range(2)
+            ]
+            before = failed.total()
+            with pytest.raises(OverloadError):
+                client.run_model_batch("slow", [np.ones(3)] * 2, timeout=60)
+            assert failed.total() - before == 2
+            for future in jam:
+                future.result(timeout=60)
+        finally:
+            orc.stop()

@@ -300,6 +300,28 @@ class TestCanaryProcessMode:
             orc.stop()
 
 
+class TestCanaryBulkTraffic:
+    """A bulk call admits each of its rows, so the slice splits it."""
+
+    @pytest.mark.parametrize("num_processes", [0, 1], ids=["threads", "processes"])
+    def test_every_row_draws_its_own_slot(self, num_processes):
+        orc = Orchestrator(num_processes=num_processes)
+        orc.register_model("m", procmodels.Tag(1.0), batchable=True)
+        orc.register_model("m", procmodels.Tag(2.0), batchable=True, deploy=False)
+        orc.canary("m", 2, 0.5)
+        requests = obs.get_registry().get("repro_canary_requests_total")
+        seq_before, counted_before = orc._models["m"].canary_seq, requests.total()
+        orc.start()
+        try:
+            outs = Client(orc).run_model_batch("m", [np.zeros(4)] * 200, timeout=60)
+        finally:
+            orc.stop()
+        tags = [float(np.ravel(out)[0]) for out in outs]
+        assert len(tags) == 200 and set(tags) == {1.0, 2.0}
+        assert orc._models["m"].canary_seq - seq_before == 200
+        assert requests.total() - counted_before == 200
+
+
 class TestClientWrappers:
     def test_client_canary_helpers(self):
         orc = two_version_orc()

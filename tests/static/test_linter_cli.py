@@ -184,6 +184,28 @@ class TestDirectoryTarget:
             for d in report.diagnostics if d.rule == "CC101"
         ] == [("left.py", 15)]
 
+    def test_undecodable_and_unparsable_modules_are_sf003(self, package, capsys):
+        with open(os.path.join(package, "latin1.py"), "wb") as handle:
+            handle.write('name = "é"\n'.encode("latin-1"))
+        with open(os.path.join(package, "broken.py"), "w") as handle:
+            handle.write("def broken(:\n")
+        with open(os.path.join(package, "nul.py"), "w") as handle:
+            handle.write("x = 1\0\n")
+        assert main(["lint", package]) == 1
+        out = capsys.readouterr().out
+        assert "Traceback" not in out
+        sf003 = [
+            os.path.basename(d.file)
+            for d in lint_module(package).diagnostics if d.rule == "SF003"
+        ]
+        assert sf003 == ["broken.py", "latin1.py", "nul.py"]
+        assert "SF102" not in out and "latin1.py" in out
+
+    def test_coding_declaration_is_honoured(self, tmp_path):
+        path = tmp_path / "declared.py"
+        path.write_bytes('# -*- coding: latin-1 -*-\nname = "é"\n'.encode("latin-1"))
+        assert "SF003" not in {d.rule for d in lint_module(str(path)).diagnostics}
+
 
 class TestCLI:
     def test_lint_quickstart_exits_zero(self, capsys):
