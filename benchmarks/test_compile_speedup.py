@@ -121,15 +121,22 @@ def csr_setup():
     return package, x
 
 
-def best_latency(fn, x) -> float:
-    """Best-of-TRIALS mean seconds per call over ITERS timed iterations."""
-    fn(x)  # warm scratch buffers and any lazy state before the clock
-    best = float("inf")
+def best_latencies(fns, x) -> list[float]:
+    """Best-of-TRIALS mean seconds per call of each of ``fns`` over ITERS
+    timed iterations.
+
+    Each trial times every ``fn`` once, in order, so a drift in host
+    speed lands on all of them alike instead of deciding their ratio.
+    """
+    for fn in fns:
+        fn(x)  # warm scratch buffers and any lazy state before the clock
+    best = [float("inf")] * len(fns)
     for _ in range(TRIALS):
-        start = time.perf_counter()
-        for _ in range(ITERS):
-            fn(x)
-        best = min(best, (time.perf_counter() - start) / ITERS)
+        for i, fn in enumerate(fns):
+            start = time.perf_counter()
+            for _ in range(ITERS):
+                fn(x)
+            best[i] = min(best[i], (time.perf_counter() - start) / ITERS)
     return best
 
 
@@ -148,8 +155,7 @@ def measure(package, plan, shapes) -> dict:
     for label, x in shapes.items():
         with batch_invariant():
             np.testing.assert_array_equal(plan.predict(x), package.predict(x))
-        t_interp = best_latency(baseline, x)
-        t_plan = best_latency(plan.predict, x)
+        t_interp, t_plan = best_latencies((baseline, plan.predict), x)
         speedup = t_interp / t_plan
         print(
             f"\n{label}: interpreted {t_interp * 1e6:.1f}us | "

@@ -268,8 +268,6 @@ class PlanCache:
 
     @staticmethod
     def _count(outcome: str, tier: str) -> None:
-        if not obs.is_enabled():
-            return
         registry = obs.get_registry()
         if outcome == "hit":
             registry.counter(

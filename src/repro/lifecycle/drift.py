@@ -111,7 +111,6 @@ class DriftDetector:
         self._recent_x: "deque[np.ndarray]" = deque(maxlen=cfg.window)  # cc: guarded-by(_lock)
         self._recent_ok: "deque[bool]" = deque(maxlen=cfg.window)       # cc: guarded-by(_lock)
         self._was_drifted = False                    # cc: guarded-by(_lock)
-        self._telemetry = obs.TELEMETRY
         registry = obs.get_registry()
         self._m_score = registry.gauge(
             "repro_drift_score",
@@ -215,12 +214,11 @@ class DriftDetector:
         elif shift_z is not None and shift_z > cfg.z_threshold:
             reason = "input-shift"
         drifted = reason is not None
-        if self._telemetry.enabled:
-            if hit_rate is not None:
-                self._m_score.set(hit_rate, model=self.model, kind="hit_rate")
-            if shift_z is not None:
-                self._m_score.set(shift_z, model=self.model, kind="shift_z")
-            if drifted and not self._was_drifted:
-                self._m_events.inc(model=self.model, reason=reason)
+        if hit_rate is not None:
+            self._m_score.set(hit_rate, model=self.model, kind="hit_rate")
+        if shift_z is not None:
+            self._m_score.set(shift_z, model=self.model, kind="shift_z")
+        if drifted and not self._was_drifted:
+            self._m_events.inc(model=self.model, reason=reason)
         self._was_drifted = drifted
         return DriftScore(hit_rate, shift_z, drifted, reason)

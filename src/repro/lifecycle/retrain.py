@@ -106,7 +106,6 @@ class Retrainer:
         self.config = config or RetrainConfig()
         #: fine-tunes actually run by this instance (cache hits excluded)
         self.trained_count = 0
-        self._telemetry = obs.TELEMETRY
         self._m_retrains = obs.get_registry().counter(
             "repro_lifecycle_retrains_total",
             "Candidate fine-tunes actually run (cache hits excluded)",
@@ -186,8 +185,7 @@ class Retrainer:
                 ),
             )
         self.trained_count += 1
-        if self._telemetry.enabled:
-            self._m_retrains.inc(model=self.name)
+        self._m_retrains.inc(model=self.name)
         return candidate.publish(
             self.registry,
             self.name,

@@ -196,7 +196,6 @@ class LifecycleStore:
         self.registry = registry
         self.model = model
         self.artifact = f"{model}{LIFECYCLE_SUFFIX}"
-        self._telemetry = obs.TELEMETRY
         metrics = obs.get_registry()
         self._m_state = metrics.gauge(
             "repro_lifecycle_state",
@@ -239,9 +238,8 @@ class LifecycleStore:
                     "pins": [{"name": self.model, "versions": record.pins}],
                 },
             )
-        if self._telemetry.enabled:
-            self._m_state.set(STATE_CODES[record.state], model=self.model)
-            self._m_transitions.inc(model=self.model, to=record.state.value)
+        self._m_state.set(STATE_CODES[record.state], model=self.model)
+        self._m_transitions.inc(model=self.model, to=record.state.value)
         return ref
 
     def request(self, action: str) -> LifecycleRecord:

@@ -207,8 +207,6 @@ class AutoencoderCache:
 
     @staticmethod
     def _count(outcome: str, tier: str) -> None:
-        if not obs.is_enabled():
-            return
         registry = obs.get_registry()
         if outcome == "hit":
             registry.counter(

@@ -426,9 +426,8 @@ class Hierarchical2DSearch:
                             # persist immediately so a kill mid-search (or
                             # mid-next-iteration) never forgets the best
                             best.package.save(checkpoint_path / "best_package")
-                        if obs.is_enabled():
-                            g_best_fc.set(best.f_c)
-                            g_best_fe.set(best.f_e)
+                        g_best_fc.set(best.f_c)
+                        g_best_fe.set(best.f_e)
                     else:
                         stall += 1
                 else:

@@ -203,12 +203,11 @@ class TopologySearch:
         def run_round(trials: list[_Trial]) -> None:
             """Evaluate one proposed batch and tell results in index order."""
             pruner = self._median_pruner(curves)
-            if obs.is_enabled():
-                registry.histogram(
-                    "repro_nas_batch_ask_size",
-                    "Trials proposed per inner-loop batch ask",
-                    buckets=_BATCH_ASK_BUCKETS,
-                ).observe(len(trials))
+            registry.histogram(
+                "repro_nas_batch_ask_size",
+                "Trials proposed per inner-loop batch ask",
+                buckets=_BATCH_ASK_BUCKETS,
+            ).observe(len(trials))
             workers = min(self.trial_workers or self.parallel_trials, len(trials))
             results = parallel_map(
                 lambda t: evaluate_trial(t, pruner), trials, workers=workers
@@ -224,7 +223,7 @@ class TopologySearch:
                     math.log(candidate.f_c),
                     candidate.f_e,
                 )
-                if candidate.pruned and obs.is_enabled():
+                if candidate.pruned:
                     registry.counter(
                         "repro_nas_trials_pruned_total",
                         "Inner-loop trials cut short by the median-stopping rule",

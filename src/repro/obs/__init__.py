@@ -2,8 +2,11 @@
 
 Every instrumented component (orchestrator, serving session, guard, NAS
 loops, build pipeline, SPMD pool) reports through the one global
-:data:`TELEMETRY` state.  The switch is designed so the *disabled* cost
-on a hot path is a single attribute check::
+:data:`TELEMETRY` state.  An instrument call returns at once when off,
+so components call them unconditionally; only the per-request paths
+``tests/obs/test_overhead.py`` bounds at 5% (``Orchestrator.run_model``,
+``ServingCore.serve``, ``GuardedSurrogate.run``) read the switch to skip
+their calls::
 
     from repro import obs
 
@@ -18,7 +21,6 @@ Set ``REPRO_TELEMETRY=0`` in the environment to start disabled.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
@@ -26,10 +28,12 @@ from typing import Any, Iterator, Optional
 from ..perf.timers import PhaseTimer
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
+    TELEMETRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
+    _TelemetryState,
 )
 from .merge import MetricsDeltaTracker, apply_metrics_delta
 from .tracing import Span, Tracer
@@ -53,29 +57,6 @@ __all__ = [
     "span",
     "phase",
 ]
-
-
-class _TelemetryState:
-    """The one mutable switchboard; hot paths read ``.enabled`` only."""
-
-    __slots__ = ("enabled", "registry", "tracer")
-
-    def __init__(self, enabled: bool, registry: MetricsRegistry, tracer: Tracer) -> None:
-        self.enabled = enabled
-        self.registry = registry
-        self.tracer = tracer
-
-
-def _env_enabled() -> bool:
-    return os.environ.get("REPRO_TELEMETRY", "1").strip().lower() not in (
-        "0", "false", "off", "no",
-    )
-
-
-#: Process-global telemetry state.  The object identity is stable for the
-#: life of the process — ``configure`` mutates it in place, so components
-#: may cache a reference at construction time.
-TELEMETRY = _TelemetryState(_env_enabled(), MetricsRegistry(), Tracer())
 
 
 def configure(

@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Iterable, Mapping, Optional
 
-from . import TELEMETRY, get_registry
+from . import get_registry
 
 __all__ = [
     "LockOrderRecorder",
@@ -140,7 +140,6 @@ class TrackedLock:
         self._inner = inner
         self.name = name
         self._recorder = recorder if recorder is not None else RECORDER
-        self._telemetry = TELEMETRY
         self._m_wait, self._m_held = _histograms()
         self._tls = threading.local()
 
@@ -155,8 +154,7 @@ class TrackedLock:
         acquired = self._inner.acquire(blocking, timeout)
         if acquired:
             now = time.perf_counter()
-            if self._telemetry.enabled:
-                self._m_wait.observe(now - start, lock=self.name)
+            self._m_wait.observe(now - start, lock=self.name)
             self._recorder.on_acquire(self.name)
             self._entry_times().append(now)
         return acquired
@@ -165,10 +163,8 @@ class TrackedLock:
         times = self._entry_times()
         self._inner.release()
         self._recorder.on_release(self.name)
-        if times and self._telemetry.enabled:
+        if times:
             self._m_held.observe(time.perf_counter() - times.pop(), lock=self.name)
-        elif times:
-            times.pop()
 
     def locked(self) -> bool:
         return self._inner.locked()
@@ -195,15 +191,13 @@ class TrackedCondition(TrackedLock):
     def wait(self, timeout: Optional[float] = None) -> bool:
         start = time.perf_counter()
         notified = self._inner.wait(timeout)
-        if self._telemetry.enabled:
-            self._m_wait.observe(time.perf_counter() - start, lock=self.name)
+        self._m_wait.observe(time.perf_counter() - start, lock=self.name)
         return notified
 
     def wait_for(self, predicate, timeout: Optional[float] = None):
         start = time.perf_counter()
         result = self._inner.wait_for(predicate, timeout)
-        if self._telemetry.enabled:
-            self._m_wait.observe(time.perf_counter() - start, lock=self.name)
+        self._m_wait.observe(time.perf_counter() - start, lock=self.name)
         return result
 
     def notify(self, n: int = 1) -> None:

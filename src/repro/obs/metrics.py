@@ -15,14 +15,23 @@ provides the three Prometheus-style metric kinds:
 All instruments are thread-safe and label-aware, and the owning
 :class:`MetricsRegistry` exports the whole set as Prometheus text
 exposition (scrapeable) or JSON (machine-readable snapshots).
+
+The telemetry switch (:data:`TELEMETRY`, re-exported by
+:mod:`repro.obs`) lives here, next to the instruments that check it:
+``Counter.inc``, ``Gauge.set``/``inc``/``dec`` and ``Histogram.observe``
+return at once while it is off, so an instrumented component calls them
+unconditionally.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import threading
 from typing import Iterable, Mapping, Optional, Sequence
+
+from .tracing import Tracer
 
 __all__ = [
     "Counter",
@@ -95,6 +104,8 @@ class Counter(_Metric):
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0:
             raise ValueError("counters only go up")
+        if not TELEMETRY.enabled:
+            return
         key = _label_key(self.label_names, labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
@@ -160,11 +171,15 @@ class Gauge(_Metric):
         self._values: dict[tuple[str, ...], float] = {}  # cc: guarded-by(_lock)
 
     def set(self, value: float, **labels: object) -> None:
+        if not TELEMETRY.enabled:
+            return
         key = _label_key(self.label_names, labels)
         with self._lock:
             self._values[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
+        if not TELEMETRY.enabled:
+            return
         key = _label_key(self.label_names, labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
@@ -233,6 +248,8 @@ class Histogram(_Metric):
         return state
 
     def observe(self, value: float, **labels: object) -> None:
+        if not TELEMETRY.enabled:
+            return
         key = _label_key(self.label_names, labels)
         idx = len(self.buckets)
         for i, bound in enumerate(self.buckets):
@@ -431,3 +448,26 @@ class MetricsRegistry:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.snapshot(), indent=indent)
+
+
+class _TelemetryState:
+    """The one mutable switchboard; instruments read ``.enabled`` first."""
+
+    __slots__ = ("enabled", "registry", "tracer")
+
+    def __init__(self, enabled: bool, registry: MetricsRegistry, tracer: Tracer) -> None:
+        self.enabled = enabled
+        self.registry = registry
+        self.tracer = tracer
+
+
+def _env_enabled() -> bool:
+    return os.environ.get("REPRO_TELEMETRY", "1").strip().lower() not in (
+        "0", "false", "off", "no",
+    )
+
+
+#: Process-global telemetry state (``repro.obs.TELEMETRY``).  Its identity
+#: is stable for the life of the process — ``repro.obs.configure`` mutates
+#: it in place.
+TELEMETRY = _TelemetryState(_env_enabled(), MetricsRegistry(), Tracer())

@@ -116,7 +116,6 @@ class ServingCore:
         # or rollback needs no invalidation: each version has its entries
         self._plans: dict[tuple, Any] = {}  # cc: guarded-by(_lock)
         self._lock = threading.Lock()
-        self._telemetry = obs.TELEMETRY
         registry = obs.get_registry()
         self._m_served = registry.counter(
             "repro_orchestrator_served_total",
@@ -218,7 +217,10 @@ class ServingCore:
         propagate uncounted: the caller decides whether the request
         failed (:meth:`fail`) or is retried another way.
         """
-        if not self._telemetry.enabled:
+        if not obs.TELEMETRY.enabled:
+            # a per-request path: tests/obs/test_overhead.py bounds what
+            # it pays with telemetry off, and a clock pair plus two
+            # instrument calls that return at once cost more than that
             y = self._forward(name, version, x, stacked)[0]
         else:
             start = time.perf_counter()
@@ -294,8 +296,7 @@ class ServingCore:
 
     def fail(self, requests: int = 1) -> None:
         """Count requests that failed or were abandoned."""
-        if self._telemetry.enabled:
-            self._m_failed.inc(requests)
+        self._m_failed.inc(requests)
 
     def _forward(self, name: str, version: int, x, stacked: bool):
         """``(output, plan ran it, one vectorized forward ran it)``.
@@ -380,11 +381,9 @@ class ServingCore:
                 csr_pattern=csr,
             )
         except Exception as exc:  # noqa: BLE001 - any compile failure means: interpret
-            if self._telemetry.enabled:
-                self._m_untraceable.inc(reason=untraceable_reason(exc))
+            self._m_untraceable.inc(reason=untraceable_reason(exc))
             return None
-        if self._telemetry.enabled:
-            self._m_plan_build.observe(time.perf_counter() - start)
-            self._m_plans_built.inc()
+        self._m_plan_build.observe(time.perf_counter() - start)
+        self._m_plans_built.inc()
         self.plan_cache.put(key, plan)
         return plan

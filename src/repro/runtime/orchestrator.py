@@ -54,7 +54,10 @@ plan counters; the pools record queue depth and batching; the front end
 adds the submit counter and a tensor-store size gauge — all on the
 process-global registry (:mod:`repro.obs`).  Deployments move the
 ``repro_registry_active_version`` gauge and the swap/rollback counters.
-When telemetry is disabled the hot paths pay one attribute check.
+When telemetry is off an instrument call returns at once, and
+``run_model`` and ``ServingCore.serve`` skip their instrument calls
+(``serve`` its clock pair too); ``tests/obs/test_overhead.py`` bounds
+the disabled cost at 5%.
 """
 
 from __future__ import annotations
@@ -82,6 +85,9 @@ __all__ = [
     "UnknownModelError",
     "CanaryStatus",
 ]
+
+_ONE_OUTPUT = "multi-output splitting is the client's job; pass one key"
+
 
 class UnknownModelError(KeyError):
     """No servable model under the requested name.
@@ -341,11 +347,10 @@ class Orchestrator:
         # serialized by _state_lock
         self._running = False          # cc: guarded-by(_state_lock, atomic-reads)
         self._state_lock = threading.Lock()
-        self._telemetry = obs.TELEMETRY
         registry = obs.get_registry()
         self._m_submitted = registry.counter(
             "repro_orchestrator_submitted_total",
-            "Inference requests queued via submit()",
+            "Inference requests admitted through any entry point",
         )
         self._m_tensors = registry.gauge(
             "repro_orchestrator_tensor_store_size",
@@ -416,8 +421,7 @@ class Orchestrator:
         value = self._coerce(value)
         with self._lock:
             self._tensors[key] = value
-            if self._telemetry.enabled:
-                self._m_tensors.set(len(self._tensors))
+            self._m_tensors.set(len(self._tensors))
 
     def get_tensor(self, key: str) -> np.ndarray:
         """Fetch a stored tensor as a *read-only view*.
@@ -466,8 +470,7 @@ class Orchestrator:
         with self._lock:
             for key in keys:
                 self._tensors.pop(key, None)
-            if self._telemetry.enabled:
-                self._m_tensors.set(len(self._tensors))
+            self._m_tensors.set(len(self._tensors))
 
     def delete_tensor(self, key: str) -> None:
         self.delete_tensors([key])
@@ -587,9 +590,8 @@ class Orchestrator:
             target = entry.previous
             entry.previous, entry.active = entry.active, target
             self._clear_canary_locked(name, entry)
-            if self._telemetry.enabled:
-                self._m_active_version.set(target, model=name)
-                self._m_rollbacks.inc(model=name)
+            self._m_active_version.set(target, model=name)
+            self._m_rollbacks.inc(model=name)
         self._purge(name, target)
         return target
 
@@ -627,9 +629,8 @@ class Orchestrator:
             # experiment's own traffic, not outcomes recorded before it
             entry.outcomes[version] = _OutcomeWindow(self.outcome_window)
             entry.outcomes[entry.active] = _OutcomeWindow(self.outcome_window)
-            if self._telemetry.enabled:
-                self._m_canary_version.set(version, model=name)
-                self._m_canary_fraction.set(fraction, model=name)
+            self._m_canary_version.set(version, model=name)
+            self._m_canary_fraction.set(fraction, model=name)
         self._purge(name, version)
         return version
 
@@ -651,13 +652,12 @@ class Orchestrator:
             entry.canary_fraction = 0.0
             if promote:
                 self._activate(name, entry, candidate)
-            if self._telemetry.enabled:
-                self._m_canary_version.set(0, model=name)
-                self._m_canary_fraction.set(0.0, model=name)
-                if promote:
-                    self._m_canary_promotions.inc(model=name)
-                else:
-                    self._m_canary_rollbacks.inc(model=name)
+            self._m_canary_version.set(0, model=name)
+            self._m_canary_fraction.set(0.0, model=name)
+            if promote:
+                self._m_canary_promotions.inc(model=name)
+            else:
+                self._m_canary_rollbacks.inc(model=name)
             active = entry.active
         if promote:
             self._purge(name, candidate)
@@ -699,7 +699,7 @@ class Orchestrator:
                     self.outcome_window
                 )
             window.record(bool(valid))
-            if self._telemetry.enabled and entry.canary is not None:
+            if entry.canary is not None:
                 if version == entry.canary:
                     role = "canary"
                 elif version == entry.active:
@@ -716,9 +716,8 @@ class Orchestrator:
             return
         entry.canary = None
         entry.canary_fraction = 0.0
-        if self._telemetry.enabled:
-            self._m_canary_version.set(0, model=name)
-            self._m_canary_fraction.set(0.0, model=name)
+        self._m_canary_version.set(0, model=name)
+        self._m_canary_fraction.set(0.0, model=name)
 
     def _activate(self, name: str, entry: _ModelEntry, version: int) -> None:  # cc: requires(_lock)
         """Move the active pointer (caller holds ``self._lock``)."""
@@ -726,10 +725,9 @@ class Orchestrator:
         if swapped:
             entry.previous = entry.active
         entry.active = version
-        if self._telemetry.enabled:
-            self._m_active_version.set(version, model=name)
-            if swapped:
-                self._m_swaps.inc(model=name)
+        self._m_active_version.set(version, model=name)
+        if swapped:
+            self._m_swaps.inc(model=name)
 
     def _purge(self, name: str, version: int) -> None:
         """Retry ``version``'s failed compiles in whichever core serves it."""
@@ -777,9 +775,8 @@ class Orchestrator:
             entry.canary_seq += 1
             if _canary_slot(name, seq) < entry.canary_fraction:
                 chosen = entry.canary
-            if self._telemetry.enabled:
-                role = "canary" if chosen == entry.canary else "incumbent"
-                self._m_canary_requests.inc(model=name, role=role)
+            role = "canary" if chosen == entry.canary else "incumbent"
+            self._m_canary_requests.inc(model=name, role=role)
         return chosen
 
     def model_exists(self, name: str) -> bool:
@@ -810,24 +807,26 @@ class Orchestrator:
         Uses the active version unless ``version`` pins an explicit one
         (a canary in flight routes its slice of unpinned calls).  The
         request's tensor reaches the model whole.  Returns the version
-        that served the call.
+        that served the call.  Like every entry point it counts one
+        submission, and one failure if admission or the forward raises.
         """
-        with self._lock:
-            version, x = self._prepare_locked(name, version, input_keys, output_keys)
-        self.put_tensor(output_keys[0], self._core.serve(name, version, x))
+        if obs.TELEMETRY.enabled:
+            # a per-request path whose disabled cost
+            # tests/obs/test_overhead.py bounds; a counter call that
+            # returns at once still costs about 1% of it
+            self._m_submitted.inc()
+        try:
+            if len(output_keys) != 1:
+                raise ValueError(_ONE_OUTPUT)
+            with self._lock:
+                version = self._admit_locked(name, version)
+                x = self._input_locked(input_keys)
+            y = self._core.serve(name, version, x)
+        except Exception:
+            self._core.fail()
+            raise
+        self.put_tensor(output_keys[0], y)
         return version
-
-    def _prepare_locked(  # cc: requires(_lock)
-        self,
-        name: str,
-        version: Optional[int],
-        input_keys: tuple[str, ...],
-        output_keys: tuple[str, ...],
-    ) -> tuple[int, Any]:
-        """Check, version-route and fetch one request: ``(version, input)``."""
-        if len(output_keys) != 1:
-            raise ValueError("multi-output splitting is the client's job; pass one key")
-        return self._admit_locked(name, version), self._input_locked(input_keys)
 
     # -- server mode -----------------------------------------------------------------
 
@@ -881,12 +880,12 @@ class Orchestrator:
             with self._lock:
                 for request in requests:
                     try:
-                        request.version, x = self._prepare_locked(
-                            request.model_name,
-                            request.version,
-                            request.input_keys,
-                            request.output_keys,
+                        if len(request.output_keys) != 1:
+                            raise ValueError(_ONE_OUTPUT)
+                        request.version = self._admit_locked(
+                            request.model_name, request.version
                         )
+                        x = self._input_locked(request.input_keys)
                     except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
                         request.error = exc
                         rejected.append(request)
@@ -894,8 +893,7 @@ class Orchestrator:
                     jobs.append(
                         (request.model_name, request.version, x, False, request, complete)
                     )
-        if self._telemetry.enabled:
-            self._m_submitted.inc(len(requests))
+        self._m_submitted.inc(len(requests))
         if rejected:
             self._core.fail(len(rejected))
             for request in rejected:
@@ -922,8 +920,7 @@ class Orchestrator:
                     request.error = error
                     if isinstance(error, (OverloadError, OrchestratorStopped)):
                         pool_failures += 1
-            if self._telemetry.enabled:
-                self._m_tensors.set(len(self._tensors))
+            self._m_tensors.set(len(self._tensors))
         if pool_failures:
             self._core.fail(pool_failures)
         for request, _, _ in done:
@@ -986,8 +983,7 @@ class Orchestrator:
                 if block.dtype.kind != "f":
                     block = block.astype(np.float64)
                 jobs.append((model, version, block, True, (batch, part, True), complete))
-        if self._telemetry.enabled:
-            self._m_submitted.inc(n)
+        self._m_submitted.inc(n)
         if rejected:
             self._core.fail(len(rejected))
             complete(rejected)
@@ -1021,21 +1017,9 @@ class Orchestrator:
                     ):
                         if error is None:
                             self._tensors[key] = np.array(output, copy=True)
-                if self._telemetry.enabled:
-                    self._m_tensors.set(len(self._tensors))
+                self._m_tensors.set(len(self._tensors))
         for batch in finished:
             batch._done.set()
-
-    def run_rows_many(self, groups) -> list["BatchResult"]:
-        """Serve ``(name, rows)`` blocks of 1-D rows; one handle per block.
-
-        Each block's rows are the requests of one :meth:`run_batch`, so
-        ``result()`` returns the block's output rows in order.
-        """
-        return [
-            self.run_batch(name, list(np.atleast_2d(np.asarray(rows))))
-            for name, rows in groups
-        ]
 
     def __enter__(self) -> "Orchestrator":
         self.start()

@@ -265,7 +265,6 @@ class ProcessShardPool:
         # bare reads see a GIL-atomic bool; transitions under _state_lock
         self._running = False  # cc: guarded-by(_state_lock, atomic-reads)
         self._state_lock = threading.Lock()
-        self._telemetry = obs.TELEMETRY
         registry = obs.get_registry()
         self._m_depth = registry.gauge(
             "repro_shard_queue_depth",
@@ -377,9 +376,8 @@ class ProcessShardPool:
                     pass
         if self._store is not None:
             self._store.unlink_all()
-        if self._telemetry.enabled:
-            for shard in shards:
-                self._m_depth.set(0, shard=str(shard.id))
+        for shard in shards:
+            self._m_depth.set(0, shard=str(shard.id))
 
     # -- admission -----------------------------------------------------------------
 
@@ -405,8 +403,7 @@ class ProcessShardPool:
                         deadline = now + self.admission_timeout
                     remaining = deadline - now
                     if remaining <= 0 or not self._running:
-                        if self._telemetry.enabled:
-                            self._m_overload.inc()
+                        self._m_overload.inc()
                         raise OverloadError(
                             f"shard {shard.id} queue full ({shard.depth}/"
                             f"{self.max_queue_depth} rows) for "
@@ -416,16 +413,14 @@ class ProcessShardPool:
                     continue
             flush()
             flush = None
-        if self._telemetry.enabled:
-            self._m_depth.set(depth, shard=str(shard.id))
+        self._m_depth.set(depth, shard=str(shard.id))
 
     def _release(self, shard: _Shard, rows: int) -> None:
         with shard.cond:
             shard.depth -= rows
             depth = shard.depth
             shard.cond.notify_all()
-        if self._telemetry.enabled:
-            self._m_depth.set(depth, shard=str(shard.id))
+        self._m_depth.set(depth, shard=str(shard.id))
 
     # -- dispatch ------------------------------------------------------------------
 
@@ -699,7 +694,6 @@ class ThreadShardPool:
         # under _state_lock
         self._running = False  # cc: guarded-by(_state_lock, atomic-reads)
         self._state_lock = threading.Lock()
-        self._telemetry = obs.TELEMETRY
         registry = obs.get_registry()
         self._m_queue_depth = registry.gauge(
             "repro_orchestrator_queue_depth",
@@ -748,8 +742,7 @@ class ThreadShardPool:
             worker.join(timeout=join_timeout)
             if worker.is_alive():
                 stuck += 1
-        if self._telemetry.enabled:
-            self._m_stuck_workers.set(stuck)
+        self._m_stuck_workers.set(stuck)
         if stuck:
             warnings.warn(
                 f"{stuck} orchestrator worker(s) still alive after "
@@ -760,8 +753,7 @@ class ThreadShardPool:
             )
         # the queue is closed: every job left behind comes out here
         self._abandon(self._queue.drain())
-        if self._telemetry.enabled:
-            self._m_queue_depth.set(0)
+        self._m_queue_depth.set(0)
 
     def dispatch(self, jobs: Iterable[Job]) -> None:
         """Queue jobs; a stopped pool fails them with :class:`OrchestratorStopped`."""
@@ -769,7 +761,7 @@ class ThreadShardPool:
         depth = self._queue.put_many(jobs)
         if depth is None:
             self._abandon(jobs)
-        elif self._telemetry.enabled:
+        else:
             self._m_queue_depth.set(depth)
 
     def _serve(self) -> None:
@@ -777,9 +769,8 @@ class ThreadShardPool:
             batch = self._queue.get_batch(self.max_batch_size, _job_rows)
             if batch is None:
                 break
-            if self._telemetry.enabled:
-                self._m_batch_size.observe(sum(map(_job_rows, batch)))
-                self._m_queue_depth.set(self._queue.qsize())
+            self._m_batch_size.observe(sum(map(_job_rows, batch)))
+            self._m_queue_depth.set(self._queue.qsize())
             if not self._running:
                 # stop() is underway: abandon instead of serving late
                 self._abandon(batch)

@@ -122,7 +122,6 @@ class ShmTensorStore:
         self._free: dict[int, list[str]] = {}  # cc: guarded-by(_lock)
         self._leased: dict[str, int] = {}  # cc: guarded-by(_lock)
         self._closed = False  # cc: guarded-by(_lock)
-        self._telemetry = obs.TELEMETRY
         registry = obs.get_registry()
         self._m_segments = registry.gauge(
             "repro_shm_segments",
@@ -166,9 +165,8 @@ class ShmTensorStore:
             self._segments[segment.name] = segment
             self._leased[segment.name] = size
             count = len(self._segments)
-        if self._telemetry.enabled:
-            self._m_created.inc()
-            self._m_segments.set(count)
+        self._m_created.inc()
+        self._m_segments.set(count)
         return segment
 
     def release(self, segment_name: str) -> None:
@@ -213,8 +211,7 @@ class ShmTensorStore:
                 segment.close()
             except BufferError:  # pragma: no cover - caller leaked a view
                 pass
-        if self._telemetry.enabled:
-            self._m_segments.set(0)
+        self._m_segments.set(0)
         return names
 
     def unlink_all(self) -> None:
@@ -231,8 +228,7 @@ class ShmTensorStore:
                 segment.unlink()
             except (FileNotFoundError, OSError):  # pragma: no cover - already gone
                 pass
-        if self._telemetry.enabled:
-            self._m_segments.set(0)
+        self._m_segments.set(0)
 
 
 class SegmentAttachments:

@@ -209,6 +209,43 @@ class TestMetricsReconcile:
         assert _counter("repro_orchestrator_failed_total") == 2
         assert _counter("repro_orchestrator_served_total") == 0
 
+    @pytest.mark.parametrize("outcome", ("ok", "model_raises", "unknown_model"))
+    @pytest.mark.parametrize("pool", ("running", "stopped"))
+    @pytest.mark.parametrize(
+        "entry",
+        ("client_run_model", "run_model_async", "run_model_batch", "orc_run_model"),
+    )
+    def test_every_entry_point_counts_each_request_once(self, entry, pool, outcome):
+        orc = Orchestrator()
+        client = Client(orc)
+        orc.register_model("ok", procmodels.affine, batchable=True)
+        orc.register_model("model_raises", procmodels.FailingModel(), batchable=True)
+        name = {"unknown_model": "ghost"}.get(outcome, outcome)
+        x = np.arange(4, dtype=np.float64)
+        calls = {
+            "client_run_model": lambda: client.run_model(name, x, "out"),
+            "run_model_async": lambda: client.run_model_async(name, x, "out").result(10),
+            "run_model_batch": lambda: client.run_model_batch(name, [x], timeout=10),
+            "orc_run_model": lambda: orc.run_model(name, ("in",), ("out",)),
+        }
+        orc.put_tensor("in", x)
+        if pool == "running":
+            orc.start()
+        try:
+            if outcome == "ok":
+                calls[entry]()
+            else:
+                with pytest.raises(Exception):
+                    calls[entry]()
+        finally:
+            orc.stop()
+        submitted = _counter("repro_orchestrator_submitted_total")
+        served = _counter("repro_orchestrator_served_total")
+        failed = _counter("repro_orchestrator_failed_total")
+        assert submitted == 1
+        assert submitted == served + failed
+        assert failed == (outcome != "ok")
+
     @pytest.mark.parametrize(
         "mode, gauge_name, labels",
         [

@@ -114,16 +114,16 @@ class TestProcessServing:
         np.testing.assert_array_equal(
             np.ravel(orc.get_tensor("out")), procmodels.affine(x)
         )
-        (rows,) = orc.run_rows_many([("aff", x[None, :])])
+        rows = orc.run_batch("aff", [x])
         np.testing.assert_array_equal(
             np.ravel(rows.result(timeout=60)), procmodels.affine_x10(x)
         )
 
-    def test_run_rows_many_vectorizes_a_stacked_batch(self, orc, rng):
+    def test_run_batch_vectorizes_a_stacked_batch(self, orc, rng):
         orc.register_model("aff", procmodels.affine, batchable=True)
         orc.start()
         stacked = rng.standard_normal((16, 5))
-        (rows,) = orc.run_rows_many([("aff", stacked)])
+        rows = orc.run_batch("aff", list(stacked))
         np.testing.assert_array_equal(
             np.ravel(rows.result(timeout=60)), procmodels.affine(stacked)
         )
