@@ -6,9 +6,10 @@ results.  ``set_model_from_file`` loads a surrogate saved by
 :class:`~repro.nas.package.SurrogatePackage`; ``autoencoder`` runs the
 online feature reduction directly on a sparse tensor (Listing 2 line 14).
 
-Three invocation styles feed the orchestrator's serving pool:
+Three invocation styles reach the orchestrator's serving core:
 
-* :meth:`Client.run_model` — the blocking Listing-1 call;
+* :meth:`Client.run_model` — the blocking Listing-1 call: on a stopped
+  or idle thread-mode pool it runs on the caller's thread, else it queues;
 * :meth:`Client.run_model_async` — returns an :class:`InferenceFuture`
   immediately, so an HPC rank can overlap its own compute with the
   surrogate's and pipeline many requests into one vectorized forward;
@@ -292,22 +293,12 @@ class Client:
         ``inputs``/``outputs`` may be store keys (Listing 1 style) or a raw
         array for ``inputs`` (Listing 2 style) — in the latter case the
         client stages it under a unique scratch key and deletes it after
-        serving.
+        serving.  See :meth:`Orchestrator.run_model`.
         """
         in_keys, scratch = self._stage_inputs(inputs)
         out_keys = (outputs,) if isinstance(outputs, str) else tuple(outputs)
         try:
-            if self._orc.is_running:
-                request = self._orc.submit(
-                    InferenceRequest(
-                        model_name=name, input_keys=in_keys, output_keys=out_keys
-                    )
-                )
-                request.done.wait()
-                if request.error is not None:
-                    raise request.error
-            else:
-                self._orc.run_model(name, in_keys, out_keys)
+            self._orc.run_model(name, in_keys, out_keys)
             return self.get_tensor(out_keys[0])
         finally:
             if scratch:

@@ -23,7 +23,11 @@ forward (:meth:`~repro.runtime.core.ServingCore.serve_many`), so both
 modes' outputs are byte-identical for ``batch_invariant()`` models.
 The bulk call, :meth:`Orchestrator.run_batch`, takes the same route in
 both modes: one admission per row under one lock, 1-D rows stacked into
-blocks of at most the pool's row bound, one ``dispatch``.
+blocks of at most the pool's row bound, one ``dispatch``.  The blocking
+call, :meth:`Orchestrator.run_model`, takes it too unless a thread-mode
+pool is stopped or idle: then the same admission and core run on the
+caller's thread, since a queue hop would batch a lone request with
+nothing and only add two thread hand-offs.
 
 The model registry is **versioned**: ``register_model`` may hold several
 versions of one name, exactly one of which is *active* (serving).
@@ -260,7 +264,9 @@ class Orchestrator:
     * ``max_batch_size`` — most requests one vectorized forward may carry.
       ``1`` disables micro-batching (strict per-request serving).  A
       worker batches the requests queued while it was busy and never
-      waits for more, so a lone request is served at once.
+      waits for more, so a lone request is served at once; a blocking
+      :meth:`run_model` on an idle thread pool runs on the caller's
+      thread, and calls arriving meanwhile queue and batch behind it.
     * ``num_workers`` — serving threads pulling batches concurrently.
     * ``batch_invariant`` — run model forwards under
       :func:`repro.nn.batch_invariant` so outputs are bit-identical no
@@ -411,7 +417,7 @@ class Orchestrator:
             # its value arrays are never handed back out writable
             return value
         value = np.asarray(value)
-        if np.issubdtype(value.dtype, np.floating):
+        if value.dtype.kind == "f":
             # dtype-preserving defensive copy: float32 HPC data stays
             # float32 instead of silently doubling its footprint
             return np.array(value, copy=True)
@@ -802,14 +808,28 @@ class Orchestrator:
         *,
         version: Optional[int] = None,
     ) -> int:
-        """Run a registered model on stored tensors, storing the outputs.
+        """Run a registered model on stored tensors and block until the
+        output is stored: the one blocking entry point.
 
         Uses the active version unless ``version`` pins an explicit one
         (a canary in flight routes its slice of unpinned calls).  The
-        request's tensor reaches the model whole.  Returns the version
-        that served the call.  Like every entry point it counts one
-        submission, and one failure if admission or the forward raises.
+        request's tensor reaches the model whole.  With the pool stopped
+        or a thread pool idle (nothing queued, no forward in flight) the
+        forward runs on the caller's thread through the workers' core;
+        otherwise the call goes through :meth:`submit` and waits, so it
+        never overtakes earlier work.  Returns the version that served
+        the call.  Like every entry point it counts one submission, and
+        one failure if admission or the forward raises.
         """
+        running = self._running
+        if running and not self._pool.claim():
+            request = self.submit(
+                InferenceRequest(name, input_keys, output_keys, version=version)
+            )
+            request.done.wait()
+            if request.error is not None:
+                raise request.error
+            return request.version
         if obs.TELEMETRY.enabled:
             # a per-request path whose disabled cost
             # tests/obs/test_overhead.py bounds; a counter call that
@@ -825,6 +845,9 @@ class Orchestrator:
         except Exception:
             self._core.fail()
             raise
+        finally:
+            if running:
+                self._pool.release()
         self.put_tensor(output_keys[0], y)
         return version
 

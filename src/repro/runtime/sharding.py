@@ -14,6 +14,10 @@ stacked block counts its rows) as one micro-batch and serves it with
 :meth:`~repro.runtime.core.ServingCore.serve_many`.  Nothing waits for
 stragglers: requests that arrive while the workers are busy batch, as
 they do in a process-mode worker, and a lone request is served at once.
+A blocking call that finds the pool idle — nothing queued, no forward in
+flight — skips the queue and runs its forward on its own thread
+(:meth:`ThreadShardPool.claim`); calls that arrive meanwhile queue
+behind it.
 
 :class:`ProcessShardPool` (process mode) splits serving into this
 admission layer and N worker *processes*
@@ -424,6 +428,11 @@ class ProcessShardPool:
 
     # -- dispatch ------------------------------------------------------------------
 
+    @staticmethod
+    def claim() -> bool:
+        """False: in process mode every forward runs on a worker."""
+        return False
+
     def dispatch(self, jobs: Iterable[Job]) -> None:
         """Stage and send ``(name, version, x, stacked, tag, on_done)`` jobs.
 
@@ -598,12 +607,29 @@ class _RequestQueue:
     queue pays one per burst (``put_many``) and one per micro-batch
     (``get_batch``).  ``None`` is the worker-exit sentinel.  A closed
     queue refuses jobs, so none can slip in after ``stop`` drained it.
+    It also counts the forwards in flight, a worker's batch or a
+    caller's own (:meth:`claim`), until :meth:`release`.
     """
 
     def __init__(self) -> None:
         self._items: "deque[Optional[Job]]" = deque()  # cc: guarded-by(_cond)
         self._closed = True  # cc: guarded-by(_cond)
+        self._inflight = 0  # cc: guarded-by(_cond)
         self._cond = threading.Condition()
+
+    def claim(self) -> bool:
+        """Count a forward the caller runs itself, if the queue is closed
+        or idle (nothing queued, no forward in flight)."""
+        with self._cond:
+            if self._closed or not (self._items or self._inflight):
+                self._inflight += 1
+                return True
+            return False
+
+    def release(self) -> None:
+        """End one forward counted by :meth:`claim` or :meth:`get_batch`."""
+        with self._cond:
+            self._inflight -= 1
 
     def open(self) -> None:
         with self._cond:
@@ -647,7 +673,8 @@ class _RequestQueue:
         Blocks until at least one item (or sentinel) arrives, then takes
         whatever else is already queued and fits, and returns at once:
         requests that arrived while the workers were busy batch, and
-        nothing waits for stragglers.  Returns ``None`` when the first
+        nothing waits for stragglers.  A batch counts as a forward in
+        flight until :meth:`release`.  Returns ``None`` when the first
         item is the stop sentinel; a sentinel found mid-drain stays
         queued so the pool still sees one sentinel per worker.
         """
@@ -667,6 +694,7 @@ class _RequestQueue:
                 if total > max_items:
                     break
                 batch.append(self._items.popleft())
+            self._inflight += 1
             return batch
 
 
@@ -755,6 +783,16 @@ class ThreadShardPool:
         self._abandon(self._queue.drain())
         self._m_queue_depth.set(0)
 
+    def claim(self) -> bool:
+        """True if the caller may run one forward on its own thread, which
+        overtakes no work: the pool is stopped, or nothing is queued and
+        no forward is in flight.  Pair a True with :meth:`release`."""
+        return self._queue.claim()
+
+    def release(self) -> None:
+        """End a forward :meth:`claim` allowed."""
+        self._queue.release()
+
     def dispatch(self, jobs: Iterable[Job]) -> None:
         """Queue jobs; a stopped pool fails them with :class:`OrchestratorStopped`."""
         jobs = list(jobs)
@@ -773,9 +811,14 @@ class ThreadShardPool:
             self._m_queue_depth.set(self._queue.qsize())
             if not self._running:
                 # stop() is underway: abandon instead of serving late
+                self._queue.release()
                 self._abandon(batch)
                 continue
-            _complete(batch, self._core.serve_many(batch))
+            results = self._core.serve_many(batch)
+            # released before the waiters wake, so their next blocking
+            # call finds the pool idle
+            self._queue.release()
+            _complete(batch, results)
 
     @staticmethod
     def _abandon(jobs: list[Job]) -> None:

@@ -10,6 +10,7 @@ the worker.  These helpers are deliberately tiny and deterministic.
 from __future__ import annotations
 
 import dataclasses
+import os
 import time
 
 import numpy as np
@@ -37,6 +38,12 @@ def negate(x: np.ndarray) -> np.ndarray:
 def collapse(x: np.ndarray) -> np.ndarray:
     """Declared row-wise by its tests but is not: one sum for the whole input."""
     return np.atleast_1d(np.asarray(x, dtype=np.float64).sum())
+
+
+def pid(x: np.ndarray) -> np.ndarray:
+    """Row-wise: every output row is the id of the process that served it."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    return np.full(x.shape[0], float(os.getpid()))
 
 
 class SleepyModel:

@@ -6,6 +6,7 @@ import os
 import signal
 import threading
 import time
+import warnings
 from typing import Optional
 
 import numpy as np
@@ -299,6 +300,147 @@ class TestWorkerLoss:
         assert not [n for n in os.listdir("/dev/shm") if n.startswith("repro_")]
 
 
+    def test_killed_worker_fails_a_blocking_caller_at_once(self):
+        orc = Orchestrator(num_processes=1)
+        client = Client(orc)
+        orc.register_model("sleepy", procmodels.SleepyModel(5.0))
+        raised: list = []
+
+        def caller():
+            try:
+                client.run_model("sleepy", np.ones(3), "out")
+            except Exception as exc:  # noqa: BLE001 - checked below
+                raised.append((exc, time.monotonic()))
+
+        with orc:
+            thread = threading.Thread(target=caller)
+            thread.start()
+            time.sleep(0.3)  # the worker is inside the 5 s forward
+            os.kill(orc._pool._shards[0].proc.pid, signal.SIGKILL)
+            killed = time.monotonic()
+            thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        (error, at), = raised
+        assert isinstance(error, WorkerLostError)
+        assert at - killed < 2.0
+        submitted = _counter("repro_orchestrator_submitted_total")
+        served = _counter("repro_orchestrator_served_total")
+        failed = _counter("repro_orchestrator_failed_total")
+        assert submitted == served + failed == 1
+
+
+class TestBlockingCall:
+    """``run_model`` serves on the caller's thread only when that
+    overtakes nothing: a thread-mode pool with nothing queued and no
+    forward in flight."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_who_serves_a_lone_blocking_call(self, mode):
+        orc = _orchestrator(mode)
+        client = Client(orc)
+        threads: list = []
+
+        def recorded(x):
+            threads.append(threading.current_thread())
+            return procmodels.affine(x)
+
+        model = recorded if mode == "thread" else procmodels.pid
+        orc.register_model("m", model, batchable=True)
+        x = np.arange(4, dtype=np.float64)
+        with orc:
+            blocking = client.run_model("m", x, "out").copy()
+            queued = client.run_model_async("m", x, "out2").result(10.0)
+            if mode == "process":
+                worker = orc._pool._shards[0].proc.pid
+        assert blocking.tobytes() == queued.tobytes()
+        if mode == "thread":
+            caller, pooled = threads
+            assert caller is threading.current_thread()
+            assert pooled.name.startswith("orchestrator-worker")
+        else:
+            assert worker != os.getpid()
+            assert blocking.tolist() == [float(worker)]
+
+    def test_callers_batch_behind_an_inline_forward(self):
+        orc = Orchestrator()
+        client = Client(orc)
+        gate = threading.Event()
+        forwards: list = []
+
+        def gated(x):
+            forwards.append(threading.current_thread())
+            gate.wait(timeout=10.0)
+            return procmodels.affine(x)
+
+        orc.register_model("m", gated, batchable=True)
+        rows = np.arange(32, dtype=np.float64).reshape(8, 4)
+        outputs: dict = {}
+
+        def caller(i):
+            outputs[i] = client.run_model("m", rows[i], f"o{i}").copy()
+
+        def until(condition):
+            deadline = time.monotonic() + 5.0
+            while not condition() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert condition()
+
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+        with orc:
+            callers[0].start()
+            until(lambda: forwards)
+            for t in callers[1:]:
+                t.start()
+            until(lambda: _counter("repro_orchestrator_submitted_total") == 8)
+            gate.set()
+            for t in callers:
+                t.join(timeout=10.0)
+            burst = list(forwards)
+            del forwards[:]
+            client.run_model("m", rows[0], "last")
+        for i in range(8):
+            assert outputs[i].tobytes() == procmodels.affine(rows[i]).tobytes()
+        # the first caller served itself; the rest queued and batched
+        assert burst[0] is callers[0]
+        assert all(t.name.startswith("orchestrator-worker") for t in burst[1:])
+        assert len(burst) < 8
+        # every forward was released, so the pool is idle again
+        assert forwards == [threading.current_thread()]
+        submitted = _counter("repro_orchestrator_submitted_total")
+        assert submitted == _counter("repro_orchestrator_served_total") == 9
+
+    @pytest.mark.parametrize("busy", ("in_flight", "queued"))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_blocking_call_waits_behind_earlier_work(self, mode, busy):
+        orc = _orchestrator(mode)
+        release, started = threading.Event(), threading.Event()
+        orc.register_model("slow", _held(mode, release, started))
+        orc.register_model("fast", procmodels.affine)
+        orc.put_tensor("a", np.ones(2))
+        seen: list = []
+
+        def caller():
+            orc.run_model("fast", ("a",), ("late",))
+            seen.extend(r.done.is_set() for r in earlier)
+
+        with orc:
+            earlier = [orc.submit(InferenceRequest("slow", ("a",), ("o0",)))]
+            assert started.wait(timeout=5.0)
+            if busy == "queued":
+                earlier.append(orc.submit(InferenceRequest("slow", ("a",), ("o1",))))
+            thread = threading.Thread(target=caller)
+            thread.start()
+            time.sleep(0.1)
+            # a fast forward on the caller's thread would be over by now
+            assert thread.is_alive()
+            release.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert seen == [True] * len(earlier)
+        assert all(r.error is None for r in earlier)
+        assert orc.get_tensor("late").tolist() == procmodels.affine(np.ones(2)).tolist()
+
+
 class TestTensorAliasing:
     def test_get_tensor_result_is_read_only(self):
         orc = Orchestrator()
@@ -331,3 +473,27 @@ class TestTensorAliasing:
         orc.put_tensor("k", src)
         src[0] = 7.0
         assert orc.get_tensor("k")[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            np.arange(5, dtype=dtype)
+            for dtype in (np.float16, np.float32, np.float64, np.longdouble,
+                          np.int32, np.int64)
+        ]
+        + [np.array([True, False, True]), np.arange(5) + 0.5j],
+        ids=lambda value: str(value.dtype),
+    )
+    def test_put_tensor_keeps_floats_and_widens_the_rest(self, value):
+        orc = Orchestrator()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.ComplexWarning)
+            orc.put_tensor("k", value)
+            # the rule put_tensor has always followed
+            if np.issubdtype(value.dtype, np.floating):
+                expected = value.copy()
+            else:
+                expected = value.astype(np.float64)
+        stored = orc.get_tensor("k")
+        assert stored.dtype == expected.dtype
+        assert stored.tobytes() == expected.tobytes()
