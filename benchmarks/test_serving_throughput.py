@@ -12,9 +12,9 @@ of at most ``max_batch_size`` rows.  At 32 a block is one vectorized
 Both configurations run with ``batch_invariant=False`` (plain BLAS
 ``gemm``), the throughput-oriented serving mode.  The default
 ``batch_invariant=True`` mode trades some batched-forward speed for
-bit-identical outputs across batch slicings (its ``einsum`` kernel caps
-the forward-only speedup near 3.5x on this surrogate); bit-identity is
-asserted separately by the property tests in
+bit-identical outputs across batch slicings (its row-by-row stacked
+matmul holds the batch-32 speedup near 4x on this surrogate);
+bit-identity is asserted separately by the property tests in
 ``tests/runtime/test_batching.py``.
 
 Environment knobs (the CI smoke job runs a reduced configuration):

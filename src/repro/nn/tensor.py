@@ -64,11 +64,12 @@ def batch_invariant():
     BLAS ``gemm`` picks different K-blocking (and hence floating-point
     summation order) for different output shapes, so the rows of
     ``X[(B, F)] @ W`` differ in the last ulp from ``X[i] @ W``.  Inside
-    this context 2-D×2-D products route through ``np.einsum`` with a
-    fixed per-element reduction order, making every row's result
-    independent of how many other rows share the batch.  The serving
-    path uses this so dynamically batched inference is bit-identical to
-    per-request inference; training stays on BLAS for speed.
+    this context 2-D×2-D products route through :func:`invariant_matmul`,
+    which computes each row as a product of its own, making every row's
+    result independent of how many other rows share the batch.  The
+    serving path uses this so dynamically batched inference is
+    bit-identical to per-request inference; training stays on BLAS
+    ``gemm`` for speed.
     """
     previous = is_batch_invariant()
     _state.batch_invariant = True
@@ -78,10 +79,34 @@ def batch_invariant():
         _state.batch_invariant = previous
 
 
+def invariant_matmul(
+    a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``a @ b`` for 2-D operands, each row computed as a product of its own.
+
+    ``a`` is stacked as ``(B, 1, F)``, so matmul runs one ``(1, F) @ (F, K)``
+    product per row: a row's summation order depends on that row and ``b``
+    only, never on ``B`` or on the row's offset in its buffer
+    (``tests/nn/test_invariant_matmul.py`` checks this bit for bit).  The
+    BLAS loop does depend on the operands' strides (a strided row, a
+    padded or Fortran-ordered ``b`` change the last ulp), so both are made
+    C-contiguous first, which costs nothing when they already are, as the
+    plan's operands always are.  With ``out`` (shape ``(B, K)``) the
+    product is written there, as the compiled plan does; without it a
+    fresh ``(B, K)`` array is returned.
+    """
+    stacked = np.ascontiguousarray(a)[:, None]
+    b = np.ascontiguousarray(b)
+    if out is None:
+        return np.matmul(stacked, b)[:, 0]
+    np.matmul(stacked, b, out[:, None])
+    return out
+
+
 def _matmul_data(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Forward product honoring the batch-invariant mode for 2-D operands."""
     if a.ndim == 2 and b.ndim == 2 and is_batch_invariant():
-        return np.einsum("ij,jk->ik", a, b)
+        return invariant_matmul(a, b)
     return a @ b
 
 

@@ -201,7 +201,7 @@ class TestPlanSemantics:
 
     def test_plan_ignores_runtime_thread_mode(self, rng):
         # specialization is fixed at compile time: an invariant plan keeps
-        # its einsum reduction order even when called outside the context
+        # its row-by-row product even when called outside the context
         package = make_package(rng)
         plan = compile_package(package, batch_invariant=True)
         x = rng.standard_normal((4, 6))

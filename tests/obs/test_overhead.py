@@ -3,7 +3,9 @@
 The acceptance bar: with telemetry off, `Orchestrator.run_model` and
 `GuardedSurrogate.run` may cost at most 5 % more than the equivalent
 uninstrumented (seed) code path.  Both measurements use min-of-repeats so
-scheduler noise cancels instead of accumulating.
+scheduler noise cancels instead of accumulating, and the two sides run
+in alternating blocks inside each repeat, so both meet the same host
+speed.
 """
 
 import time
@@ -23,14 +25,21 @@ def telemetry_off():
     obs.configure(enabled=True, reset=True)
 
 
-def _best_of(fn, n_calls: int, repeats: int = 9) -> float:
-    best = float("inf")
+def _block_time(fn, n_calls: int) -> float:
+    start = time.perf_counter()
+    for _ in range(n_calls):
+        fn()
+    return time.perf_counter() - start
+
+
+def _best_of(baseline, instrumented, n_calls: int,
+             repeats: int = 9) -> tuple[float, float]:
+    """Min-of-repeats of each side; one block of each side per repeat."""
+    base = inst = float("inf")
     for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(n_calls):
-            fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+        base = min(base, _block_time(baseline, n_calls))
+        inst = min(inst, _block_time(instrumented, n_calls))
+    return base, inst
 
 
 def _assert_overhead_within(baseline, instrumented, n_calls, *, bound=1.05,
@@ -43,8 +52,7 @@ def _assert_overhead_within(baseline, instrumented, n_calls, *, bound=1.05,
     """
     ratio = float("inf")
     for _ in range(attempts):
-        base = _best_of(baseline, n_calls)
-        inst = _best_of(instrumented, n_calls)
+        base, inst = _best_of(baseline, instrumented, n_calls)
         ratio = min(ratio, inst / base)
         if ratio <= bound:
             return

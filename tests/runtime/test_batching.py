@@ -404,8 +404,9 @@ class TestAsyncClient:
             assert future.done()
             # repeated result() returns the cached value
             assert np.array_equal(out, future.result())
-        # served forwards run batch-invariant (einsum), direct predict on
-        # BLAS: equal to rounding, bit-equal only within the serving path
+        # served forwards run batch-invariant (stacked matmul), direct
+        # predict on BLAS: equal to rounding, bit-equal only within the
+        # serving path
         assert np.allclose(out, pkg.predict(x))
 
     def test_future_raises_serving_error(self):

@@ -1,0 +1,76 @@
+"""Python-level call budget of one served Listing-2 call.
+
+On a shared host a wall-clock ratio moves by a quarter within seconds;
+the number of Python frames a served call enters does not.  These tests
+count them with ``sys.setprofile`` for ``Client.run_model`` (which
+serves through ``Orchestrator.run_model``) on a running thread-mode
+pool with telemetry off: the call perfbench's ``listing2-mixed`` times.
+Each budget is the count of today's code, so a change that adds a frame
+on this path fails here until it raises the budget in its own diff and
+says why.
+"""
+
+import collections
+import sys
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.nas.package import SurrogatePackage
+from repro.nn.mlp import Topology, build_mlp
+from repro.runtime import Client, Orchestrator
+
+#: (inputs, hidden widths, outputs) -> most Python calls one
+#: ``Client.run_model`` may make; the MLPs are listing2-mixed's
+#: Blackscholes (3 gemms) and AMG (2 gemms) shapes
+BUDGETS = {
+    (6, (16, 8), 2): 38,
+    (8, (24,), 1): 36,
+}
+
+
+@pytest.fixture(autouse=True)
+def telemetry_off():
+    obs.configure(enabled=False, reset=True)
+    yield
+    obs.configure(enabled=True, reset=True)
+
+
+def _count_calls(client: Client) -> collections.Counter:
+    """Python frames entered by one ``run_model``, by (file, function)."""
+    calls: collections.Counter = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code.co_filename, frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        client.run_model("m", "in", "out")
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("spec", sorted(BUDGETS), ids=lambda s: f"{len(s[1]) + 1}-gemm")
+def test_listing2_call_within_budget(spec):
+    n_in, hidden, n_out = spec
+    topology = Topology(hidden=hidden, activation="tanh")
+    package = SurrogatePackage(
+        model=build_mlp(n_in, n_out, topology, rng=np.random.default_rng(0)),
+        topology=topology, input_dim=n_in, output_dim=n_out,
+    )
+    orc = Orchestrator(batch_invariant=True)
+    client = Client(orc)
+    client.set_model("m", package)
+    client.put_tensor("in", np.random.default_rng(1).standard_normal(n_in))
+    with orc:
+        client.run_model("m", "in", "out")   # compiles the plan
+        counts = [_count_calls(client) for _ in range(3)]
+
+    assert counts[0] == counts[1] == counts[2]
+    assert not [
+        key for key in counts[0] if key[0].endswith("einsumfunc.py")
+    ], "the served product must not go through np.einsum"
+    assert sum(counts[0].values()) <= BUDGETS[spec], sorted(counts[0].items())
