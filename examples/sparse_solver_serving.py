@@ -4,8 +4,8 @@ This scenario covers the parts of Auto-HPCnet the other examples don't:
 
 * the **extractor** output on a real sparse-solver region — which variables
   it classified as inputs/outputs, and how much the loop compression saved;
-* the **sparse code path** — the CG matrix stays in CSR through the client
-  (``client.autoencoder(sparse_tensor)`` never densifies);
+* the **sparse code path** — the CG matrix is never made dense: the input
+  schema fills the surrogate's row from the matrix's live CSR entries;
 * **online serving** — the surrogate is saved to disk, reloaded through
   ``Client.set_model_from_file`` (Listing 2), and invoked through the
   in-memory tensor store with per-phase timing (§7.3 online overheads).

@@ -21,6 +21,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..extract.features import SchemaMismatchError
 from ..perf.devices import (
     DeviceModel,
     Link,
@@ -99,7 +100,12 @@ def evaluate_surrogate(
         other_seconds += cpu.kernel_time(other.flops, other.bytes_moved)
 
         start = time.perf_counter()
-        surrogate_qois[i] = surrogate.qoi(problem)
+        try:
+            surrogate_qois[i] = surrogate.qoi(problem)
+        except SchemaMismatchError:
+            # an input the surrogate cannot encode is a miss (NaN never
+            # meets Eqn 3's tolerance)
+            surrogate_qois[i] = np.nan
         surrogate_wall += time.perf_counter() - start
 
         phases = online.phase_times(

@@ -24,6 +24,7 @@ from .. import obs
 from ..apps.base import Application
 from ..compile import PlanCache, UntraceableModelError, warm_plan_cache
 from ..extract.acquisition import AcquisitionResult
+from ..extract.features import SchemaMismatchError
 from ..nas.hierarchical import Hierarchical2DSearch, SearchResult
 from ..nas.package import SurrogatePackage
 from ..nas.space import CNNSpace, InputDimSpace, TopologySpace
@@ -56,7 +57,12 @@ class DeployedSurrogate:
         return y[0] if np.asarray(x).ndim == 1 else y
 
     def run(self, problem: Mapping[str, Any]) -> dict[str, Any]:
-        """Replace the region for one input problem; returns output dict."""
+        """Replace the region for one input problem; returns output dict.
+
+        Raises :class:`SchemaMismatchError` for a problem the input schema
+        cannot encode (:class:`~repro.runtime.GuardedSurrogate` runs the
+        exact region for it instead).
+        """
         x = self.input_schema.flatten(problem)
         y = self.predict_vector(x)
         return self.output_schema.unflatten(y)
@@ -134,12 +140,23 @@ class AutoHPCnet:
         problems = app.generate_problems(self.config.quality_problems, rng)
         exact_qois = [app.run_exact(p).qoi for p in problems]
         mu = self.config.qoi_mu
+        # a problem the input schema cannot encode is one the surrogate
+        # never serves: it counts against every candidate
+        rows: list[Optional[np.ndarray]] = []
+        for problem in problems:
+            try:
+                x = input_schema.flatten(problem)
+            except SchemaMismatchError:
+                rows.append(None)
+            else:
+                rows.append(x_scaler.transform(x[None, :]))
 
         def quality_fn(package: SurrogatePackage) -> float:
             violations = 0
-            for problem, exact in zip(problems, exact_qois):
-                x = input_schema.flatten(problem)
-                z = x_scaler.transform(x[None, :])
+            for problem, exact, z in zip(problems, exact_qois, rows):
+                if z is None:
+                    violations += 1
+                    continue
                 y = y_scaler.inverse(package.predict(z))[0]
                 outputs = output_schema.unflatten(y)
                 surrogate_qoi = app.qoi_from_outputs(problem, outputs)
@@ -175,12 +192,20 @@ class AutoHPCnet:
                     rng=np.random.default_rng(cfg.seed),
                     dddg_workers=2,
                 )
+                if cfg.model_type == "mlp":
+                    # the MLP family reads each sparse field at its live
+                    # positions only; a CNN convolves the whole unrolled
+                    # signal
+                    acq = acq.gathered()
 
             with obs.span("build.encode", input_dim=acq.input_dim):
                 if cfg.preprocessing == "standardize" and not app.sparse_input():
                     x_scaler = Scaler.fit(acq.x)
                 else:
-                    # scaling a sparse input would destroy its zero pattern
+                    # raw values for sparse-input apps: scaling would fill
+                    # the dense unroll's zero pattern a CNN reads, and the
+                    # AMG search trained more slowly on standardized
+                    # gathered rows
                     x_scaler = Scaler.identity(acq.input_dim)
                 y_scaler = (
                     Scaler.fit(acq.y)
@@ -201,8 +226,10 @@ class AutoHPCnet:
                 # signal length, which feature reduction would change per K)
                 overrides = dict(overrides)
                 overrides["search_type"] = "fullInput"
+            # gathered rows are dense, so the search builds Dense first layers
             search_config = cfg.to_search_config(
-                sparse_input=app.sparse_input(), **overrides
+                sparse_input=app.sparse_input() and not acq.input_schema.gathers,
+                **overrides,
             )
             if cfg.model_type == "cnn":
                 topology_space = CNNSpace(
@@ -258,6 +285,7 @@ class AutoHPCnet:
                             "f_c": float(result.best.f_c),
                             "k": int(result.best_k),
                         },
+                        extra_meta={"input_schema": acq.input_schema.manifest_record()},
                     )
                     if cfg.compile_plans:
                         # warm the plan cache at publish time so the first

@@ -15,7 +15,9 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".tracer": ["Recorder", "RegionTracer"],
     ".dddg": ["DDDG", "IOClassification", "build_dddg", "classify_io"],
     ".liveness": ["live_in", "uses_before_defs"],
-    ".features": ["FeatureField", "FeatureSchema", "batch_to_csr", "build_schema"],
+    ".features": [
+        "FeatureField", "FeatureSchema", "SchemaMismatchError", "batch_to_csr", "build_schema",
+    ],
     ".sampling": ["Perturbation", "SampleGenerator", "perturb_value", "returned_names"],
     ".acquisition": ["AcquisitionResult", "acquire"],
     ".export": ["summarize_dddg", "to_dot", "write_dot"],

@@ -8,7 +8,7 @@ schemas, and a perturbation-generated training set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -44,6 +44,13 @@ class AcquisitionResult:
     @property
     def output_dim(self) -> int:
         return self.output_schema.total_size
+
+    def gathered(self) -> "AcquisitionResult":
+        """This result with each sparse input field cut to its live
+        positions: the scaler, the search and the surrogate then see only
+        the columns some training sample filled (§4.2)."""
+        schema, columns = self.input_schema.gathered(self.x)
+        return replace(self, input_schema=schema, x=self.x[:, columns])
 
     def summary(self) -> str:
         return (

@@ -125,13 +125,19 @@ class DriftDetector:
 
     # -- observation --------------------------------------------------------
 
-    def observe(self, x: np.ndarray, *, fallback: bool = False) -> DriftScore:
-        """Absorb one invocation (input row + validation outcome); score it."""
-        row = np.asarray(x, dtype=np.float64).ravel()
+    def observe(
+        self, x: Optional[np.ndarray], *, fallback: bool = False
+    ) -> DriftScore:
+        """Absorb one invocation (input row + validation outcome); score it.
+
+        ``x`` is ``None`` for an input the surrogate could not encode: only
+        its outcome enters the HitRate window.
+        """
+        row = None if x is None else np.asarray(x, dtype=np.float64).ravel()
         with self._lock:
-            if self._ref_count < self.config.reference_samples:
+            if row is not None and self._ref_count < self.config.reference_samples:
                 self._absorb_reference_locked(row)
-            else:
+            elif row is not None:
                 self._recent_x.append(row)
             self._recent_ok.append(not fallback)
             return self._score_locked()

@@ -195,10 +195,10 @@ def read_manifest(directory: Union[str, Path]) -> dict:
 def verify_directory(directory: Union[str, Path]) -> list[str]:
     """Integrity-check one artifact directory; returns a list of problems.
 
-    Checks that the manifest parses, that its self-digest matches, and
-    that every payload file exists with the recorded size and SHA-256.
-    An empty list means the artifact is byte-identical to what was
-    published.
+    Checks that the manifest parses, that its self-digest matches, that
+    every payload file exists with the recorded size and SHA-256, and
+    that a recorded input schema accounts for ``input_dim``.  An empty
+    list means the artifact is byte-identical to what was published.
     """
     directory = Path(directory)
     try:
@@ -222,7 +222,26 @@ def verify_directory(directory: Union[str, Path]) -> list[str]:
             )
         if file_digest(path) != entry.get("sha256"):
             errors.append(f"payload {filename}: SHA-256 mismatch (bytes tampered)")
-    return errors
+    return errors + _input_schema_errors(manifest)
+
+
+def _input_schema_errors(manifest: dict) -> list[str]:
+    """A recorded input schema must account for the artifact's input width:
+    the dense width plus every gathered field's live count."""
+    record = manifest.get("meta", {}).get("input_schema")
+    if record is None:
+        return []
+    try:
+        dense = int(record["dense_width"])
+        live = sum(int(f["count"]) for f in record["live_positions"].values())
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        return [f"unreadable input_schema record: {exc!r}"]
+    if manifest.get("input_dim") != dense + live:
+        return [
+            f"input_dim {manifest.get('input_dim')} != dense width {dense} "
+            f"+ {live} live positions of the input schema"
+        ]
+    return []
 
 
 @dataclass(frozen=True)

@@ -148,11 +148,13 @@ class GuardedSurrogate:
     * ``drift_detector`` — an object with
       ``observe(x, *, fallback: bool)`` fed every invocation's flattened
       raw input row, so input-distribution shift is watched exactly where
-      traffic enters.
+      traffic enters.  A schema fallback has no row: it is fed ``None``.
     * ``capture`` — called on every *fallback* with
       ``(problem, flat_input_row, exact_outputs)``.  A fallback is the
       only moment ground truth exists for free (the restart just computed
       it), so this is where a retraining buffer collects labeled samples.
+      A schema fallback has no row in the surrogate's input space and is
+      not captured.
 
     Hook exceptions propagate: a broken drift detector failing loudly
     beats one silently blinding the control loop.
@@ -167,6 +169,11 @@ class GuardedSurrogate:
         capture: Optional[CaptureHook] = None,
         stats_window: int = DEFAULT_WINDOW,
     ) -> None:
+        # imported here, not at module level: a serving process that
+        # never guards a surrogate loads no schema code
+        from ..extract.features import SchemaMismatchError
+
+        self._schema_error = SchemaMismatchError
         self.surrogate = surrogate
         self.validator = validator
         self.drift_detector = drift_detector
@@ -180,8 +187,9 @@ class GuardedSurrogate:
         )
         self._m_fallbacks = registry.counter(
             "repro_guard_fallbacks_total",
-            "Invocations that failed validation and restarted on exact code",
-            labels=("app",),
+            "Restarts on exact code, by reason: invalid (failed validation) "
+            "or schema (an input the surrogate cannot encode)",
+            labels=("app", "reason"),
         )
         self._m_surrogate_seconds = registry.histogram(
             "repro_guard_surrogate_seconds",
@@ -198,8 +206,15 @@ class GuardedSurrogate:
     def run(self, problem: Mapping[str, Any]) -> dict[str, Any]:
         """Region outputs for ``problem`` — surrogate if valid, exact otherwise."""
         start = time.perf_counter()
-        outputs = self.surrogate.run(problem)
-        valid = self.validator(problem, outputs)
+        reason: Optional[str] = None
+        try:
+            outputs = self.surrogate.run(problem)
+        except self._schema_error:
+            reason = "schema"
+        else:
+            if not self.validator(problem, outputs):
+                reason = "invalid"
+        valid = reason is None
         surrogate_elapsed = time.perf_counter() - start
         exact_outputs: Optional[Mapping[str, Any]] = None
         fallback_elapsed = 0.0
@@ -225,19 +240,21 @@ class GuardedSurrogate:
                 surrogate_elapsed, app=self._app_label
             )
             if not valid:
-                self._m_fallbacks.inc(app=self._app_label)
+                self._m_fallbacks.inc(app=self._app_label, reason=reason)
                 self._m_fallback_seconds.observe(
                     fallback_elapsed, app=self._app_label
                 )
         if self.drift_detector is not None or (
             self.capture is not None and not valid
         ):
-            x = np.asarray(
-                self.surrogate.input_schema.flatten(problem), dtype=np.float64
-            )
+            x = None
+            if reason != "schema":
+                x = np.asarray(
+                    self.surrogate.input_schema.flatten(problem), dtype=np.float64
+                )
             if self.drift_detector is not None:
                 self.drift_detector.observe(x, fallback=not valid)
-            if self.capture is not None and exact_outputs is not None:
+            if self.capture is not None and x is not None and exact_outputs is not None:
                 self.capture(problem, x, exact_outputs)
         if valid:
             return outputs

@@ -86,6 +86,16 @@ class TestHitRateChannel:
         assert score.hit_rate == 0.0
         assert score.drifted and score.reason == "hit-rate"
 
+    def test_unencodable_input_counts_outcome_only(self, rng):
+        # a schema fallback has no input row: only its outcome is absorbed
+        det = DriftDetector(CFG, model="m")
+        feed_reference(det, rng)
+        score = None
+        for _ in range(CFG.window):
+            score = det.observe(None, fallback=True)
+        assert score.hit_rate == 0.0 and score.shift_z is None
+        assert score.reason == "hit-rate"
+
     def test_hit_rate_takes_priority_over_shift(self, rng):
         det = DriftDetector(CFG, model="m")
         feed_reference(det, rng)

@@ -133,6 +133,39 @@ class TestIntegrity:
         manifest_path.write_text(json.dumps(manifest))
         assert any("digest mismatch" in e for e in registry.verify("m").errors)
 
+    def test_tampered_input_schema_record_detected(self, tmp_path):
+        # a consistent record passes; a live count edited and the digest
+        # re-stamped (so only the schema check can see it) fails
+        registry = ModelRegistry(tmp_path)
+        record = {
+            "dense_width": 110,
+            "live_positions": {"A": {"count": 156, "sha256": "0" * 64}},
+        }
+        ref = registry.publish(
+            "m", "surrogate-package", write_payload, input_dim=266,
+            meta={"input_schema": record},
+        )
+        assert registry.verify("m").ok
+        manifest_path = ref.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["meta"]["input_schema"]["live_positions"]["A"]["count"] = 155
+        del manifest["digest"]
+        write_manifest(
+            ref.path, name="m", version=1, kind="surrogate-package",
+            input_dim=266, meta=manifest["meta"],
+        )
+        errors = registry.verify("m").errors
+        assert errors == (
+            "input_dim 266 != dense width 110 + 155 live positions of the "
+            "input schema",
+        )
+        manifest = json.loads(manifest_path.read_text())
+        manifest["meta"]["input_schema"] = {"dense_width": "wide"}
+        manifest_path.write_text(json.dumps(manifest))
+        errors = registry.verify("m").errors
+        assert any("digest mismatch" in e for e in errors)
+        assert any("unreadable input_schema record" in e for e in errors)
+
     def test_file_digest_matches_manifest(self, tmp_path):
         registry = ModelRegistry(tmp_path)
         ref = registry.publish("m", "nn-model", write_payload)

@@ -1,13 +1,15 @@
-"""Python-level call budget of one served Listing-2 call.
+"""Python-level call budgets of one served call.
 
 On a shared host a wall-clock ratio moves by a quarter within seconds;
 the number of Python frames a served call enters does not.  These tests
-count them with ``sys.setprofile`` for ``Client.run_model`` (which
-serves through ``Orchestrator.run_model``) on a running thread-mode
-pool with telemetry off: the call perfbench's ``listing2-mixed`` times.
-Each budget is the count of today's code, so a change that adds a frame
-on this path fails here until it raises the budget in its own diff and
-says why.
+count them with ``sys.setprofile``, telemetry off, for
+``Client.run_model`` (which serves through ``Orchestrator.run_model``)
+on a running thread-mode pool, the call perfbench's ``listing2-mixed``
+times, and for ``GuardedSurrogate.run`` on AMG, the guarded path whose
+wall-clock bound lives in ``tests/obs/test_overhead.py``.  Each budget
+is the count of today's code, so a change that adds a frame on these
+paths fails here until it raises the budget in its own diff and says
+why.
 """
 
 import collections
@@ -17,9 +19,12 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.apps import AMGApplication
+from repro.core.pipeline import DeployedSurrogate
+from repro.core.scaling import Scaler
 from repro.nas.package import SurrogatePackage
 from repro.nn.mlp import Topology, build_mlp
-from repro.runtime import Client, Orchestrator
+from repro.runtime import Client, GuardedSurrogate, Orchestrator, residual_validator
 
 #: (inputs, hidden widths, outputs) -> most Python calls one
 #: ``Client.run_model`` may make; the MLPs are listing2-mixed's
@@ -28,6 +33,9 @@ BUDGETS = {
     (6, (16, 8), 2): 38,
     (8, (24,), 1): 36,
 }
+#: most Python calls one valid ``GuardedSurrogate.run`` on AMG may make:
+#: gather-flatten, scale, a 2-gemm forward, unflatten, residual check
+GUARDED_AMG_BUDGET = 77
 
 
 @pytest.fixture(autouse=True)
@@ -37,8 +45,8 @@ def telemetry_off():
     obs.configure(enabled=True, reset=True)
 
 
-def _count_calls(client: Client) -> collections.Counter:
-    """Python frames entered by one ``run_model``, by (file, function)."""
+def _count_calls(call, *args) -> collections.Counter:
+    """Python frames entered by one ``call(*args)``, by (file, function)."""
     calls: collections.Counter = collections.Counter()
 
     def profile(frame, event, arg):
@@ -47,7 +55,7 @@ def _count_calls(client: Client) -> collections.Counter:
 
     sys.setprofile(profile)
     try:
-        client.run_model("m", "in", "out")
+        call(*args)
     finally:
         sys.setprofile(None)
     return calls
@@ -67,10 +75,38 @@ def test_listing2_call_within_budget(spec):
     client.put_tensor("in", np.random.default_rng(1).standard_normal(n_in))
     with orc:
         client.run_model("m", "in", "out")   # compiles the plan
-        counts = [_count_calls(client) for _ in range(3)]
+        counts = [_count_calls(client.run_model, "m", "in", "out") for _ in range(3)]
 
     assert counts[0] == counts[1] == counts[2]
     assert not [
         key for key in counts[0] if key[0].endswith("einsumfunc.py")
     ], "the served product must not go through np.einsum"
     assert sum(counts[0].values()) <= BUDGETS[spec], sorted(counts[0].items())
+
+
+def test_guarded_amg_run_within_budget():
+    app = AMGApplication()
+    acq = app.acquire(n_samples=20, rng=np.random.default_rng(0)).gathered()
+    topology = Topology(hidden=(16,), activation="tanh")
+    package = SurrogatePackage(
+        model=build_mlp(
+            acq.input_dim, acq.output_dim, topology, rng=np.random.default_rng(0)
+        ),
+        topology=topology, input_dim=acq.input_dim, output_dim=acq.output_dim,
+    )
+    surrogate = DeployedSurrogate(
+        app, package, acq.input_schema, acq.output_schema,
+        Scaler.identity(acq.input_dim), Scaler.fit(acq.y),
+    )
+    # a loose tolerance keeps the count on the served path, not the restart
+    guarded = GuardedSurrogate(surrogate, residual_validator(rtol=1e9))
+    problem = app.generate_problems(1, np.random.default_rng(1))[0]
+    guarded.run(problem)
+    counts = [_count_calls(guarded.run, problem) for _ in range(3)]
+
+    assert guarded.stats.fallbacks == 0
+    assert counts[0] == counts[1] == counts[2]
+    assert not [key for key in counts[0] if key[1] == "to_dense"], (
+        "the sparse input must not be densified"
+    )
+    assert sum(counts[0].values()) <= GUARDED_AMG_BUDGET, sorted(counts[0].items())

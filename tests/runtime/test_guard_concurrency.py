@@ -94,7 +94,7 @@ class TestGuardedConcurrency:
         registry = obs.get_registry()
         assert registry.get("repro_guard_invocations_total").value(app="stub") == total
         assert (
-            registry.get("repro_guard_fallbacks_total").value(app="stub")
+            registry.get("repro_guard_fallbacks_total").value(app="stub", reason="invalid")
             == expected_fallbacks
         )
 
