@@ -12,9 +12,6 @@ bit-identical under ``batch_invariant()``.
   overhead, the plan bakes the im2col gather indices at compile time,
   so the per-call cost is pure takes, matmuls and in-order adds.  The
   acceptance bar here is 2x single-row by default.
-* ``csr`` — a sparse-input encoder chain served straight from CSR; the
-  plan pre-gathers the needed weight rows for the fixed sparsity
-  pattern.
 
 Results accumulate into ``BENCH_infer.json`` (override with
 ``REPRO_INFER_BENCH_JSON``): each test rewrites the file with its
@@ -49,7 +46,6 @@ from repro.nas.package import SurrogatePackage
 from repro.nn.cnn import CNNTopology, build_model
 from repro.nn.mlp import Topology
 from repro.nn.tensor import batch_invariant
-from repro.sparse.formats import COOMatrix
 
 MIN_SPEEDUP = float(os.environ.get("REPRO_INFER_BENCH_MIN_SPEEDUP", "1.0"))
 MIN_CNN_SPEEDUP = float(os.environ.get("REPRO_INFER_BENCH_MIN_CNN_SPEEDUP", "2.0"))
@@ -102,23 +98,6 @@ def cnn_package():
     return SurrogatePackage(
         model=model, topology=topology, input_dim=DIN, output_dim=DOUT
     )
-
-
-@pytest.fixture(scope="module")
-def csr_setup():
-    """A sparse-input encoder chain plus a fixed-pattern CSR batch."""
-    rng = np.random.default_rng(13)
-    topology = Topology(hidden=HIDDEN, activation="relu", sparse_input=True)
-    model = randomized(build_model(LATENT, DOUT, topology), rng)
-    ae = randomized(Autoencoder(DIN, LATENT, depth=1, sparse_input=True), rng)
-    package = SurrogatePackage(
-        model=model, topology=topology, input_dim=DIN, output_dim=DOUT,
-        autoencoder=ae,
-    )
-    mask = rng.random((BATCH, DIN)) < 0.08  # ~sparse HPC region features
-    r, c = np.nonzero(mask)
-    x = COOMatrix(r, c, rng.standard_normal(r.size), (BATCH, DIN)).to_csr()
-    return package, x
 
 
 def best_latencies(fns, x) -> list[float]:
@@ -211,12 +190,4 @@ class TestCompiledInference:
             f"{row['single_row']['speedup']:.2f}x the interpreted path "
             f"(required > {MIN_CNN_SPEEDUP}x)"
         )
-        assert row["batch_32"]["speedup"] > MIN_SPEEDUP
-
-    def test_csr_compiled_beats_interpreted(self, csr_setup):
-        package, x = csr_setup
-        plan = compile_package(package, batch_invariant=True, csr_pattern=x)
-        row = measure(package, plan, {"batch_32": x})
-        row.update(input_dim=DIN, nnz=x.nnz, density=x.density)
-        emit("csr", row)
         assert row["batch_32"]["speedup"] > MIN_SPEEDUP

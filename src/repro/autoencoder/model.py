@@ -4,9 +4,9 @@ The encoder is *hourglass-shaped* (widths shrink geometrically from the
 input dimension to the latent dimension) and the decoder is *horn-shaped*
 (the mirror image), per §4.1.  The customizations of §4.2:
 
-* ``sparse_input=True`` makes the first encoder layer a
-  :class:`~repro.nn.layers.SparseDense`, so online feature reduction
-  consumes CSR matrices directly — no decompression, no dense blow-up;
+* sparse region inputs arrive as the rows their
+  :class:`~repro.extract.features.FeatureSchema` gathered at the live
+  stored positions, so the encoder never sees a dense blow-up;
 * training supports gradient checkpointing (see
   :mod:`repro.autoencoder.training`);
 * reconstruction quality is quantified element-wise with σ_y (Eqn 1,
@@ -17,13 +17,10 @@ input dimension to the latent dimension) and the decoder is *horn-shaped*
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
-from ..nn.layers import Activation, Dense, Module, Sequential, SparseDense
+from ..nn.layers import Activation, Dense, Module, Sequential
 from ..nn.tensor import Tensor, no_grad
-from ..sparse import CSRMatrix
 from ..perf.metrics import reconstruction_similarity
 
 __all__ = ["Autoencoder", "hourglass_widths"]
@@ -62,23 +59,18 @@ class Autoencoder(Module):
         *,
         depth: int = 2,
         activation: str = "relu",
-        sparse_input: bool = False,
         rng: np.random.Generator | None = None,
     ) -> None:
         rng = rng or np.random.default_rng(0)
         self.input_dim = int(input_dim)
         self.latent_dim = int(latent_dim)
-        self.sparse_input = bool(sparse_input)
         self.activation = activation
         widths = hourglass_widths(self.input_dim, self.latent_dim, depth)
 
         encoder_layers: list[Module] = []
         prev = self.input_dim
         for i, width in enumerate(widths):
-            if i == 0 and self.sparse_input:
-                encoder_layers.append(SparseDense(prev, width, rng))
-            else:
-                encoder_layers.append(Dense(prev, width, rng, activation_hint=activation))
+            encoder_layers.append(Dense(prev, width, rng, activation_hint=activation))
             if i < len(widths) - 1:
                 encoder_layers.append(Activation(activation))
             prev = width
@@ -96,35 +88,24 @@ class Autoencoder(Module):
 
     # -- forward paths -----------------------------------------------------
 
-    def forward(self, x: Union[Tensor, CSRMatrix]) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         return self.decoder(self.encoder(x))
 
-    def encode(self, x: Union[np.ndarray, CSRMatrix]) -> np.ndarray:
-        """Online feature reduction: raw input -> latent features.
-
-        Accepts a CSR batch directly when ``sparse_input`` is set — the
-        paper's "painless support for sparse matrices".
-        """
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """Online feature reduction: raw input -> latent features."""
         with no_grad():
-            if isinstance(x, CSRMatrix):
-                if not self.sparse_input:
-                    raise TypeError(
-                        "this autoencoder was built without sparse_input; "
-                        "pass a dense array or rebuild with sparse_input=True"
-                    )
-                return self.encoder(x).data
             return self.encoder(Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))).data
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         with no_grad():
             return self.decoder(Tensor(np.atleast_2d(np.asarray(z, dtype=np.float64)))).data
 
-    def reconstruct(self, x: Union[np.ndarray, CSRMatrix]) -> np.ndarray:
+    def reconstruct(self, x: np.ndarray) -> np.ndarray:
         return self.decode(self.encode(x))
 
     # -- quality API ----------------------------------------------------------
 
-    def evl(self, inputs: Union[np.ndarray, CSRMatrix], mu: float = 0.10) -> float:
+    def evl(self, inputs: np.ndarray, mu: float = 0.10) -> float:
         """Quality degradation of the reduction on ``inputs`` (Eqn 1).
 
         This is the paper's ``Autoencoder.evl(#inputs, #compaction)`` API:
@@ -132,9 +113,8 @@ class Autoencoder(Module):
         of elements whose reconstruction error exceeds ``mu * |x_i|``.
         Lower is better; 0.0 is a lossless encoding at tolerance ``mu``.
         """
-        dense = inputs.to_dense() if isinstance(inputs, CSRMatrix) else np.atleast_2d(inputs)
         recon = self.reconstruct(inputs)
-        return reconstruction_similarity(dense, recon, mu=mu)
+        return reconstruction_similarity(np.atleast_2d(inputs), recon, mu=mu)
 
     def flops(self, batch: int = 1) -> int:
         return self.encoder.flops(batch) + self.decoder.flops(batch)

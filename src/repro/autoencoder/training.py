@@ -18,7 +18,6 @@ from ..nn.checkpoint import CheckpointSequential
 from ..nn.losses import mse_loss
 from ..nn.optim import Adam
 from ..nn.tensor import Tensor, no_grad
-from ..extract.features import batch_to_csr
 from ..perf.metrics import reconstruction_similarity
 from .model import Autoencoder
 
@@ -62,12 +61,7 @@ def train_autoencoder(
     x: np.ndarray,
     config: AETrainConfig = AETrainConfig(),
 ) -> AETrainResult:
-    """Train ``ae`` to reconstruct the rows of ``x``.
-
-    When the autoencoder has a sparse first layer, each mini-batch is
-    compressed to CSR before the forward pass, so the sparse code path is
-    exercised during training exactly as it will be online.
-    """
+    """Train ``ae`` to reconstruct the rows of ``x``."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != ae.input_dim:
         raise ValueError(f"expected {ae.input_dim} features, got {x.shape[1]}")
@@ -86,11 +80,7 @@ def train_autoencoder(
         encoder, decoder = ae.encoder, ae.decoder
 
     def run_batch(batch: np.ndarray) -> Tensor:
-        if ae.sparse_input:
-            latent = encoder(batch_to_csr(batch))
-        else:
-            latent = encoder(Tensor(batch))
-        return decoder(latent)
+        return decoder(encoder(Tensor(batch)))
 
     optimizer = Adam(list(ae.parameters()), lr=config.lr)
     result = AETrainResult()

@@ -547,8 +547,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
                 continue
             kinds = ",".join(info["step_kinds"]) or "-"
             mode = "invariant" if info["batch_invariant"] else "blas"
-            csr = " csr" if info["csr"] else ""
-            print(f"{key}  [{mode}{csr}] steps={kinds}")
+            print(f"{key}  [{mode}] steps={kinds}")
         print(f"{len(keys)} cached plan(s) under {cache.directory}")
         print("still interpreted (untraceable kinds):")
         for reason, what in sorted(UNTRACEABLE_KINDS.items()):

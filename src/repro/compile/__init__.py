@@ -3,17 +3,15 @@
 JAX-style trace -> specialize -> cache, scaled to this repo's NumPy
 stack: :func:`compile_package` partially evaluates a surrogate package
 into a flat :class:`CompiledPlan` (weights folded, Dense/activation and
-conv/activation fused, conv gather indices and CSR sparsity patterns
-baked as constants, scratch preallocated) and :class:`PlanCache`
-persists plans across restarts, content-addressed by registry digest +
-specialization key.  The orchestrator consults both transparently and
+conv/activation fused, conv gather indices baked as constants, scratch
+preallocated) and :class:`PlanCache` persists plans across restarts,
+content-addressed by registry digest + specialization key.  The orchestrator consults both transparently and
 falls back to the interpreted path on :class:`UntraceableModelError`,
 counting each fallback by its ``reason``.
 """
 
 from .cache import (
     PlanCache,
-    csr_pattern_key,
     package_digest,
     plan_key,
     warm_plan_cache,
@@ -39,7 +37,6 @@ __all__ = [
     "plan_payload",
     "plan_from_payload",
     "PlanCache",
-    "csr_pattern_key",
     "package_digest",
     "plan_key",
     "warm_plan_cache",

@@ -33,8 +33,6 @@ import threading
 from pathlib import Path
 from typing import Optional, Union
 
-import numpy as np
-
 from .. import obs
 from ..core.digest import content_key, fingerprint_array
 from ..registry import formats
@@ -50,29 +48,10 @@ from .plan import (
 
 __all__ = [
     "PlanCache",
-    "csr_pattern_key",
     "package_digest",
     "plan_key",
     "warm_plan_cache",
 ]
-
-
-def csr_pattern_key(csr) -> str:
-    """Content digest of a CSR *sparsity pattern* (structure, not values).
-
-    CSR-specialized plans fold the row-pointer/column-index arrays into
-    the plan as constants, so the cache key must distinguish patterns:
-    two batches with the same shape but different nonzero layouts need
-    different plans.  Values are deliberately excluded — they vary per
-    request and the plan does not depend on them.
-    """
-    return content_key(
-        {
-            "shape": [int(s) for s in csr.shape],
-            "indptr": fingerprint_array(np.ascontiguousarray(csr.indptr, dtype=np.int64)),
-            "indices": fingerprint_array(np.ascontiguousarray(csr.indices, dtype=np.int64)),
-        }
-    )
 
 
 def package_digest(package) -> str:
@@ -102,12 +81,9 @@ def plan_key(
     input_shape,
     dtype: str,
     batch_invariant: bool,
-    csr: Optional[str] = None,
 ) -> str:
     """Content address of one specialization: package digest + key fields.
 
-    ``csr`` carries a :func:`csr_pattern_key` digest for CSR-specialized
-    plans; dense plans leave it ``None`` so existing keys are unchanged.
     The schema version is part of the key, so a schema bump orphans every
     previously persisted plan (they become unreachable keys and the next
     lookup recompiles) instead of risking misinterpretation.
@@ -119,8 +95,6 @@ def plan_key(
         "batch_invariant": bool(batch_invariant),
         "schema": PLAN_SCHEMA_VERSION,
     }
-    if csr is not None:
-        fields["csr"] = str(csr)
     return content_key(fields)
 
 
@@ -148,14 +122,12 @@ class PlanCache:
         input_shape,
         dtype: str,
         batch_invariant: bool,
-        csr: Optional[str] = None,
     ) -> str:
         return plan_key(
             digest,
             input_shape=input_shape,
             dtype=dtype,
             batch_invariant=batch_invariant,
-            csr=csr,
         )
 
     # -- lookup ----------------------------------------------------------------
@@ -204,7 +176,6 @@ class PlanCache:
             return {
                 "batch_invariant": plan.batch_invariant,
                 "step_kinds": plan.step_kinds(),
-                "csr": plan.csr is not None,
             }
         if self._registry is None or not self._registry.exists(key):
             return None
@@ -215,7 +186,6 @@ class PlanCache:
         return {
             "batch_invariant": meta.get("batch_invariant"),
             "step_kinds": meta.get("step_kinds", []),
-            "csr": bool(meta.get("csr", False)),
         }
 
     def clear(self) -> int:
@@ -260,7 +230,6 @@ class PlanCache:
                 "key": key,
                 "batch_invariant": plan.batch_invariant,
                 "step_kinds": plan.step_kinds(),
-                "csr": plan.csr is not None,
             },
         )
 

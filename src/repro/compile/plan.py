@@ -38,14 +38,6 @@ same staged reduction and index gather the ``Tensor`` graph performs —
 ``mean`` replays as ``sum``-then-scale with the identical reciprocal,
 never ``np.mean``.
 
-CSR sparse-input packages compile through ``csr_pattern``: the sparsity
-*pattern* (row pointers, column indices, the expanded row map and the
-gathered weight rows) is folded into the plan as constants, so serving
-one request only multiplies the value vector against prebaked operands
-— exactly ``CSRMatrix.matmul_dense`` restaged.  A plan compiled for one
-pattern only accepts inputs with that pattern; the cache key carries
-the pattern digest.
-
 No algebraic rewrites (no ``W1 @ W2`` folding) are performed — those
 would change summation orders and break the bit-identity guarantee the
 micro-batching server is built on.
@@ -64,7 +56,6 @@ from typing import Optional
 import numpy as np
 
 from ..nn.tensor import invariant_matmul
-from ..sparse.formats import CSRMatrix
 
 __all__ = [
     "PLAN_SCHEMA_VERSION",
@@ -80,7 +71,7 @@ __all__ = [
 #: bump when the step semantics or payload layout change — the schema
 #: version is folded into every cache key, so old persisted plans are
 #: invalidated for free instead of misinterpreted.  v2 added the
-#: conv/pool/upsample and CSR step kinds.
+#: conv/pool/upsample step kinds.
 PLAN_SCHEMA_VERSION = 2
 
 #: matches the default of :meth:`repro.nn.tensor.Tensor.leaky_relu`
@@ -93,7 +84,6 @@ UNTRACEABLE_KINDS = {
     "opaque": "callables without trace_spec hooks (raw lambdas, foreign models)",
     "unknown-module": "module kinds with no plan lowering yet",
     "conv": "conv/pool geometries the lowering rejects (non-dividing pool or view sizes)",
-    "csr": "CSR inputs whose package lacks a sparse-input first layer",
 }
 
 
@@ -382,97 +372,6 @@ class _Upsample1dStep:
         )
 
 
-class _CsrPattern:
-    """One folded CSR sparsity pattern (structure only, no values)."""
-
-    __slots__ = ("indptr", "indices", "shape", "rows")
-
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, shape) -> None:
-        self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
-        self.indices = np.ascontiguousarray(indices, dtype=np.int64)
-        self.shape = (int(shape[0]), int(shape[1]))
-        self.rows = np.repeat(
-            np.arange(self.shape[0]), np.diff(self.indptr)
-        )
-
-    @classmethod
-    def from_matrix(cls, csr: CSRMatrix) -> "_CsrPattern":
-        return cls(csr.indptr, csr.indices, csr.shape)
-
-    def matches(self, csr: CSRMatrix) -> bool:
-        return (
-            self.shape == tuple(csr.shape)
-            and np.array_equal(self.indptr, csr.indptr)
-            and np.array_equal(self.indices, csr.indices)
-        )
-
-
-class _CsrGemmStep:
-    """``act(X_csr @ W + b)`` with the pattern AND gathered rows folded.
-
-    ``CSRMatrix.matmul_dense`` gathers ``W[indices]`` per call; for a
-    fixed pattern that gather is a compile-time constant, so serving a
-    request is one multiply of the value vector against prebaked rows
-    plus one ``np.bincount`` over prebaked flat output positions.
-    ``bincount`` adds each cell's products in stored order from +0.0,
-    the sums the interpreter's ``np.add.at`` scatter (or, for wide
-    batches, its entry-position loop) gives, signed zeros included, in
-    less time than ``np.add.at``.
-    """
-
-    kind = "csr_gemm"
-    __slots__ = (
-        "weight", "bias", "act", "_act", "pattern", "_wrows", "_flat", "out_dim",
-    )
-
-    def __init__(
-        self, weight: np.ndarray, bias: np.ndarray, act: str, pattern: _CsrPattern
-    ) -> None:
-        self.weight = np.ascontiguousarray(weight, dtype=np.float64)
-        self.bias = np.ascontiguousarray(bias, dtype=np.float64)
-        self.act = act
-        self._act = _activation(act)
-        self.pattern = pattern
-        if self.weight.shape[0] != pattern.shape[1]:
-            raise UntraceableModelError(
-                f"CSR pattern has {pattern.shape[1]} columns; first layer "
-                f"expects {self.weight.shape[0]}", reason="csr",
-            )
-        self._wrows = self.weight[pattern.indices]
-        self.out_dim = int(self.weight.shape[1])
-        # flat position in the (rows, out_dim) output of every product
-        self._flat = (
-            pattern.rows[:, None] * self.out_dim + np.arange(self.out_dim)
-        ).ravel()
-
-    def run_values(self, values: np.ndarray, out: np.ndarray) -> None:
-        contrib = values[:, None] * self._wrows
-        sums = np.bincount(self._flat, weights=contrib.ravel(), minlength=out.size)
-        out[...] = sums.reshape(out.shape)
-        out += self.bias
-        self._act(out, out)
-
-
-class _CsrDensifyStep:
-    """``CSRMatrix.to_dense`` restaged: the no-encoder CSR prelude.
-
-    ``SurrogatePackage.predict`` densifies CSR inputs when there is no
-    autoencoder; this step replays that exact scatter into plan scratch
-    so the rest of the dense chain runs unchanged.
-    """
-
-    kind = "csr_densify"
-    __slots__ = ("pattern", "out_dim")
-
-    def __init__(self, pattern: _CsrPattern) -> None:
-        self.pattern = pattern
-        self.out_dim = int(pattern.shape[1])
-
-    def run_values(self, values: np.ndarray, out: np.ndarray) -> None:
-        out.fill(0.0)
-        out[self.pattern.rows, self.pattern.indices] = values
-
-
 def _scratch_buffers(tls: threading.local, steps: list, batch: int) -> list:
     """Per-thread intermediate buffers, regrown when a deeper batch arrives.
 
@@ -514,11 +413,6 @@ class CompiledPlan:
     — so the orchestrator can substitute a plan for the package without
     any caller noticing (except in the latency histograms).
 
-    A plan compiled with a ``csr_pattern`` instead consumes
-    :class:`~repro.sparse.formats.CSRMatrix` batches whose sparsity
-    pattern matches the folded one, returning stacked rows like the
-    interpreter does for CSR input.
-
     The plan is specialized on ``batch_invariant`` at compile time; it
     does not consult the thread-local mode at run time.  The returned
     output array is freshly allocated per call (never a view of the
@@ -532,23 +426,14 @@ class CompiledPlan:
         input_dim: int,
         output_dim: int,
         batch_invariant: bool = True,
-        csr: Optional[_CsrPattern] = None,
     ) -> None:
         self.steps = list(steps)
         self.input_dim = int(input_dim)
         self.output_dim = int(output_dim)
         self.batch_invariant = bool(batch_invariant)
-        self.csr = csr
         self._tls = threading.local()
-        self._tls_head = threading.local()
 
     def predict(self, x) -> np.ndarray:
-        if isinstance(x, CSRMatrix):
-            return self._predict_csr(x)
-        if self.csr is not None:
-            raise ValueError(
-                "this plan is specialized for CSR input; pass a CSRMatrix"
-            )
         x = np.asarray(x)
         single = x.ndim == 1
         if x.shape[-1] != self.input_dim:
@@ -565,32 +450,6 @@ class CompiledPlan:
         return out[0] if single else out
 
     __call__ = predict
-
-    def _predict_csr(self, x: CSRMatrix) -> np.ndarray:
-        if self.csr is None:
-            raise ValueError(
-                "this plan was not compiled for CSR input "
-                "(compile with csr_pattern=...)"
-            )
-        if not self.csr.matches(x):
-            raise ValueError(
-                "CSR input's sparsity pattern differs from the pattern "
-                "this plan folded at compile time"
-            )
-        head, rest = self.steps[0], self.steps[1:]
-        batch = x.shape[0]
-        out = np.empty((batch, self.output_dim))
-        if not rest:
-            head.run_values(x.data, out)
-            return out
-        buf = getattr(self._tls_head, "buf", None)
-        if buf is None or buf.shape[0] < batch:
-            buf = np.empty((max(batch, 32), head.out_dim))
-            self._tls_head.buf = buf
-        cur = buf[:batch]
-        head.run_values(x.data, cur)
-        _run_steps(rest, cur, out, self.batch_invariant, self._tls)
-        return out
 
     def num_steps(self) -> int:
         """Flat step count (residual inners included), for introspection."""
@@ -741,66 +600,25 @@ def _lower(ops: list, in_dim: int, layout) -> tuple[list, int, Optional[tuple]]:
     return steps, dim, layout
 
 
-def compile_package(
-    package, *, batch_invariant: bool = True, csr_pattern: Optional[CSRMatrix] = None
-) -> CompiledPlan:
+def compile_package(package, *, batch_invariant: bool = True) -> CompiledPlan:
     """Trace and partially evaluate a surrogate package into a plan.
 
     The optional autoencoder's encoder is traced first, then the
     surrogate model; the whole chain compiles into one flat plan.
 
-    ``csr_pattern`` compiles a CSR-input specialization instead: the
-    pattern's row pointers and column indices are folded into the plan
-    (sparse-input encoders get a pattern-specialized first-layer gemm;
-    packages without an encoder get the interpreter's densify prelude)
-    and the resulting plan serves CSR batches with exactly that pattern.
-
     Raises :class:`UntraceableModelError` (tagged with a ``reason``)
-    for module trees or input kinds with no plan lowering.
+    for module trees with no plan lowering.
     """
     ops: list = []
     if package.autoencoder is not None:
         ops.extend(_flatten_spec(package.autoencoder.encoder))
     ops.extend(_flatten_spec(package.model))
-    head: list = []
-    in_dim = package.input_dim
-    csr = None
-    if csr_pattern is not None:
-        csr = _CsrPattern.from_matrix(csr_pattern)
-        if csr.shape[1] != package.input_dim:
-            raise UntraceableModelError(
-                f"CSR pattern has {csr.shape[1]} columns; package expects "
-                f"{package.input_dim}", reason="csr",
-            )
-        if package.autoencoder is not None:
-            if not getattr(package.autoencoder, "sparse_input", False):
-                raise UntraceableModelError(
-                    "package's autoencoder was built without sparse_input; "
-                    "CSR requests cannot serve", reason="csr",
-                )
-            # sparse_input guarantees the first traced op is the
-            # SparseDense input layer — specialize it on the pattern
-            if not ops or ops[0][0] != "dense":
-                raise UntraceableModelError(
-                    "CSR-input package does not start with a sparse-capable "
-                    "first layer", reason="csr",
-                )
-            act = "identity"
-            rest = ops[1:]
-            if rest and rest[0][0] == "activation":
-                act, rest = rest[0][1], rest[1:]
-            gemm = _CsrGemmStep(ops[0][1], ops[0][2], act, csr)
-            head, ops, in_dim = [gemm], rest, gemm.out_dim
-        else:
-            # the interpreter densifies when no encoder is present
-            head = [_CsrDensifyStep(csr)]
-    steps, _, _ = _lower(ops, in_dim, None)
+    steps, _, _ = _lower(ops, package.input_dim, None)
     return CompiledPlan(
-        head + steps,
+        steps,
         input_dim=package.input_dim,
         output_dim=package.output_dim,
         batch_invariant=batch_invariant,
-        csr=csr,
     )
 
 
@@ -810,10 +628,10 @@ def compile_package(
 def plan_payload(plan: CompiledPlan) -> tuple[dict, dict]:
     """Lower a plan to ``(json-safe meta, arrays)`` for the npz codec.
 
-    Weights, biases and the CSR pattern arrays persist verbatim (npz
-    round-trips bytes exactly); conv gather indices are *derived*
-    constants — rebuilt deterministically from the folded geometry at
-    load time, so they never bloat the payload.
+    Weights and biases persist verbatim (npz round-trips bytes exactly);
+    conv gather indices are *derived* constants — rebuilt
+    deterministically from the folded geometry at load time, so they
+    never bloat the payload.
     """
     arrays: dict[str, np.ndarray] = {}
 
@@ -822,7 +640,7 @@ def plan_payload(plan: CompiledPlan) -> tuple[dict, dict]:
         for i, step in enumerate(steps):
             tag = f"{prefix}{i}"
             kind = step.kind
-            if kind in ("gemm", "conv1d", "csr_gemm"):
+            if kind in ("gemm", "conv1d"):
                 arrays[f"w_{tag}"] = step.weight
                 arrays[f"b_{tag}"] = step.bias
                 spec = {"kind": kind, "act": step.act, "id": tag}
@@ -841,8 +659,6 @@ def plan_payload(plan: CompiledPlan) -> tuple[dict, dict]:
                     "kind": kind, "factor": step.factor,
                     "channels": step.channels, "length": step.length,
                 })
-            elif kind == "csr_densify":
-                encoded.append({"kind": kind})
             elif kind == "residual":
                 encoded.append({
                     "kind": "residual",
@@ -860,10 +676,6 @@ def plan_payload(plan: CompiledPlan) -> tuple[dict, dict]:
         "batch_invariant": plan.batch_invariant,
         "steps": encode(plan.steps, "s"),
     }
-    if plan.csr is not None:
-        meta["csr"] = {"shape": list(plan.csr.shape)}
-        arrays["csr_indptr"] = plan.csr.indptr
-        arrays["csr_indices"] = plan.csr.indices
     return meta, arrays
 
 
@@ -874,11 +686,6 @@ def plan_from_payload(meta: dict, arrays: dict) -> CompiledPlan:
         raise ValueError(
             f"unsupported plan schema {meta.get('schema')!r} "
             f"(this build executes schema {PLAN_SCHEMA_VERSION})"
-        )
-    csr = None
-    if "csr" in meta:
-        csr = _CsrPattern(
-            arrays["csr_indptr"], arrays["csr_indices"], meta["csr"]["shape"]
         )
 
     def decode(specs: list) -> list:
@@ -914,15 +721,6 @@ def plan_from_payload(meta: dict, arrays: dict) -> CompiledPlan:
                         spec["factor"], spec["channels"], spec["length"]
                     )
                 )
-            elif kind == "csr_gemm":
-                steps.append(
-                    _CsrGemmStep(
-                        arrays[f"w_{spec['id']}"], arrays[f"b_{spec['id']}"],
-                        spec["act"], csr,
-                    )
-                )
-            elif kind == "csr_densify":
-                steps.append(_CsrDensifyStep(csr))
             elif kind == "residual":
                 steps.append(_ResidualStep(decode(spec["steps"]), spec["dim"]))
             else:
@@ -937,5 +735,4 @@ def plan_from_payload(meta: dict, arrays: dict) -> CompiledPlan:
         input_dim=meta["input_dim"],
         output_dim=meta["output_dim"],
         batch_invariant=meta["batch_invariant"],
-        csr=csr,
     )

@@ -66,7 +66,7 @@ class AutoHPCnetConfig:
         if self.parallel_trials < 1:
             raise ValueError("parallel_trials must be >= 1")
 
-    def to_search_config(self, *, sparse_input: bool, **overrides) -> SearchConfig:
+    def to_search_config(self, **overrides) -> SearchConfig:
         """Lower to the NAS layer's config, applying per-app overrides."""
         params = dict(
             search_type=self.search_type,
@@ -82,7 +82,6 @@ class AutoHPCnetConfig:
             lr=self.lr,
             weight_decay=self.weight_decay,
             ae_epochs=self.ae_epochs,
-            sparse_input=sparse_input,
             cost_metric=self.cost_metric,
             parallel_trials=self.parallel_trials,
             trial_workers=self.trial_workers,

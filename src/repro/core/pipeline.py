@@ -67,6 +67,10 @@ class DeployedSurrogate:
         y = self.predict_vector(x)
         return self.output_schema.unflatten(y)
 
+    def run_row(self, x: np.ndarray) -> dict[str, Any]:
+        """:meth:`run` for a problem its input schema already flattened."""
+        return self.output_schema.unflatten(self.predict_vector(x))
+
     def qoi(self, problem: Mapping[str, Any]) -> float:
         """Application QoI when the surrogate replaces the region."""
         return self.app.qoi_from_outputs(problem, self.run(problem))
@@ -226,11 +230,7 @@ class AutoHPCnet:
                 # signal length, which feature reduction would change per K)
                 overrides = dict(overrides)
                 overrides["search_type"] = "fullInput"
-            # gathered rows are dense, so the search builds Dense first layers
-            search_config = cfg.to_search_config(
-                sparse_input=app.sparse_input() and not acq.input_schema.gathers,
-                **overrides,
-            )
+            search_config = cfg.to_search_config(**overrides)
             if cfg.model_type == "cnn":
                 topology_space = CNNSpace(
                     signal_length=acq.input_dim,

@@ -16,7 +16,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".dddg": ["DDDG", "IOClassification", "build_dddg", "classify_io"],
     ".liveness": ["live_in", "uses_before_defs"],
     ".features": [
-        "FeatureField", "FeatureSchema", "SchemaMismatchError", "batch_to_csr", "build_schema",
+        "FeatureField", "FeatureSchema", "SchemaMismatchError", "build_schema",
     ],
     ".sampling": ["Perturbation", "SampleGenerator", "perturb_value", "returned_names"],
     ".acquisition": ["AcquisitionResult", "acquire"],

@@ -28,7 +28,6 @@ __all__ = [
     "FeatureSchema",
     "SchemaMismatchError",
     "build_schema",
-    "batch_to_csr",
 ]
 
 _SPARSE_TYPES = (COOMatrix, CSRMatrix, CSCMatrix)
@@ -264,10 +263,3 @@ def build_schema(names: Sequence[str], example: Mapping[str, Any]) -> FeatureSch
         offset += field.size
     return FeatureSchema(fields=tuple(fields))
 
-
-def batch_to_csr(batch: np.ndarray) -> CSRMatrix:
-    """Compress a (samples, features) dense batch to CSR for SparseDense."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2:
-        raise ValueError("batch must be 2-D (samples, features)")
-    return from_dense(batch, "csr")

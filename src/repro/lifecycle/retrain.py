@@ -186,17 +186,24 @@ class Retrainer:
             )
         self.trained_count += 1
         self._m_retrains.inc(model=self.name)
+        extra_meta = {
+            "lineage": {
+                "parent_version": int(parent_version),
+                "trigger": trigger,
+                "drift": dict(drift or {}),
+                "samples": int(x.shape[0]),
+                "content_key": key,
+            }
+        }
+        # the candidate reads the parent's input rows, so it carries the
+        # parent's schema record and `registry verify` checks its width
+        parent = self.registry.resolve(self.name, parent_version)
+        schema = parent.meta.get("input_schema")
+        if schema is not None:
+            extra_meta["input_schema"] = schema
         return candidate.publish(
             self.registry,
             self.name,
             metrics={"retrain_val_loss": float(result.best_val_loss)},
-            extra_meta={
-                "lineage": {
-                    "parent_version": int(parent_version),
-                    "trigger": trigger,
-                    "drift": dict(drift or {}),
-                    "samples": int(x.shape[0]),
-                    "content_key": key,
-                }
-            },
+            extra_meta=extra_meta,
         )

@@ -85,7 +85,6 @@ class AutoencoderCache:
         *,
         depth: int,
         activation: str = "relu",
-        sparse_input: bool = False,
         ae_epochs: int,
         lr: float,
         encoding_loss: float,
@@ -98,7 +97,6 @@ class AutoencoderCache:
                 "k": int(k),
                 "depth": int(depth),
                 "activation": activation,
-                "sparse_input": bool(sparse_input),
                 "ae_epochs": int(ae_epochs),
                 "lr": float(lr),
                 "encoding_loss": float(encoding_loss),
@@ -146,7 +144,6 @@ class AutoencoderCache:
                     meta["latent_dim"],
                     depth=meta["depth"],
                     activation=meta.get("activation", "relu"),
-                    sparse_input=meta.get("sparse_input", False),
                 )
                 # cast=None keeps params dtype-exact, so a disk hit is
                 # bit-identical to the in-memory artifact it memoizes
@@ -172,7 +169,6 @@ class AutoencoderCache:
             meta["latent_dim"],
             depth=meta["depth"],
             activation=meta.get("activation", "relu"),
-            sparse_input=meta.get("sparse_input", False),
         )
         formats.load_autoencoder_params(ae, path / "autoencoder.npz", cast=None)
         z = formats.read_array(path / "encoded.npy")

@@ -65,7 +65,6 @@ class SearchConfig:
     patience: int = 20
     ae_depth: int = 2
     ae_epochs: int = 60
-    sparse_input: bool = False
     cost_metric: str = "time"     # f_c: "time" or "energy" (§5.1)
     #: stop the outer loop after this many iterations without improving the
     #: best feasible f_c (Alg. 2: "a continuing search does not lead to
@@ -190,7 +189,6 @@ class Hierarchical2DSearch:
                 x,
                 k,
                 depth=cfg.ae_depth,
-                sparse_input=cfg.sparse_input,
                 ae_epochs=cfg.ae_epochs,
                 lr=cfg.lr,
                 encoding_loss=cfg.encoding_loss,
@@ -203,7 +201,6 @@ class Hierarchical2DSearch:
             x.shape[1],
             k,
             depth=cfg.ae_depth,
-            sparse_input=cfg.sparse_input,
             rng=np.random.default_rng(seed),
         )
         result = train_autoencoder(
@@ -384,7 +381,6 @@ class Hierarchical2DSearch:
                     initial = Topology(
                         hidden=(width, width),
                         activation="tanh" if "tanh" in acts else acts[0],
-                        sparse_input=self.topology_space.sparse_input,
                     )
                 else:
                     initial = None

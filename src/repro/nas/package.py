@@ -28,7 +28,6 @@ from ..nn.cnn import AnyTopology
 from ..registry import formats
 from ..registry.store import ArtifactRef, ModelRegistry, atomic_directory, write_manifest
 from ..nn.tensor import Tensor, no_grad
-from ..sparse import CSRMatrix
 
 __all__ = ["SurrogatePackage"]
 
@@ -53,11 +52,11 @@ class SurrogatePackage:
 
     # -- inference ----------------------------------------------------------
 
-    def predict(self, x: Union[np.ndarray, CSRMatrix]) -> np.ndarray:
+    def predict(self, x: np.ndarray) -> np.ndarray:
         """Raw region inputs -> surrogate outputs (batch or single row).
 
         A 1-D array is one sample ``(F,)`` and returns ``(output_dim,)``;
-        a 2-D array (or CSR batch) is ``(B, F)`` and returns
+        a 2-D array is ``(B, F)`` and returns
         ``(B, output_dim)`` from a single vectorized forward pass — this
         is the row-wise contract the orchestrator's micro-batching server
         relies on to stack compatible requests.
@@ -71,10 +70,7 @@ class SurrogatePackage:
         if self.autoencoder is not None:
             z = self.autoencoder.encode(x if not single else x[None, :])
         else:
-            if isinstance(x, CSRMatrix):
-                z = x.to_dense()
-            else:
-                z = np.atleast_2d(np.asarray(x, dtype=np.float64))
+            z = np.atleast_2d(np.asarray(x, dtype=np.float64))
         with no_grad():
             out = self.model(Tensor(z)).data
         return out[0] if single else out
@@ -112,7 +108,7 @@ class SurrogatePackage:
             meta["autoencoder"] = {
                 "input_dim": ae_meta["input_dim"],
                 "latent_dim": ae_meta["latent_dim"],
-                "sparse_input": ae_meta["sparse_input"],
+                **formats.LEGACY_SPARSE_INPUT,
                 "depth": ae_meta["depth"],
             }
         return meta
@@ -218,7 +214,6 @@ class SurrogatePackage:
                 ae_meta["input_dim"],
                 ae_meta["latent_dim"],
                 depth=ae_meta["depth"],
-                sparse_input=ae_meta["sparse_input"],
             )
             formats.load_autoencoder_params(
                 autoencoder, directory / "autoencoder.npz", cast=np.float64

@@ -34,7 +34,6 @@ class TopologySpace:
     width_choices: tuple[int, ...] = (8, 16, 32, 64, 128)
     activations: tuple[str, ...] = ("relu", "tanh")
     allow_residual: bool = True
-    sparse_input: bool = False
 
     def __post_init__(self) -> None:
         if self.max_layers < 1:
@@ -53,7 +52,6 @@ class TopologySpace:
             hidden=hidden,
             activation=activation,
             residual=residual,
-            sparse_input=self.sparse_input,
         )
 
     # -- encoding (for the Gaussian process) ------------------------------------
@@ -90,7 +88,6 @@ class TopologySpace:
             hidden=tuple(hidden),
             activation=self.activations[act_idx],
             residual=residual,
-            sparse_input=self.sparse_input,
         )
 
     # -- enumeration (for the grid baseline) ----------------------------------------
@@ -106,7 +103,6 @@ class TopologySpace:
                             hidden=hidden,
                             activation=act,
                             residual=res,
-                            sparse_input=self.sparse_input,
                         )
 
     def size(self) -> int:

@@ -4,7 +4,7 @@ This subpackage is the substitute for TensorFlow/PyTorch in the Auto-HPCnet
 reproduction (see DESIGN.md §2).  Public API::
 
     from repro.nn import Tensor, no_grad
-    from repro.nn import Dense, SparseDense, Activation, Sequential
+    from repro.nn import Dense, Activation, Sequential
     from repro.nn import Topology, build_mlp
     from repro.nn import TrainConfig, train_model, predict
     from repro.nn import checkpoint, CheckpointSequential
@@ -28,7 +28,6 @@ from .layers import (
     Module,
     Residual,
     Sequential,
-    SparseDense,
 )
 from .losses import huber_loss, mae_loss, mse_loss, relative_l2
 from .optim import Adam, Optimizer, SGD
@@ -43,7 +42,7 @@ __all__ = [
     "Tensor", "batch_invariant", "concat", "is_batch_invariant",
     "no_grad", "tensor", "zeros", "ones",
     "ACTIVATIONS", "Activation", "Dense", "Module", "Residual",
-    "Sequential", "SparseDense",
+    "Sequential",
     "huber_loss", "mae_loss", "mse_loss", "relative_l2",
     "Adam", "Optimizer", "SGD",
     "Topology", "build_mlp",

@@ -18,14 +18,13 @@ from typing import Union
 
 import numpy as np
 
-from ..sparse import CSRMatrix
 from .layers import Module, Sequential
 from .tensor import Tensor, no_grad
 
 __all__ = ["checkpoint", "CheckpointSequential", "activation_bytes"]
 
 
-def checkpoint(module: Module, x: Union[Tensor, CSRMatrix]) -> Tensor:
+def checkpoint(module: Module, x: Union[Tensor, np.ndarray]) -> Tensor:
     """Run ``module(x)`` without storing interior activations.
 
     The forward pass executes under :func:`no_grad`, so only the output
@@ -44,7 +43,7 @@ def checkpoint(module: Module, x: Union[Tensor, CSRMatrix]) -> Tensor:
 
     def backward(out: Tensor) -> None:
         if isinstance(x, Tensor):
-            x_re: Union[Tensor, CSRMatrix] = Tensor(x.data, requires_grad=x.requires_grad)
+            x_re: Union[Tensor, np.ndarray] = Tensor(x.data, requires_grad=x.requires_grad)
         else:
             x_re = x
         re_out = module(x_re)

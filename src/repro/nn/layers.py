@@ -4,26 +4,20 @@ Layers follow a ``Module`` protocol: ``forward`` consumes and produces
 :class:`~repro.nn.tensor.Tensor`, ``parameters()`` yields trainable tensors,
 ``flops(batch)`` returns the inference cost used by the NAS objective
 ``f_c`` and the device models.
-
-``SparseDense`` is the "TensorFlow embedding API" analogue from §4.2: it is
-an input layer whose forward multiplies a CSR matrix with its dense weight
-directly in compressed form, so sparse HPC inputs never get densified.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..sparse import CSRMatrix
 from . import init as initializers
 from .tensor import Tensor
 
 __all__ = [
     "Module",
     "Dense",
-    "SparseDense",
     "Activation",
     "Residual",
     "Sequential",
@@ -135,80 +129,6 @@ class Dense(Module):
         return self.out_features
 
     def trace_spec(self) -> tuple:
-        return ("dense", self.weight.data, self.bias.data)
-
-
-class SparseDense(Module):
-    """Input layer that consumes a CSR batch without densification (§4.2).
-
-    The forward pass is ``Y = X_csr @ W + b`` computed on the compressed
-    representation; the backward pass computes ``dW = X^T @ dY`` sparsely as
-    well.  The input receives no gradient (it is data, not a parameter),
-    which is what makes a sparse input format workable at all — the paper
-    notes mainstream frameworks lack exactly this backprop path.
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        rng: np.random.Generator,
-    ) -> None:
-        if in_features <= 0 or out_features <= 0:
-            raise ValueError("SparseDense dimensions must be positive")
-        self.in_features = int(in_features)
-        self.out_features = int(out_features)
-        weight = initializers.glorot_uniform(in_features, out_features, rng)
-        self.weight = Tensor(weight, requires_grad=True, name="weight")
-        self.bias = Tensor(np.zeros(out_features), requires_grad=True, name="bias")
-        self._last_nnz = 0
-
-    def forward(self, x: Union[CSRMatrix, Tensor, np.ndarray]) -> Tensor:
-        if isinstance(x, CSRMatrix):
-            if x.shape[1] != self.in_features:
-                raise ValueError(
-                    f"SparseDense expected {self.in_features} columns, got {x.shape[1]}"
-                )
-            self._last_nnz = x.nnz
-            data = x.matmul_dense(self.weight.data) + self.bias.data
-            weight, bias = self.weight, self.bias
-
-            def backward(out: Tensor) -> None:
-                if weight.requires_grad:
-                    # transposing sorts the entries; only a backward pays it
-                    weight._accumulate(x.transpose().matmul_dense(out.grad))
-                if bias.requires_grad:
-                    bias._accumulate(out.grad.sum(axis=0))
-
-            return Tensor._from_op(data, (weight, bias), backward)
-        # dense fallback so the layer composes with downstream tensors
-        x_t = x if isinstance(x, Tensor) else Tensor(x)
-        if x_t.shape[-1] != self.in_features:
-            raise ValueError(
-                f"SparseDense expected {self.in_features} input features, "
-                f"got input of shape {x_t.shape}"
-            )
-        self._last_nnz = int(np.count_nonzero(x_t.data))
-        return x_t @ self.weight + self.bias
-
-    def flops(self, batch: int = 1) -> int:
-        # cost scales with nnz, not with the dense size: 2 flops per stored
-        # element per output column.  Fall back to dense cost estimate when
-        # the layer has not yet seen sparse input.
-        nnz = self._last_nnz or batch * self.in_features
-        return 2 * nnz * self.out_features + batch * self.out_features
-
-    def output_dim(self, input_dim: int) -> int:
-        if input_dim != self.in_features:
-            raise ValueError(
-                f"SparseDense expected {self.in_features} input features, got {input_dim}"
-            )
-        return self.out_features
-
-    def trace_spec(self) -> tuple:
-        # for dense row batches the forward is exactly Dense; CSR-input
-        # plans substitute a pattern-folded CSR step for this first layer
-        # (see compile_package's csr_pattern)
         return ("dense", self.weight.data, self.bias.data)
 
 

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .layers import ACTIVATIONS, Activation, Dense, Module, Residual, Sequential, SparseDense
+from .layers import ACTIVATIONS, Activation, Dense, Module, Residual, Sequential
 
 __all__ = ["Topology", "build_mlp"]
 
@@ -23,15 +23,12 @@ class Topology:
 
     ``hidden`` lists neuron counts per hidden layer; ``activation`` is
     shared; ``residual`` adds skip connections around hidden layers of equal
-    width (the paper's "#residual connection" knob); ``sparse_input`` makes
-    the first layer a :class:`SparseDense` so CSR inputs are consumed
-    natively.
+    width (the paper's "#residual connection" knob).
     """
 
     hidden: tuple[int, ...]
     activation: str = "relu"
     residual: bool = False
-    sparse_input: bool = False
 
     def __post_init__(self) -> None:
         if not all(isinstance(h, (int, np.integer)) and h > 0 for h in self.hidden):
@@ -46,8 +43,7 @@ class Topology:
 
     def describe(self) -> str:
         res = "+res" if self.residual else ""
-        sp = "+sparse" if self.sparse_input else ""
-        return f"mlp[{'x'.join(map(str, self.hidden))}]({self.activation}){res}{sp}"
+        return f"mlp[{'x'.join(map(str, self.hidden))}]({self.activation}){res}"
 
 
 def build_mlp(
@@ -61,9 +57,7 @@ def build_mlp(
     layers: list[Module] = []
     prev = int(in_features)
     for i, width in enumerate(topology.hidden):
-        if i == 0 and topology.sparse_input:
-            layers.append(SparseDense(prev, width, rng))
-        elif topology.residual and width == prev and i > 0:
+        if topology.residual and width == prev and i > 0:
             block = Sequential(
                 [Dense(prev, width, rng, activation_hint=topology.activation),
                  Activation(topology.activation)]

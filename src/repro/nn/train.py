@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .layers import Dense, Module, Sequential, SparseDense
+from .layers import Dense, Module, Sequential
 from .losses import mse_loss
 from .optim import Adam
 from .tensor import Tensor, no_grad
@@ -92,7 +92,7 @@ def _first_layer_live_columns(
     weight row an exactly zero gradient, so that row only ever decays.
     """
     first = model.layers[0] if isinstance(model, Sequential) and len(model) else model
-    if not isinstance(first, (Dense, SparseDense)) or x.ndim != 2:
+    if not isinstance(first, Dense) or x.ndim != 2:
         return None
     if x.shape[1] != first.in_features:
         return None

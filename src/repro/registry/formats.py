@@ -41,6 +41,7 @@ __all__ = [
     "read_autoencoder_npz",
     "load_autoencoder_params",
     "autoencoder_meta",
+    "LEGACY_SPARSE_INPUT",
     "write_array",
     "read_array",
     "write_plan_npz",
@@ -50,6 +51,12 @@ __all__ = [
 MODEL_FORMAT_VERSION = 2
 AUTOENCODER_FORMAT_VERSION = 1
 PLAN_FORMAT_VERSION = 1
+
+#: Readers from before the sparse first layer was removed index this key
+#: without a default, so MLP topology and package metadata keep writing
+#: it, always False: a sparse input reaches every model as the dense row
+#: its feature schema gathered.  Readers ignore it.
+LEGACY_SPARSE_INPUT = {"sparse_input": False}
 
 
 # -- topology metadata ---------------------------------------------------------
@@ -71,7 +78,7 @@ def topology_to_meta(topology: AnyTopology) -> dict:
         "hidden": list(topology.hidden),
         "activation": topology.activation,
         "residual": topology.residual,
-        "sparse_input": topology.sparse_input,
+        **LEGACY_SPARSE_INPUT,
     }
 
 
@@ -88,7 +95,6 @@ def topology_from_meta(meta: dict) -> AnyTopology:
         hidden=tuple(meta["hidden"]),
         activation=meta["activation"],
         residual=meta["residual"],
-        sparse_input=meta["sparse_input"],
     )
 
 
@@ -128,7 +134,6 @@ def read_model_npz(
                 hidden=tuple(meta["hidden"]),
                 activation=meta["activation"],
                 residual=meta["residual"],
-                sparse_input=meta["sparse_input"],
             )
         elif version == MODEL_FORMAT_VERSION:
             topology = topology_from_meta(meta["topology"])
@@ -157,7 +162,6 @@ def autoencoder_meta(ae: Autoencoder) -> dict:
         "latent_dim": ae.latent_dim,
         "depth": sum(1 for layer in ae.encoder if hasattr(layer, "weight")),
         "activation": getattr(ae, "activation", "relu"),
-        "sparse_input": ae.sparse_input,
     }
 
 
@@ -194,7 +198,6 @@ def read_autoencoder_npz(path: Union[str, Path]) -> tuple[Autoencoder, dict]:
             meta["latent_dim"],
             depth=meta["depth"],
             activation=meta.get("activation", "relu"),
-            sparse_input=meta.get("sparse_input", False),
         )
         _assign_params(ae, archive, cast=np.float64)
     return ae, meta

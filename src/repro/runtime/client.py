@@ -4,7 +4,10 @@ The client is the thin layer compiled into the HPC application: it ships
 input tensors to the orchestrator, requests inferences, and unpacks
 results.  ``set_model_from_file`` loads a surrogate saved by
 :class:`~repro.nas.package.SurrogatePackage`; ``autoencoder`` runs the
-online feature reduction directly on a sparse tensor (Listing 2 line 14).
+online feature reduction (Listing 2 line 14) on an input row that the
+package's feature schema flattened — a sparse region input reaches a
+surrogate only that way, so the store and the serving path carry dense
+arrays alone.
 
 Three invocation styles reach the orchestrator's serving core:
 
@@ -35,7 +38,6 @@ import numpy as np
 from ..autoencoder.model import Autoencoder
 from ..nas.package import SurrogatePackage
 from ..registry.store import ModelRegistry
-from ..sparse import CSRMatrix
 from .orchestrator import InferenceRequest, Orchestrator
 
 __all__ = ["Client", "InferenceFuture"]
@@ -142,11 +144,7 @@ class Client:
     # -- tensor traffic ---------------------------------------------------------
 
     def put_tensor(self, key: str, value: np.ndarray) -> None:
-        # the store preserves floating dtypes (float32 stays float32);
-        # CSR batches pass through whole rather than through asarray
-        if isinstance(value, CSRMatrix):
-            self._orc.put_tensor(key, value)
-            return
+        # the store preserves floating dtypes (float32 stays float32)
         self._orc.put_tensor(key, np.asarray(value))
 
     def get_tensor(self, key: str) -> np.ndarray:
@@ -375,11 +373,11 @@ class Client:
     def set_autoencoder(self, autoencoder: Autoencoder) -> None:
         self._autoencoder = autoencoder
 
-    def autoencoder(self, tensor: Union[np.ndarray, CSRMatrix]) -> np.ndarray:
-        """Reduce a (possibly sparse) input tensor to latent features.
+    def autoencoder(self, tensor: np.ndarray) -> np.ndarray:
+        """Reduce flattened input rows to latent features.
 
-        This is ``client.autoencoder(sparse_tensor)`` from Listing 2: sparse
-        inputs go through the SparseDense first layer with no densification.
+        This is ``client.autoencoder(sparse_tensor)`` from Listing 2; the
+        sparse tensor arrives as the row its feature schema gathered.
         """
         if self._autoencoder is None:
             raise RuntimeError("no autoencoder set; call set_autoencoder() first")

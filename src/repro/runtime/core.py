@@ -9,7 +9,7 @@ only code that
 
 * holds model replicas, keyed by ``(name, version)``;
 * resolves a compiled plan per specialization key — model, version, row
-  shape (or CSR sparsity pattern) and dtype — and memoizes it, including
+  shape and dtype — and memoizes it, including
   the negative "untraceable" result, so a model the compiler refuses is
   tried once rather than on every call (:meth:`ServingCore.purge` drops
   those negative memos when an operator re-activates a version);
@@ -40,12 +40,10 @@ from .. import obs
 from ..compile import (
     PlanCache,
     compile_package,
-    csr_pattern_key,
     package_digest,
     untraceable_reason,
 )
 from ..nn.tensor import batch_invariant as _batch_invariant_mode
-from ..sparse import CSRMatrix
 
 __all__ = ["OrchestratorStopped", "Replica", "RowResults", "ServingCore"]
 
@@ -111,7 +109,7 @@ class ServingCore:
         self.compile_plans = bool(compile_plans)
         self.plan_cache = PlanCache(plan_cache_dir, enabled=self.compile_plans)
         self._replicas: dict[tuple[str, int], Replica] = {}  # cc: guarded-by(_lock)
-        # (name, version, row shape or ("csr", pattern digest), dtype) ->
+        # (name, version, row shape, dtype) ->
         # plan or the untraceable marker.  Keyed by version, so a deploy
         # or rollback needs no invalidation: each version has its entries
         self._plans: dict[tuple, Any] = {}  # cc: guarded-by(_lock)
@@ -211,8 +209,8 @@ class ServingCore:
     ) -> np.ndarray:
         """One instrumented forward; returns a floating-point output.
 
-        ``x`` reaches the model whole — a 1-D row, a 2-D input or a CSR
-        batch — unless ``stacked``: then it is a ``(B, F)`` block of
+        ``x`` reaches the model whole — a 1-D row or a 2-D input —
+        unless ``stacked``: then it is a ``(B, F)`` block of
         request rows and the output must have ``B`` rows.  Failures
         propagate uncounted: the caller decides whether the request
         failed (:meth:`fail`) or is retried another way.
@@ -248,7 +246,7 @@ class ServingCore:
         if it fails (a poisoned row, a model not really row-wise) its rows
         are served one by one, so a bad row cannot fail its block-mates —
         a stacked job served that way answers with :class:`RowResults`.
-        Any other job (2-D or CSR input) reaches the model whole.
+        Any other job (a 2-D input) reaches the model whole.
         """
         groups: dict[Any, list[int]] = {}
         for i, job in enumerate(jobs):
@@ -335,32 +333,23 @@ class ServingCore:
         """Compiled plan for ``x``'s specialization key, or None (interpreted).
 
         The key uses the per-request row shape, so single and stacked
-        serving of one model share one plan; a CSR batch keys on its
-        sparsity pattern instead.
+        serving of one model share one plan.
         """
         if not self.compile_plans or replica.package is None:
             return None
-        if isinstance(x, CSRMatrix):
-            csr, pattern = x, csr_pattern_key(x)
-            shape, dtype, spec = (x.shape[1],), "<f8", ("csr", pattern)
-        else:
-            csr = pattern = None
-            shape, dtype = x.shape[-1:], x.dtype.str
-            spec = tuple(shape)
-        key = (name, version, spec, dtype)
+        shape, dtype = x.shape[-1:], x.dtype.str
+        key = (name, version, shape, dtype)
         with self._lock:
             resolved = self._plans.get(key)
         if resolved is None:
-            plan = self._build_plan(replica, shape, dtype, csr=csr, pattern=pattern)
+            plan = self._build_plan(replica, shape, dtype)
             with self._lock:
                 resolved = self._plans.setdefault(
                     key, _UNTRACEABLE if plan is None else plan
                 )
         return None if resolved is _UNTRACEABLE else resolved
 
-    def _build_plan(
-        self, replica: Replica, shape, dtype: str, *, csr=None, pattern=None
-    ):
+    def _build_plan(self, replica: Replica, shape, dtype: str):
         """Fetch from the plan cache or trace-and-compile (None: fall back)."""
         try:
             digest = replica.digest or package_digest(replica.package)
@@ -369,16 +358,13 @@ class ServingCore:
                 input_shape=shape,
                 dtype=dtype,
                 batch_invariant=self.batch_invariant,
-                csr=pattern,
             )
             plan = self.plan_cache.get(key)
             if plan is not None:
                 return plan
             start = time.perf_counter()
             plan = compile_package(
-                replica.package,
-                batch_invariant=self.batch_invariant,
-                csr_pattern=csr,
+                replica.package, batch_invariant=self.batch_invariant
             )
         except Exception as exc:  # noqa: BLE001 - any compile failure means: interpret
             self._m_untraceable.inc(reason=untraceable_reason(exc))

@@ -207,8 +207,14 @@ class GuardedSurrogate:
         """Region outputs for ``problem`` — surrogate if valid, exact otherwise."""
         start = time.perf_counter()
         reason: Optional[str] = None
+        x: Optional[np.ndarray] = None
         try:
-            outputs = self.surrogate.run(problem)
+            if self.drift_detector is None and self.capture is None:
+                outputs = self.surrogate.run(problem)
+            else:
+                # the hooks read the row the surrogate served: flatten once
+                x = self.surrogate.input_schema.flatten(problem)
+                outputs = self.surrogate.run_row(x)
         except self._schema_error:
             reason = "schema"
         else:
@@ -244,18 +250,10 @@ class GuardedSurrogate:
                 self._m_fallback_seconds.observe(
                     fallback_elapsed, app=self._app_label
                 )
-        if self.drift_detector is not None or (
-            self.capture is not None and not valid
-        ):
-            x = None
-            if reason != "schema":
-                x = np.asarray(
-                    self.surrogate.input_schema.flatten(problem), dtype=np.float64
-                )
-            if self.drift_detector is not None:
-                self.drift_detector.observe(x, fallback=not valid)
-            if self.capture is not None and x is not None and exact_outputs is not None:
-                self.capture(problem, x, exact_outputs)
+        if self.drift_detector is not None:
+            self.drift_detector.observe(x, fallback=not valid)
+        if self.capture is not None and x is not None and exact_outputs is not None:
+            self.capture(problem, x, exact_outputs)
         if valid:
             return outputs
         return exact_outputs

@@ -77,7 +77,6 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .. import obs
-from ..sparse import CSRMatrix
 from .core import OrchestratorStopped, RowResults, ServingCore
 from .sharding import OverloadError, ProcessShardPool, ThreadShardPool
 
@@ -411,11 +410,7 @@ class Orchestrator:
     # -- tensor store ---------------------------------------------------------
 
     @staticmethod
-    def _coerce(value) -> Any:
-        if isinstance(value, CSRMatrix):
-            # CSR batches pass through whole: the dataclass is frozen and
-            # its value arrays are never handed back out writable
-            return value
+    def _coerce(value) -> np.ndarray:
         value = np.asarray(value)
         if value.dtype.kind == "f":
             # dtype-preserving defensive copy: float32 HPC data stays
@@ -440,9 +435,7 @@ class Orchestrator:
         return self.get_tensors([key])[0]
 
     @staticmethod
-    def _readonly(value) -> Any:
-        if isinstance(value, CSRMatrix):
-            return value  # frozen dataclass: no writable view to lock down
+    def _readonly(value: np.ndarray) -> np.ndarray:
         view = value.view()
         view.flags.writeable = False
         return view
@@ -989,15 +982,18 @@ class Orchestrator:
                     version = self._admit_locked(model)
                     if isinstance(x, tuple):
                         x = self._input_locked(x)
+                    row = isinstance(x, np.ndarray) and x.ndim == 1
+                    if not row:
+                        x = self._coerce(x)
                 except Exception as exc:  # noqa: BLE001 - fails this request only
                     rejected.append(((batch, [i], False), None, exc))
                     continue
-                if isinstance(x, np.ndarray) and x.ndim == 1:
+                if row:
                     rows[i] = x
                     blocks.setdefault((model, version, x.shape, x.dtype), []).append(i)
                 else:
                     tag = (batch, [i], False)
-                    jobs.append((model, version, self._coerce(x), False, tag, complete))
+                    jobs.append((model, version, x, False, tag, complete))
         bound = self._block_rows
         for (model, version, _, _), idxs in blocks.items():
             for lo in range(0, len(idxs), bound):

@@ -22,10 +22,7 @@ Wire protocol (all messages are small picklable tuples over raw
   is ``("one", req_id, name, version, handle)`` — one request's tensor,
   which travels alone — ``("rows", req_id, name, version, handle)`` — a
   stacked ``(B, F)`` block of a bulk call; one message carries every
-  block bound for this shard — or ``("csr", req_id, name, version,
-  ("csrmat", (indptr, indices, data, shape)))`` — a sparse batch shipped
-  as pickled arrays on the pipe itself (small nnz payloads; no
-  shared-memory segment).  A message's subitems are served together by
+  block bound for this shard.  A message's subitems are served together by
   :meth:`~repro.runtime.core.ServingCore.serve_many`.  The recycled
   names are output segments the front-end finished reading, piggybacked
   on the next request instead of riding a pipe of their own.  The purges
@@ -60,7 +57,6 @@ import pickle
 import time
 
 from .. import obs
-from ..sparse import CSRMatrix
 from .core import RowResults, ServingCore
 from .shm_store import SegmentAttachments, ShmTensorStore
 
@@ -97,14 +93,6 @@ def _register(core: ServingCore, name, version, blob, batchable, digest) -> None
     )
 
 
-def _decode(attachments, kind: str, handle):
-    """A subitem's input: a CSR batch from the pipe, else a shared-memory view."""
-    if kind == "csr":
-        indptr, indices, data, shape = handle[1]
-        return CSRMatrix(indptr=indptr, indices=indices, data=data, shape=tuple(shape))
-    return attachments.view(handle)
-
-
 def worker_main(worker_id: int, conn, req_recv, res_send, config: dict) -> None:
     """Run one shard's serving loop until a ``stop`` command arrives."""
     obs.configure(enabled=bool(config.get("telemetry", True)), reset=True)
@@ -134,7 +122,7 @@ def worker_main(worker_id: int, conn, req_recv, res_send, config: dict) -> None:
         for name, version in purges:
             core.purge(name, version)
         jobs = [
-            (name, version, _decode(attachments, kind, handle), kind == "rows")
+            (name, version, attachments.view(handle), kind == "rows")
             for kind, _, name, version, handle in subitems
         ]
         entries = []

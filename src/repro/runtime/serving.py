@@ -27,7 +27,6 @@ from ..nas.package import SurrogatePackage
 from ..perf.counting import nn_inference_cost
 from ..perf.devices import DeviceModel, Link, PCIE3_X16, TESLA_V100_NN
 from ..perf.timers import PhaseTimer
-from ..sparse import CSRMatrix
 from .client import Client
 from .orchestrator import Orchestrator
 
@@ -315,22 +314,16 @@ class ServingSession:
             attributes={"component": "serving", "model": self.model_name},
         )
 
-    def infer(self, raw_input: Union[np.ndarray, CSRMatrix], key: str = "in") -> np.ndarray:
+    def infer(self, raw_input: np.ndarray, key: str = "in") -> np.ndarray:
         """One surrogate call through the store, phase-timed."""
         with self._phase("fetch_input"):
-            if isinstance(raw_input, CSRMatrix):
-                staged: Union[np.ndarray, CSRMatrix] = raw_input
-            else:
-                self.client.put_tensor(key, np.atleast_2d(raw_input))
-                staged = self.client.get_tensor(key)
-        if self.package.autoencoder is not None:
-            with self._phase("encode"):
+            self.client.put_tensor(key, np.atleast_2d(raw_input))
+            staged = self.client.get_tensor(key)
+        with self._phase("encode"):
+            if self.package.autoencoder is not None:
                 features = self.client.autoencoder(staged)
-        else:
-            with self._phase("encode"):
-                features = (
-                    staged.to_dense() if isinstance(staged, CSRMatrix) else staged
-                )
+            else:
+                features = staged
         with self._phase("run_model"):
             # the registered model is the full package; feed reduced features
             # straight to the MLP half to avoid double-encoding

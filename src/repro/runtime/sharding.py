@@ -75,7 +75,6 @@ from collections import deque
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .. import obs
-from ..sparse import CSRMatrix
 from .core import OrchestratorStopped, ServingCore
 from .procworker import worker_main
 from .shm_store import SegmentAttachments, ShmTensorStore, unlink_segments
@@ -175,16 +174,11 @@ class ShardRing:
 
 
 class _Pending(NamedTuple):
-    """One in-flight dispatch awaiting its result message.
-
-    ``input_segment`` is ``None`` for CSR dispatches: sparse batches ride
-    the request pipe as pickled arrays (their nnz payload is small and
-    pattern-dependent), so there is no shared-memory segment to release.
-    """
+    """One in-flight dispatch awaiting its result message."""
 
     job: Job
     rows: int
-    input_segment: Optional[str]
+    input_segment: str
     shard_id: int
 
 
@@ -436,11 +430,9 @@ class ProcessShardPool:
     def dispatch(self, jobs: Iterable[Job]) -> None:
         """Stage and send ``(name, version, x, stacked, tag, on_done)`` jobs.
 
-        ``x`` reaches the model whole — a CSR batch rides the request
-        pipe as pickled arrays (its nnz payload is small; the worker
-        rebuilds the matrix and its pattern-keyed plan), an array rides
-        shared memory — unless ``stacked``: then it is a block of request
-        rows served as one vectorized forward.  The stacked jobs bound for
+        ``x`` rides shared memory and reaches the model whole — unless
+        ``stacked``: then it is a block of request rows served as one
+        vectorized forward.  The stacked jobs bound for
         one shard share one wire message; any other job is one request
         and travels alone.  ``on_done([(tag, output,
         error)])`` covers each job once, from a collector thread — or
@@ -455,17 +447,10 @@ class ProcessShardPool:
                     raise OrchestratorStopped("serving pool is not running")
                 shard = self._shards[self.ring.shard_for(name, version)]
                 items = staged.setdefault(shard.id, [])
-                csr = isinstance(x, CSRMatrix)
-                rows = int(x.shape[0]) if csr or stacked else 1
+                rows = int(x.shape[0]) if stacked else 1
                 self._admit(shard, rows, functools.partial(self._send, shard, items))
                 try:
-                    if csr:
-                        kind, segment = "csr", None
-                        payload = ("csrmat", (x.indptr, x.indices, x.data, tuple(x.shape)))
-                    else:
-                        kind = "rows" if stacked else "one"
-                        payload = self._store.put(x)
-                        segment = payload.segment
+                    payload = self._store.put(x)
                 except Exception:
                     self._release(shard, rows)
                     raise
@@ -474,7 +459,8 @@ class ProcessShardPool:
                 continue
             req_id = next(self._req_ids)
             with self._pending_lock:
-                self._pending[req_id] = _Pending(job, rows, segment, shard.id)
+                self._pending[req_id] = _Pending(job, rows, payload.segment, shard.id)
+            kind = "rows" if stacked else "one"
             items.append((kind, req_id, name, int(version), payload))
             if not stacked:
                 # a request travels alone, so its admission slot frees as
@@ -534,14 +520,12 @@ class ProcessShardPool:
         """Finish ``shard``'s dispatches with their ``(output, error)`` results.
 
         Their admission rows and input segments go back first — the
-        worker is done reading the inputs (CSR dispatches shipped by pipe
-        have none) — then every waiter completes.
+        worker is done reading the inputs — then every waiter completes.
         """
         rows = 0
         for pending in pendings:
             rows += pending.rows
-            if pending.input_segment is not None:
-                self._store.release(pending.input_segment)
+            self._store.release(pending.input_segment)
         if rows:
             self._release(shard, rows)
         _complete([pending.job for pending in pendings], results)

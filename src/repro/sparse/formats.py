@@ -201,9 +201,9 @@ class CSRMatrix:
     def matmul_dense(self, other: np.ndarray) -> np.ndarray:
         """CSR × dense matrix -> dense, without unrolling self.
 
-        This is the "TensorFlow embedding API" equivalent used by the first
-        autoencoder layer (§4.2): the multiplication is performed directly on
-        the compressed representation and only the (small) result is dense.
+        This is the "TensorFlow embedding API" product of §4.2: the
+        multiplication is performed directly on the compressed
+        representation and only the (small) result is dense.
 
         Each output row is the sum of its products in stored order, starting
         from +0.0, which is what an ``np.add.at`` scatter of the products

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from repro.autoencoder import AETrainConfig, Autoencoder, hourglass_widths, train_autoencoder
-from repro.extract import batch_to_csr
-from repro.sparse import from_dense
 
 
 def low_rank_data(rng, n=150, dim=32, rank=3):
@@ -45,18 +43,6 @@ class TestModel:
         ae = Autoencoder(8, 2, rng=rng)
         assert ae.encode(rng.standard_normal(8)).shape == (1, 2)
 
-    def test_sparse_encode_matches_dense(self, rng):
-        ae = Autoencoder(12, 3, sparse_input=True, rng=rng)
-        dense = rng.standard_normal((4, 12)) * (rng.random((4, 12)) < 0.4)
-        z_sparse = ae.encode(from_dense(dense, "csr"))
-        z_dense = ae.encode(dense)
-        assert np.allclose(z_sparse, z_dense)
-
-    def test_sparse_encode_rejected_without_flag(self, rng):
-        ae = Autoencoder(12, 3, sparse_input=False, rng=rng)
-        with pytest.raises(TypeError):
-            ae.encode(from_dense(np.eye(4, 12), "csr"))
-
     def test_evl_perfect_for_identity_data(self, rng):
         ae = Autoencoder(8, 8, depth=1, rng=rng)
         # latent == input: after enough training evl should be low; here we
@@ -93,12 +79,6 @@ class TestTraining:
         )
         assert result.met_bound
         assert result.epochs_run < 500
-
-    def test_sparse_input_training(self, rng):
-        x = low_rank_data(rng) * (rng.random((150, 32)) < 0.3)
-        ae = Autoencoder(32, 6, sparse_input=True, rng=rng)
-        result = train_autoencoder(ae, x, AETrainConfig(num_epochs=15, seed=1))
-        assert result.train_losses[-1] < result.train_losses[0]
 
     def test_gradient_checkpointing_trains_equivalently(self, rng):
         x = low_rank_data(rng, n=60)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.autoencoder import AETrainConfig, Autoencoder, train_autoencoder
-from repro.sparse import from_dense
 
 
 class TestEvlAPI:
@@ -16,12 +15,6 @@ class TestEvlAPI:
         train_autoencoder(ae, x, AETrainConfig(num_epochs=120, lr=3e-3, seed=0))
         after = ae.evl(x)
         assert after < before
-
-    def test_evl_on_sparse_input(self, rng):
-        dense = rng.standard_normal((20, 16)) * (rng.random((20, 16)) < 0.3)
-        ae = Autoencoder(16, 4, sparse_input=True, rng=rng)
-        sigma = ae.evl(from_dense(dense, "csr"))
-        assert 0.0 <= sigma <= 1.0
 
     def test_evl_tolerance_monotone(self, rng):
         x = rng.standard_normal((30, 10))

@@ -7,7 +7,6 @@ from repro import obs
 from repro.compile import (
     PlanCache,
     compile_package,
-    csr_pattern_key,
     package_digest,
     plan_from_payload,
     plan_key,
@@ -17,7 +16,6 @@ from repro.compile import (
 from repro.nn.tensor import batch_invariant
 from repro.registry.formats import write_plan_npz
 
-from .test_conv_plans import make_csr, sparse_ae_package
 from .test_plan import make_package
 
 
@@ -227,46 +225,6 @@ class TestSchemaAndCsr:
         with pytest.raises(ValueError, match="schema"):
             plan_from_payload(dict(meta, schema=1), arrays)
 
-    def test_csr_key_tracks_the_sparsity_pattern(self, rng):
-        a = make_csr(rng, 5, 12)
-        b = make_csr(rng, 5, 12, empty_rows=(1,))
-        assert csr_pattern_key(a) != csr_pattern_key(b)
-        # same structure, different values: one pattern, one plan
-        from repro.sparse.formats import CSRMatrix
-
-        fresh = CSRMatrix(
-            indptr=a.indptr,
-            indices=a.indices,
-            data=rng.standard_normal(a.nnz),
-            shape=a.shape,
-        )
-        assert csr_pattern_key(a) == csr_pattern_key(fresh)
-        base = plan_key("d", input_shape=(12,), dtype="<f8", batch_invariant=True)
-        keyed = plan_key(
-            "d",
-            input_shape=(12,),
-            dtype="<f8",
-            batch_invariant=True,
-            csr=csr_pattern_key(a),
-        )
-        assert base != keyed
-
-    def test_csr_plan_round_trips_through_disk(self, rng, tmp_path):
-        package = sparse_ae_package(rng, 16, 5, 3)
-        x = make_csr(rng, 6, 16, empty_rows=(2,))
-        plan = compile_package(package, csr_pattern=x)
-        key = plan_key(
-            package_digest(package),
-            input_shape=(16,),
-            dtype="<f8",
-            batch_invariant=True,
-            csr=csr_pattern_key(x),
-        )
-        PlanCache(tmp_path).put(key, plan)
-        reloaded = PlanCache(tmp_path).get(key)  # disk tier only
-        assert reloaded is not None
-        np.testing.assert_array_equal(reloaded.predict(x), plan.predict(x))
-
     def test_describe_reports_step_kinds_from_disk(self, rng, tmp_path):
         package = make_package(rng)
         key = key_for(package)
@@ -275,7 +233,6 @@ class TestSchemaAndCsr:
         assert info is not None
         assert info["batch_invariant"] is True
         assert "gemm" in info["step_kinds"]
-        assert info["csr"] is False
 
 
 class TestWarm:

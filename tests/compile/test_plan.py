@@ -34,7 +34,6 @@ def make_package(
     hidden=(16, 8),
     activation="relu",
     residual=False,
-    sparse_input=False,
     latent_dim=None,
 ):
     """A small package with randomized (non-degenerate) weights."""
@@ -42,7 +41,6 @@ def make_package(
         hidden=hidden,
         activation=activation,
         residual=residual,
-        sparse_input=sparse_input,
     )
     model_in = latent_dim if latent_dim is not None else input_dim
     model = build_model(model_in, output_dim, topology)
@@ -89,13 +87,6 @@ class TestBitIdentity:
         package = make_package(rng, hidden=(8, 8, 8), residual=True)
         plan = compile_package(package)
         assert_bit_identical(package, plan, rng.standard_normal((batch, 6)))
-
-    def test_sparse_input_topology_dense_batch(self, rng):
-        # SparseDense first layers trace like Dense; the compiled path only
-        # ever sees the orchestrator's dense row batches
-        package = make_package(rng, sparse_input=True)
-        plan = compile_package(package)
-        assert_bit_identical(package, plan, rng.standard_normal((5, 6)))
 
     @pytest.mark.parametrize("batch", (1, 32))
     def test_autoencoder_chain(self, rng, batch):

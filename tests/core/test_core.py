@@ -16,20 +16,19 @@ class TestConfig:
 
     def test_lowers_to_search_config(self):
         cfg = AutoHPCnetConfig(quality_loss=0.2, inner_trials=7)
-        sc = cfg.to_search_config(sparse_input=True)
+        sc = cfg.to_search_config()
         assert sc.quality_loss == 0.2
         assert sc.inner_trials == 7
-        assert sc.sparse_input is True
 
     def test_overrides_applied(self):
         cfg = AutoHPCnetConfig()
-        sc = cfg.to_search_config(sparse_input=False, inner_trials=11)
+        sc = cfg.to_search_config(inner_trials=11)
         assert sc.inner_trials == 11
 
     def test_user_model_round_trip(self):
         topo = Topology(hidden=(8,), activation="relu")
         cfg = AutoHPCnetConfig(search_type="userModel", init_model=topo)
-        assert cfg.to_search_config(sparse_input=False).init_model == topo
+        assert cfg.to_search_config().init_model == topo
 
     def test_invalid_preprocessing_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from repro.extract import (
     Perturbation,
     SampleGenerator,
     acquire,
-    batch_to_csr,
     build_schema,
     perturb_value,
     returned_names,
@@ -66,11 +65,6 @@ class TestSchema:
     def test_density(self, rng):
         schema = build_schema(["a"], {"a": np.array([1.0, 0.0, 0.0, 2.0])})
         assert schema.density({"a": np.array([1.0, 0.0, 0.0, 2.0])}) == 0.5
-
-    def test_batch_to_csr(self, rng):
-        batch = rng.random((5, 8)) * (rng.random((5, 8)) < 0.3)
-        csr = batch_to_csr(batch)
-        assert np.allclose(csr.to_dense(), batch)
 
 
 class TestPerturbation:

@@ -8,6 +8,7 @@ publishes, orchestrator canary routing, guard-style validation, and the
 persisted state machine.
 """
 
+import json
 import pickle
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.lifecycle import (
 from repro.nas import evaluate_topology
 from repro.nn import Topology
 from repro.registry import ModelRegistry
+from repro.registry.store import write_manifest
 from repro.runtime import Orchestrator
 
 
@@ -137,6 +139,34 @@ class TestRetrainerIdempotence:
         assert lineage["parent_version"] == 1
         assert lineage["trigger"] == "drift"
         assert lineage["samples"] == 20
+
+    def test_candidate_keeps_the_parent_input_schema(self, world):
+        # the parent records a gathered input schema; the candidate must
+        # carry it so `registry verify` checks the candidate's input_dim
+        record = {
+            "dense_width": DIN - 2,
+            "live_positions": {"A": {"count": 2, "sha256": "0" * 64}},
+        }
+        world.package.publish(
+            world.registry, "s", extra_meta={"input_schema": record}
+        )
+        retrainer = Retrainer(world.registry, "s", CFG.retrain)
+        x = np.stack([world.shifted_row() for _ in range(20)])
+        ref = retrainer.retrain(world.package, x, x @ world.w, parent_version=1)
+        assert ref.meta["input_schema"] == record
+        assert world.registry.verify("s", ref.version).ok
+        # an input_dim edited and the digest re-stamped (so only the
+        # schema check can see it) fails verification
+        manifest = json.loads((ref.path / "manifest.json").read_text())
+        write_manifest(
+            ref.path, name="s", version=ref.version, kind=manifest["kind"],
+            input_dim=DIN + 1, output_dim=manifest["output_dim"],
+            metrics=manifest["metrics"], meta=manifest["meta"],
+        )
+        assert world.registry.verify("s", ref.version).errors == (
+            f"input_dim {DIN + 1} != dense width {DIN - 2} + 2 live "
+            "positions of the input schema",
+        )
 
     def test_insufficient_samples_rejected(self, world):
         retrainer = Retrainer(world.registry, "m", CFG.retrain)

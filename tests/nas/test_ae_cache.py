@@ -58,7 +58,6 @@ class TestKeying:
             AutoencoderCache.key(x, 3, **{**base_key_kwargs(), "encoding_loss": 0.5}),
             AutoencoderCache.key(x, 3, **{**base_key_kwargs(), "seed": 1}),
             AutoencoderCache.key(x, 3, activation="tanh", **base_key_kwargs()),
-            AutoencoderCache.key(x, 3, sparse_input=True, **base_key_kwargs()),
             AutoencoderCache.key(x + 1e-9, 3, **base_key_kwargs()),
         ]
         assert len({base, *variants}) == len(variants) + 1

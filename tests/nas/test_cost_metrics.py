@@ -48,4 +48,4 @@ class TestCostMetricInNAS:
         from repro.core import AutoHPCnetConfig
 
         cfg = AutoHPCnetConfig(cost_metric="energy")
-        assert cfg.to_search_config(sparse_input=False).cost_metric == "energy"
+        assert cfg.to_search_config().cost_metric == "energy"

@@ -8,13 +8,11 @@ from repro.nn import (
     Dense,
     Residual,
     Sequential,
-    SparseDense,
     Tensor,
     batch_invariant,
     is_batch_invariant,
     no_grad,
 )
-from repro.sparse import from_dense
 
 
 def make_stack(rng, din=6, width=8):
@@ -40,19 +38,6 @@ class TestBatchedForward:
         layer = Dense(5, 3, rng)
         with pytest.raises(ValueError):
             layer(Tensor(np.ones((2, 4))))
-
-    def test_sparse_dense_dense_fallback_rejects_wrong_width(self, rng):
-        layer = SparseDense(5, 3, rng)
-        with pytest.raises(ValueError):
-            layer(Tensor(np.ones((2, 7))))
-
-    def test_sequential_batch_rows_match_csr_batch(self, rng):
-        layer = SparseDense(8, 4, rng)
-        dense = rng.standard_normal((6, 8)) * (rng.random((6, 8)) < 0.4)
-        with no_grad():
-            from_sparse = layer(from_dense(dense, "csr")).data
-            from_dense_input = layer(Tensor(dense)).data
-        assert np.allclose(from_sparse, from_dense_input)
 
     def test_residual_and_sequential_batch(self, rng):
         model = make_stack(rng)

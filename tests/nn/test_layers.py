@@ -1,10 +1,9 @@
-"""Layer behaviour: shapes, parameters, FLOPs, the sparse input path."""
+"""Layer behaviour: shapes, parameters, FLOPs."""
 
 import numpy as np
 import pytest
 
-from repro.nn import Activation, Dense, Residual, Sequential, SparseDense, Tensor
-from repro.sparse import from_dense
+from repro.nn import Activation, Dense, Residual, Sequential, Tensor
 
 
 class TestDense:
@@ -41,39 +40,6 @@ class TestDense:
     def test_invalid_dims_rejected(self, rng):
         with pytest.raises(ValueError):
             Dense(0, 4, rng)
-
-
-class TestSparseDense:
-    def test_csr_forward_matches_dense(self, rng):
-        layer = SparseDense(6, 3, rng)
-        dense = rng.standard_normal((4, 6)) * (rng.random((4, 6)) < 0.4)
-        csr = from_dense(dense, "csr")
-        out_sparse = layer(csr)
-        out_dense = layer(Tensor(dense))
-        assert np.allclose(out_sparse.data, out_dense.data)
-
-    def test_csr_gradients_match_dense_path(self, rng):
-        dense = rng.standard_normal((4, 6)) * (rng.random((4, 6)) < 0.4)
-        layer = SparseDense(6, 3, rng)
-
-        (layer(Tensor(dense)) ** 2.0).sum().backward()
-        g_dense = layer.weight.grad.copy(), layer.bias.grad.copy()
-        layer.zero_grad()
-        (layer(from_dense(dense, "csr")) ** 2.0).sum().backward()
-        assert np.allclose(layer.weight.grad, g_dense[0])
-        assert np.allclose(layer.bias.grad, g_dense[1])
-
-    def test_wrong_column_count_rejected(self, rng):
-        layer = SparseDense(6, 3, rng)
-        with pytest.raises(ValueError):
-            layer(from_dense(np.ones((2, 5)), "csr"))
-
-    def test_flops_scale_with_nnz(self, rng):
-        layer = SparseDense(100, 4, rng)
-        sparse = from_dense(np.eye(10, 100), "csr")  # 10 nonzeros
-        layer(sparse)
-        sparse_flops = layer.flops(batch=10)
-        assert sparse_flops < 10 * (2 * 100 * 4)  # far below the dense cost
 
 
 class TestActivation:

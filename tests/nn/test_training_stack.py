@@ -141,12 +141,6 @@ class TestTopologyAndBuilder:
 
         assert any(isinstance(layer, Residual) for layer in model)
 
-    def test_sparse_input_first_layer(self, rng):
-        from repro.nn.layers import SparseDense
-
-        model = build_mlp(5, 2, Topology(hidden=(8,), activation="relu", sparse_input=True), rng)
-        assert isinstance(model.layers[0], SparseDense)
-
 
 # ------------------------------------------------------------------- training loop
 

@@ -32,7 +32,7 @@ def legacy_model_npz(path, model, topology, din, dout):
             "hidden": list(topology.hidden),
             "activation": topology.activation,
             "residual": topology.residual,
-            "sparse_input": topology.sparse_input,
+            "sparse_input": False,
         },
     }
     arrays = {f"param_{i}": p.data for i, p in enumerate(model.parameters())}

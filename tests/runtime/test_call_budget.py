@@ -22,6 +22,7 @@ from repro import obs
 from repro.apps import AMGApplication
 from repro.core.pipeline import DeployedSurrogate
 from repro.core.scaling import Scaler
+from repro.lifecycle import DriftDetector
 from repro.nas.package import SurrogatePackage
 from repro.nn.mlp import Topology, build_mlp
 from repro.runtime import Client, GuardedSurrogate, Orchestrator, residual_validator
@@ -36,6 +37,9 @@ BUDGETS = {
 #: most Python calls one valid ``GuardedSurrogate.run`` on AMG may make:
 #: gather-flatten, scale, a 2-gemm forward, unflatten, residual check
 GUARDED_AMG_BUDGET = 77
+#: the same call with a ``DriftDetector`` attached: the detector reads
+#: the row the surrogate served, so the problem is still flattened once
+GUARDED_AMG_DRIFT_BUDGET = 82
 
 
 @pytest.fixture(autouse=True)
@@ -110,3 +114,15 @@ def test_guarded_amg_run_within_budget():
         "the sparse input must not be densified"
     )
     assert sum(counts[0].values()) <= GUARDED_AMG_BUDGET, sorted(counts[0].items())
+
+    watched = GuardedSurrogate(
+        surrogate, residual_validator(rtol=1e9),
+        drift_detector=DriftDetector(model="AMG"),
+    )
+    watched.run(problem)
+    counts = [_count_calls(watched.run, problem) for _ in range(3)]
+    assert watched.stats.fallbacks == 0
+    assert counts[0] == counts[1] == counts[2]
+    flattens = [key for key in counts[0] if key[1] == "flatten"]
+    assert len(flattens) == 1 and counts[0][flattens[0]] == 1, flattens
+    assert sum(counts[0].values()) <= GUARDED_AMG_DRIFT_BUDGET, sorted(counts[0].items())

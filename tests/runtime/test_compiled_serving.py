@@ -15,7 +15,7 @@ from repro.nn.tensor import batch_invariant
 from repro.registry.store import ModelRegistry
 from repro.runtime import Client, Orchestrator
 
-from ..compile.test_conv_plans import cnn_package, make_csr, sparse_ae_package
+from ..compile.test_conv_plans import cnn_package
 from ..compile.test_plan import make_package
 from . import procmodels
 
@@ -160,50 +160,36 @@ class TestCnnAndCsrServing:
         untraceable = obs.get_registry().get("repro_compile_untraceable_total")
         assert untraceable is None or untraceable.total() == 0
 
-    def test_csr_batch_served_compiled(self, rng):
-        package = sparse_ae_package(rng, 20, 6, 3)
-        orc = Orchestrator()
-        Client(orc).set_model("m", package)
-        x = make_csr(rng, 8, 20, empty_rows=(2,))
-        orc.put_tensor("in", x)
-        orc.run_model("m", ("in",), ("out",))
-        np.testing.assert_array_equal(orc.get_tensor("out"), reference(package, x))
-        # the plan map key carries the pattern digest, not an array shape
-        assert any(
-            isinstance(key[2], tuple) and key[2][0] == "csr"
-            for key in orc._core._plans
-        )
-        assert obs.get_registry().get("repro_compile_plans_built_total").total() == 1
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_sparse_matrix_is_refused_and_stores_nothing(self, rng, mode):
+        # a sparse region input reaches a surrogate only as the row its
+        # FeatureSchema flattened; the serving path takes dense arrays
+        from repro.sparse import from_dense
 
-    def test_csr_and_dense_traffic_coexist(self, rng):
-        # the same model serves dense row batches and CSR batches through
-        # two separately keyed plans
-        package = sparse_ae_package(rng, 12, 4, 2)
-        orc = Orchestrator()
-        Client(orc).set_model("m", package)
-        dense = rng.standard_normal((3, 12))
-        sparse = make_csr(rng, 3, 12)
-        orc.put_tensor("d", dense)
-        orc.put_tensor("s", sparse)
-        orc.run_model("m", ("d",), ("d_out",))
-        orc.run_model("m", ("s",), ("s_out",))
-        np.testing.assert_array_equal(orc.get_tensor("d_out"), reference(package, dense))
-        np.testing.assert_array_equal(orc.get_tensor("s_out"), reference(package, sparse))
-        assert len(orc._core._plans) == 2
-
-    def test_csr_pattern_change_builds_a_second_plan(self, rng):
-        package = sparse_ae_package(rng, 12, 4, 2)
-        orc = Orchestrator()
-        Client(orc).set_model("m", package)
-        for i, x in enumerate(
-            (make_csr(rng, 3, 12), make_csr(rng, 3, 12, empty_rows=(0,)))
-        ):
-            orc.put_tensor("in", x)
-            orc.run_model("m", ("in",), (f"out{i}",))
+        package = make_package(rng)
+        sparse = from_dense(np.eye(3, 6), "csr")
+        orc = Orchestrator(**({"num_processes": 1} if mode == "process" else {}))
+        try:
+            client = Client(orc)
+            client.set_model("m", package)
+            orc.start()
+            with pytest.raises(TypeError):
+                client.put_tensor("in", sparse)
+            row = rng.standard_normal(6)
+            with pytest.raises(TypeError):
+                client.run_model_batch("m", [row, sparse], ["o1", "o2"], timeout=60)
+            with pytest.raises(TypeError):
+                orc.run_batch("m", [sparse], ["o3"]).result(timeout=60)
+            for key in ("in", "o1", "o2", "o3"):
+                with pytest.raises(KeyError):
+                    orc.get_tensor(key)
+            # the refusals leave the model serving
             np.testing.assert_array_equal(
-                orc.get_tensor(f"out{i}"), reference(package, x)
+                client.run_model_batch("m", [row], timeout=60)[0],
+                reference(package, row),
             )
-        assert len(orc._core._plans) == 2
+        finally:
+            orc.stop()
 
 
 class TestMemoPurge:

@@ -13,7 +13,6 @@ from repro.runtime import (
     Orchestrator,
     ServingSession,
 )
-from repro.sparse import from_dense
 
 
 def make_package(rng, din=6, dout=2, with_ae=False):
@@ -131,15 +130,6 @@ class TestClient:
         loaded = client.set_model_from_file("net", str(tmp_path / "net"), "TORCH", "GPU")
         x = rng.standard_normal((2, 6))
         assert np.allclose(loaded.predict(x), pkg.predict(x))
-
-    def test_autoencoder_reduction_with_sparse(self, rng):
-        ae = Autoencoder(8, 3, sparse_input=True, rng=rng)
-        client = Client(Orchestrator())
-        client.set_autoencoder(ae)
-        dense = rng.standard_normal((4, 8)) * (rng.random((4, 8)) < 0.4)
-        reduced = client.autoencoder(from_dense(dense, "csr"))
-        assert reduced.shape == (4, 3)
-        assert np.allclose(reduced, ae.encode(dense))
 
     def test_autoencoder_without_setting_raises(self):
         with pytest.raises(RuntimeError):

@@ -64,7 +64,7 @@ def test_build_is_gathered(amg_build):
     assert schema.field("A").size == 156
     assert amg_build.surrogate.package.input_dim == 266
     ae = amg_build.surrogate.package.autoencoder
-    assert ae is None or not ae.sparse_input
+    assert ae is None or ae.input_dim == 266
 
 
 def test_serving_never_densifies(amg_build, monkeypatch):

@@ -17,7 +17,7 @@ from repro import obs
 from repro.nn.tensor import batch_invariant
 from repro.runtime import Client, InferenceRequest, Orchestrator, UnknownModelError
 
-from ..compile.test_conv_plans import cnn_package, make_csr, sparse_ae_package
+from ..compile.test_conv_plans import cnn_package
 from ..compile.test_plan import make_package
 from . import procmodels
 
@@ -130,20 +130,6 @@ class TestProcessServing:
 
 
 class TestSparseAndCnnTraffic:
-    def test_csr_batch_served_across_processes(self, orc, rng):
-        # the CSR batch rides the request pipe as pickled pattern arrays
-        # (no shm segment) and serves through a pattern-keyed plan
-        package = sparse_ae_package(rng, 16, 5, 3)
-        x = make_csr(rng, 6, 16, empty_rows=(1,))
-        client = Client(orc)
-        client.set_model("m", package)
-        orc.start()
-        client.put_tensor("in", x)
-        got = client.run_model("m", "in", "out")
-        with batch_invariant():
-            want = package.predict(x)
-        np.testing.assert_array_equal(got, want)
-
     def test_cnn_package_bit_identical_across_processes(self, orc, rng):
         from repro.nn.cnn import CNNTopology
 

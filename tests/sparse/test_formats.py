@@ -143,7 +143,7 @@ class TestCSR:
             assert_product_exact(m, other)
 
     def test_matmul_dense_sparse_dense_backward_shape_exact(self, rng):
-        # SparseDense's weight gradient is x.T @ dY: 230 short columns of
+        # a first layer's weight gradient x.T @ dY: 230 short columns of
         # a 32-row batch over 1406 mostly dead features
         live = rng.choice(1406, 230, replace=False)
         d = np.zeros((32, 1406))
