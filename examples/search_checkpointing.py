@@ -25,7 +25,11 @@ from repro.nas import SurrogatePackage
 
 
 def main() -> None:
-    workdir = tempfile.mkdtemp(prefix="autohpcnet_ckpt_")
+    with tempfile.TemporaryDirectory(prefix="autohpcnet_ckpt_") as workdir:
+        run(workdir)
+
+
+def run(workdir: str) -> None:
     app = MGApplication()
 
     base = dict(

@@ -45,16 +45,15 @@ def main() -> None:
     print(build.search.summary(), "\n")
 
     # --- save / reload through the client (Listing 2) ---
-    workdir = tempfile.mkdtemp(prefix="autohpcnet_")
-    build.surrogate.package.save(f"{workdir}/AI-CFD-net")
-
     orchestrator = Orchestrator()
     client = Client(orchestrator, cluster=False)
-    package = client.set_model_from_file(
-        "AI-CFD-net", f"{workdir}/AI-CFD-net", "TORCH", "GPU"
-    )
-    print(f"model re-loaded from {workdir}/AI-CFD-net "
-          f"({package.num_parameters()} parameters)\n")
+    with tempfile.TemporaryDirectory(prefix="autohpcnet_") as workdir:
+        build.surrogate.package.save(f"{workdir}/AI-CFD-net")
+        package = client.set_model_from_file(
+            "AI-CFD-net", f"{workdir}/AI-CFD-net", "TORCH", "GPU"
+        )
+        print(f"model re-loaded from {workdir}/AI-CFD-net "
+              f"({package.num_parameters()} parameters)\n")
 
     # --- Listing 1 flow: put_tensor -> run_model -> unpack_tensor ---
     problem = app.example_problem(np.random.default_rng(5))

@@ -123,6 +123,11 @@ def train_model(
     rows, and the full weight ``Tensor`` gets them back when training ends
     (DESIGN §5b).  Its dead rows get the weight-decay steps Adam would have
     given them, and nothing else, exactly as in a full-width run.
+
+    A ``Sequential`` of ``Dense``, ``Activation`` and ``Residual`` trained
+    with the default forward and ``mse_loss`` runs through the compiled
+    step of :mod:`repro.nn.trainstep` instead of the autograd graph; its
+    losses, epochs and weights are bit-identical to the autograd loop's.
     """
     x = _as_float_array(x)
     y = _as_float_array(y)
@@ -140,8 +145,33 @@ def train_model(
         x = x[:, live]
         layer.weight = Tensor(full.data[live], requires_grad=True, name="weight")
         layer.in_features = live.size
-    optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
-    run = forward or (lambda m, batch: m(Tensor(batch)))
+    compiled = None
+    if forward is None and loss_fn is mse_loss:
+        # training-only code loads on demand, off the serving closure (DESIGN §5l)
+        from .trainstep import compile_step
+
+        compiled = compile_step(
+            model, x, y, train_idx, val_idx, config.batch_size,
+            config.lr, config.weight_decay,
+        )
+    if compiled is not None:
+        optimizer, step, validate = compiled.optimizer, compiled.step, compiled.validate
+    else:
+        optimizer = Adam(
+            model.parameters(), lr=config.lr, weight_decay=config.weight_decay
+        )
+        run = forward or (lambda m, batch: m(Tensor(batch)))
+
+        def step(batch: np.ndarray) -> float:
+            optimizer.zero_grad()
+            loss = loss_fn(run(model, x[batch]), Tensor(y[batch]))
+            loss.backward()
+            optimizer.step()
+            return loss.item()
+
+        def validate() -> float:
+            with no_grad():
+                return loss_fn(run(model, x[val_idx]), Tensor(y[val_idx])).item()
 
     result = TrainResult()
     stale = 0
@@ -151,20 +181,12 @@ def train_model(
             epoch_loss = 0.0
             batches = 0
             for start in range(0, order.size, config.batch_size):
-                batch = order[start : start + config.batch_size]
-                optimizer.zero_grad()
-                pred = run(model, x[batch])
-                loss = loss_fn(pred, Tensor(y[batch]))
-                loss.backward()
-                optimizer.step()
-                epoch_loss += loss.item()
+                epoch_loss += step(order[start : start + config.batch_size])
                 batches += 1
             result.train_losses.append(epoch_loss / max(batches, 1))
 
             if val_idx.size:
-                with no_grad():
-                    val_pred = run(model, x[val_idx])
-                    val_loss = loss_fn(val_pred, Tensor(y[val_idx])).item()
+                val_loss = validate()
             else:
                 val_loss = result.train_losses[-1]
             result.val_losses.append(val_loss)
@@ -187,6 +209,8 @@ def train_model(
                     break
         return result
     finally:
+        if compiled is not None:
+            compiled.release()
         if compact is not None:
             full.data[live] = layer.weight.data
             decay = optimizer.lr * optimizer.weight_decay

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from collections.abc import Iterable
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -357,8 +358,14 @@ class Client:
         request's error is raised — e.g.
         :class:`~repro.runtime.sharding.OverloadError` when a shard sheds.
         """
+        # key lists become tuples; any other non-array input is coerced as
+        # run_batch would, so a bad one (a CSRMatrix) fails the whole call
+        # with its type named, before anything is submitted or stored
         resolved = [
-            x if isinstance(x, np.ndarray) else (x,) if isinstance(x, str) else tuple(x)
+            x if isinstance(x, np.ndarray)
+            else (x,) if isinstance(x, str)
+            else tuple(x) if isinstance(x, Iterable)
+            else self._orc._coerce(x)
             for x in inputs
         ]
         if outputs is not None:

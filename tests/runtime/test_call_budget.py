@@ -6,13 +6,15 @@ count them with ``sys.setprofile``, telemetry off, for
 ``Client.run_model`` (which serves through ``Orchestrator.run_model``)
 on a running thread-mode pool, the call perfbench's ``listing2-mixed``
 times, and for ``GuardedSurrogate.run`` on AMG, the guarded path whose
-wall-clock bound lives in ``tests/obs/test_overhead.py``.  Each budget
-is the count of today's code, so a change that adds a frame on these
-paths fails here until it raises the budget in its own diff and says
-why.
+wall-clock bound lives in ``tests/obs/test_overhead.py``.  Offline, they
+count one compiled training step (``repro.nn.trainstep``), which every
+NAS trial runs a few hundred times.  Each budget is the count of today's
+code, so a change that adds a frame on these paths fails here until it
+raises the budget in its own diff and says why.
 """
 
 import collections
+import os
 import sys
 
 import numpy as np
@@ -24,7 +26,9 @@ from repro.core.pipeline import DeployedSurrogate
 from repro.core.scaling import Scaler
 from repro.lifecycle import DriftDetector
 from repro.nas.package import SurrogatePackage
+from repro.nn import Adam, Tensor, mse_loss
 from repro.nn.mlp import Topology, build_mlp
+from repro.nn.trainstep import compile_step
 from repro.runtime import Client, GuardedSurrogate, Orchestrator, residual_validator
 
 #: (inputs, hidden widths, outputs) -> most Python calls one
@@ -40,6 +44,10 @@ GUARDED_AMG_BUDGET = 77
 #: the same call with a ``DriftDetector`` attached: the detector reads
 #: the row the surrogate served, so the problem is still flattened once
 GUARDED_AMG_DRIFT_BUDGET = 82
+#: most Python calls one compiled training step of a 2-gemm MLP may make:
+#: ``CompiledStep.step``, its program's ``run`` and ``Adam.step`` (the
+#: autograd step of the same MLP makes 198)
+TRAIN_STEP_BUDGET = 3
 
 
 @pytest.fixture(autouse=True)
@@ -126,3 +134,44 @@ def test_guarded_amg_run_within_budget():
     flattens = [key for key in counts[0] if key[1] == "flatten"]
     assert len(flattens) == 1 and counts[0][flattens[0]] == 1, flattens
     assert sum(counts[0].values()) <= GUARDED_AMG_DRIFT_BUDGET, sorted(counts[0].items())
+
+
+def _tensor_frames(counts) -> list:
+    return [key for key in counts if key[0].endswith(os.path.join("nn", "tensor.py"))]
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_compiled_training_step_within_budget(activation):
+    # build-amg's winning shape: 33 inputs, 8 hidden, 36 outputs
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((64, 33)), rng.standard_normal((64, 36))
+    model = build_mlp(33, 36, Topology((8,), activation), np.random.default_rng(0))
+    step = compile_step(model, x, y, np.arange(48), np.arange(48, 64), 32, 1e-3, 1e-4)
+    batch = np.arange(32)
+    try:
+        step.step(batch)
+        counts = [_count_calls(step.step, batch) for _ in range(3)]
+    finally:
+        step.release()
+
+    assert counts[0] == counts[1] == counts[2]
+    assert not _tensor_frames(counts[0]), "the compiled step must not enter autograd"
+    assert sum(counts[0].values()) <= TRAIN_STEP_BUDGET, sorted(counts[0].items())
+
+
+def test_autograd_training_step_enters_tensor_frames():
+    """The same step on autograd, which the compiled step replaces, enters
+    ``tensor.py`` dozens of times: the frame check above can see them."""
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((32, 33)), rng.standard_normal((32, 36))
+    model = build_mlp(33, 36, Topology((8,), "relu"), np.random.default_rng(0))
+    optimizer = Adam(model.parameters(), lr=1e-3)
+
+    def step():
+        optimizer.zero_grad()
+        loss = mse_loss(model(Tensor(x)), Tensor(y))
+        loss.backward()
+        optimizer.step()
+
+    counts = _count_calls(step)
+    assert sum(counts[key] for key in _tensor_frames(counts)) > 10 * TRAIN_STEP_BUDGET

@@ -176,9 +176,11 @@ class TestCnnAndCsrServing:
             with pytest.raises(TypeError):
                 client.put_tensor("in", sparse)
             row = rng.standard_normal(6)
-            with pytest.raises(TypeError):
+            # both bulk calls name the refused type
+            with pytest.raises(TypeError, match="CSRMatrix") as bulk:
                 client.run_model_batch("m", [row, sparse], ["o1", "o2"], timeout=60)
-            with pytest.raises(TypeError):
+            assert "not iterable" not in str(bulk.value)
+            with pytest.raises(TypeError, match="CSRMatrix"):
                 orc.run_batch("m", [sparse], ["o3"]).result(timeout=60)
             for key in ("in", "o1", "o2", "o3"):
                 with pytest.raises(KeyError):

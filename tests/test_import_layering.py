@@ -3,7 +3,8 @@
 Every rank and every spawned worker imports the serving stack, so what
 that import closure pulls in is start-up time paid everywhere.  The
 offline stack (SciPy, the search, the extractor's tracing and sampling,
-autoencoder training) loads on demand and never in a serving process.
+autoencoder training, the compiled training step) loads on demand and
+never in a serving process.
 Each check runs in a fresh interpreter: ``sys.modules`` of the test
 process already holds everything.
 """
@@ -28,6 +29,7 @@ OFFLINE = (
     "repro.extract.acquisition",
     "repro.extract.sampling",
     "repro.autoencoder.training",
+    "repro.nn.trainstep",
 )
 SERVING_ENTRIES = (
     "repro",
