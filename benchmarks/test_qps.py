@@ -3,7 +3,7 @@
 Every mode serves the same three-model traffic through the identical
 ``Client.run_model_batch`` call, measured by
 :func:`measure_sustained_qps`, and ``run_model_batch`` takes one bulk
-path in both modes (``Orchestrator.run_batch``): each row is admitted
+path in both modes (``Orchestrator.submit``): each row is admitted
 on its own, rows of one (model, version, shape, dtype) stack into
 blocks, and each block runs as one vectorized compiled-plan forward —
 in this process's serving threads, or on its shard after crossing the

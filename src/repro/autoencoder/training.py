@@ -79,7 +79,7 @@ def train_autoencoder(
     else:
         encoder, decoder = ae.encoder, ae.decoder
 
-    def run_batch(batch: np.ndarray) -> Tensor:
+    def reconstruct(batch: np.ndarray) -> Tensor:
         return decoder(encoder(Tensor(batch)))
 
     optimizer = Adam(list(ae.parameters()), lr=config.lr)
@@ -93,7 +93,7 @@ def train_autoencoder(
         for start in range(0, order.size, config.batch_size):
             batch = x[order[start : start + config.batch_size]]
             optimizer.zero_grad()
-            recon = run_batch(batch)
+            recon = reconstruct(batch)
             loss = mse_loss(recon, Tensor(batch))
             loss.backward()
             optimizer.step()

@@ -501,25 +501,19 @@ def _hot_swap_smoke(name, package, rows, args: argparse.Namespace) -> int:
     v1 = client.set_model(name, package)
     v2 = client.set_model(name, package, deploy=False)
     half = max(1, len(rows) // 2)
-    failures = 0
     with orc:
-        futures = [
-            client.run_model_async(name, row, f"swap_out_{i}")
-            for i, row in enumerate(rows[:half])
-        ]
+        halves = [orc.submit(name, list(rows[:half]))]
         deployed = client.deploy_model(name, v2)
-        futures += [
-            client.run_model_async(name, row, f"swap_out_{half + i}")
-            for i, row in enumerate(rows[half:])
-        ]
-        for future in futures:
-            try:
-                future.result(timeout=60.0)
-            except Exception:  # noqa: BLE001 - counted, reported below
-                failures += 1
+        halves.append(orc.submit(name, list(rows[half:])))
+        failures = 0
+        for handle in halves:
+            if handle.done.wait(timeout=60.0):
+                failures += sum(error is not None for error in handle.errors)
+            else:
+                failures += len(handle.errors)
         active = orc.active_version(name)
     print(
-        f"hot-swap smoke: {len(futures)} requests across deploy "
+        f"hot-swap smoke: {len(rows)} requests across deploy "
         f"v{v1}->v{deployed}, {failures} failed, active v{active}"
     )
     return 1 if failures or active != deployed else 0

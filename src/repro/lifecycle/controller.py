@@ -35,7 +35,6 @@ import numpy as np
 
 from ..nas.package import SurrogatePackage
 from ..registry import ModelRegistry
-from ..runtime.client import Client
 from ..runtime.orchestrator import Orchestrator, UnknownModelError
 from .buffer import TrafficBuffer
 from .drift import DriftConfig, DriftDetector
@@ -106,7 +105,6 @@ class LifecycleController:
         self.validator = validator
         self.config = config or LifecycleConfig()
         self._orc = orchestrator
-        self._client = Client(orchestrator)
         self.detector = DriftDetector(self.config.drift, model=name)
         self.buffer = TrafficBuffer(self.config.buffer_capacity)
         self.retrainer = Retrainer(registry, name, self.config.retrain)
@@ -244,13 +242,14 @@ class LifecycleController:
         the loop.  Returns the answer the application would see.
         """
         x = np.asarray(x, dtype=np.float64).ravel()
-        out_key = f"__lifecycle_{self.name}_{next(self._ids)}__"
-        future = self._client.run_model_async(self.name, x, out_key)
+        key = f"__lifecycle_{self.name}_{next(self._ids)}"
+        in_key, out_key = key + "_in__", key + "_out__"
+        self._orc.put_tensor(in_key, x)
         try:
-            y = np.asarray(future.result())
+            version = self._orc.run_model(self.name, (in_key,), (out_key,))
+            y = self._orc.get_tensor(out_key)
         finally:
-            version = future.version
-            self._orc.delete_tensor(out_key)
+            self._orc.delete_tensors([in_key, out_key])
         valid = bool(self.validator(x, y))
         y_true: Optional[np.ndarray] = None
         if not valid:

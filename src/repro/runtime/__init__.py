@@ -3,12 +3,11 @@
 from .orchestrator import (
     BatchResult,
     CanaryStatus,
-    InferenceRequest,
     Orchestrator,
     OrchestratorStopped,
     UnknownModelError,
 )
-from .client import Client, InferenceFuture
+from .client import Client
 from .serving import (
     ONLINE_PHASES,
     OnlineCostModel,
@@ -25,12 +24,10 @@ from .guard import GuardStats, GuardedSurrogate, bounds_validator, default_valid
 __all__ = [
     "BatchResult",
     "CanaryStatus",
-    "InferenceRequest",
     "Orchestrator",
     "OrchestratorStopped",
     "UnknownModelError",
     "Client",
-    "InferenceFuture",
     "ONLINE_PHASES",
     "OnlineCostModel",
     "QPSResult",

@@ -9,28 +9,26 @@ package's feature schema flattened — a sparse region input reaches a
 surrogate only that way, so the store and the serving path carry dense
 arrays alone.
 
-Three invocation styles reach the orchestrator's serving core:
+Two invocation styles reach the orchestrator's serving core:
 
 * :meth:`Client.run_model` — the blocking Listing-1 call: on a stopped
-  or idle thread-mode pool it runs on the caller's thread, else it queues;
-* :meth:`Client.run_model_async` — returns an :class:`InferenceFuture`
-  immediately, so an HPC rank can overlap its own compute with the
-  surrogate's and pipeline many requests into one vectorized forward;
+  or idle thread-mode pool it runs on the caller's thread, else it queues
+  through :meth:`Orchestrator.submit` and waits.  A raw-array input is
+  staged under a *unique* scratch key and deleted once the result is
+  read, so concurrent clients never clobber each other's inputs;
 * :meth:`Client.run_model_batch` — the bulk call: a whole list of inputs
-  goes to :meth:`Orchestrator.run_batch`, which admits each request,
-  stacks same-shape rows into vectorized forwards in either serving mode
-  and returns the outputs in order.
+  goes to :meth:`Orchestrator.submit`, which admits each request, stacks
+  same-shape rows into vectorized forwards in either serving mode and
+  returns the outputs in order.  Arrays are handed over without staging.
 
-The first two stage raw-array inputs under *unique* per-request scratch
-keys and delete them once the result is retrieved, so concurrent clients
-(or pipelined requests from one client) never clobber each other's
-inputs; the bulk call hands arrays over without staging them.
+A caller that wants to overlap its own compute with the surrogate's
+keeps the handle :meth:`Orchestrator.submit` returns and calls its
+``result()`` later.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from collections.abc import Iterable
 from typing import Optional, Sequence, Union
 
@@ -39,97 +37,12 @@ import numpy as np
 from ..autoencoder.model import Autoencoder
 from ..nas.package import SurrogatePackage
 from ..registry.store import ModelRegistry
-from .orchestrator import InferenceRequest, Orchestrator
+from .orchestrator import Orchestrator
 
-__all__ = ["Client", "InferenceFuture"]
+__all__ = ["Client"]
 
 #: process-wide scratch-key sequence; itertools.count is atomic under the GIL
 _SCRATCH_IDS = itertools.count()
-
-
-class InferenceFuture:
-    """Handle to an in-flight :meth:`Client.run_model_async` invocation.
-
-    ``result()`` blocks until the serving pool finishes the request,
-    re-raises any serving error, and cleans up the request's scratch
-    input keys.  The future may be resolved from any thread; repeated
-    ``result()`` calls return the cached output.
-    """
-
-    def __init__(
-        self,
-        orchestrator: Orchestrator,
-        out_key: str,
-        scratch_keys: tuple[str, ...],
-        *,
-        request: Optional[InferenceRequest] = None,
-        value: Optional[np.ndarray] = None,
-        error: Optional[Exception] = None,
-        served_version: Optional[int] = None,
-    ) -> None:
-        self._orc = orchestrator       # cc: type(Orchestrator)
-        self._out_key = out_key
-        self._scratch_keys = scratch_keys
-        self._request = request        # cc: type(InferenceRequest)
-        self._served_version = served_version
-        # the done-Event wait in result() orders every bare read after
-        # the resolving write, so snapshot reads are safe
-        self._value = value            # cc: guarded-by(_resolve_lock, atomic-reads)
-        self._error = error            # cc: guarded-by(_resolve_lock, atomic-reads)
-        self._resolved = request is None  # cc: guarded-by(_resolve_lock, atomic-reads)
-        self._resolve_lock = threading.Lock()
-        if self._resolved:
-            self._cleanup()
-
-    @property
-    def output_key(self) -> str:
-        return self._out_key
-
-    @property
-    def version(self) -> Optional[int]:
-        """Model version this request was admitted under (None if unknown).
-
-        Admission pins the version (incumbent or canary slice), so this
-        is readable as soon as the request is submitted — the caller can
-        attribute the eventual outcome to the exact weights that served
-        it, e.g. via :meth:`Orchestrator.record_outcome`.
-        """
-        request = self._request
-        if request is not None and request.version is not None:
-            return request.version
-        return self._served_version
-
-    def done(self) -> bool:
-        """True once the request finished (successfully or not)."""
-        return self._resolved or self._request.done.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        """Wait for the output tensor (raises the serving error, if any)."""
-        # wait *outside* the resolve lock: Event.wait is safe from many
-        # threads, and holding the lock while waiting would let one
-        # caller's open-ended wait swallow another caller's timeout
-        if not self._resolved and not self._request.done.wait(timeout):
-            raise TimeoutError(
-                f"inference for output key {self._out_key!r} did not "
-                f"complete within {timeout}s"
-            )
-        with self._resolve_lock:
-            if not self._resolved:
-                try:
-                    if self._request.error is not None:
-                        self._error = self._request.error
-                    else:
-                        self._value = self._orc.get_tensor(self._out_key)
-                finally:
-                    self._resolved = True
-                    self._cleanup()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    def _cleanup(self) -> None:
-        if self._scratch_keys:
-            self._orc.delete_tensors(list(self._scratch_keys))
 
 
 class Client:
@@ -303,37 +216,6 @@ class Client:
             if scratch:
                 self._orc.delete_tensors(list(scratch))
 
-    def run_model_async(
-        self,
-        name: str,
-        inputs: Union[str, Sequence[str], np.ndarray],
-        outputs: Union[str, Sequence[str]],
-    ) -> InferenceFuture:
-        """Submit an inference and return immediately with a future.
-
-        With the orchestrator's serving pool running, the request joins the
-        micro-batching queue; otherwise it is executed synchronously and the
-        returned future is already resolved.  Either way ``future.result()``
-        yields the output tensor or re-raises the serving error.
-        """
-        in_keys, scratch = self._stage_inputs(inputs)
-        out_keys = (outputs,) if isinstance(outputs, str) else tuple(outputs)
-        if self._orc.is_running:
-            request = self._orc.submit(
-                InferenceRequest(
-                    model_name=name, input_keys=in_keys, output_keys=out_keys
-                )
-            )
-            return InferenceFuture(self._orc, out_keys[0], scratch, request=request)
-        try:
-            served = self._orc.run_model(name, in_keys, out_keys)
-            value = self.get_tensor(out_keys[0])
-        except Exception as exc:  # noqa: BLE001 - surfaced via result()
-            return InferenceFuture(self._orc, out_keys[0], scratch, error=exc)
-        return InferenceFuture(
-            self._orc, out_keys[0], scratch, value=value, served_version=served
-        )
-
     def run_model_batch(
         self,
         name: Union[str, Sequence[str]],
@@ -352,14 +234,14 @@ class Client:
         ``timeout`` bounds the wait for the *whole* batch;
         :class:`TimeoutError` is raised if it elapses first.
 
-        The whole list takes one path (:meth:`Orchestrator.run_batch`):
+        The whole list takes one path (:meth:`Orchestrator.submit`):
         every request is admitted on its own, 1-D rows of one model and
         shape run as stacked vectorized forwards, and the first failed
         request's error is raised — e.g.
         :class:`~repro.runtime.sharding.OverloadError` when a shard sheds.
         """
         # key lists become tuples; any other non-array input is coerced as
-        # run_batch would, so a bad one (a CSRMatrix) fails the whole call
+        # submit would, so a bad one (a CSRMatrix) fails the whole call
         # with its type named, before anything is submitted or stored
         resolved = [
             x if isinstance(x, np.ndarray)
@@ -373,7 +255,7 @@ class Client:
             if any(len(k) != 1 for k in keys):
                 raise ValueError("run_model_batch takes one output key per input")
             outputs = [k[0] for k in keys]
-        return self._orc.run_batch(name, resolved, outputs).result(timeout)
+        return self._orc.submit(name, resolved, outputs).result(timeout)
 
     # -- online feature reduction ---------------------------------------------------------
 

@@ -8,12 +8,14 @@ with a thread-safe in-process store in front of one serving core
 (:class:`~repro.runtime.core.ServingCore`).
 
 The orchestrator is the *front end*: the tensor store, the versioned
-model registry's pointers, canary routing and admission.  Every request
-takes one path in both serving modes: ``submit_many`` validates it,
-pins its version (``_admit_locked``) and fetches its input under one
-lock, hands the jobs to the serving pool's ``dispatch``, and
-``_complete`` writes the outputs of each finished batch into the store
-under one lock.  Thread mode (``num_processes=0``) serves through a
+model registry's pointers, canary routing and admission.  Work reaches
+the serving pool one way in both serving modes, :meth:`Orchestrator.submit`:
+under one lock each request is admitted (``_admit_locked`` pins its
+version) and its input fetched; 1-D rows of one (name, version, shape,
+dtype) stack into blocks of at most the pool's row bound while a lone
+row travels as itself; one ``dispatch`` hands every job to the pool,
+and ``_complete`` writes the outputs of each finished call into the
+store under one lock.  Thread mode (``num_processes=0``) serves through a
 :class:`~repro.runtime.sharding.ThreadShardPool` whose threads share
 this process's :class:`~repro.runtime.core.ServingCore`; process mode
 (``num_processes > 0``) through a
@@ -21,22 +23,20 @@ this process's :class:`~repro.runtime.core.ServingCore`; process mode
 hold a core each.  The core groups compatible requests into one stacked
 forward (:meth:`~repro.runtime.core.ServingCore.serve_many`), so both
 modes' outputs are byte-identical for ``batch_invariant()`` models.
-The bulk call, :meth:`Orchestrator.run_batch`, takes the same route in
-both modes: one admission per row under one lock, 1-D rows stacked into
-blocks of at most the pool's row bound, one ``dispatch``.  The blocking
-call, :meth:`Orchestrator.run_model`, takes it too unless a thread-mode
-pool is stopped or idle: then the same admission and core run on the
-caller's thread, since a queue hop would batch a lone request with
-nothing and only add two thread hand-offs.
+The blocking call, :meth:`Orchestrator.run_model`, goes through
+``submit`` and waits unless a thread-mode pool is stopped or idle: then
+the same admission and core run on the caller's thread, since a queue
+hop would batch a lone request with nothing and only add two thread
+hand-offs.
 
 The model registry is **versioned**: ``register_model`` may hold several
 versions of one name, exactly one of which is *active* (serving).
 ``deploy(name, version)`` hot-swaps the active version atomically and
 ``rollback(name)`` returns to the previously active one.  Requests are
-pinned to a version number at *admission* (``submit``/``submit_many``),
-so in-flight and already-batched requests always finish on the version
-they were admitted under while new requests see the new version — a swap
-never mixes versions inside one vectorized forward.
+pinned to a version number at *admission*, so in-flight and
+already-batched requests always finish on the version they were
+admitted under while new requests see the new version — a swap never
+mixes versions inside one vectorized forward.
 
 Deployment is a family of **deploy-policies**: ``deploy`` (all traffic),
 ``rollback`` (previous version), and ``canary(name, version, fraction)``,
@@ -50,8 +50,8 @@ windowed hit-rate trackers (the guarded f_e signal) and
 ``canary_status`` exposes them so a controller (see
 :mod:`repro.lifecycle`) can auto-promote or auto-roll-back.  Unknown model names
 raise :class:`UnknownModelError` (a ``KeyError`` naming the registered
-models); a submitted request fails with it at admission, through
-``request.error``, like any other serving error.
+models); a submitted request fails with it at admission, through its
+handle, like any other serving error.
 
 Telemetry: the core records served/failed totals, inference latency and
 plan counters; the pools record queue depth and batching; the front end
@@ -83,7 +83,6 @@ from .sharding import OverloadError, ProcessShardPool, ThreadShardPool
 __all__ = [
     "BatchResult",
     "Orchestrator",
-    "InferenceRequest",
     "OrchestratorStopped",
     "UnknownModelError",
     "CanaryStatus",
@@ -188,23 +187,28 @@ class _ModelEntry:
 
 
 class BatchResult:
-    """Handle to one :meth:`Orchestrator.run_batch` call.
+    """Handle to one :meth:`Orchestrator.submit` call.
 
-    Rows finish in any order, a job at a time; :meth:`result` waits for
-    all of them and returns the outputs in input order.
+    ``versions[i]`` is the version request ``i`` was admitted under, set
+    before ``submit`` returns (None if its model or version is unknown).
+    Rows finish in any order, a job at a time; ``done`` is set once every
+    row is in, and from then on ``outputs[i]`` and ``errors[i]`` hold
+    request ``i``'s output and error (one of them None).  :meth:`result`
+    waits on ``done`` and returns the outputs in input order.
     """
 
     def __init__(self, n: int, output_keys: Optional[Sequence[str]]) -> None:
         self.output_keys = output_keys
-        # written under _lock until the last row is in; read once _done
+        self.versions: list = [None] * n
+        # written under _lock until the last row is in; read once done
         # is set, when nothing writes them any more
-        self._outputs: list = [None] * n  # cc: guarded-by(_lock, atomic-reads)
-        self._errors: list = [None] * n  # cc: guarded-by(_lock, atomic-reads)
+        self.outputs: list = [None] * n  # cc: guarded-by(_lock, atomic-reads)
+        self.errors: list = [None] * n  # cc: guarded-by(_lock, atomic-reads)
         self._remaining = n  # cc: guarded-by(_lock)
         self._lock = threading.Lock()
-        self._done = threading.Event()
+        self.done = threading.Event()
         if n == 0:
-            self._done.set()
+            self.done.set()
 
     def _record(self, idxs: list[int], stacked: bool, output, error) -> bool:
         """Take one job's result for rows ``idxs``; True once every row is in."""
@@ -220,39 +224,22 @@ class BatchResult:
             results = [(output, None)]
         with self._lock:
             for i, (out, err) in zip(idxs, results):
-                self._outputs[i] = out
-                self._errors[i] = err
+                self.outputs[i] = out
+                self.errors[i] = err
             self._remaining -= len(idxs)
             return self._remaining == 0
 
     def result(self, timeout: Optional[float] = None) -> list:
         """The outputs in input order; raises the first request's error."""
-        if not self._done.wait(timeout):
+        if not self.done.wait(timeout):
             raise TimeoutError(
-                f"{len(self._outputs)} batched inferences did not complete "
+                f"{len(self.outputs)} batched inferences did not complete "
                 f"within {timeout}s"
             )
-        for error in self._errors:
+        for error in self.errors:
             if error is not None:
                 raise error
-        return list(self._outputs)
-
-
-@dataclass
-class InferenceRequest:
-    """One queued model invocation (server mode).
-
-    ``version`` is the version the request was admitted under — pinned
-    by ``submit``/``submit_many`` so a ``deploy`` between admission and
-    serving cannot change which weights answer this request.
-    """
-
-    model_name: str
-    input_keys: tuple[str, ...]
-    output_keys: tuple[str, ...]
-    done: threading.Event = field(default_factory=threading.Event)
-    error: Optional[Exception] = None
-    version: Optional[int] = None
+        return list(self.outputs)
 
 
 class Orchestrator:
@@ -816,13 +803,11 @@ class Orchestrator:
         """
         running = self._running
         if running and not self._pool.claim():
-            request = self.submit(
-                InferenceRequest(name, input_keys, output_keys, version=version)
+            batch = self.submit(
+                name, [tuple(input_keys)], output_keys, version=version
             )
-            request.done.wait()
-            if request.error is not None:
-                raise request.error
-            return request.version
+            batch.result()
+            return batch.versions[0]
         if obs.TELEMETRY.enabled:
             # a per-request path whose disabled cost
             # tests/obs/test_overhead.py bounds; a counter call that
@@ -861,10 +846,11 @@ class Orchestrator:
     def stop(self, join_timeout: float = 5.0) -> None:
         """Stop the pool and fail every request it has not served.
 
-        Every pending :class:`InferenceRequest` gets ``error`` set to
-        :class:`OrchestratorStopped` and its ``done`` event signalled, so
-        no waiter blocks forever.  ``join_timeout`` bounds the wait for
-        each serving thread or worker process.  Safe to call repeatedly.
+        Every pending request fails with :class:`OrchestratorStopped` and
+        its handle's ``done`` event is set, so no waiter blocks forever;
+        later :meth:`submit` calls are served on the caller's thread.
+        ``join_timeout`` bounds the wait for each serving thread or worker
+        process.  Safe to call repeatedly.
         """
         with self._state_lock:
             if not self._running:
@@ -872,98 +858,30 @@ class Orchestrator:
             self._running = False
             self._pool.stop(join_timeout)
 
-    def submit(self, request: InferenceRequest) -> InferenceRequest:
-        """Queue an inference for the serving pool; wait on ``request.done``."""
-        return self.submit_many([request])[0]
-
-    def submit_many(
-        self, requests: list[InferenceRequest]
-    ) -> list[InferenceRequest]:
-        """Admit a whole request list and hand it to the serving pool.
-
-        Under one lock acquisition each request is checked, pinned to a
-        version (``request.version``) and its input fetched; the pool then
-        serves the admitted ones and :meth:`_complete` finishes them.  A
-        request that cannot be admitted — unknown model, missing input
-        key, more than one output key — fails at once through
-        ``request.error``.
-        """
-        jobs, rejected = [], []
-        complete = self._complete
-        with self._state_lock:
-            if not self._running:
-                raise RuntimeError("orchestrator not started; call start() first")
-            with self._lock:
-                for request in requests:
-                    try:
-                        if len(request.output_keys) != 1:
-                            raise ValueError(_ONE_OUTPUT)
-                        request.version = self._admit_locked(
-                            request.model_name, request.version
-                        )
-                        x = self._input_locked(request.input_keys)
-                    except Exception as exc:  # noqa: BLE001 - surfaced to the waiter
-                        request.error = exc
-                        rejected.append(request)
-                        continue
-                    jobs.append(
-                        (request.model_name, request.version, x, False, request, complete)
-                    )
-        self._m_submitted.inc(len(requests))
-        if rejected:
-            self._core.fail(len(rejected))
-            for request in rejected:
-                request.done.set()
-        # outside the state lock: process-mode admission may block
-        # (backpressure) and must not serialize unrelated submitters
-        self._pool.dispatch(jobs)
-        return requests
-
-    def _complete(self, done: list[tuple[InferenceRequest, Any, Any]]) -> None:
-        """Finish ``(request, output, error)``s; outputs enter the store
-        under one lock.  The serving core counts forward failures; a shed,
-        a stopped pool or a lost worker never reached one, so those are
-        counted here."""
-        pool_failures = 0
-        with self._lock:
-            for request, output, error in done:
-                if error is None:
-                    # an independent copy: a row of a stacked output is a
-                    # view (or an np.float64 scalar), and the store needs
-                    # a real ndarray that pins no larger base
-                    self._tensors[request.output_keys[0]] = np.array(output, copy=True)
-                else:
-                    request.error = error
-                    if isinstance(error, (OverloadError, OrchestratorStopped)):
-                        pool_failures += 1
-            self._m_tensors.set(len(self._tensors))
-        if pool_failures:
-            self._core.fail(pool_failures)
-        for request, _, _ in done:
-            request.done.set()
-
-    def run_batch(
+    def submit(
         self,
         name: Union[str, Sequence[str]],
         inputs: Sequence[Any],
         output_keys: Optional[Sequence[str]] = None,
-    ) -> "BatchResult":
-        """Serve many requests in one pass: the bulk path of both modes.
+        *,
+        version: Optional[int] = None,
+    ) -> BatchResult:
+        """Queue many requests for the serving pool: the one queued path.
 
         ``name`` is one model name for every request or one per request;
         ``inputs[i]`` is request ``i``'s input itself or a tuple of store
         keys holding it.  Under one lock each request is admitted — its
-        own version pin and canary slot — and its input resolved.  1-D
-        rows of one (name, version, shape, dtype) stack into blocks of at
-        most the pool's row bound (``max_batch_size`` in thread mode,
-        ``max_queue_depth`` in process mode), each one vectorized
-        forward; any other input is a job of its own.  Every job reaches
-        the pool in one ``dispatch`` — or, with the pool stopped, the
-        serving core runs them here.  With ``output_keys`` each output
-        also enters the store under its key, all under one lock once the
-        last row is in.  Failures (unknown model, missing key, shed,
-        forward error) are per request; the returned handle raises the
-        first in input order.
+        own canary slot, or the ``version`` pin — and its input resolved.
+        1-D rows of one (name, version, shape, dtype) stack into blocks
+        of at most the pool's row bound (``max_batch_size`` in thread
+        mode, ``max_queue_depth`` in process mode), each one vectorized
+        forward; a lone row, and any other input, is a job of its own.
+        Every job reaches the pool in one ``dispatch`` — or, with the
+        pool stopped, the serving core runs them here.  With
+        ``output_keys`` each output also enters the store under its key,
+        all under one lock once the last row is in.  Failures (unknown
+        model, missing key, shed, forward error) are per request; the
+        returned handle raises the first in input order.
         """
         n = len(inputs)
         names = [name] * n if isinstance(name, str) else list(name)
@@ -972,14 +890,14 @@ class Orchestrator:
         if output_keys is not None and len(output_keys) != n:
             raise ValueError(f"got {n} inputs but {len(output_keys)} output keys")
         batch = BatchResult(n, output_keys)
-        complete = self._complete_rows
+        complete = self._complete
         rows: list = [None] * n
         blocks: dict[tuple, list[int]] = {}
         jobs, rejected = [], []
         with self._lock:
             for i, (model, x) in enumerate(zip(names, inputs)):
                 try:
-                    version = self._admit_locked(model)
+                    pinned = batch.versions[i] = self._admit_locked(model, version)
                     if isinstance(x, tuple):
                         x = self._input_locked(x)
                     row = isinstance(x, np.ndarray) and x.ndim == 1
@@ -990,18 +908,22 @@ class Orchestrator:
                     continue
                 if row:
                     rows[i] = x
-                    blocks.setdefault((model, version, x.shape, x.dtype), []).append(i)
+                    blocks.setdefault((model, pinned, x.shape, x.dtype), []).append(i)
                 else:
                     tag = (batch, [i], False)
-                    jobs.append((model, version, x, False, tag, complete))
+                    jobs.append((model, pinned, x, False, tag, complete))
         bound = self._block_rows
-        for (model, version, _, _), idxs in blocks.items():
+        for (model, pinned, _, _), idxs in blocks.items():
             for lo in range(0, len(idxs), bound):
                 part = idxs[lo : lo + bound]
-                block = np.stack([rows[i] for i in part])
+                # a lone row travels unstacked, so the pool can merge it
+                # with other callers' rows into one forward
+                stacked = len(part) > 1
+                block = np.stack([rows[i] for i in part]) if stacked else rows[part[0]]
                 if block.dtype.kind != "f":
                     block = block.astype(np.float64)
-                jobs.append((model, version, block, True, (batch, part, True), complete))
+                tag = (batch, part, stacked)
+                jobs.append((model, pinned, block, stacked, tag, complete))
         self._m_submitted.inc(n)
         if rejected:
             self._core.fail(len(rejected))
@@ -1013,12 +935,12 @@ class Orchestrator:
             complete([(job[4], out, err) for job, (out, err) in zip(jobs, served)])
         return batch
 
-    def _complete_rows(self, done: list[tuple]) -> None:
-        """``on_done`` of :meth:`run_batch`'s jobs, tagged ``(batch, rows,
+    def _complete(self, done: list[tuple]) -> None:
+        """``on_done`` of :meth:`submit`'s jobs, tagged ``(batch, rows,
         stacked)``.  A batch whose last row is in stores its named
-        outputs under one lock, then wakes its waiter.  As in
-        :meth:`_complete`, rows failed by the pool (shed, stopped, worker
-        lost) are counted here; the core counts forward failures."""
+        outputs under one lock, then wakes its waiter.  The serving core
+        counts forward failures; a shed, a stopped pool or a lost worker
+        never reached one, so those rows are counted here."""
         pool_failures, finished = 0, []
         for (batch, idxs, stacked), output, error in done:
             if isinstance(error, (OverloadError, OrchestratorStopped)):
@@ -1032,13 +954,17 @@ class Orchestrator:
             with self._lock:
                 for batch in named:
                     for key, output, error in zip(
-                        batch.output_keys, batch._outputs, batch._errors
+                        batch.output_keys, batch.outputs, batch.errors
                     ):
                         if error is None:
+                            # an independent copy: a row of a stacked
+                            # output is a view (or a 0-d array), and the
+                            # store needs a real ndarray that pins no
+                            # larger base
                             self._tensors[key] = np.array(output, copy=True)
                 self._m_tensors.set(len(self._tensors))
         for batch in finished:
-            batch._done.set()
+            batch.done.set()
 
     def __enter__(self) -> "Orchestrator":
         self.start()

@@ -106,7 +106,7 @@ Job = tuple[str, int, Any, bool, Any, Callable[[list], None]]
 class OverloadError(RuntimeError):
     """Request shed by admission control: the target shard queue stayed full.
 
-    Raised (or delivered through ``InferenceFuture.result``) when a
+    Raised (or delivered through ``BatchResult.result``) when a
     shard's bounded queue could not accept the request within the
     admission timeout.  Typed so callers can distinguish "back off and
     retry" from a genuine serving failure.

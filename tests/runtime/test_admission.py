@@ -35,17 +35,16 @@ class TestLoadShedding:
         orc.register_model("slow", procmodels.SleepyModel(0.4), batchable=True)
         try:
             orc.start()
-            client = Client(orc)
-            futures = [
-                client.run_model_async("slow", np.ones(3), f"o{i}")
+            handles = [
+                orc.submit("slow", [np.ones(3)], [f"o{i}"])
                 for i in range(3)
             ]
             # depth 2 admits the first two; the third sheds after the
             # 30 ms admission wait
             with pytest.raises(OverloadError):
-                futures[2].result(timeout=60)
-            for future in futures[:2]:
-                future.result(timeout=60)
+                handles[2].result(timeout=60)
+            for handle in handles[:2]:
+                handle.result(timeout=60)
             assert (
                 obs.get_registry().get("repro_overload_total").total() >= 1
             )
@@ -59,15 +58,15 @@ class TestLoadShedding:
             orc.start()
             client = Client(orc)
             jam = [
-                client.run_model_async("slow", np.ones(3), f"o{i}")
+                orc.submit("slow", [np.ones(3)], [f"o{i}"])
                 for i in range(2)
             ]
             with pytest.raises(OverloadError):
                 client.run_model_batch(
                     "slow", [np.ones(3), np.ones(3)], timeout=60
                 )
-            for future in jam:
-                future.result(timeout=60)
+            for handle in jam:
+                handle.result(timeout=60)
         finally:
             orc.stop()
 
@@ -78,14 +77,14 @@ class TestLoadShedding:
             orc.start()
             client = Client(orc)
             jam = [
-                client.run_model_async("slow", np.ones(3), f"o{i}")
+                orc.submit("slow", [np.ones(3)], [f"o{i}"])
                 for i in range(2)
             ]
-            shed = client.run_model_async("slow", np.ones(3), "shed")
+            shed = orc.submit("slow", [np.ones(3)], ["shed"])
             with pytest.raises(OverloadError):
                 shed.result(timeout=60)
-            for future in jam:
-                future.result(timeout=60)
+            for handle in jam:
+                handle.result(timeout=60)
             # the shed request left no phantom depth behind: the queue
             # admits a fresh pair immediately
             outs = client.run_model_batch(
@@ -134,14 +133,13 @@ class TestBackpressure:
         orc.register_model("slow", procmodels.SleepyModel(0.05), batchable=True)
         try:
             orc.start()
-            client = Client(orc)
-            futures = [
-                client.run_model_async("slow", np.ones(3), f"o{i}")
+            handles = [
+                orc.submit("slow", [np.ones(3)], [f"o{i}"])
                 for i in range(5)
             ]
-            for future in futures:
+            for handle in handles:
                 np.testing.assert_array_equal(
-                    np.ravel(future.result(timeout=60)),
+                    np.ravel(handle.result(timeout=60)[0]),
                     procmodels.affine(np.ones(3)),
                 )
             assert obs.get_registry().get("repro_overload_total").total() == 0
@@ -160,15 +158,15 @@ class TestAdmissionTimePinning:
             orc.start()
             client = Client(orc)
             x = np.arange(3, dtype=np.float64)
-            pinned = client.run_model_async("m", x, "pinned")
+            pinned = orc.submit("m", [x], ["pinned"])
             # hot-swap while the pinned request is still being served
             client.deploy_model("m", v2)
-            fresh = client.run_model_async("m", x, "fresh")
+            fresh = orc.submit("m", [x], ["fresh"])
             np.testing.assert_array_equal(
-                np.ravel(pinned.result(timeout=60)), procmodels.affine(x)
+                np.ravel(pinned.result(timeout=60)[0]), procmodels.affine(x)
             )
             np.testing.assert_array_equal(
-                np.ravel(fresh.result(timeout=60)), procmodels.affine_x10(x)
+                np.ravel(fresh.result(timeout=60)[0]), procmodels.affine_x10(x)
             )
         finally:
             orc.stop()
@@ -200,14 +198,14 @@ class TestBulkPathFailures:
             orc.start()
             client = Client(orc)
             jam = [
-                client.run_model_async("slow", np.ones(3), f"o{i}")
+                orc.submit("slow", [np.ones(3)], [f"o{i}"])
                 for i in range(2)
             ]
             before = failed.total()
             with pytest.raises(OverloadError):
                 client.run_model_batch("slow", [np.ones(3)] * 2, timeout=60)
             assert failed.total() - before == 2
-            for future in jam:
-                future.result(timeout=60)
+            for handle in jam:
+                handle.result(timeout=60)
         finally:
             orc.stop()

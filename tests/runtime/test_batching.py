@@ -1,4 +1,4 @@
-"""Micro-batched serving: grouping, scatter, bit-identity, async client API."""
+"""Micro-batched serving: grouping, scatter, bit-identity, the submit handle."""
 
 import threading
 import time
@@ -11,9 +11,8 @@ from repro import obs
 from repro.nas import evaluate_topology
 from repro.nn import Topology
 from repro.runtime import (
+    BatchResult,
     Client,
-    InferenceFuture,
-    InferenceRequest,
     Orchestrator,
     OrchestratorStopped,
     measure_serving_throughput,
@@ -60,15 +59,13 @@ class TestMicroBatching:
         orc.register_model("scale", model, batchable=True)
         for i in range(8):
             orc.put_tensor(f"in{i}", np.full(4, float(i)))
-        requests = [
-            InferenceRequest("scale", (f"in{i}",), (f"out{i}",)) for i in range(8)
-        ]
-        # one submit_many queues everything at once, so one drain sees all
+        # one submit queues everything at once, so one drain sees all
         orc.start()
-        orc.submit_many(requests)
-        for req in requests:
-            assert req.done.wait(timeout=5.0)
-            assert req.error is None
+        batch = orc.submit(
+            "scale", [(f"in{i}",) for i in range(8)], [f"out{i}" for i in range(8)]
+        )
+        assert batch.done.wait(timeout=5.0)
+        assert batch.errors == [None] * 8
         orc.stop()
         assert (8, 4) in calls  # one stacked forward, not 8 singles
         for i in range(8):
@@ -86,14 +83,12 @@ class TestMicroBatching:
         orc.put_tensor("a", np.ones(3))
         orc.put_tensor("b", np.ones(3))
         orc.put_tensor("c", np.ones(5))
-        requests = [
-            InferenceRequest("neg", (k,), (f"o_{k}",)) for k in ("a", "b", "c")
-        ]
         orc.start()
-        orc.submit_many(requests)
-        for req in requests:
-            assert req.done.wait(timeout=5.0)
-            assert req.error is None
+        batch = orc.submit(
+            "neg", [(k,) for k in ("a", "b", "c")], [f"o_{k}" for k in ("a", "b", "c")]
+        )
+        assert batch.done.wait(timeout=5.0)
+        assert batch.errors == [None] * 3
         orc.stop()
         # the two (3,) inputs stack; the (5,) input runs alone
         assert (2, 3) in shapes_seen
@@ -110,12 +105,11 @@ class TestMicroBatching:
         orc.register_model("sum", model, batchable=False)
         orc.put_tensor("p", np.ones(2))
         orc.put_tensor("q", np.ones(3))
-        req = InferenceRequest("sum", ("p", "q"), ("out",))
         orc.start()
-        orc.submit(req)
-        assert req.done.wait(timeout=5.0)
+        batch = orc.submit("sum", [("p", "q")], ["out"])
+        assert batch.done.wait(timeout=5.0)
         orc.stop()
-        assert req.error is None
+        assert batch.errors == [None]
         assert shapes_seen == [(5,)]  # concatenated, per-request path
         assert np.allclose(orc.get_tensor("out"), 5.0)
 
@@ -130,12 +124,12 @@ class TestMicroBatching:
         orc.register_model("m", model, batchable=False)
         for i in range(4):
             orc.put_tensor(f"i{i}", np.ones(2))
-        requests = [InferenceRequest("m", (f"i{i}",), (f"o{i}",)) for i in range(4)]
         orc.start()
-        orc.submit_many(requests)
-        for req in requests:
-            assert req.done.wait(timeout=5.0)
-            assert req.error is None
+        batch = orc.submit(
+            "m", [(f"i{i}",) for i in range(4)], [f"o{i}" for i in range(4)]
+        )
+        assert batch.done.wait(timeout=5.0)
+        assert batch.errors == [None] * 4
         orc.stop()
         assert all(shape == (2,) for shape in shapes_seen)
         assert len(shapes_seen) == 4
@@ -147,18 +141,14 @@ class TestMicroBatching:
         orc.put_tensor("good1", rng.standard_normal(6))
         orc.put_tensor("bad", rng.standard_normal(9))   # wrong feature count
         orc.put_tensor("good2", rng.standard_normal(6))
-        requests = [
-            InferenceRequest("m", (k,), (f"o_{k}",))
-            for k in ("good1", "bad", "good2")
-        ]
+        keys = ("good1", "bad", "good2")
         orc.start()
-        orc.submit_many(requests)
-        for req in requests:
-            assert req.done.wait(timeout=5.0)
+        batch = orc.submit("m", [(k,) for k in keys], [f"o_{k}" for k in keys])
+        assert batch.done.wait(timeout=5.0)
         orc.stop()
-        assert requests[0].error is None
-        assert isinstance(requests[1].error, ValueError)
-        assert requests[2].error is None
+        assert batch.errors[0] is None
+        assert isinstance(batch.errors[1], ValueError)
+        assert batch.errors[2] is None
         assert orc.tensor_exists("o_good1") and orc.tensor_exists("o_good2")
 
     def test_batching_is_opt_in_for_raw_callables(self):
@@ -174,14 +164,10 @@ class TestMicroBatching:
         orc.register_model("norm", normalize)  # default: per-request path
         orc.put_tensor("a", np.array([3.0, 4.0]))
         orc.put_tensor("b", np.array([30.0, 40.0]))
-        requests = [
-            InferenceRequest("norm", (k,), (f"o_{k}",)) for k in ("a", "b")
-        ]
         orc.start()
-        orc.submit_many(requests)
-        for req in requests:
-            assert req.done.wait(timeout=5.0)
-            assert req.error is None
+        batch = orc.submit("norm", [("a",), ("b",)], ["o_a", "o_b"])
+        assert batch.done.wait(timeout=5.0)
+        assert batch.errors == [None, None]
         orc.stop()
         # each request normalized by its own norm, not the stacked norm
         assert np.allclose(orc.get_tensor("o_a"), [0.6, 0.8])
@@ -219,14 +205,10 @@ class TestMicroBatching:
         orc.register_model("collapse", collapse, batchable=True)
         orc.put_tensor("u", np.full(3, 1.0))
         orc.put_tensor("v", np.full(3, 2.0))
-        requests = [
-            InferenceRequest("collapse", (k,), (f"o_{k}",)) for k in ("u", "v")
-        ]
         orc.start()
-        orc.submit_many(requests)
-        for req in requests:
-            assert req.done.wait(timeout=5.0)
-            assert req.error is None
+        batch = orc.submit("collapse", [("u",), ("v",)], ["o_u", "o_v"])
+        assert batch.done.wait(timeout=5.0)
+        assert batch.errors == [None, None]
         orc.stop()
         assert np.allclose(orc.get_tensor("o_u"), 1.0)
         assert np.allclose(orc.get_tensor("o_v"), 2.0)
@@ -238,10 +220,9 @@ class TestMicroBatching:
         client.set_model("m", pkg)
         x = rng.standard_normal((40, 6))
         with orc:
-            futures = [
-                client.run_model_async("m", x[i], f"o{i}") for i in range(40)
-            ]
-            outs = [f.result(timeout=10.0) for f in futures]
+            outs = orc.submit("m", list(x), [f"o{i}" for i in range(40)]).result(
+                timeout=10.0
+            )
         for i in range(40):
             assert np.allclose(outs[i], pkg.predict(x[i]))
 
@@ -256,7 +237,7 @@ class TestMicroBatching:
         client.set_model("m", pkg)
         x = rng.standard_normal((16, 6))
         with orc:
-            # one submit_many queues all 16 rows before the worker drains
+            # one submit queues all 16 rows before the worker drains
             client.run_model_batch("m", list(x), timeout=10.0)
         assert registry.counter("repro_orchestrator_batched_rows_total").total() > rows_before
         assert registry.histogram("repro_orchestrator_batch_size").count() > 0
@@ -284,7 +265,7 @@ class TestPlanGroupedBatching:
             rows_before = registry.counter(
                 "repro_orchestrator_batched_rows_total"
             ).total()
-            # one submit_many queues the whole burst before a drain
+            # one submit queues the whole burst before a drain
             outs = [
                 out.copy()
                 for out in client.run_model_batch("m", list(x), timeout=10.0)
@@ -313,10 +294,9 @@ class TestPlanGroupedBatching:
         client = Client(orc)
         x = rng.standard_normal((6, 6))
         with orc:
-            futures = [
-                client.run_model_async("m", x[i], f"o{i}") for i in range(6)
-            ]
-            outs = [f.result(timeout=10.0) for f in futures]
+            outs = orc.submit("m", list(x), [f"o{i}" for i in range(6)]).result(
+                timeout=10.0
+            )
         for i in range(6):
             assert np.allclose(outs[i], pkg.predict(x[i]))
         assert (
@@ -347,7 +327,7 @@ class TestBitIdentity:
                 c_per.run_model("m", x[i], f"r{i}").copy() for i in range(len(x))
             ]
         with batched:
-            # one submit_many: the worker drains full batches
+            # one submit: the worker drains full batches
             got = [
                 out.copy()
                 for out in c_bat.run_model_batch("m", list(x), timeout=10.0)
@@ -391,6 +371,8 @@ class TestBitIdentity:
 
 
 class TestAsyncClient:
+    """The handle ``Orchestrator.submit`` returns, and the client's calls."""
+
     def test_future_resolves_with_result(self, rng):
         pkg = make_package(rng)
         orc = Orchestrator(max_batch_size=4)
@@ -398,12 +380,12 @@ class TestAsyncClient:
         client.set_model("m", pkg)
         x = rng.standard_normal(6)
         with orc:
-            future = client.run_model_async("m", x, "out")
-            assert isinstance(future, InferenceFuture)
-            out = future.result(timeout=5.0)
-            assert future.done()
-            # repeated result() returns the cached value
-            assert np.array_equal(out, future.result())
+            handle = orc.submit("m", [x], ["out"])
+            assert isinstance(handle, BatchResult)
+            (out,) = handle.result(timeout=5.0)
+            assert handle.done.is_set()
+            # repeated result() returns the same output
+            assert np.array_equal(out, handle.result()[0])
         # served forwards run batch-invariant (stacked matmul), direct
         # predict on BLAS: equal to rounding, bit-equal only within the
         # serving path
@@ -411,14 +393,13 @@ class TestAsyncClient:
 
     def test_future_raises_serving_error(self):
         orc = Orchestrator(max_batch_size=4)
-        client = Client(orc)
         with orc:
-            future = client.run_model_async("ghost", np.ones(3), "out")
+            handle = orc.submit("ghost", [np.ones(3)], ["out"])
             with pytest.raises(KeyError):
-                future.result(timeout=5.0)
-            # the error is cached too
+                handle.result(timeout=5.0)
+            # the error is kept too
             with pytest.raises(KeyError):
-                future.result()
+                handle.result()
 
     def test_future_without_server_resolves_synchronously(self, rng):
         pkg = make_package(rng)
@@ -426,9 +407,9 @@ class TestAsyncClient:
         client = Client(orc)
         client.set_model("m", pkg)
         x = rng.standard_normal(6)
-        future = client.run_model_async("m", x, "out")
-        assert future.done()
-        assert np.allclose(future.result(), pkg.predict(x))
+        handle = orc.submit("m", [x], ["out"])
+        assert handle.done.is_set()
+        assert np.allclose(handle.result()[0], pkg.predict(x))
 
     def test_future_timeout(self, rng):
         stall = threading.Event()
@@ -439,13 +420,12 @@ class TestAsyncClient:
 
         orc = Orchestrator(max_batch_size=1)
         orc.register_model("slow", slow)
-        client = Client(orc)
         with orc:
-            future = client.run_model_async("slow", np.ones(2), "out")
+            handle = orc.submit("slow", [np.ones(2)], ["out"])
             with pytest.raises(TimeoutError):
-                future.result(timeout=0.05)
+                handle.result(timeout=0.05)
             stall.set()
-            future.result(timeout=5.0)
+            handle.result(timeout=5.0)
 
     def test_result_timeout_honored_while_another_caller_waits(self):
         # regression (REVIEW low): one caller blocked inside result() must
@@ -458,18 +438,17 @@ class TestAsyncClient:
 
         orc = Orchestrator(max_batch_size=1)
         orc.register_model("slow", slow)
-        client = Client(orc)
         try:
             with orc:
-                future = client.run_model_async("slow", np.ones(2), "out")
+                handle = orc.submit("slow", [np.ones(2)], ["out"])
                 blocker = threading.Thread(
-                    target=lambda: future.result(timeout=10.0), daemon=True
+                    target=lambda: handle.result(timeout=10.0), daemon=True
                 )
                 blocker.start()
                 time.sleep(0.05)  # let the blocker enter result()
                 start = time.monotonic()
                 with pytest.raises(TimeoutError):
-                    future.result(timeout=0.1)
+                    handle.result(timeout=0.1)
                 assert time.monotonic() - start < 5.0
                 release.set()
                 blocker.join(timeout=5.0)
@@ -514,11 +493,21 @@ class TestAsyncClient:
         client = Client(orc)
         client.set_model("m", pkg)
         x = rng.standard_normal((6, 6))
+        outs: dict = {}
+
+        def caller(i):
+            outs[i] = client.run_model("m", x[i], f"o{i}").copy()
+
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
         with orc:
-            futures = [client.run_model_async("m", x[i], f"o{i}") for i in range(6)]
-            # while in flight, every staged scratch key is distinct
-            for f in futures:
-                f.result(timeout=10.0)
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=10.0)
+        # concurrent calls staged distinct scratch keys: no input was
+        # overwritten by another caller's
+        for i in range(6):
+            assert np.allclose(outs[i], pkg.predict(x[i]))
         leftover = [k for k in orc._tensors if k.startswith("__scratch")]
         assert leftover == []
 
@@ -566,7 +555,7 @@ class TestStopDiagnostics:
         orc.register_model("wedge", wedge)
         orc.put_tensor("in", np.ones(2))
         orc.start()
-        orc.submit(InferenceRequest("wedge", ("in",), ("out",)))
+        orc.submit("wedge", [("in",)], ["out"])
         time.sleep(0.05)  # let the worker pick the request up
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -586,11 +575,14 @@ class TestStopDiagnostics:
         orc.register_model("id", lambda x: x)
         orc.put_tensor("a", np.ones(2))
         orc.start()
-        req = orc.submit(InferenceRequest("id", ("a",), ("b",)))
-        assert req.done.wait(timeout=5.0)
+        batch = orc.submit("id", [("a",)], ["b"])
+        assert batch.done.wait(timeout=5.0)
         orc.stop()
-        with pytest.raises(RuntimeError):
-            orc.submit(InferenceRequest("id", ("a",), ("c",)))
+        # a stopped pool serves a later submit on the caller's thread
+        after = orc.submit("id", [("a",)], ["c"])
+        assert after.done.is_set()
+        assert np.array_equal(after.result()[0], np.ones(2))
+        assert np.array_equal(orc.get_tensor("c"), np.ones(2))
 
 
 class TestThroughputHelper:

@@ -5,7 +5,10 @@ the number of Python frames a served call enters does not.  These tests
 count them with ``sys.setprofile``, telemetry off, for
 ``Client.run_model`` (which serves through ``Orchestrator.run_model``)
 on a running thread-mode pool, the call perfbench's ``listing2-mixed``
-times, and for ``GuardedSurrogate.run`` on AMG, the guarded path whose
+times; for the caller's side of the two queued paths,
+``Client.run_model`` and a one-row ``Client.run_model_batch`` waiting
+behind a busy pool (both go through ``Orchestrator.submit``); and for
+``GuardedSurrogate.run`` on AMG, the guarded path whose
 wall-clock bound lives in ``tests/obs/test_overhead.py``.  Offline, they
 count one compiled training step (``repro.nn.trainstep``), which every
 NAS trial runs a few hundred times.  Each budget is the count of today's
@@ -16,6 +19,8 @@ raises the budget in its own diff and says why.
 import collections
 import os
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -38,6 +43,11 @@ BUDGETS = {
     (6, (16, 8), 2): 38,
     (8, (24,), 1): 36,
 }
+#: most Python calls the caller's thread makes in one queued call on a
+#: thread pool whose one worker is busy: admission, ``Orchestrator.submit``,
+#: the queue hand-off and the wait on the handle (the forward runs on the
+#: worker, so the model's shape does not matter)
+QUEUED_BUDGETS = {"run_model": 37, "run_model_batch": 24}
 #: most Python calls one valid ``GuardedSurrogate.run`` on AMG may make:
 #: gather-flatten, scale, a 2-gemm forward, unflatten, residual check
 GUARDED_AMG_BUDGET = 77
@@ -94,6 +104,70 @@ def test_listing2_call_within_budget(spec):
         key for key in counts[0] if key[0].endswith("einsumfunc.py")
     ], "the served product must not go through np.einsum"
     assert sum(counts[0].values()) <= BUDGETS[spec], sorted(counts[0].items())
+
+
+def _release_when_waiting(queue, gate: threading.Event) -> None:
+    """Set ``gate`` once a job is queued and its caller blocks on the
+    job's handle, so every counted call really waits."""
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline:
+        with queue._cond:
+            job = queue._items[0] if queue._items else None
+        if job is not None and job[4][0].done._cond._waiters:
+            break
+        time.sleep(0.001)
+    gate.set()
+
+
+@pytest.mark.parametrize("entry", sorted(QUEUED_BUDGETS))
+def test_queued_call_within_budget(entry):
+    n_in, hidden, n_out = 8, (24,), 1
+    topology = Topology(hidden=hidden, activation="tanh")
+    package = SurrogatePackage(
+        model=build_mlp(n_in, n_out, topology, rng=np.random.default_rng(0)),
+        topology=topology, input_dim=n_in, output_dim=n_out,
+    )
+    orc = Orchestrator(batch_invariant=True)
+    client = Client(orc)
+    client.set_model("m", package)
+    x = np.random.default_rng(1).standard_normal(n_in)
+    client.put_tensor("in", x)
+    started, gate = threading.Event(), threading.Event()
+
+    def held(row):
+        started.set()
+        gate.wait(timeout=10.0)
+        return row
+
+    orc.register_model("held", held)
+    call, args = {
+        "run_model": (client.run_model, ("m", "in", "out")),
+        "run_model_batch": (client.run_model_batch, ("m", [x])),
+    }[entry]
+
+    def behind_a_held_forward():
+        started.clear()
+        gate.clear()
+        hold = orc.submit("held", [np.ones(1)])
+        assert started.wait(timeout=10.0)
+        releaser = threading.Thread(
+            target=_release_when_waiting, args=(orc._pool._queue, gate)
+        )
+        releaser.start()
+        try:
+            return _count_calls(call, *args)
+        finally:
+            releaser.join(timeout=15.0)
+            hold.result(timeout=10.0)
+
+    with orc:
+        call(*args)  # compiles the plan
+        counts = [behind_a_held_forward() for _ in range(3)]
+
+    assert counts[0] == counts[1] == counts[2]
+    waits = [key for key in counts[0] if key[1] == "_release_save"]
+    assert waits, "the counted call must wait on its handle"
+    assert sum(counts[0].values()) <= QUEUED_BUDGETS[entry], sorted(counts[0].items())
 
 
 def test_guarded_amg_run_within_budget():

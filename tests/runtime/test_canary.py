@@ -164,139 +164,88 @@ class TestOutcomeWindows:
         assert 'repro_canary_rollbacks_total{model="m"} 1' in rendered
 
 
-class TestCanaryUnderThreadedTraffic:
-    """Live pool: admitted requests finish on their admitted version."""
+def gated(model, gate):
+    """``model`` behind ``gate``: each forward waits for it first."""
 
-    def _burst(self, client, n, din=3):
-        return [
-            client.run_model_async("m", np.zeros(din), f"out-{i}")
-            for i in range(n)
-        ]
+    def predict(x):
+        gate.wait(5.0)
+        return model(x)
 
-    def _assert_pinned(self, futures, din=3):
-        for future in futures:
-            result = np.asarray(future.result(timeout=30))
-            assert future.version in (1, 2)
-            np.testing.assert_array_equal(
-                result, np.full(din, float(future.version))
-            )
+    return predict
 
-    def test_promote_mid_burst(self):
+
+class TestCanaryUnderLiveTraffic:
+    """Live pool: admitted requests finish on their admitted version.
+
+    The slice crosses the process boundary too: same contract with two
+    worker processes.  In thread mode every forward waits on a gate, so
+    the decision lands while the whole burst is in flight; a worker
+    process cannot see the gate.
+    """
+
+    @staticmethod
+    def _orc(mode, fraction, gate):
+        if mode == "thread":
+            orc = Orchestrator(max_batch_size=4)
+            models = [gated(procmodels.Tag(v), gate) for v in (1.0, 2.0)]
+        else:
+            orc = Orchestrator(num_processes=2)
+            models = [procmodels.Tag(v) for v in (1.0, 2.0)]
+        orc.register_model("m", models[0], batchable=True)
+        orc.register_model("m", models[1], batchable=True, deploy=False)
+        orc.canary("m", 2, fraction)
+        return orc
+
+    @staticmethod
+    def _burst(orc, n):
+        return [orc.submit("m", [np.zeros(4)], [f"out-{i}"]) for i in range(n)]
+
+    @staticmethod
+    def _pinned_versions(handles):
+        """The admitted versions, each checked against what served it."""
+        versions = []
+        for handle in handles:
+            (result,) = handle.result(timeout=60)
+            version = handle.versions[0]
+            assert version in (1, 2)
+            np.testing.assert_array_equal(np.ravel(result), [float(version)])
+            versions.append(version)
+        return versions
+
+    @pytest.mark.parametrize("mode", ("thread", "process"))
+    def test_promote_mid_burst(self, mode):
         gate = threading.Event()
-
-        def slow_tagged(value):
-            def predict(x):
-                gate.wait(5.0)
-                return np.asarray(x) * 0.0 + value
-
-            return predict
-
-        orc = Orchestrator(max_batch_size=4)
-        orc.register_model("m", slow_tagged(1.0), batchable=True)
-        orc.register_model("m", slow_tagged(2.0), batchable=True, deploy=False)
-        orc.canary("m", 2, 0.25)
+        orc = self._orc(mode, 0.25, gate)
         orc.start()
         try:
-            client = Client(orc)
-            in_flight = self._burst(client, 24)
+            in_flight = self._burst(orc, 40)
             orc.end_canary("m", promote=True)  # decision lands mid-burst
             gate.set()
             # in-flight requests keep their admitted version...
-            self._assert_pinned(in_flight)
-            assert {f.version for f in in_flight} == {1, 2}
-            # ...while everything admitted afterwards serves the promoted one
-            after = self._burst(client, 8)
-            self._assert_pinned(after)
-            assert {f.version for f in after} == {2}
-        finally:
-            gate.set()
-            orc.stop()
-
-    def test_rollback_mid_burst(self):
-        gate = threading.Event()
-
-        def slow_tagged(value):
-            def predict(x):
-                gate.wait(5.0)
-                return np.asarray(x) * 0.0 + value
-
-            return predict
-
-        orc = Orchestrator(max_batch_size=4)
-        orc.register_model("m", slow_tagged(1.0), batchable=True)
-        orc.register_model("m", slow_tagged(2.0), batchable=True, deploy=False)
-        orc.canary("m", 2, 0.5)
-        orc.start()
-        try:
-            client = Client(orc)
-            in_flight = self._burst(client, 24)
-            orc.end_canary("m", promote=False)
-            gate.set()
-            self._assert_pinned(in_flight)
-            assert {f.version for f in in_flight} == {1, 2}
-            after = self._burst(client, 8)
-            self._assert_pinned(after)
-            assert {f.version for f in after} == {1}
-        finally:
-            gate.set()
-            orc.stop()
-
-
-class TestCanaryProcessMode:
-    """The slice crosses the process boundary: same contract, 2 workers."""
-
-    def test_slice_and_promote_under_process_traffic(self):
-        orc = Orchestrator(num_processes=2)
-        orc.register_model("m", procmodels.Tag(1.0), batchable=True)
-        orc.register_model("m", procmodels.Tag(2.0), batchable=True, deploy=False)
-        orc.canary("m", 2, 0.25)
-        orc.start()
-        try:
-            client = Client(orc)
-            futures = [
-                client.run_model_async("m", np.zeros(4), f"out-{i}")
-                for i in range(40)
-            ]
-            versions = []
-            for future in futures:
-                result = np.ravel(future.result(timeout=60))
-                assert future.version in (1, 2)
-                assert result[0] == float(future.version)
-                versions.append(future.version)
+            versions = self._pinned_versions(in_flight)
             # zero dropped, both roles served, candidate a bounded minority
             assert len(versions) == 40
             assert set(versions) == {1, 2}
             assert versions.count(2) / len(versions) <= 0.45
-            orc.end_canary("m", promote=True)
-            after = [
-                client.run_model_async("m", np.zeros(4), f"post-{i}")
-                for i in range(6)
-            ]
-            for future in after:
-                assert np.ravel(future.result(timeout=60))[0] == 2.0
-                assert future.version == 2
+            # ...while everything admitted afterwards serves the promoted one
+            assert set(self._pinned_versions(self._burst(orc, 8))) == {2}
         finally:
+            gate.set()
             orc.stop()
 
-    def test_rollback_under_process_traffic(self):
-        orc = Orchestrator(num_processes=2)
-        orc.register_model("m", procmodels.Tag(1.0), batchable=True)
-        orc.register_model("m", procmodels.Tag(2.0), batchable=True, deploy=False)
-        orc.canary("m", 2, 0.5)
+    @pytest.mark.parametrize("mode", ("thread", "process"))
+    def test_rollback_mid_burst(self, mode):
+        gate = threading.Event()
+        orc = self._orc(mode, 0.5, gate)
         orc.start()
         try:
-            client = Client(orc)
-            futures = [
-                client.run_model_async("m", np.zeros(4), f"out-{i}")
-                for i in range(24)
-            ]
-            orc.end_canary("m", promote=False)  # mid-burst
-            for future in futures:
-                result = np.ravel(future.result(timeout=60))
-                assert result[0] == float(future.version)
-            after = client.run_model_async("m", np.zeros(4), "post")
-            assert np.ravel(after.result(timeout=60))[0] == 1.0
+            in_flight = self._burst(orc, 24)
+            orc.end_canary("m", promote=False)  # decision lands mid-burst
+            gate.set()
+            assert set(self._pinned_versions(in_flight)) == {1, 2}
+            assert set(self._pinned_versions(self._burst(orc, 8))) == {1}
         finally:
+            gate.set()
             orc.stop()
 
 

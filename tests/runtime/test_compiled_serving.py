@@ -181,7 +181,7 @@ class TestCnnAndCsrServing:
                 client.run_model_batch("m", [row, sparse], ["o1", "o2"], timeout=60)
             assert "not iterable" not in str(bulk.value)
             with pytest.raises(TypeError, match="CSRMatrix"):
-                orc.run_batch("m", [sparse], ["o3"]).result(timeout=60)
+                orc.submit("m", [sparse], ["o3"]).result(timeout=60)
             for key in ("in", "o1", "o2", "o3"):
                 with pytest.raises(KeyError):
                     orc.get_tensor(key)

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.runtime import Client, InferenceRequest, Orchestrator
+from repro.runtime import Client, Orchestrator
 
 
 class TestParallelAccess:
@@ -37,12 +37,10 @@ class TestParallelAccess:
             requests = []
             for i in range(20):
                 orc.put_tensor(f"in{i}", np.full(4, float(i)))
-                requests.append(
-                    orc.submit(InferenceRequest("scale", (f"in{i}",), (f"out{i}",)))
-                )
+                requests.append(orc.submit("scale", [(f"in{i}",)], [f"out{i}"]))
             for req in requests:
                 assert req.done.wait(timeout=10.0)
-                assert req.error is None
+                assert req.errors == [None]
             for i in range(20):
                 assert np.allclose(orc.get_tensor(f"out{i}"), 2.0 * i)
 
@@ -131,7 +129,7 @@ class TestParallelAccess:
         orc.start()
         orc.register_model("id", lambda x: x)
         orc.put_tensor("a", np.ones(2))
-        req = orc.submit(InferenceRequest("id", ("a",), ("b",)))
+        req = orc.submit("id", [("a",)], ["b"])
         assert req.done.wait(timeout=5.0)
         orc.stop()
         assert not orc.is_running

@@ -9,7 +9,6 @@ import pytest
 from repro import obs
 from repro.runtime import (
     Client,
-    InferenceRequest,
     Orchestrator,
     UnknownModelError,
 )
@@ -114,11 +113,10 @@ class TestUnknownModelError:
 
     def test_surfaces_through_future_result(self):
         orc = Orchestrator()
-        client = Client(orc)
         with orc:
-            future = client.run_model_async("ghost", np.zeros(3), "out")
+            handle = orc.submit("ghost", [np.zeros(3)], ["out"])
             with pytest.raises(UnknownModelError, match="ghost"):
-                future.result(timeout=5.0)
+                handle.result(timeout=5.0)
 
     def test_surfaces_through_run_model_batch(self):
         orc = Orchestrator()
@@ -132,10 +130,9 @@ class TestUnknownModelError:
 
     def test_surfaces_without_serving_pool(self):
         orc = Orchestrator()
-        client = Client(orc)
-        future = client.run_model_async("ghost", np.zeros(3), "out")
+        handle = orc.submit("ghost", [np.zeros(3)], ["out"])
         with pytest.raises(UnknownModelError):
-            future.result()
+            handle.result()
 
 
 class TestAdmissionPinning:
@@ -153,14 +150,14 @@ class TestAdmissionPinning:
         orc.register_model("m", v1)
         orc.put_tensor("in", np.zeros(2))
         with orc:
-            a = orc.submit(InferenceRequest("m", ("in",), ("out_a",)))
+            a = orc.submit("m", [("in",)], ["out_a"])
             assert started.wait(5.0)  # worker is inside v1's forward
             v2 = orc.register_model("m", tagged(2.0), deploy=False)
             orc.deploy("m", v2)
-            b = orc.submit(InferenceRequest("m", ("in",), ("out_b",)))
+            b = orc.submit("m", [("in",)], ["out_b"])
             release.set()
             assert a.done.wait(5.0) and b.done.wait(5.0)
-            assert a.error is None and b.error is None
+            assert a.errors == [None] and b.errors == [None]
             np.testing.assert_array_equal(orc.get_tensor("out_a"), np.ones(2))
             np.testing.assert_array_equal(
                 orc.get_tensor("out_b"), np.full(2, 2.0)
@@ -275,3 +272,20 @@ class TestClientVersioning:
         assert orc.active_version("s") == 2  # matches the registry version
         x = rng.standard_normal(package.input_dim)
         np.testing.assert_array_equal(loaded.predict(x), package.predict(x))
+
+
+class TestHotSwapSmoke:
+    def test_cli_smoke_deploys_v2_with_no_failures(self, rng, capsys):
+        """``repro serve --hot-swap`` on a tiny package: both halves of the
+        traffic are served across the deploy, and v2 ends up active."""
+        from repro.cli import _hot_swap_smoke, build_parser
+        from tests.runtime.test_batching import make_package
+
+        package = make_package(rng)
+        rows = rng.standard_normal((64, package.input_dim))
+        args = build_parser().parse_args(
+            ["serve", "Blackscholes", "--hot-swap", "--max-batch-size", "8"]
+        )
+        assert _hot_swap_smoke("m", package, rows, args) == 0
+        report = capsys.readouterr().out
+        assert "64 requests across deploy v1->v2, 0 failed, active v2" in report

@@ -10,7 +10,7 @@ import pytest
 
 from repro import obs
 from repro.obs.locks import LockOrderRecorder, TrackedCondition, instrument_object
-from repro.runtime import InferenceRequest, Orchestrator
+from repro.runtime import Orchestrator
 from repro.runtime.guard import GuardStats
 from repro.runtime.sharding import _RequestQueue
 from repro.static import cross_validate_lock_orders, lock_order_graph
@@ -50,17 +50,19 @@ class TestLockOrderCrossValidation:
         orc.register_model("double", lambda x: np.asarray(x) * 2.0)
         orc.start()
         try:
-            requests = []
             for i in range(6):
                 orc.put_tensor(f"in{i}", np.full(3, float(i)))
-                requests.append(
-                    InferenceRequest("double", (f"in{i}",), (f"out{i}",))
-                )
-            orc.submit(requests[0])
-            orc.submit_many(requests[1:])
-            for req in requests:
-                assert req.done.wait(timeout=10.0)
-                assert req.error is None
+            batches = [
+                orc.submit("double", [("in0",)], ["out0"]),
+                orc.submit(
+                    "double",
+                    [(f"in{i}",) for i in range(1, 6)],
+                    [f"out{i}" for i in range(1, 6)],
+                ),
+            ]
+            for batch in batches:
+                assert batch.done.wait(timeout=10.0)
+                assert all(error is None for error in batch.errors)
         finally:
             orc.stop()
 
@@ -109,7 +111,7 @@ class TestGetBatchTimeoutEdges:
         return depths
 
     def test_held_item_returns_with_everything_queued(self):
-        requests = [InferenceRequest("m", (f"a{i}",), (f"b{i}",)) for i in range(8)]
+        requests = [("m", f"a{i}") for i in range(8)]
         few = _queue(*requests[:3])
         waits = self._count_waits(few)
         assert few.get_batch(max_items=8) == requests[:3]
@@ -123,7 +125,7 @@ class TestGetBatchTimeoutEdges:
     def test_lone_item_is_served_without_waiting_for_more(self):
         q = _queue()
         waits = self._count_waits(q)
-        req = InferenceRequest("m", ("a",), ("b",))
+        req = ("m", "a")
         result = []
         t = threading.Thread(target=lambda: result.append(q.get_batch(8)))
         t.start()
@@ -137,7 +139,7 @@ class TestGetBatchTimeoutEdges:
         assert waits in ([], [0])
 
     def test_sentinel_mid_drain_is_pushed_back(self):
-        req = InferenceRequest("m", ("a",), ("b",))
+        req = ("m", "a")
         q = _queue(req)
         q.close(1)  # the exit sentinel queues behind the request
         assert q.get_batch(max_items=8) == [req]

@@ -15,7 +15,6 @@ import pytest
 from repro import obs
 from repro.runtime import (
     Client,
-    InferenceRequest,
     Orchestrator,
     OrchestratorStopped,
     UnknownModelError,
@@ -70,6 +69,14 @@ def _held(
     return held
 
 
+def _until(condition) -> None:
+    """Wait up to 5 s for ``condition()``, then assert it."""
+    deadline = time.monotonic() + 5.0
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert condition()
+
+
 class TestStopDrainsQueue:
     @pytest.mark.parametrize("mode", MODES)
     def test_pending_requests_complete_with_error(self, mode):
@@ -79,12 +86,9 @@ class TestStopDrainsQueue:
         orc.put_tensor("a", np.ones(2))
         orc.start()
         # first request occupies the worker; the rest stay queued
-        requests = [orc.submit(InferenceRequest("slow", ("a",), ("o0",)))]
+        requests = [orc.submit("slow", [("a",)], ["o0"])]
         assert started.wait(timeout=5.0)
-        requests += [
-            orc.submit(InferenceRequest("slow", ("a",), (f"o{i}",)))
-            for i in range(1, 5)
-        ]
+        requests += [orc.submit("slow", [("a",)], [f"o{i}"]) for i in range(1, 5)]
         stopper = threading.Thread(target=orc.stop)
         stopper.start()
         time.sleep(0.05)
@@ -94,7 +98,7 @@ class TestStopDrainsQueue:
         for request in requests:
             # no waiter hangs forever: every done event fires
             assert request.done.wait(timeout=5.0)
-        errors = [r.error for r in requests]
+        errors = [r.errors[0] for r in requests]
         assert any(isinstance(e, OrchestratorStopped) for e in errors)
 
     @pytest.mark.parametrize("mode", MODES)
@@ -104,8 +108,8 @@ class TestStopDrainsQueue:
         orc.register_model("hold", _held(mode, hold))
         orc.put_tensor("a", np.ones(1))
         orc.start()
-        orc.submit(InferenceRequest("hold", ("a",), ("x",)))
-        pending = orc.submit(InferenceRequest("hold", ("a",), ("y",)))
+        orc.submit("hold", [("a",)], ["x"])
+        pending = orc.submit("hold", [("a",)], ["y"])
 
         unblocked = threading.Event()
 
@@ -132,18 +136,24 @@ class TestStopDrainsQueue:
         # a stale None sentinel must not kill the next serving session
         orc.start()
         assert orc.is_running
-        req = orc.submit(InferenceRequest("id", ("a",), ("b",)))
+        req = orc.submit("id", [("a",)], ["b"])
         assert req.done.wait(timeout=5.0)
-        assert req.error is None
+        assert req.errors == [None]
         orc.stop()
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_submit_after_stop_raises(self, mode):
+    def test_submit_runs_inline(self, mode):
         orc = _orchestrator(mode)
+        orc.register_model("id", procmodels.affine)
+        orc.put_tensor("a", np.ones(2))
         orc.start()
         orc.stop()
-        with pytest.raises(RuntimeError):
-            orc.submit(InferenceRequest("m", ("a",), ("b",)))
+        # a stopped pool: the caller's thread serves before submit returns
+        batch = orc.submit("id", [("a",)], ["b"])
+        assert batch.done.is_set()
+        assert orc.get_tensor("b").tolist() == procmodels.affine(np.ones(2)).tolist()
+        with pytest.raises(UnknownModelError):
+            orc.submit("m", [("a",)], ["c"]).result()
 
 
 class TestMetricsReconcile:
@@ -154,7 +164,7 @@ class TestMetricsReconcile:
         # "broken" raises for some inputs -> failed counter
         orc.register_model("broken", procmodels.FailingModel())
         n_producers, per_producer = 6, 25
-        results: list[InferenceRequest] = []
+        results: list = []
         lock = threading.Lock()
 
         def producer(worker: int) -> None:
@@ -163,9 +173,7 @@ class TestMetricsReconcile:
                 key = f"in_{worker}_{i}"
                 orc.put_tensor(key, rng.standard_normal(8))
                 model = "broken" if i % 5 == 0 else "double"
-                req = orc.submit(
-                    InferenceRequest(model, (key,), (f"out_{worker}_{i}",))
-                )
+                req = orc.submit(model, [(key,)], [f"out_{worker}_{i}"])
                 with lock:
                     results.append(req)
                 if i % 7 == 0:
@@ -191,7 +199,7 @@ class TestMetricsReconcile:
         assert submitted == total
         assert served + failed == submitted
         # every completed-without-error request really has its output
-        ok = sum(1 for r in results if r.error is None)
+        ok = sum(1 for r in results if r.errors[0] is None)
         assert served == ok
 
     @pytest.mark.parametrize("mode", MODES)
@@ -200,12 +208,12 @@ class TestMetricsReconcile:
         orc.register_model("id", procmodels.affine)
         orc.put_tensor("a", np.ones(2))
         with orc:
-            unknown = orc.submit(InferenceRequest("ghost", ("a",), ("o1",)))
-            missing = orc.submit(InferenceRequest("id", ("nope",), ("o2",)))
+            unknown = orc.submit("ghost", [("a",)], ["o1"])
+            missing = orc.submit("id", [("nope",)], ["o2"])
             # failed at admission: done before any worker saw them
             assert unknown.done.is_set() and missing.done.is_set()
-        assert isinstance(unknown.error, UnknownModelError)
-        assert isinstance(missing.error, KeyError)
+        assert isinstance(unknown.errors[0], UnknownModelError)
+        assert isinstance(missing.errors[0], KeyError)
         assert _counter("repro_orchestrator_submitted_total") == 2
         assert _counter("repro_orchestrator_failed_total") == 2
         assert _counter("repro_orchestrator_served_total") == 0
@@ -214,7 +222,7 @@ class TestMetricsReconcile:
     @pytest.mark.parametrize("pool", ("running", "stopped"))
     @pytest.mark.parametrize(
         "entry",
-        ("client_run_model", "run_model_async", "run_model_batch", "orc_run_model"),
+        ("client_run_model", "orc_submit", "run_model_batch", "orc_run_model"),
     )
     def test_every_entry_point_counts_each_request_once(self, entry, pool, outcome):
         orc = Orchestrator()
@@ -225,7 +233,7 @@ class TestMetricsReconcile:
         x = np.arange(4, dtype=np.float64)
         calls = {
             "client_run_model": lambda: client.run_model(name, x, "out"),
-            "run_model_async": lambda: client.run_model_async(name, x, "out").result(10),
+            "orc_submit": lambda: orc.submit(name, [x], ["out"]).result(10),
             "run_model_batch": lambda: client.run_model_batch(name, [x], timeout=10),
             "orc_run_model": lambda: orc.run_model(name, ("in",), ("out",)),
         }
@@ -260,10 +268,7 @@ class TestMetricsReconcile:
         orc.register_model("id", procmodels.affine)
         orc.put_tensor("a", np.ones(2))
         with orc:
-            reqs = [
-                orc.submit(InferenceRequest("id", ("a",), (f"o{i}",)))
-                for i in range(10)
-            ]
+            reqs = [orc.submit("id", [("a",)], [f"o{i}"]) for i in range(10)]
             for r in reqs:
                 r.done.wait(timeout=5.0)
         gauge = obs.get_registry().get(gauge_name)
@@ -281,16 +286,15 @@ class TestMetricsReconcile:
 class TestWorkerLoss:
     def test_killed_worker_fails_its_waiters_at_once(self):
         orc = Orchestrator(num_processes=1)
-        client = Client(orc)
         orc.register_model("sleepy", procmodels.SleepyModel(5.0))
         with orc:
-            future = client.run_model_async("sleepy", np.ones(3), "out")
+            handle = orc.submit("sleepy", [np.ones(3)], ["out"])
             time.sleep(0.3)  # the worker is inside the 5 s forward
             shard = orc._pool._shards[0]
             os.kill(shard.proc.pid, signal.SIGKILL)
             killed = time.monotonic()
             with pytest.raises(WorkerLostError):
-                future.result(timeout=5.0)
+                handle.result(timeout=5.0)
             assert time.monotonic() - killed < 2.0
             assert shard.depth == 0
         submitted = _counter("repro_orchestrator_submitted_total")
@@ -349,7 +353,7 @@ class TestBlockingCall:
         x = np.arange(4, dtype=np.float64)
         with orc:
             blocking = client.run_model("m", x, "out").copy()
-            queued = client.run_model_async("m", x, "out2").result(10.0)
+            (queued,) = orc.submit("m", [x], ["out2"]).result(10.0)
             if mode == "process":
                 worker = orc._pool._shards[0].proc.pid
         assert blocking.tobytes() == queued.tobytes()
@@ -379,19 +383,13 @@ class TestBlockingCall:
         def caller(i):
             outputs[i] = client.run_model("m", rows[i], f"o{i}").copy()
 
-        def until(condition):
-            deadline = time.monotonic() + 5.0
-            while not condition() and time.monotonic() < deadline:
-                time.sleep(0.005)
-            assert condition()
-
         callers = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
         with orc:
             callers[0].start()
-            until(lambda: forwards)
+            _until(lambda: forwards)
             for t in callers[1:]:
                 t.start()
-            until(lambda: _counter("repro_orchestrator_submitted_total") == 8)
+            _until(lambda: _counter("repro_orchestrator_submitted_total") == 8)
             gate.set()
             for t in callers:
                 t.join(timeout=10.0)
@@ -409,6 +407,53 @@ class TestBlockingCall:
         submitted = _counter("repro_orchestrator_submitted_total")
         assert submitted == _counter("repro_orchestrator_served_total") == 9
 
+    def test_queued_callers_merge_into_one_forward(self):
+        orc = Orchestrator()
+        client = Client(orc)
+        started, gate = threading.Event(), threading.Event()
+        shapes: list = []
+
+        def held(x):
+            started.set()
+            gate.wait(timeout=10.0)
+            return x
+
+        def recorded(x):
+            shapes.append(np.shape(x))
+            return procmodels.affine(x)
+
+        orc.register_model("held", held)
+        orc.register_model("m", recorded, batchable=True)
+        rows = np.arange(36, dtype=np.float64).reshape(9, 4)
+        outputs: dict = {}
+
+        def caller(i):
+            outputs[i] = client.run_model("m", rows[i], f"o{i}").copy()
+
+        def behind_a_held_forward(idxs):
+            started.clear()
+            gate.clear()
+            hold = orc.submit("held", [np.ones(1)])
+            assert started.wait(timeout=5.0)
+            callers = [threading.Thread(target=caller, args=(i,)) for i in idxs]
+            for t in callers:
+                t.start()
+            _until(lambda: orc._pool._queue.qsize() == len(idxs))
+            gate.set()
+            for t in callers:
+                t.join(timeout=10.0)
+                assert not t.is_alive()
+            hold.result(timeout=10.0)
+
+        with orc:
+            behind_a_held_forward(range(8))
+            behind_a_held_forward([8])
+        # eight queued blocking callers: one stacked forward; a lone
+        # queued caller: its row, unstacked
+        assert shapes == [(8, 4), (4,)]
+        for i in range(9):
+            assert outputs[i].tobytes() == procmodels.affine(rows[i]).tobytes()
+
     @pytest.mark.parametrize("busy", ("in_flight", "queued"))
     @pytest.mark.parametrize("mode", MODES)
     def test_blocking_call_waits_behind_earlier_work(self, mode, busy):
@@ -424,10 +469,10 @@ class TestBlockingCall:
             seen.extend(r.done.is_set() for r in earlier)
 
         with orc:
-            earlier = [orc.submit(InferenceRequest("slow", ("a",), ("o0",)))]
+            earlier = [orc.submit("slow", [("a",)], ["o0"])]
             assert started.wait(timeout=5.0)
             if busy == "queued":
-                earlier.append(orc.submit(InferenceRequest("slow", ("a",), ("o1",))))
+                earlier.append(orc.submit("slow", [("a",)], ["o1"]))
             thread = threading.Thread(target=caller)
             thread.start()
             time.sleep(0.1)
@@ -437,7 +482,7 @@ class TestBlockingCall:
             thread.join(timeout=10.0)
         assert not thread.is_alive()
         assert seen == [True] * len(earlier)
-        assert all(r.error is None for r in earlier)
+        assert all(r.errors == [None] for r in earlier)
         assert orc.get_tensor("late").tolist() == procmodels.affine(np.ones(2)).tolist()
 
 

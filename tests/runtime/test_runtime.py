@@ -76,27 +76,26 @@ class TestOrchestrator:
         with Orchestrator() as orc:
             orc.register_model("neg", lambda x: -x)
             orc.put_tensor("in", np.ones(4))
-            from repro.runtime import InferenceRequest
-
-            req = orc.submit(InferenceRequest("neg", ("in",), ("out",)))
+            req = orc.submit("neg", [("in",)], ["out"])
             assert req.done.wait(timeout=5.0)
-            assert req.error is None
+            assert req.errors == [None]
             assert np.allclose(orc.get_tensor("out"), -1.0)
         assert not orc.is_running
 
     def test_server_mode_surfaces_errors(self):
         with Orchestrator() as orc:
-            from repro.runtime import InferenceRequest
-
-            req = orc.submit(InferenceRequest("missing", ("in",), ("out",)))
+            req = orc.submit("missing", [("in",)], ["out"])
             assert req.done.wait(timeout=5.0)
-            assert isinstance(req.error, KeyError)
+            assert isinstance(req.errors[0], KeyError)
 
-    def test_submit_before_start_raises(self):
-        from repro.runtime import InferenceRequest
-
-        with pytest.raises(RuntimeError):
-            Orchestrator().submit(InferenceRequest("m", ("a",), ("b",)))
+    def test_submit_before_start_serves_inline(self):
+        orc = Orchestrator()
+        orc.register_model("neg", lambda x: -x)
+        orc.put_tensor("a", np.ones(2))
+        # no pool running: the caller's thread serves before submit returns
+        req = orc.submit("neg", [("a",)], ["b"])
+        assert req.done.is_set() and req.errors == [None]
+        assert np.allclose(orc.get_tensor("b"), -1.0)
 
 
 class TestClient:

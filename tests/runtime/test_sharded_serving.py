@@ -15,7 +15,7 @@ import pytest
 
 from repro import obs
 from repro.nn.tensor import batch_invariant
-from repro.runtime import Client, InferenceRequest, Orchestrator, UnknownModelError
+from repro.runtime import Client, Orchestrator, UnknownModelError
 
 from ..compile.test_conv_plans import cnn_package
 from ..compile.test_plan import make_package
@@ -60,10 +60,8 @@ class TestProcessServing:
         orc.start()
         client = Client(orc)
         x = rng.standard_normal(4)
-        future = client.run_model_async("aff", x, "out")
-        np.testing.assert_array_equal(
-            np.ravel(future.result(timeout=60)), procmodels.affine(x)
-        )
+        (out,) = orc.submit("aff", [x], ["out"]).result(timeout=60)
+        np.testing.assert_array_equal(np.ravel(out), procmodels.affine(x))
         # store-keyed requests cross the boundary too
         orc.put_tensor("staged", x)
         got = client.run_model("aff", ("staged",), ("y",))
@@ -72,10 +70,9 @@ class TestProcessServing:
     def test_worker_error_propagates_with_type(self, orc):
         orc.register_model("bad", procmodels.FailingModel(), batchable=True)
         orc.start()
-        client = Client(orc)
-        future = client.run_model_async("bad", np.ones(3), "out")
+        handle = orc.submit("bad", [np.ones(3)], ["out"])
         with pytest.raises(ValueError, match="synthetic failure"):
-            future.result(timeout=60)
+            handle.result(timeout=60)
 
     def test_unknown_model_rejected_at_the_front_end(self, orc):
         orc.register_model("aff", procmodels.affine, batchable=True)
@@ -109,12 +106,13 @@ class TestProcessServing:
         orc.start()
         x = np.arange(4, dtype=np.float64)
         orc.put_tensor("in", x)
-        pinned = orc.submit(InferenceRequest("aff", ("in",), ("out",), version=1))
-        assert pinned.done.wait(timeout=60) and pinned.error is None
+        pinned = orc.submit("aff", [("in",)], ["out"], version=1)
+        assert pinned.done.wait(timeout=60) and pinned.errors == [None]
+        assert pinned.versions == [1]
         np.testing.assert_array_equal(
             np.ravel(orc.get_tensor("out")), procmodels.affine(x)
         )
-        rows = orc.run_batch("aff", [x])
+        rows = orc.submit("aff", [x])
         np.testing.assert_array_equal(
             np.ravel(rows.result(timeout=60)), procmodels.affine_x10(x)
         )
@@ -123,7 +121,7 @@ class TestProcessServing:
         orc.register_model("aff", procmodels.affine, batchable=True)
         orc.start()
         stacked = rng.standard_normal((16, 5))
-        rows = orc.run_batch("aff", list(stacked))
+        rows = orc.submit("aff", list(stacked))
         np.testing.assert_array_equal(
             np.ravel(rows.result(timeout=60)), procmodels.affine(stacked)
         )
@@ -194,10 +192,9 @@ class TestMergedTelemetry:
     def test_worker_failures_count_once(self, orc):
         orc.register_model("bad", procmodels.FailingModel(), batchable=True)
         orc.start()
-        client = Client(orc)
-        future = client.run_model_async("bad", np.ones(3), "out")
+        handle = orc.submit("bad", [np.ones(3)], ["out"])
         with pytest.raises(ValueError):
-            future.result(timeout=60)
+            handle.result(timeout=60)
         orc.stop()
         failed = obs.get_registry().get("repro_orchestrator_failed_total")
         assert failed is not None and failed.total() == 1
