@@ -18,12 +18,15 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..extract.acquisition import AcquisitionResult, acquire
-from ..extract.sampling import Perturbation
+from ..extract.directives import get_region_spec, name_outputs
+
+if TYPE_CHECKING:  # the extractor loads only when an app is built
+    from ..extract.acquisition import AcquisitionResult
+    from ..extract.sampling import Perturbation
 
 __all__ = ["RegionCost", "ExactRun", "Application"]
 
@@ -124,6 +127,8 @@ class Application(abc.ABC):
         return None
 
     def perturbation(self) -> Perturbation:
+        from ..extract.sampling import Perturbation
+
         return Perturbation(kind="gaussian", scale=0.1)
 
     def nas_overrides(self) -> dict[str, Any]:
@@ -135,12 +140,6 @@ class Application(abc.ABC):
         return False
 
     # -- shared machinery ----------------------------------------------------------
-
-    def output_names(self) -> tuple[str, ...]:
-        """Names of region return values that are live after the region."""
-        from ..extract.directives import get_region_spec
-
-        return tuple(get_region_spec(self.region_fn).live_after)
 
     def generate_problems(
         self, n: int, rng: np.random.Generator
@@ -169,25 +168,27 @@ class Application(abc.ABC):
             problems.append(problem)
         return problems
 
+    def exact_outputs(self, problem: Mapping[str, Any]) -> dict[str, Any]:
+        """Run the original region on ``problem`` and name its outputs.
+
+        This is all §7.1's restart needs; :meth:`run_exact` adds the QoI
+        and cost for the callers that read them.
+        """
+        fn = self.region_fn
+        return name_outputs(fn(**problem), get_region_spec(fn).returns)
+
     def run_exact(self, problem: Mapping[str, Any]) -> ExactRun:
-        """Execute the original region; returns outputs, QoI and costs."""
+        """Execute the original region; returns outputs, QoI and costs.
+
+        ``wall_time`` times :meth:`exact_outputs`: the region and the
+        naming of its outputs.
+        """
         start = time.perf_counter()
-        raw = self.region_fn(**problem)
+        outputs = self.exact_outputs(problem)
         wall = time.perf_counter() - start
-        outputs = self._outputs_dict(raw)
         qoi = self.qoi_from_outputs(problem, outputs)
         cost = self.region_cost(problem, outputs)
         return ExactRun(outputs=outputs, qoi=qoi, region_cost=cost, wall_time=wall)
-
-    def _outputs_dict(self, raw: Any) -> dict[str, Any]:
-        from ..extract.sampling import returned_names
-
-        names = returned_names(self.region_fn)
-        if isinstance(raw, Mapping):
-            return dict(raw)
-        if isinstance(raw, tuple):
-            return dict(zip(names, raw))
-        return {names[0] if names else "out": raw}
 
     def acquire(
         self,
@@ -198,6 +199,8 @@ class Application(abc.ABC):
         sample_workers: int = 1,
     ) -> AcquisitionResult:
         """Run the §3 extractor workflow on this app's region."""
+        from ..extract.acquisition import acquire
+
         rng = rng or np.random.default_rng(0)
         problem = self.example_problem(rng)
         return acquire(
@@ -210,18 +213,6 @@ class Application(abc.ABC):
             perturb_names=self.perturb_names(),
             sample_workers=sample_workers,
         )
-
-    def surrogate_outputs(
-        self,
-        problem: Mapping[str, Any],
-        package,
-        input_schema,
-        output_schema,
-    ) -> dict[str, Any]:
-        """Run the surrogate in place of the region for one problem."""
-        x = input_schema.flatten(problem)
-        y = package.predict(x)
-        return output_schema.unflatten(y)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r} type={self.app_type}>"

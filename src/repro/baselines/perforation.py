@@ -37,15 +37,11 @@ __all__ = [
 Strategy = Callable[[Application, Mapping[str, Any], float], tuple[dict, RegionCost]]
 
 
-def _run(app: Application, problem: Mapping[str, Any]) -> dict:
-    return app._outputs_dict(app.region_fn(**problem))
-
-
 def _perforate_iters(key: str, nominal: Callable[[Application], int]) -> Strategy:
     def strategy(app: Application, problem: Mapping[str, Any], rate: float):
         p = dict(problem)
         p[key] = max(1, int(round(nominal(app) * (1.0 - rate))))
-        outputs = _run(app, p)
+        outputs = app.exact_outputs(p)
         return outputs, app.region_cost(problem, outputs)
 
     return strategy
@@ -59,7 +55,7 @@ def _perforate_scaled(key: str, attr: str) -> Strategy:
         reduced = max(1, int(round(original * (1.0 - rate))))
         p = dict(problem)
         p[key] = reduced
-        outputs = _run(app, p)
+        outputs = app.exact_outputs(p)
         cost = app.region_cost(problem, outputs).scaled(reduced / original)
         return outputs, cost
 
@@ -84,13 +80,13 @@ def _perforate_canneal(app, problem, rate):
     keep = max(1, int(round(proposals.shape[0] * (1.0 - rate))))
     p = dict(problem)
     p["proposals"] = proposals[:keep]
-    outputs = _run(app, p)
+    outputs = app.exact_outputs(p)
     cost = app.region_cost(problem, outputs).scaled(keep / proposals.shape[0])
     return outputs, cost
 
 
 def _perforate_x264(app, problem, rate):
-    outputs = _run(app, problem)
+    outputs = app.exact_outputs(problem)
     recon = np.array(outputs["recon"], copy=True)
     previous = np.asarray(problem["previous"])
     size = recon.shape[0]
@@ -105,7 +101,7 @@ def _perforate_x264(app, problem, rate):
 def _no_perforation(app, problem, rate):
     if rate > 0:
         raise ValueError(f"{app.name} has no safely-perforatable loop")
-    outputs = _run(app, problem)
+    outputs = app.exact_outputs(problem)
     return outputs, app.region_cost(problem, outputs)
 
 

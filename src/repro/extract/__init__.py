@@ -10,7 +10,10 @@ from .._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".analysis": ["analyze_statement", "count_ops", "names_read", "names_written"],
-    ".directives": ["RegionSpec", "code_region", "get_region_spec"],
+    ".directives": [
+        "RegionSpec", "code_region", "function_ast", "get_region_spec",
+        "name_outputs", "resolve_live", "returned_names",
+    ],
     ".events": ["LoopTrace", "StmtHit", "StmtInfo", "Trace"],
     ".tracer": ["Recorder", "RegionTracer"],
     ".dddg": ["DDDG", "IOClassification", "build_dddg", "classify_io"],
@@ -18,7 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".features": [
         "FeatureField", "FeatureSchema", "SchemaMismatchError", "build_schema",
     ],
-    ".sampling": ["Perturbation", "SampleGenerator", "perturb_value", "returned_names"],
+    ".sampling": ["Perturbation", "SampleGenerator", "perturb_value"],
     ".acquisition": ["AcquisitionResult", "acquire"],
     ".export": ["summarize_dddg", "to_dot", "write_dot"],
 })

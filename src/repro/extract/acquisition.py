@@ -14,11 +14,10 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .dddg import DDDG, IOClassification, build_dddg, classify_io
-from .directives import get_region_spec
+from .directives import get_region_spec, name_outputs
 from .events import Trace
 from .features import FeatureSchema, build_schema
-from .liveness import live_in
-from .sampling import Perturbation, SampleGenerator, returned_names
+from .sampling import Perturbation, SampleGenerator
 from .tracer import RegionTracer
 
 __all__ = ["AcquisitionResult", "acquire"]
@@ -79,9 +78,8 @@ def acquire(
 
     1. trace the region on ``example_inputs`` (loop-compressed);
     2. build the DDDG (optionally in parallel);
-    3. classify inputs/outputs using the region's liveness info
-       (``live_after`` from the directive, or liveness analysis of
-       ``continuation_source``, or the region's returned names);
+    3. classify inputs/outputs using the region's live-after set
+       (:attr:`RegionSpec.live`);
     4. build feature schemas (arrays grouped);
     5. generate ``n_samples`` training pairs by input perturbation.
 
@@ -97,13 +95,7 @@ def acquire(
     result, trace = tracer.trace(**example_inputs)
     dddg = build_dddg(trace, workers=dddg_workers)
 
-    if spec.live_after:
-        live = frozenset(spec.live_after)
-    elif spec.continuation_source:
-        live = live_in(spec.continuation_source)
-    else:
-        live = frozenset(returned_names(region_fn))
-    io = classify_io(dddg, example_inputs, live)
+    io = classify_io(dddg, example_inputs, spec.live)
     if not io.inputs:
         raise ValueError(f"region {spec.name!r}: no input variables identified")
     if not io.outputs:
@@ -111,18 +103,10 @@ def acquire(
 
     input_schema = build_schema(io.inputs, example_inputs)
 
-    generator_probe = SampleGenerator.__new__(SampleGenerator)
     # build the output schema from one concrete run of the region
-    out_names = tuple(returned_names(region_fn)) or io.outputs
+    out_names = spec.returns or io.outputs
     ordered_outputs = tuple(n for n in out_names if n in io.outputs) or io.outputs
-    raw = region_fn(**example_inputs)
-    del generator_probe
-    if isinstance(raw, Mapping):
-        example_outputs = dict(raw)
-    elif isinstance(raw, tuple):
-        example_outputs = dict(zip(out_names, raw))
-    else:
-        example_outputs = {out_names[0]: raw}
+    example_outputs = name_outputs(region_fn(**example_inputs), out_names)
     output_schema = build_schema(ordered_outputs, example_outputs)
 
     generator = SampleGenerator(

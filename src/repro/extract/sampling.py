@@ -8,18 +8,16 @@ re-runs the region to collect ground-truth outputs.
 
 from __future__ import annotations
 
-import inspect
-import ast
-import textwrap
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from ..sparse import COOMatrix, CSCMatrix, CSRMatrix
+from .directives import get_region_spec, name_outputs
 from .features import FeatureSchema
 
-__all__ = ["Perturbation", "perturb_value", "returned_names", "SampleGenerator"]
+__all__ = ["Perturbation", "perturb_value", "SampleGenerator"]
 
 _SPARSE_TYPES = (COOMatrix, CSRMatrix, CSCMatrix)
 
@@ -83,30 +81,6 @@ def perturb_value(value: Any, p: Perturbation, rng: np.random.Generator) -> Any:
     raise TypeError(f"cannot perturb value of type {type(value).__name__}")
 
 
-def returned_names(fn: Callable) -> tuple[str, ...]:
-    """Names returned by the region function's final return statement.
-
-    Used to map the region's return value back onto output-variable names
-    (``return x`` -> ("x",); ``return x, r`` -> ("x", "r")).
-    """
-    source = textwrap.dedent(inspect.getsource(fn))
-    tree = ast.parse(source)
-    func = next(n for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
-    returns = [n for n in ast.walk(func) if isinstance(n, ast.Return) and n.value is not None]
-    if not returns:
-        return ()
-    value = returns[-1].value
-    if isinstance(value, ast.Name):
-        return (value.id,)
-    if isinstance(value, ast.Tuple) and all(isinstance(e, ast.Name) for e in value.elts):
-        return tuple(e.id for e in value.elts)
-    if isinstance(value, ast.Dict) and all(
-        isinstance(k, ast.Constant) and isinstance(k.value, str) for k in value.keys
-    ):
-        return tuple(k.value for k in value.keys)
-    return ()
-
-
 class SampleGenerator:
     """Runs the region repeatedly on perturbed inputs to build (X, Y)."""
 
@@ -121,29 +95,13 @@ class SampleGenerator:
         self.region_fn = region_fn
         self.input_schema = input_schema
         self.output_schema = output_schema
-        self.output_names = tuple(output_names or returned_names(region_fn))
-        if not self.output_names:
-            raise ValueError(
-                "could not infer output names from the region's return "
-                "statement; pass output_names explicitly"
-            )
-
-    def _outputs_to_dict(self, result: Any) -> dict[str, Any]:
-        if isinstance(result, Mapping):
-            return dict(result)
-        if isinstance(result, tuple):
-            if len(result) != len(self.output_names):
-                raise ValueError(
-                    f"region returned {len(result)} values but "
-                    f"{len(self.output_names)} output names are known"
-                )
-            return dict(zip(self.output_names, result))
-        return {self.output_names[0]: result}
+        self.output_names = tuple(
+            output_names or get_region_spec(region_fn).returns
+        )
 
     def run_once(self, inputs: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:
         """One (input-vector, output-vector) pair from a concrete input."""
-        result = self.region_fn(**inputs)
-        out = self._outputs_to_dict(result)
+        out = name_outputs(self.region_fn(**inputs), self.output_names)
         x = self.input_schema.flatten(inputs)
         y = self.output_schema.flatten(out)
         return x, y

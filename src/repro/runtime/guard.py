@@ -230,7 +230,7 @@ class GuardedSurrogate:
             # never blend (the restart is typically orders of magnitude
             # slower, and the retrainer reads their ratio)
             restart = time.perf_counter()
-            exact_outputs = self.surrogate.app.run_exact(problem).outputs
+            exact_outputs = self.surrogate.app.exact_outputs(problem)
             fallback_elapsed = time.perf_counter() - restart
         self.stats.record(
             fallback=not valid,

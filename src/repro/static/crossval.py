@@ -25,8 +25,6 @@ from typing import Any, Mapping, Optional
 
 from ..extract.dddg import build_dddg
 from ..extract.directives import get_region_spec
-from ..extract.liveness import live_in
-from ..extract.sampling import returned_names
 from ..extract.tracer import RegionTracer
 from .diagnostics import Diagnostic, diagnostic
 from .inference import StaticRegionReport, infer_region_fn
@@ -65,15 +63,6 @@ class CrossValidation:
             f"outputs static={list(self.static_outputs)} "
             f"dynamic={list(self.dynamic_outputs)}"
         )
-
-
-def _resolve_live(spec, region_fn) -> frozenset[str]:
-    """Same precedence as :func:`repro.extract.acquisition.acquire`."""
-    if spec.live_after:
-        return frozenset(spec.live_after)
-    if spec.continuation_source:
-        return live_in(spec.continuation_source)
-    return frozenset(returned_names(region_fn))
 
 
 def _diff(
@@ -120,7 +109,7 @@ def cross_validate(
     tracer = RegionTracer(region_fn)
     _, trace = tracer.trace(**example_inputs)
     dddg = build_dddg(trace, workers=dddg_workers)
-    live = _resolve_live(spec, region_fn)
+    live = spec.live
 
     params = set(report.params)
     dynamic_inputs = frozenset(dddg.root_reads) & params

@@ -10,9 +10,8 @@ AST alone:
   forward scan of the body that reuses the per-statement read/write sets
   of :func:`repro.extract.analysis.analyze_statement`;
 * **outputs** — names written anywhere in the body, intersected with the
-  live-after set (``live_after`` from the directive, liveness of
-  ``continuation_source`` via :func:`repro.extract.liveness.live_in`, or
-  the names of the final ``return``).
+  live-after set of :func:`repro.extract.directives.resolve_live`, the
+  precedence the dynamic extractor uses too.
 
 Branches and loops are handled conservatively for the *read* side (every
 reachable read counts) and precisely for the *kill* side (only writes that
@@ -25,14 +24,16 @@ from __future__ import annotations
 
 import ast
 import builtins
-import inspect
-import textwrap
 from dataclasses import dataclass
 from typing import Optional
 
 from ..extract.analysis import analyze_statement
-from ..extract.directives import get_region_spec
-from ..extract.liveness import live_in
+from ..extract.directives import (
+    function_ast,
+    get_region_spec,
+    resolve_live,
+    returned_names,
+)
 
 __all__ = [
     "RegionMeta",
@@ -40,8 +41,7 @@ __all__ = [
     "infer_function",
     "infer_region_fn",
     "function_params",
-    "returned_names_ast",
-    "region_function_ast",
+    "region_function",
 ]
 
 
@@ -88,25 +88,6 @@ def function_params(func: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, 
     if a.kwarg:
         params.append(a.kwarg.arg)
     return tuple(params)
-
-
-def returned_names_ast(func: ast.FunctionDef | ast.AsyncFunctionDef) -> tuple[str, ...]:
-    """Names returned by the function's final ``return`` (AST analogue of
-    :func:`repro.extract.sampling.returned_names`)."""
-    returns = [
-        n for n in ast.walk(func)
-        if isinstance(n, ast.Return) and n.value is not None
-    ]
-    if not returns:
-        return ()
-    value = returns[-1].value
-    if isinstance(value, ast.Name):
-        return (value.id,)
-    if isinstance(value, ast.Tuple) and all(
-        isinstance(e, ast.Name) for e in value.elts
-    ):
-        return tuple(e.id for e in value.elts)
-    return ()
 
 
 def _comprehension_targets(stmt: ast.AST) -> frozenset[str]:
@@ -213,22 +194,6 @@ def _expr_names(node: ast.AST, ctx: type) -> set[str]:
 # -- public API ------------------------------------------------------------
 
 
-def _resolve_live(
-    meta: RegionMeta, returns: tuple[str, ...]
-) -> Optional[tuple[str, ...]]:
-    """Same precedence as :func:`repro.extract.acquisition.acquire`."""
-    if meta.live_after:
-        return tuple(meta.live_after)
-    if meta.continuation_source:
-        try:
-            return tuple(sorted(live_in(meta.continuation_source)))
-        except SyntaxError:
-            return None  # reported separately as a metadata diagnostic
-    if returns:
-        return tuple(returns)
-    return None
-
-
 def infer_function(
     func: ast.FunctionDef | ast.AsyncFunctionDef,
     meta: RegionMeta,
@@ -247,8 +212,11 @@ def infer_function(
             if name not in params and not hasattr(builtins, name)
         )
     )
-    returns = returned_names_ast(func)
-    live = _resolve_live(meta, returns)
+    returns = returned_names(func)
+    try:
+        live = resolve_live(meta.live_after, meta.continuation_source, returns)
+    except SyntaxError:
+        live = None  # reported separately as a metadata diagnostic
     writes = tuple(sorted(scan.writes))
     outputs = (
         tuple(sorted(set(writes) & set(live))) if live is not None else ()
@@ -267,31 +235,19 @@ def infer_function(
     )
 
 
-def region_function_ast(fn) -> tuple[ast.FunctionDef, str, int]:
-    """Parse a live region function back to its definition AST.
-
-    Returns ``(func_ast, filename, first_line)`` with line numbers shifted
-    to match the source file, so diagnostics point at real locations.
-    """
-    source, first_line = inspect.getsourcelines(fn)
-    tree = ast.parse(textwrap.dedent("".join(source)))
-    ast.increment_lineno(tree, first_line - 1)
-    func = next(
-        n for n in tree.body
-        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-    )
-    filename = inspect.getsourcefile(fn) or "<unknown>"
-    return func, filename, first_line
-
-
-def infer_region_fn(fn) -> StaticRegionReport:
-    """Run static inference on a live ``@code_region`` function."""
+def region_function(fn) -> tuple[ast.FunctionDef | ast.AsyncFunctionDef, RegionMeta]:
+    """A live ``@code_region`` function's definition AST and its metadata."""
     spec = get_region_spec(fn)
-    func, _, _ = region_function_ast(fn)
+    func = function_ast(fn)
     meta = RegionMeta(
         name=spec.name,
         live_after=tuple(spec.live_after),
         continuation_source=spec.continuation_source,
         lineno=func.lineno,
     )
-    return infer_function(func, meta)
+    return func, meta
+
+
+def infer_region_fn(fn) -> StaticRegionReport:
+    """Run static inference on a live ``@code_region`` function."""
+    return infer_function(*region_function(fn))

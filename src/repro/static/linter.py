@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import inspect
 import io
 import os
 import tokenize
@@ -38,7 +39,7 @@ from .inference import (
     RegionMeta,
     StaticRegionReport,
     infer_function,
-    region_function_ast,
+    region_function,
 )
 from .rules import run_rules
 
@@ -258,17 +259,8 @@ def lock_order_graph(target: str) -> LockOrderGraph:
 
 def lint_region_fn(fn) -> tuple[StaticRegionReport, list[Diagnostic]]:
     """Lint one live ``@code_region`` function using its attached spec."""
-    from ..extract.directives import get_region_spec
-
-    spec = get_region_spec(fn)
-    func, filename, _ = region_function_ast(fn)
-    meta = RegionMeta(
-        name=spec.name,
-        live_after=tuple(spec.live_after),
-        continuation_source=spec.continuation_source,
-        lineno=func.lineno,
-    )
-    return _lint_one(func, meta, filename)
+    func, meta = region_function(fn)
+    return _lint_one(func, meta, inspect.getsourcefile(fn) or "<unknown>")
 
 
 def resolve_target(target: str) -> Optional[str]:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps import ALL_APPLICATIONS, make_application
+from repro.apps import ALL_APPLICATIONS, Application, RegionCost, make_application
+from repro.extract import code_region
 
 
 @pytest.fixture(scope="module", params=ALL_APPLICATIONS, ids=lambda c: c.name)
@@ -109,3 +110,43 @@ def test_type_counts_match_table2():
     assert types.count("I") == 3
     assert types.count("II") == 5
     assert types.count("III") == 3
+
+
+@code_region(name="ragged", live_after=("a", "b"))
+def ragged_region(x, early):
+    a = x + 1.0
+    b = x * 2.0
+    c = x - 1.0
+    if early:
+        return a, b, c
+    return a, b
+
+
+class _RaggedApp(Application):
+    """An app whose early return has one value more than its final one."""
+
+    name = "ragged"
+
+    @property
+    def region_fn(self):
+        return ragged_region
+
+    def example_problem(self, rng):
+        return {"x": 1.0, "early": False}
+
+    def qoi_from_outputs(self, problem, outputs):
+        return float(outputs["a"])
+
+    def region_cost(self, problem, outputs):
+        return RegionCost(3.0, 24.0)
+
+    def other_cost(self, problem):
+        return RegionCost(1.0, 8.0)
+
+
+def test_run_exact_rejects_a_return_of_another_arity():
+    app = _RaggedApp()
+    assert app.run_exact({"x": 1.0, "early": False}).outputs == {"a": 2.0, "b": 2.0}
+    # the final return names two values: a third is an error, not dropped
+    with pytest.raises(ValueError, match="returned 3 values but 2 output names"):
+        app.run_exact({"x": 1.0, "early": True})

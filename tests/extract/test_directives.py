@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.extract import RegionSpec, code_region, get_region_spec
+from repro.extract import RegionSpec, code_region, get_region_spec, name_outputs
 
 
 class TestCodeRegion:
@@ -79,3 +79,52 @@ class TestContinuationValidation:
     def test_direct_regionspec_construction_validated(self):
         with pytest.raises(ValueError, match="continuation_source"):
             RegionSpec(name="n", fn=lambda: None, continuation_source="if :")
+
+
+class TestRegionContract:
+    def test_decoration_parses_no_source(self):
+        namespace: dict = {}
+        # a function compiled from a string has no source file to read
+        exec("def region(x):\n    y = x + 1\n    return y\n", namespace)
+        spec = get_region_spec(code_region(name="nosource")(namespace["region"]))
+        assert spec.name == "nosource"
+        with pytest.raises(OSError):
+            spec.returns
+
+    def test_facts_resolve_once(self):
+        @code_region(name="pair")
+        def region(a, b):
+            u = a + b
+            s = a * b
+            return u, s
+
+        spec = get_region_spec(region)
+        assert spec.returns == ("u", "s")
+        assert spec.returns is spec.returns
+
+    @pytest.mark.parametrize("directive, live", [
+        (dict(live_after=("u",), continuation_source="t = s * 2"), {"u"}),
+        (dict(continuation_source="t = s * 2"), {"s"}),
+        (dict(), {"u", "s"}),
+    ])
+    def test_live_precedence(self, directive, live):
+        def region(a):
+            u = a + 1
+            s = a * 2
+            return u, s
+
+        spec = get_region_spec(code_region(name="live", **directive)(region))
+        assert spec.live == frozenset(live)
+
+
+class TestNameOutputs:
+    def test_mapping_passes_through(self):
+        assert name_outputs({"u": 1}, ()) == {"u": 1}
+
+    def test_tuple_of_another_arity_rejected(self):
+        with pytest.raises(ValueError, match="returned 3 values but 2"):
+            name_outputs((1, 2, 3), ("u", "s"))
+
+    def test_unnamed_lone_value_rejected(self):
+        with pytest.raises(ValueError, match="could not infer output names"):
+            name_outputs(3, ())

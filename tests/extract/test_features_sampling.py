@@ -10,6 +10,7 @@ from repro.extract import (
     SampleGenerator,
     acquire,
     build_schema,
+    function_ast,
     perturb_value,
     returned_names,
 )
@@ -107,13 +108,13 @@ class TestPerturbation:
 
 class TestReturnedNames:
     def test_single_name(self):
-        assert returned_names(regions.saxpy) == ("y",)
+        assert returned_names(function_ast(regions.saxpy)) == ("y",)
 
     def test_tuple_names(self):
-        assert returned_names(regions.two_outputs) == ("u", "s")
+        assert returned_names(function_ast(regions.two_outputs)) == ("u", "s")
 
     def test_undecorated_expression_return(self):
-        assert returned_names(regions.undecorated) == ()
+        assert returned_names(function_ast(regions.undecorated)) == ()
 
 
 class TestSampleGenerator:

@@ -9,7 +9,6 @@ speed.
 """
 
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -92,8 +91,8 @@ class TestGuardOverhead:
         class App:
             name = "bench"
 
-            def run_exact(self, problem):
-                return SimpleNamespace(outputs={"v": problem["x"] @ w})
+            def exact_outputs(self, problem):
+                return {"v": problem["x"] @ w}
 
         class Surrogate:
             app = App()

@@ -9,7 +9,8 @@ times; for the caller's side of the two queued paths,
 ``Client.run_model`` and a one-row ``Client.run_model_batch`` waiting
 behind a busy pool (both go through ``Orchestrator.submit``); and for
 ``GuardedSurrogate.run`` on AMG, the guarded path whose
-wall-clock bound lives in ``tests/obs/test_overhead.py``.  Offline, they
+wall-clock bound lives in ``tests/obs/test_overhead.py``, served and
+restarted on the exact region (§7.1's fallback).  Offline, they
 count one compiled training step (``repro.nn.trainstep``), which every
 NAS trial runs a few hundred times.  Each budget is the count of today's
 code, so a change that adds a frame on these paths fails here until it
@@ -54,6 +55,10 @@ GUARDED_AMG_BUDGET = 77
 #: the same call with a ``DriftDetector`` attached: the detector reads
 #: the row the surrogate served, so the problem is still flattened once
 GUARDED_AMG_DRIFT_BUDGET = 82
+#: most Python calls one ``GuardedSurrogate.run`` on AMG may make when
+#: its check fails: the surrogate attempt above, then the restart on the
+#: original region (``Application.exact_outputs``)
+GUARDED_AMG_FALLBACK_BUDGET = 191
 #: most Python calls one compiled training step of a 2-gemm MLP may make:
 #: ``CompiledStep.step``, its program's ``run`` and ``Adam.step`` (the
 #: autograd step of the same MLP makes 198)
@@ -170,7 +175,9 @@ def test_queued_call_within_budget(entry):
     assert sum(counts[0].values()) <= QUEUED_BUDGETS[entry], sorted(counts[0].items())
 
 
-def test_guarded_amg_run_within_budget():
+@pytest.fixture(scope="module")
+def amg_surrogate():
+    """A hand-built AMG surrogate and one served problem."""
     app = AMGApplication()
     acq = app.acquire(n_samples=20, rng=np.random.default_rng(0)).gathered()
     topology = Topology(hidden=(16,), activation="tanh")
@@ -184,9 +191,13 @@ def test_guarded_amg_run_within_budget():
         app, package, acq.input_schema, acq.output_schema,
         Scaler.identity(acq.input_dim), Scaler.fit(acq.y),
     )
+    return surrogate, app.generate_problems(1, np.random.default_rng(1))[0]
+
+
+def test_guarded_amg_run_within_budget(amg_surrogate):
+    surrogate, problem = amg_surrogate
     # a loose tolerance keeps the count on the served path, not the restart
     guarded = GuardedSurrogate(surrogate, residual_validator(rtol=1e9))
-    problem = app.generate_problems(1, np.random.default_rng(1))[0]
     guarded.run(problem)
     counts = [_count_calls(guarded.run, problem) for _ in range(3)]
 
@@ -208,6 +219,27 @@ def test_guarded_amg_run_within_budget():
     flattens = [key for key in counts[0] if key[1] == "flatten"]
     assert len(flattens) == 1 and counts[0][flattens[0]] == 1, flattens
     assert sum(counts[0].values()) <= GUARDED_AMG_DRIFT_BUDGET, sorted(counts[0].items())
+
+
+def test_guarded_amg_fallback_within_budget(amg_surrogate):
+    """§7.1's restart runs the region and names its outputs, nothing more:
+    the region's source was parsed once, before the counted calls."""
+    surrogate, problem = amg_surrogate
+    guarded = GuardedSurrogate(surrogate, lambda problem, outputs: False)
+    guarded.run(problem)
+    counts = [_count_calls(guarded.run, problem) for _ in range(3)]
+
+    assert guarded.stats.fallbacks == 4
+    assert counts[0] == counts[1] == counts[2]
+    parsing = [
+        key for key in counts[0]
+        if os.path.basename(key[0]) in (
+            "inspect.py", "ast.py", "tokenize.py", "linecache.py"
+        )
+        or key[0].endswith(os.path.join("repro", "extract", "sampling.py"))
+    ]
+    assert not parsing, parsing
+    assert sum(counts[0].values()) <= GUARDED_AMG_FALLBACK_BUDGET, sorted(counts[0].items())
 
 
 def _tensor_frames(counts) -> list:

@@ -1,7 +1,6 @@
 """GuardedSurrogate under concurrent invocations: no lost counts."""
 
 from concurrent.futures import ThreadPoolExecutor
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,8 +19,8 @@ def fresh_telemetry():
 class _StubApp:
     name = "stub"
 
-    def run_exact(self, problem):
-        return SimpleNamespace(outputs={"v": np.zeros(1)}, qoi=0.0)
+    def exact_outputs(self, problem):
+        return {"v": np.zeros(1)}
 
     def qoi_from_outputs(self, problem, outputs):
         return float(outputs["v"][0])

@@ -4,8 +4,9 @@ import ast
 
 import pytest
 
+from repro.extract.directives import returned_names
 from repro.static import RegionMeta, infer_function, infer_region_fn
-from repro.static.inference import function_params, returned_names_ast
+from repro.static.inference import function_params
 
 
 def infer(source: str, **meta_kwargs):
@@ -142,6 +143,17 @@ class TestOutputs:
         assert report.live == ("u", "s")
         assert set(report.outputs) == {"s", "u"}
 
+    def test_live_from_returned_dict_keys(self):
+        report = infer(
+            "def f(a):\n"
+            "    u = a + 1\n"
+            "    s = a * 2\n"
+            "    return {'u': u, 's': s}\n",
+            live_after=(),
+        )
+        assert report.returns == ("u", "s")
+        assert set(report.outputs) == {"s", "u"}
+
     def test_live_unknown_when_underivable(self):
         report = infer(
             "def f(a):\n    u = a + 1\n    return u * 2\n",
@@ -171,11 +183,11 @@ class TestHelpers:
 
     def test_returned_names_tuple(self):
         func = ast.parse("def f():\n    return x, y\n").body[0]
-        assert returned_names_ast(func) == ("x", "y")
+        assert returned_names(func) == ("x", "y")
 
     def test_returned_names_expression_is_empty(self):
         func = ast.parse("def f():\n    return x + 1\n").body[0]
-        assert returned_names_ast(func) == ()
+        assert returned_names(func) == ()
 
 
 class TestRuntimeInference:

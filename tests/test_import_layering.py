@@ -129,6 +129,20 @@ def test_listing2_call_loads_no_offline_module():
     assert json.loads(out.splitlines()[-1]) == []
 
 
+def test_exact_fallback_loads_no_offline_module():
+    """An application module and §7.1's restart on its region (the
+    guard's fallback body) need no extractor."""
+    out = run_python("-c", """
+import numpy as np
+from repro.apps.amg import AMGApplication
+
+app = AMGApplication()
+outputs = app.exact_outputs(app.example_problem(np.random.default_rng(0)))
+assert sorted(outputs) == ["iters", "x"]
+""" + REPORT_OFFLINE)
+    assert json.loads(out.splitlines()[-1]) == []
+
+
 def small_registry(root: Path) -> Path:
     from repro.lifecycle.state import LifecycleRecord, LifecycleStore
     from repro.registry import ModelRegistry
