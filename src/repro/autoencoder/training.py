@@ -1,10 +1,14 @@
 """Error-bounded autoencoder training with gradient checkpointing (§4.2/§6.2).
 
-The trainer minimizes reconstruction MSE while monitoring σ_y (Eqn 1) on a
-validation split after every epoch; training stops as soon as the encoding
-quality meets the user's bound (Table 1's ``encodingLoss``), or when the
-epoch budget runs out.  With ``gradient_checkpointing=True`` both halves of
-the autoencoder are wrapped in :class:`~repro.nn.checkpoint.CheckpointSequential`,
+The encoder and decoder layers train as one ``Sequential`` through
+:func:`repro.nn.train.train_model`, minimizing reconstruction MSE.  Its
+``epoch_callback`` measures σ_y (Eqn 1) on the held-out rows after every
+epoch; training stops as soon as the encoding quality meets the user's
+bound (Table 1's ``encodingLoss``), or when the epoch budget runs out,
+never on patience.  Without checkpointing the fit runs on the compiled
+step of :mod:`repro.nn.trainstep`.  With ``gradient_checkpointing=True``
+both halves of the autoencoder run as
+:class:`~repro.nn.checkpoint.CheckpointSequential` through ``forward=``,
 trading a second forward pass for not storing interior activations.
 """
 
@@ -15,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..nn.checkpoint import CheckpointSequential
-from ..nn.losses import mse_loss
-from ..nn.optim import Adam
-from ..nn.tensor import Tensor, no_grad
+from ..nn.layers import Sequential
+from ..nn.tensor import Tensor
+from ..nn.train import TrainConfig, _split, train_model
 from ..perf.metrics import reconstruction_similarity
 from .model import Autoencoder
 
@@ -68,47 +72,35 @@ def train_autoencoder(
     if x.shape[0] < 2:
         raise ValueError("need at least two samples to train an autoencoder")
 
-    rng = np.random.default_rng(config.seed)
-    perm = rng.permutation(x.shape[0])
-    cut = max(1, min(x.shape[0] - 1, int(round(x.shape[0] * config.train_ratio))))
-    train_idx, val_idx = perm[:cut], perm[cut:]
+    # the rows train_model validates on (its _split draws first from this
+    # seed); of two or more rows it holds at least one out
+    _, val_idx = _split(x.shape[0], config.train_ratio, np.random.default_rng(config.seed))
+    val = x[val_idx]
+    result = AETrainResult()
 
+    def within_bound(epoch: int, train_loss: float, val_loss: float) -> bool:
+        sigma = reconstruction_similarity(val, ae.reconstruct(val), mu=config.sigma_mu)
+        result.sigma_history.append(sigma)
+        result.final_sigma = sigma
+        result.met_bound = sigma <= config.encoding_loss_bound
+        return result.met_bound
+
+    forward = None
     if config.gradient_checkpointing:
         encoder = CheckpointSequential(ae.encoder, config.checkpoint_segments)
         decoder = CheckpointSequential(ae.decoder, config.checkpoint_segments)
-    else:
-        encoder, decoder = ae.encoder, ae.decoder
 
-    def reconstruct(batch: np.ndarray) -> Tensor:
-        return decoder(encoder(Tensor(batch)))
+        def forward(model: Sequential, batch: np.ndarray) -> Tensor:
+            return decoder(encoder(Tensor(batch)))
 
-    optimizer = Adam(list(ae.parameters()), lr=config.lr)
-    result = AETrainResult()
-    val = x[val_idx] if val_idx.size else x[train_idx]
-
-    for epoch in range(config.num_epochs):
-        order = rng.permutation(train_idx)
-        epoch_loss = 0.0
-        batches = 0
-        for start in range(0, order.size, config.batch_size):
-            batch = x[order[start : start + config.batch_size]]
-            optimizer.zero_grad()
-            recon = reconstruct(batch)
-            loss = mse_loss(recon, Tensor(batch))
-            loss.backward()
-            optimizer.step()
-            epoch_loss += loss.item()
-            batches += 1
-        result.train_losses.append(epoch_loss / max(batches, 1))
-
-        with no_grad():
-            recon_val = ae.reconstruct(val)
-        sigma = reconstruction_similarity(val, recon_val, mu=config.sigma_mu)
-        result.sigma_history.append(sigma)
-        result.final_sigma = sigma
-        result.epochs_run = epoch + 1
-        if sigma <= config.encoding_loss_bound:
-            result.met_bound = True
-            break
-
+    train_config = TrainConfig(
+        num_epochs=config.num_epochs, batch_size=config.batch_size, lr=config.lr,
+        train_ratio=config.train_ratio, seed=config.seed,
+        # stale epochs reach num_epochs only in the last epoch
+        patience=config.num_epochs,
+    )
+    fit = train_model(Sequential([*ae.encoder, *ae.decoder]), x, x, train_config,
+                      forward=forward, epoch_callback=within_bound)
+    result.train_losses = fit.train_losses
+    result.epochs_run = fit.epochs_run
     return result

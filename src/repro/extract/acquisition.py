@@ -103,10 +103,10 @@ def acquire(
 
     input_schema = build_schema(io.inputs, example_inputs)
 
-    # build the output schema from one concrete run of the region
+    # build the output schema from the traced run of the region
     out_names = spec.returns or io.outputs
     ordered_outputs = tuple(n for n in out_names if n in io.outputs) or io.outputs
-    example_outputs = name_outputs(region_fn(**example_inputs), out_names)
+    example_outputs = name_outputs(result, out_names)
     output_schema = build_schema(ordered_outputs, example_outputs)
 
     generator = SampleGenerator(

@@ -83,8 +83,9 @@ class LifecycleController:
 
     ``reference`` is the exact-code oracle in *model space*: given one
     scaled input row it returns the ground-truth output row (for a
-    deployed app this is "run the original region and scale" — see
-    :meth:`repro.core.pipeline.DeployedSurrogate.exact_row`).
+    deployed app: unscale the row, unflatten it through the input schema,
+    run the original region with :meth:`repro.apps.base.Application.exact_outputs`,
+    then flatten and scale its outputs).
     ``validator`` is the cheap §7.1 validity check, also in model space:
     ``validator(x_row, y_row) -> bool``.
     """

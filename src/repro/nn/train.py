@@ -11,7 +11,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .layers import Dense, Module, Sequential
+from .layers import Module
 from .losses import mse_loss
 from .optim import Adam
 from .tensor import Tensor, no_grad
@@ -83,51 +83,29 @@ def _split(
     return perm[:cut], perm[cut:]
 
 
-def _first_layer_live_columns(
-    model: Module, x: np.ndarray
-) -> Optional[tuple[Module, np.ndarray]]:
-    """The first layer and ``x``'s live columns, when some column is dead.
-
-    A column that is zero in every row of ``x`` gives its first-layer
-    weight row an exactly zero gradient, so that row only ever decays.
-    """
-    first = model.layers[0] if isinstance(model, Sequential) and len(model) else model
-    if not isinstance(first, Dense) or x.ndim != 2:
-        return None
-    if x.shape[1] != first.in_features:
-        return None
-    live = np.flatnonzero(x.any(axis=0))
-    return (first, live) if live.size < x.shape[1] else None
-
-
 def train_model(
     model: Module,
     x: np.ndarray,
     y: np.ndarray,
     config: TrainConfig = TrainConfig(),
     *,
-    loss_fn: Callable[[Tensor, Tensor], Tensor] = mse_loss,
     forward: Optional[Callable[[Module, np.ndarray], Tensor]] = None,
     epoch_callback: Optional[EpochCallback] = None,
 ) -> TrainResult:
     """Train ``model`` to map ``x -> y``; returns loss history.
 
-    ``forward`` lets callers inject a custom forward (e.g. the autoencoder's
-    checkpointed pass); by default the model is called on a Tensor batch.
+    The loss is :func:`~repro.nn.losses.mse_loss`.  ``forward`` lets
+    callers inject a custom forward (the autoencoder's checkpointed pass);
+    by default the model is called on a Tensor batch.
     ``epoch_callback(epoch, train_loss, val_loss)`` runs after every epoch;
     returning truthy stops training early (independently of ``patience``) —
-    this is how the NAS inner loop prunes unpromising trials mid-training.
-
-    With the default forward, input columns that are zero in every row of
-    ``x`` are dropped: the first layer trains a compact weight of its live
-    rows, and the full weight ``Tensor`` gets them back when training ends
-    (DESIGN §5b).  Its dead rows get the weight-decay steps Adam would have
-    given them, and nothing else, exactly as in a full-width run.
+    this is how the NAS inner loop prunes unpromising trials mid-training
+    and the autoencoder stops at its σ_y bound.
 
     A ``Sequential`` of ``Dense``, ``Activation`` and ``Residual`` trained
-    with the default forward and ``mse_loss`` runs through the compiled
-    step of :mod:`repro.nn.trainstep` instead of the autograd graph; its
-    losses, epochs and weights are bit-identical to the autograd loop's.
+    with the default forward runs through the compiled step of
+    :mod:`repro.nn.trainstep` instead of the autograd graph; its losses,
+    epochs and weights are bit-identical to the autograd loop's.
     """
     x = _as_float_array(x)
     y = _as_float_array(y)
@@ -138,15 +116,8 @@ def train_model(
 
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = _split(x.shape[0], config.train_ratio, rng)
-    compact = _first_layer_live_columns(model, x) if forward is None else None
-    if compact is not None:
-        layer, live = compact
-        full = layer.weight
-        x = x[:, live]
-        layer.weight = Tensor(full.data[live], requires_grad=True, name="weight")
-        layer.in_features = live.size
     compiled = None
-    if forward is None and loss_fn is mse_loss:
+    if forward is None:
         # training-only code loads on demand, off the serving closure (DESIGN §5l)
         from .trainstep import compile_step
 
@@ -155,7 +126,7 @@ def train_model(
             config.lr, config.weight_decay,
         )
     if compiled is not None:
-        optimizer, step, validate = compiled.optimizer, compiled.step, compiled.validate
+        step, validate = compiled.step, compiled.validate
     else:
         optimizer = Adam(
             model.parameters(), lr=config.lr, weight_decay=config.weight_decay
@@ -164,14 +135,14 @@ def train_model(
 
         def step(batch: np.ndarray) -> float:
             optimizer.zero_grad()
-            loss = loss_fn(run(model, x[batch]), Tensor(y[batch]))
+            loss = mse_loss(run(model, x[batch]), Tensor(y[batch]))
             loss.backward()
             optimizer.step()
             return loss.item()
 
         def validate() -> float:
             with no_grad():
-                return loss_fn(run(model, x[val_idx]), Tensor(y[val_idx])).item()
+                return mse_loss(run(model, x[val_idx]), Tensor(y[val_idx])).item()
 
     result = TrainResult()
     stale = 0
@@ -211,18 +182,6 @@ def train_model(
     finally:
         if compiled is not None:
             compiled.release()
-        if compact is not None:
-            full.data[live] = layer.weight.data
-            decay = optimizer.lr * optimizer.weight_decay
-            if decay:
-                dead = np.ones(full.shape[0], dtype=bool)
-                dead[live] = False
-                rows = full.data[dead]
-                # Adam.step's decoupled decay, once per step it took
-                for _ in range(optimizer._t):
-                    rows -= decay * rows
-                full.data[dead] = rows
-            layer.weight, layer.in_features = full, full.shape[0]
 
 
 def predict(model: Module, x: np.ndarray) -> np.ndarray:

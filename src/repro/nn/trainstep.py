@@ -2,7 +2,7 @@
 
 ``train_model`` runs a ``Sequential`` of ``Dense``, ``Activation`` and
 ``Residual`` (the modules ``repro.compile.plan`` lowers for serving),
-trained with the default forward and ``mse_loss``, through this step
+trained with the default forward, through this step
 instead of the autograd graph (DESIGN §5b).  One step is a flat list of
 NumPy calls into buffers allocated once per batch row count: each call
 is the float operation ``Tensor`` runs for the same node, on operands of
@@ -14,11 +14,11 @@ bias gradient is ``g.sum(axis=0)`` and a weight gradient ``a.T @ g``.
 
 While the step is live every parameter's ``data`` is a view into one
 contiguous buffer and its gradient a view into a second one, so the
-existing :class:`~repro.nn.optim.Adam` updates all of them as a single
-flat parameter.  Adam's update is elementwise, so one pass over the
-concatenation gives each element the bits the per-parameter loop gives
-it.  :meth:`CompiledStep.release` copies the trained values back into the
-arrays the parameters held before and hands those back.
+existing :class:`~repro.nn.optim.Adam` updates all of them as a few flat
+slices of ``_ADAM_SLICE`` elements.  Adam's update is elementwise, so a
+pass over a slice gives each element the bits the per-parameter loop
+gives it.  :meth:`CompiledStep.release` copies the trained values back
+into the arrays the parameters held before and hands those back.
 
 Anything the step does not lower (another module, a nested residual, a
 shape the layers would reject, a batch-invariant or no-grad context)
@@ -41,6 +41,11 @@ __all__ = ["CompiledStep", "compile_step"]
 
 #: ``Tensor.leaky_relu``'s default slope, the one ``Activation`` uses
 _LEAKY_SLOPE = 0.01
+#: elements per flat Adam slice: 256 KiB per array, so each of Adam's
+#: passes over a slice and its moments stays in a core's L2 cache (one
+#: flat pass over a 264k-parameter autoencoder was slower than Adam's
+#: per-parameter loop)
+_ADAM_SLICE = 1 << 15
 
 #: one emitted call: a NumPy callable and its positional arguments
 Call = tuple[Callable, tuple]
@@ -240,14 +245,18 @@ class CompiledStep:
         self._owned = [p.data for p in self.params]
         sizes = [p.size for p in self.params]
         offsets = np.cumsum([0] + sizes)
-        flat = Tensor(np.empty(offsets[-1]), requires_grad=True, name="flat")
-        flat.grad = np.empty(offsets[-1])
+        data, grad = np.empty(offsets[-1]), np.empty(offsets[-1])
         for p, lo, hi in zip(self.params, offsets[:-1], offsets[1:]):
-            view = flat.data[lo:hi].reshape(p.shape)
+            view = data[lo:hi].reshape(p.shape)
             view[...] = p.data
             p.data = view
-            p.grad = flat.grad[lo:hi].reshape(p.shape)
-        self.optimizer = Adam([flat], lr=lr, weight_decay=weight_decay)
+            p.grad = grad[lo:hi].reshape(p.shape)
+        slices = []
+        for lo in range(0, offsets[-1], _ADAM_SLICE) or [0]:
+            part = Tensor(data[lo : lo + _ADAM_SLICE], requires_grad=True, name="flat")
+            part.grad = grad[lo : lo + _ADAM_SLICE]
+            slices.append(part)
+        self.optimizer = Adam(slices, lr=lr, weight_decay=weight_decay)
         self._x, self._y = x, y
         in_dim, out_dim = x.shape[1], y.shape[1]
         self._programs = {

@@ -1,5 +1,7 @@
 """Feature-schema and sample-generation tests."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -176,3 +178,27 @@ class TestAcquire:
         tol_field = result.input_schema.field("tol")
         tol_column = result.x[:, tol_field.offset]
         assert np.all(tol_column == tol_column[0])  # never perturbed
+
+    def test_region_runs_once_per_sample_plus_the_trace(self, rng):
+        """The output schema comes from the traced run, not a second call."""
+        runs = []
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "saxpy":
+                runs.append(frame.f_code.co_filename)
+
+        sys.setprofile(count)
+        try:
+            result = acquire(
+                regions.saxpy,
+                dict(a=2.0, x=rng.random(4), y0=rng.random(4)),
+                n_samples=5,
+                rng=rng,
+            )
+        finally:
+            sys.setprofile(None)
+        assert result.x.shape[0] == 5
+        # the instrumented copy compiles from other source than the region
+        traced = [f for f in runs if f != regions.__file__]
+        assert len(traced) == 1
+        assert len(runs) == 1 + 5

@@ -1,7 +1,7 @@
 """The compiled training step is bit-identical to the autograd loop.
 
 ``train_model`` trains a ``Sequential`` of ``Dense``/``Activation``/
-``Residual`` under ``mse_loss`` through :mod:`repro.nn.trainstep`.  A
+``Residual`` through :mod:`repro.nn.trainstep`.  A
 caller-supplied ``forward`` keeps the autograd loop, which is the
 reference here: losses, ``epochs_run`` and every parameter must match
 byte for byte.
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro.nn.trainstep as trainstep
-from repro.nn import ACTIVATIONS, Tensor, batch_invariant, huber_loss
+from repro.nn import ACTIVATIONS, Tensor, batch_invariant
 from repro.nn.cnn import CNNTopology, build_cnn
 from repro.nn.mlp import Topology, build_mlp
 from repro.nn.train import TrainConfig, predict, train_model
@@ -89,6 +89,18 @@ def test_wide_relu_net_with_early_stopping(compiled):
     assert ours[1].epochs_run < 40
 
 
+def test_model_wider_than_one_adam_slice(compiled):
+    """Adam steps the flat parameter in slices; one boundary cuts a weight."""
+    x, y = make_data(8, din=60)
+    config = TrainConfig(num_epochs=4, batch_size=16, weight_decay=1e-4)
+    ours, ref = train_both(x, y, Topology((256, 128), "tanh"), config)
+    sizes = [p.size for p in ours[0].parameters()]
+    assert sum(sizes) > trainstep._ADAM_SLICE
+    assert trainstep._ADAM_SLICE not in np.cumsum(sizes)
+    assert compiled == [True]   # the autograd reference never asks
+    assert_identical(ours, ref)
+
+
 def test_callback_stop_and_live_weights(compiled):
     """A callback stops the run, and mid-run it reads the current weights."""
     x, y = make_data(3)
@@ -139,7 +151,7 @@ def test_parameters_own_their_arrays_afterwards(compiled):
 
 
 def test_unlowered_runs_stay_on_autograd(compiled):
-    """A CNN, a batch-invariant context or another loss keep autograd."""
+    """A CNN, a batch-invariant context or a caller's forward keep autograd."""
     x, y = make_data(5, din=8)
     config = TrainConfig(num_epochs=2)
     cnn = build_cnn(8, 3, CNNTopology((2,), (3,), (0,)), np.random.default_rng(0))
@@ -148,8 +160,8 @@ def test_unlowered_runs_stay_on_autograd(compiled):
     with batch_invariant():
         train_model(mlp, x, y, config)
     assert compiled == [False, False]
-    train_model(mlp, x, y, config, loss_fn=huber_loss)
-    assert compiled == [False, False]   # only mse_loss is compiled
+    train_model(mlp, x, y, config, forward=autograd_forward)
+    assert compiled == [False, False]   # a caller's forward never asks
     with pytest.raises(ValueError, match="input features"):
         train_model(mlp, x[:, :5], y, config)
     assert compiled == [False, False, False]

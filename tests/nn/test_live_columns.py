@@ -1,8 +1,10 @@
-"""Training on live input columns only gives the full-width result.
+"""Input columns that are zero in every row train like any other.
 
-``train_model`` drops input columns that are zero in every row and
-trains a compact first-layer weight.  The reference here is the
-full-width path, which a caller-supplied ``forward`` keeps.
+With the default forward ``train_model`` runs an MLP on the compiled
+step; a caller-supplied ``forward`` keeps the autograd loop, which is the
+reference here.  A dead column's first-layer weight row gets only weight
+decay on both paths, and the model keeps its full-width first layer
+throughout, so an ``epoch_callback`` can run it on ``x``.
 """
 
 import numpy as np
@@ -32,7 +34,7 @@ def sparse_data(rng, n, din, dout, n_dead):
 
 
 def train_pair(x, y, topology, config):
-    """(compacted, full-width) models and results from one initialization."""
+    """(compiled, autograd) models and results from one initialization."""
     runs = []
     for forward in (None, full_width):
         model = build_mlp(x.shape[1], y.shape[1], topology, np.random.default_rng(1))
@@ -103,7 +105,7 @@ class TestFirstLayerRestored:
 
         train_model(self.model, self.x, self.y, TrainConfig(num_epochs=2),
                     epoch_callback=record)
-        assert shapes == [((8, 8), 8)] * 2  # trained compact
+        assert shapes == [((20, 8), 20)] * 2  # the callback sees the full layer
         self.assert_restored()
 
     def test_after_raise(self):
