@@ -36,7 +36,6 @@ from typing import Optional, Union
 from .. import obs
 from ..core.digest import content_key, fingerprint_array
 from ..registry import formats
-from ..registry.artifacts import KIND_PLAN
 from ..registry.store import ArtifactNotFoundError, ModelRegistry, RegistryError
 from .plan import (
     PLAN_SCHEMA_VERSION,
@@ -47,11 +46,15 @@ from .plan import (
 )
 
 __all__ = [
+    "KIND_PLAN",
     "PlanCache",
     "package_digest",
     "plan_key",
     "warm_plan_cache",
 ]
+
+#: registry kind of one disk-tier entry
+KIND_PLAN = "compiled-plan"
 
 
 def package_digest(package) -> str:

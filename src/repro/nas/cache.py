@@ -24,8 +24,8 @@ half-written entry that poisons the next resume)::
 
     ae_cache/<key>/v0001/{manifest.json, autoencoder.npz, encoded.npy}
 
-Entries written by the pre-registry layout
-(``ae_cache/<key>/{meta.json, autoencoder.npz, encoded.npy}``) still load.
+Both files go through the codecs in :mod:`repro.registry.formats`, and
+this class is their only writer and reader for this kind.
 
 Hits and misses are counted in ``repro.obs`` as
 ``repro_nas_ae_cache_hits_total`` / ``repro_nas_ae_cache_misses_total``
@@ -34,7 +34,6 @@ Hits and misses are counted in ``repro.obs`` as
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,10 +45,12 @@ from .. import obs
 from ..autoencoder.model import Autoencoder
 from ..core.digest import content_key, fingerprint_array
 from ..registry import formats
-from ..registry.artifacts import KIND_AE_CACHE
 from ..registry.store import ArtifactNotFoundError, ModelRegistry, RegistryError
 
-__all__ = ["CachedEncoding", "AutoencoderCache", "fingerprint_array"]
+__all__ = ["KIND_AE_CACHE", "CachedEncoding", "AutoencoderCache", "fingerprint_array"]
+
+#: registry kind of one disk-tier entry
+KIND_AE_CACHE = "ae-cache-entry"
 
 
 @dataclass
@@ -133,46 +134,15 @@ class AutoencoderCache:
     # -- disk tier (registry artifacts) ----------------------------------------
 
     def _load_disk(self, key: str) -> Optional[CachedEncoding]:
-        if self._registry is None:
+        if self._registry is None or not self._registry.exists(key):
             return None
-        if self._registry.exists(key):
-            try:
-                ref = self._registry.resolve(key)
-                meta = ref.meta
-                ae = Autoencoder(
-                    meta["input_dim"],
-                    meta["latent_dim"],
-                    depth=meta["depth"],
-                    activation=meta.get("activation", "relu"),
-                )
-                # cast=None keeps params dtype-exact, so a disk hit is
-                # bit-identical to the in-memory artifact it memoizes
-                formats.load_autoencoder_params(
-                    ae, ref.payload_path("autoencoder.npz"), cast=None
-                )
-                z = formats.read_array(ref.payload_path("encoded.npy"))
-                return CachedEncoding(
-                    autoencoder=ae, sigma=float(meta.get("sigma", 0.0)), z=z
-                )
-            except (RegistryError, ArtifactNotFoundError, OSError, ValueError, KeyError):
-                return None
-        return self._load_legacy(key)
-
-    def _load_legacy(self, key: str) -> Optional[CachedEncoding]:
-        """Read an entry written by the pre-registry disk layout."""
-        path = self.directory / key if self.directory else None
-        if path is None or not (path / "meta.json").exists():
+        try:
+            ref = self._registry.resolve(key)
+            ae, meta = formats.read_autoencoder_npz(ref.payload_path("autoencoder.npz"))
+            z = formats.read_array(ref.payload_path("encoded.npy"))
+        except (RegistryError, ArtifactNotFoundError, OSError, ValueError, KeyError):
             return None
-        meta = json.loads((path / "meta.json").read_text())
-        ae = Autoencoder(
-            meta["input_dim"],
-            meta["latent_dim"],
-            depth=meta["depth"],
-            activation=meta.get("activation", "relu"),
-        )
-        formats.load_autoencoder_params(ae, path / "autoencoder.npz", cast=None)
-        z = formats.read_array(path / "encoded.npy")
-        return CachedEncoding(autoencoder=ae, sigma=float(meta["sigma"]), z=z)
+        return CachedEncoding(autoencoder=ae, sigma=float(meta.get("sigma", 0.0)), z=z)
 
     def _store_disk(self, key: str, entry: CachedEncoding) -> None:
         # entries are content-addressed: one readable version is enough,

@@ -5,12 +5,14 @@ trained surrogate MLP, knows its own inference cost (for Eqn 2's
 ``T_NN_infer`` under a device model) and serializes to a directory so
 surrogates can be saved, shared and re-loaded across applications (§6.1).
 
-Persistence goes through :mod:`repro.registry`: ``save`` writes an atomic
-registry-artifact directory (payloads + digest-verified ``manifest.json``,
-staged in a temp dir and renamed into place so a kill mid-save can never
-leave a half-written package), ``publish`` pushes a new version into a
-:class:`~repro.registry.ModelRegistry`, and ``load`` reads registry
-artifacts and pre-registry legacy directories alike.
+Persistence goes through :mod:`repro.registry`, and this class is the
+only writer and reader of a ``surrogate-package`` artifact: ``save``
+writes an atomic registry-artifact directory (payloads + digest-verified
+``manifest.json``, staged in a temp dir and renamed into place so a kill
+mid-save can never leave a half-written package), ``publish`` pushes a
+new version into a :class:`~repro.registry.ModelRegistry`, and ``load``
+/ ``from_registry`` read either back.  Every payload goes through one
+codec in :mod:`repro.registry.formats`.
 """
 
 from __future__ import annotations
@@ -196,11 +198,10 @@ class SurrogatePackage:
 
     @classmethod
     def load(cls, directory: Union[str, Path]) -> "SurrogatePackage":
-        """Load a package from a registry artifact or a legacy directory.
+        """Load a package directory written by :meth:`save` or :meth:`publish`.
 
-        Both layouts carry ``package.json``; the autoencoder archive is
-        read through the registry codec, which understands the legacy
-        ``ae_param_i`` arrays as well as the self-describing format.
+        The autoencoder rebuilds from its archive's embedded meta, which
+        records its activation; ``package.json`` does not.
         """
         directory = Path(directory)
         meta = json.loads((directory / "package.json").read_text())
@@ -209,14 +210,8 @@ class SurrogatePackage:
         )
         autoencoder = None
         if meta.get("uses_reduction"):
-            ae_meta = meta["autoencoder"]
-            autoencoder = Autoencoder(
-                ae_meta["input_dim"],
-                ae_meta["latent_dim"],
-                depth=ae_meta["depth"],
-            )
-            formats.load_autoencoder_params(
-                autoencoder, directory / "autoencoder.npz", cast=np.float64
+            autoencoder, _ae_meta = formats.read_autoencoder_npz(
+                directory / "autoencoder.npz"
             )
         return cls(
             model=model,

@@ -8,7 +8,9 @@ reproduction (see DESIGN.md §2).  Public API::
     from repro.nn import Topology, build_mlp
     from repro.nn import TrainConfig, train_model, predict
     from repro.nn import checkpoint, CheckpointSequential
-    from repro.nn import save_mlp, load_mlp
+
+A trained network is saved and loaded through the codecs in
+:mod:`repro.registry.formats`.
 """
 
 from .tensor import (
@@ -36,7 +38,6 @@ from .conv import AvgPool1d, Conv1d, Flatten, MaxPool1d, SignalView, Upsample1d
 from .cnn import AnyTopology, CNNTopology, build_cnn, build_model
 from .train import TrainConfig, TrainResult, predict, train_model
 from .checkpoint import CheckpointSequential, activation_bytes, checkpoint
-from .serialize import load_mlp, load_model, save_mlp, save_model
 
 __all__ = [
     "Tensor", "batch_invariant", "concat", "is_batch_invariant",
@@ -50,5 +51,4 @@ __all__ = [
     "AnyTopology", "CNNTopology", "build_cnn", "build_model",
     "TrainConfig", "TrainResult", "predict", "train_model",
     "CheckpointSequential", "activation_bytes", "checkpoint",
-    "load_mlp", "load_model", "save_mlp", "save_model",
 ]

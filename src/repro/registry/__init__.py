@@ -10,9 +10,13 @@ Public API::
     reg.verify("Blackscholes")          # SHA-256 every payload
     reg.gc(keep=2)                      # prune old versions + stale tmp dirs
 
-Payload codecs live in :mod:`repro.registry.formats`; kind-specific
-publish/load helpers in :mod:`repro.registry.artifacts`; the
-``repro registry`` CLI in :mod:`repro.registry.cli`.
+Each artifact kind has one writer and one reader, both over the payload
+codecs in :mod:`repro.registry.formats`: a surrogate package through
+:class:`~repro.nas.package.SurrogatePackage`, an autoencoder cache entry
+through :class:`~repro.nas.cache.AutoencoderCache`, a compiled plan
+through :class:`~repro.compile.cache.PlanCache`.  The ``repro registry``
+CLI is :mod:`repro.registry.cli`.  Importing this package loads neither
+the codecs nor :mod:`repro.nn`.
 """
 
 from .store import (
@@ -30,18 +34,6 @@ from .store import (
     verify_directory,
     write_manifest,
 )
-from .artifacts import (
-    KIND_AE_CACHE,
-    KIND_AUTOENCODER,
-    KIND_MODEL,
-    KIND_PACKAGE,
-    load_autoencoder_artifact,
-    load_model_artifact,
-    load_package,
-    publish_autoencoder,
-    publish_model,
-    publish_package,
-)
 
 __all__ = [
     "MANIFEST_NAME",
@@ -57,14 +49,4 @@ __all__ = [
     "read_manifest",
     "verify_directory",
     "write_manifest",
-    "KIND_AE_CACHE",
-    "KIND_AUTOENCODER",
-    "KIND_MODEL",
-    "KIND_PACKAGE",
-    "load_autoencoder_artifact",
-    "load_model_artifact",
-    "load_package",
-    "publish_autoencoder",
-    "publish_model",
-    "publish_package",
 ]

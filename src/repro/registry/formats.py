@@ -1,17 +1,15 @@
 """Payload codecs for model artifacts — the one place that touches npz.
 
-Every byte of model state written to disk goes through this module: the
-surrogate ``.npz`` (topology meta + parameter arrays), the autoencoder
-``.npz``, and raw encoded-dataset arrays.  Higher layers
-(:mod:`repro.nn.serialize`, :class:`~repro.nas.package.SurrogatePackage`,
-:class:`~repro.nas.cache.AutoencoderCache`) are thin wrappers so the
-on-disk format has exactly one definition — and so CI can grep that no
-module outside ``repro/registry`` serializes model artifacts by hand.
-
-Formats are backward compatible: version-1 model files (MLP-only meta),
-version-2 files (topology families), autoencoder archives with or
-without an embedded meta record, and both historical parameter-key
-prefixes (``param_i`` and ``ae_param_i``) all load.
+Every byte of model state written to or read from disk goes through this
+module: the surrogate ``.npz`` (topology meta + parameter arrays), the
+autoencoder ``.npz`` (embedded rebuild meta + parameter arrays), the
+compiled-plan ``.npz`` and raw encoded-dataset arrays.  Each artifact
+kind has one writer and one reader over these codecs
+(:class:`~repro.nas.package.SurrogatePackage`,
+:class:`~repro.nas.cache.AutoencoderCache`,
+:class:`~repro.compile.cache.PlanCache`), so the on-disk format has
+exactly one definition — and CI can grep that no module outside
+``repro/registry`` saves or loads an npz by hand.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ __all__ = [
     "read_model_npz",
     "write_autoencoder_npz",
     "read_autoencoder_npz",
-    "load_autoencoder_params",
     "autoencoder_meta",
     "LEGACY_SPARSE_INPUT",
     "write_array",
@@ -128,17 +125,9 @@ def read_model_npz(
     with np.load(Path(path), allow_pickle=False) as archive:
         meta = json.loads(str(archive["meta"]))
         version = meta.get("version")
-        if version == 1:
-            # version-1 files predate the CNN family and inline the MLP meta
-            topology: AnyTopology = Topology(
-                hidden=tuple(meta["hidden"]),
-                activation=meta["activation"],
-                residual=meta["residual"],
-            )
-        elif version == MODEL_FORMAT_VERSION:
-            topology = topology_from_meta(meta["topology"])
-        else:
+        if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model file version {version!r}")
+        topology = topology_from_meta(meta["topology"])
         model = build_model(meta["in_features"], meta["out_features"], topology)
         params = list(model.parameters())
         for i, p in enumerate(params):
@@ -185,11 +174,7 @@ def read_autoencoder_npz(path: Union[str, Path]) -> tuple[Autoencoder, dict]:
     """Rebuild a self-describing autoencoder archive; returns (ae, meta)."""
     with np.load(Path(path), allow_pickle=False) as archive:
         if "meta" not in archive:
-            raise ValueError(
-                f"{path} has no embedded meta record; legacy archives need "
-                "their constructor arguments supplied via "
-                "load_autoencoder_params()"
-            )
+            raise ValueError(f"{path} has no embedded meta record")
         from ..autoencoder.model import Autoencoder
 
         meta = json.loads(str(archive["meta"]))
@@ -199,33 +184,9 @@ def read_autoencoder_npz(path: Union[str, Path]) -> tuple[Autoencoder, dict]:
             depth=meta["depth"],
             activation=meta.get("activation", "relu"),
         )
-        _assign_params(ae, archive, cast=np.float64)
+        for i, p in enumerate(ae.parameters()):
+            p.data = archive[f"param_{i}"].astype(np.float64)
     return ae, meta
-
-
-def load_autoencoder_params(
-    ae: Autoencoder,
-    path: Union[str, Path],
-    *,
-    cast: Optional[type] = np.float64,
-) -> Autoencoder:
-    """Load parameters into an already-constructed autoencoder.
-
-    Handles every historical archive: embedded-meta files, the cache
-    tier's ``param_i`` arrays, and the package format's ``ae_param_i``
-    arrays.  ``cast=None`` preserves the stored dtype (the cache relies
-    on this for bit-identical float32 round-trips).
-    """
-    with np.load(Path(path), allow_pickle=False) as archive:
-        _assign_params(ae, archive, cast=cast)
-    return ae
-
-
-def _assign_params(ae: Autoencoder, archive, *, cast: Optional[type]) -> None:
-    prefix = "ae_param" if any(k.startswith("ae_param_") for k in archive.files) else "param"
-    for i, p in enumerate(ae.parameters()):
-        stored = archive[f"{prefix}_{i}"]
-        p.data = stored.astype(cast) if cast is not None else stored
 
 
 # -- compiled serving plans ------------------------------------------------------

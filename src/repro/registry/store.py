@@ -1,7 +1,7 @@
 """Versioned, content-addressed model-artifact store (§6.1).
 
-Every persisted model artifact in the system — surrogate packages, bare
-NN models, autoencoders, NAS cache entries — lives in a *registry
+Every persisted model artifact in the system — surrogate packages,
+autoencoder cache entries, compiled plans — lives in a *registry
 artifact*: a directory holding the payload files plus a schema-versioned
 ``manifest.json`` that records what the artifact is (kind, input/output
 dims, dtype, recorded f_e/f_c) and the SHA-256 digest of every payload
@@ -21,11 +21,8 @@ kill mid-publish can never leave a half-written version — readers either
 see nothing or a complete artifact (the version directory is allocated
 by the rename itself, which also serializes concurrent publishers).
 
-Legacy formats predate the registry and still load: a directory written
-by the old ``SurrogatePackage.save`` (``package.json`` + npz archives,
-no manifest) and a bare ``save_model`` ``.npz`` file are both recognized
-by :func:`load_package` / the format codecs in
-:mod:`repro.registry.formats`.
+This module stores bytes and knows no model type.  What goes into the
+payload files is defined once, in :mod:`repro.registry.formats`.
 """
 
 from __future__ import annotations

@@ -129,9 +129,11 @@ class Client:
     ) -> SurrogatePackage:
         """Load a saved surrogate package and register it (Listing 2 line 17).
 
-        ``path`` may be a registry artifact directory or a legacy package
-        directory.  ``backend`` and ``device`` are accepted for API
-        parity; the package always runs through :mod:`repro.nn`.
+        ``path`` is a package directory written by
+        :meth:`~repro.nas.package.SurrogatePackage.save` or a registry
+        version :meth:`~repro.nas.package.SurrogatePackage.publish`
+        wrote.  ``backend`` and ``device`` are accepted for API parity;
+        the package always runs through :mod:`repro.nn`.
         """
         del backend, device
         package = SurrogatePackage.load(path)

@@ -15,11 +15,10 @@ from repro.nn import (
     Upsample1d,
     build_cnn,
     build_model,
-    load_model,
     predict,
-    save_model,
     train_model,
 )
+from repro.registry.formats import read_model_npz, write_model_npz
 
 
 class TestConv1d:
@@ -174,8 +173,8 @@ class TestBuildCNN:
     def test_cnn_serialization_round_trip(self, rng, tmp_path):
         topo = CNNTopology(channels=(4,), kernel_sizes=(3,), pools=(2,))
         model = build_cnn(16, 3, topo, rng)
-        path = save_model(model, topo, 16, 3, tmp_path / "cnn.npz")
-        loaded, loaded_topo, fin, fout = load_model(path)
+        path = write_model_npz(model, topo, 16, 3, tmp_path / "cnn.npz")
+        loaded, loaded_topo, fin, fout = read_model_npz(path)
         assert loaded_topo == topo and (fin, fout) == (16, 3)
         x = rng.standard_normal((4, 16))
         assert np.allclose(predict(model, x), predict(loaded, x))

@@ -17,14 +17,13 @@ from repro.nn import (
     build_mlp,
     checkpoint,
     huber_loss,
-    load_mlp,
     mae_loss,
     mse_loss,
     predict,
     relative_l2,
-    save_mlp,
     train_model,
 )
+from repro.registry.formats import read_model_npz, write_model_npz
 
 
 # ------------------------------------------------------------------- losses
@@ -252,8 +251,8 @@ class TestSerialization:
     def test_round_trip_predictions(self, rng, tmp_path):
         topo = Topology(hidden=(8, 8), activation="tanh", residual=True)
         model = build_mlp(5, 3, topo, rng)
-        path = save_mlp(model, topo, 5, 3, tmp_path / "model.npz")
-        loaded, loaded_topo, fin, fout = load_mlp(path)
+        path = write_model_npz(model, topo, 5, 3, tmp_path / "model.npz")
+        loaded, loaded_topo, fin, fout = read_model_npz(path)
         assert (fin, fout) == (5, 3)
         assert loaded_topo == topo
         x = rng.standard_normal((4, 5))
@@ -262,5 +261,5 @@ class TestSerialization:
     def test_appends_npz_suffix(self, rng, tmp_path):
         topo = Topology(hidden=(4,), activation="relu")
         model = build_mlp(2, 1, topo, rng)
-        path = save_mlp(model, topo, 2, 1, tmp_path / "model")
+        path = write_model_npz(model, topo, 2, 1, tmp_path / "model")
         assert path.suffix == ".npz" and path.exists()

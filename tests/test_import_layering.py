@@ -124,6 +124,16 @@ def test_serving_entry_loads_no_offline_module(module):
     assert json.loads(out.splitlines()[-1]) == []
 
 
+def test_registry_loads_no_nn_module():
+    """The store knows no model type: the codecs load on demand."""
+    out = run_python("-c", """
+import json, sys
+import repro.registry
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro.nn"))))
+""")
+    assert json.loads(out.splitlines()[-1]) == []
+
+
 def test_listing2_call_loads_no_offline_module():
     out = run_python("-c", LISTING2 + REPORT_OFFLINE)
     assert json.loads(out.splitlines()[-1]) == []
