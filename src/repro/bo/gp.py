@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = ["GaussianProcess", "rbf_kernel", "matern52_kernel"]
 
@@ -50,6 +49,18 @@ def matern52_kernel(
     return variance * (1.0 + sqrt5_r + 5.0 * r**2 / 3.0) * np.exp(-sqrt5_r)
 
 
+def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``L L^T x = b`` for the lower Cholesky factor ``chol``, by
+    forward then back substitution: n, the observation count, is small."""
+    x = np.array(b, dtype=np.float64)
+    n = chol.shape[0]
+    for i in range(n):
+        x[i] = (x[i] - chol[i, :i] @ x[:i]) / chol[i, i]
+    for i in reversed(range(n)):
+        x[i] = (x[i] - chol[i + 1:, i] @ x[i + 1:]) / chol[i, i]
+    return x
+
+
 @dataclass
 class _FittedState:
     x: np.ndarray
@@ -58,7 +69,7 @@ class _FittedState:
     x_scale: np.ndarray
     y_mean: float
     y_scale: float
-    chol: tuple
+    chol: np.ndarray
     alpha: np.ndarray
     lengthscale: float
     variance: float
@@ -114,12 +125,12 @@ class GaussianProcess:
             for noise in self.noises:
                 k = k_base + noise * np.eye(n)
                 try:
-                    chol = cho_factor(k, lower=True)
-                except np.linalg.LinAlgError:  # pragma: no cover - jitter path
+                    chol = np.linalg.cholesky(k)
+                except np.linalg.LinAlgError:  # singular kernel: add a jitter
                     k = k_base + (noise + 1e-6) * np.eye(n)
-                    chol = cho_factor(k, lower=True)
-                alpha = cho_solve(chol, ys)
-                log_det = 2.0 * np.sum(np.log(np.diag(chol[0])))
+                    chol = np.linalg.cholesky(k)
+                alpha = _cho_solve(chol, ys)
+                log_det = 2.0 * np.sum(np.log(np.diag(chol)))
                 ll = -0.5 * ys @ alpha - 0.5 * log_det - 0.5 * n * np.log(2 * np.pi)
                 if ll > best_ll:
                     best_ll = ll
@@ -141,7 +152,7 @@ class GaussianProcess:
         xq = (x - s.x_mean) / s.x_scale
         k_star = self._kernel_fn(xq, s.x, s.lengthscale, s.variance)
         mean = k_star @ s.alpha
-        v = cho_solve(s.chol, k_star.T)
+        v = _cho_solve(s.chol, k_star.T)
         var = s.variance - np.sum(k_star * v.T, axis=1)
         np.maximum(var, 1e-12, out=var)
         return mean * s.y_scale + s.y_mean, np.sqrt(var) * s.y_scale
@@ -151,5 +162,5 @@ class GaussianProcess:
             raise RuntimeError("log_marginal_likelihood() before fit()")
         s = self._state
         n = s.x.shape[0]
-        log_det = 2.0 * np.sum(np.log(np.diag(s.chol[0])))
+        log_det = 2.0 * np.sum(np.log(np.diag(s.chol)))
         return float(-0.5 * s.y @ s.alpha - 0.5 * log_det - 0.5 * n * np.log(2 * np.pi))

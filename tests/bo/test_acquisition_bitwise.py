@@ -1,6 +1,7 @@
-"""The acquisitions use ``scipy.special.ndtr`` and the normal-density
-formula instead of ``scipy.stats.norm``; their values must not move by a
-single bit, or the search would take a different path."""
+"""The acquisitions use a NumPy port of Cephes' ``ndtr`` (the code behind
+``scipy.special.ndtr``) and the normal-density formula instead of
+``scipy.stats.norm``; their values must not move by a single bit, or the
+search would take a different path.  SciPy is the reference here only."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from repro.bo import (
     probability_feasible,
     probability_of_improvement,
 )
-from repro.bo.acquisition import _norm_pdf, ndtr
+from repro.bo.acquisition import _MAXLOG, _SQRT1_2, _norm_pdf, ndtr
 
 # -inf gap times a zero cdf is NaN on both sides
 pytestmark = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -20,6 +21,25 @@ pytestmark = pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 
 #: z values where a different formula would show first
 EDGE_Z = np.array([0.0, -0.0, 40.0, -40.0, np.inf, -np.inf])
+
+
+def around(v, steps=2):
+    """``v`` and its ``steps`` nearest floats on each side, both signs."""
+    below, above = [v], [v]
+    for _ in range(steps):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    side = np.unique(below + above)
+    return np.concatenate([side, -side])
+
+
+#: the Cephes branch boundaries in z: |z/sqrt(2)| = sqrt(1/2), 1 and 8,
+#: and the first z whose exp(-z*z/2) underflows (MAXLOG, about 37.68)
+MAXLOG_Z = np.sqrt(2.0 * _MAXLOG)
+BRANCH_Z = np.concatenate([
+    around(1.0), around(np.sqrt(2.0)), around(8.0 * np.sqrt(2.0)),
+    around(MAXLOG_Z, steps=8), [5e-324, -5e-324, np.nan],
+])
 
 
 def ref_ei(mean, std, best, xi=0.0):
@@ -65,6 +85,18 @@ class TestAcquisitionBits:
         for z in (rng.normal(0.0, 5.0, 10_000), EDGE_Z, *EDGE_Z, 0.3):
             assert_same_bits(ndtr(z), norm.cdf(z))
             assert_same_bits(_norm_pdf(np.asarray(z, dtype=np.float64)), norm.pdf(z))
+
+    def test_normal_cdf_at_branch_boundaries(self):
+        # the sweep crosses the underflow threshold on both sides
+        x = np.abs(around(MAXLOG_Z, steps=8)) * _SQRT1_2
+        assert (x * x <= _MAXLOG).any() and (x * x > _MAXLOG).any()
+        assert_same_bits(ndtr(BRANCH_Z), norm.cdf(BRANCH_Z))
+        for z in BRANCH_Z:
+            assert_same_bits(ndtr(z), norm.cdf(z))
+
+    def test_normal_cdf_sweep(self):
+        z = np.random.default_rng(36).uniform(-40.0, 40.0, 1_000_000)
+        assert_same_bits(ndtr(z), norm.cdf(z))
 
     @pytest.mark.parametrize("xi", [0.0, 0.01])
     def test_expected_improvement(self, rng, xi):

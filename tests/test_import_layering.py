@@ -2,9 +2,10 @@
 
 Every rank and every spawned worker imports the serving stack, so what
 that import closure pulls in is start-up time paid everywhere.  The
-offline stack (SciPy, the search, the extractor's tracing and sampling,
+offline stack (the search, the extractor's tracing and sampling,
 autoencoder training, the compiled training step) loads on demand and
-never in a serving process.
+never in a serving process.  SciPy loads in neither: the tests use it as
+a reference only.
 Each check runs in a fresh interpreter: ``sys.modules`` of the test
 process already holds everything.
 """
@@ -198,6 +199,19 @@ def test_unknown_name_raises_attribute_error():
 
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         repro.nope  # noqa: B018
+
+
+def test_build_loads_no_scipy(tmp_path):
+    """The offline build itself needs only NumPy: SciPy is a test-only
+    reference."""
+    out = run_python("-c", f"""
+import json, sys
+from repro.cli import main
+assert main(["build", "Blackscholes", "--samples", "60", "--outer", "1",
+             "--inner", "2", "--out", {str(tmp_path)!r}]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+""", timeout=300)
+    assert json.loads(out.splitlines()[-1]) == []
 
 
 def test_telemetry_lists_the_same_metrics():
