@@ -12,16 +12,20 @@ through the declarative ``trace_spec`` hooks on :mod:`repro.nn.layers`
 and partially evaluates the module tree into a :class:`CompiledPlan`: a
 flat list of steps with the weights and biases captured as plain
 ``ndarray`` constants, each adjacent Dense/Activation pair fused into a
-single gemm step, and scratch buffers preallocated per thread and
-reused across calls.  Only the autograd/Python overhead is compiled
-away — **every floating-point operation runs in the exact order the
+single gemm step.  A plan runs a *program* (:class:`_Program`): the
+steps lowered once more, for one row count, into a list of NumPy calls
+with their operands bound, buffers included.  Each thread keeps its own
+programs, one per row count up to :data:`PROGRAM_CACHE_ROWS`, so a
+served row only copies its input in, runs the calls and copies the
+output out.  Only the autograd/Python overhead is compiled away —
+**every floating-point operation runs in the exact order the
 interpreted path runs it**, so under :func:`repro.nn.batch_invariant`
 the compiled outputs are bit-identical to ``package.predict``:
 
-* ``x @ W`` executes as the same row-by-row stacked matmul,
-  :func:`~repro.nn.tensor.invariant_matmul` (invariant mode), or BLAS
-  ``matmul`` (fast mode), merely writing into a preallocated ``out``
-  instead of allocating;
+* ``x @ W`` executes as the same row-by-row stacked matmul that
+  :func:`~repro.nn.tensor.invariant_matmul` runs, through the same
+  ``[:, None]`` views (invariant mode), or BLAS ``matmul`` (fast mode),
+  merely writing into a preallocated ``out`` instead of allocating;
 * ``+ bias`` is the same broadcast add, in place;
 * activations replay the exact expressions of
   :class:`repro.nn.tensor.Tensor` (e.g. sigmoid's clip/negate/exp/add/
@@ -59,6 +63,7 @@ from ..nn.tensor import invariant_matmul
 
 __all__ = [
     "PLAN_SCHEMA_VERSION",
+    "PROGRAM_CACHE_ROWS",
     "UNTRACEABLE_KINDS",
     "UntraceableModelError",
     "untraceable_reason",
@@ -73,6 +78,11 @@ __all__ = [
 #: invalidated for free instead of misinterpreted.  v2 added the
 #: conv/pool/upsample step kinds.
 PLAN_SCHEMA_VERSION = 2
+
+#: most rows a thread's cached program holds: each thread keeps one
+#: program per row count up to this; a larger input runs a program
+#: built for that call alone
+PROGRAM_CACHE_ROWS = 32
 
 #: matches the default of :meth:`repro.nn.tensor.Tensor.leaky_relu`
 _LEAKY_SLOPE = 0.01
@@ -154,8 +164,8 @@ class _GemmStep:
 
     The fusion removes three intermediate allocations per layer pair but
     keeps the float ops verbatim: the interpreter's product
-    (:func:`invariant_matmul` or BLAS ``matmul``) into ``out``, in-place
-    broadcast bias add, in-place activation.
+    (:func:`invariant_matmul`'s stacked rows or BLAS ``matmul``) into
+    ``out``, in-place broadcast bias add, in-place activation.
     """
 
     kind = "gemm"
@@ -171,10 +181,17 @@ class _GemmStep:
         self._act = _activation(act)
         self.out_dim = int(self.weight.shape[1])
 
-    def run(self, x: np.ndarray, out: np.ndarray, invariant: bool) -> None:
-        (invariant_matmul if invariant else np.matmul)(x, self.weight, out)
-        out += self._bias_row
-        self._act(out, out)
+    def emit(self, x: np.ndarray, out: np.ndarray, invariant: bool, calls: list) -> None:
+        if invariant and len(x) > 1:
+            # invariant_matmul's (B, 1, F) @ (F, K) stack, its views bound
+            # once; ``x`` is a C-contiguous program buffer, as it makes it
+            calls.append((np.matmul, (x[:, None], self.weight, out[:, None])))
+        else:
+            # one row is one (1, F) @ (F, K) product either way
+            calls.append((np.matmul, (x, self.weight, out)))
+        calls.append((np.add, (out, self._bias_row, out)))
+        if self._act is not _identity:
+            calls.append((self._act, (out, out)))
 
 
 class _ActStep:
@@ -188,8 +205,8 @@ class _ActStep:
         self._act = _activation(act)
         self.out_dim = int(out_dim)
 
-    def run(self, x: np.ndarray, out: np.ndarray, invariant: bool) -> None:
-        self._act(x, out)
+    def emit(self, x: np.ndarray, out: np.ndarray, invariant: bool, calls: list) -> None:
+        calls.append((self._act, (x, out)))
 
 
 class _ResidualStep:
@@ -201,19 +218,28 @@ class _ResidualStep:
     """
 
     kind = "residual"
-    __slots__ = ("steps", "out_dim", "_tls")
+    __slots__ = ("steps", "out_dim")
 
     def __init__(self, steps: list, out_dim: int) -> None:
         self.steps = list(steps)
         self.out_dim = int(out_dim)
-        self._tls = threading.local()
 
-    def run(self, x: np.ndarray, out: np.ndarray, invariant: bool) -> None:
+    def emit(self, x: np.ndarray, out: np.ndarray, invariant: bool, calls: list) -> None:
         if not self.steps:
-            np.add(x, x, out=out)  # Residual(identity): inner(x) + x == 2x
+            # Residual(identity): inner(x) + x == 2x
+            calls.append((np.add, (x, x, out)))
             return
-        _run_steps(self.steps, x, out, invariant, self._tls)
-        out += x
+        _emit_steps(self.steps, x, out, invariant, calls)
+        calls.append((np.add, (out, x, out)))
+
+
+class _RunStep:
+    """Mixin of the steps that enter a program as one call of their ``run``."""
+
+    __slots__ = ()
+
+    def emit(self, x: np.ndarray, out: np.ndarray, invariant: bool, calls: list) -> None:
+        calls.append((self.run, (x, out, invariant)))
 
 
 class _ConvScratch:
@@ -232,7 +258,7 @@ class _ConvScratch:
         self.acc = np.empty((self.capacity, accw))
 
 
-class _Conv1dStep:
+class _Conv1dStep(_RunStep):
     """Same-padded Conv1d as per-tap gathers + the interpreter's matmuls.
 
     ``taps_idx[k]`` maps the flattened padded signal to the im2col
@@ -318,7 +344,7 @@ class _Conv1dStep:
         )
 
 
-class _Pool1dStep:
+class _Pool1dStep(_RunStep):
     """Non-overlapping 1-D pooling as the interpreter's staged reduction.
 
     ``avg`` replays ``Tensor.mean`` exactly: a ``sum`` over the pool
@@ -349,7 +375,7 @@ class _Pool1dStep:
             target *= 1.0 / self.pool
 
 
-class _Upsample1dStep:
+class _Upsample1dStep(_RunStep):
     """Nearest-neighbour repeat as a single precomputed index gather."""
 
     kind = "upsample1d"
@@ -372,36 +398,36 @@ class _Upsample1dStep:
         )
 
 
-def _scratch_buffers(tls: threading.local, steps: list, batch: int) -> list:
-    """Per-thread intermediate buffers, regrown when a deeper batch arrives.
-
-    Buffers are thread-local so concurrent serving workers never share a
-    scratch array — the executor takes no lock on the hot path.  Every
-    buffer holds ``tls.capacity`` rows, so one integer compare decides.
-    """
-    if batch > getattr(tls, "capacity", -1):
-        capacity = max(batch, 32)
-        tls.bufs = [np.empty((capacity, step.out_dim)) for step in steps[:-1]]
-        tls.capacity = capacity
-    return tls.bufs
-
-
-def _run_steps(
-    steps: list,
-    x: np.ndarray,
-    out: np.ndarray,
-    invariant: bool,
-    tls: threading.local,
+def _emit_steps(
+    steps: list, x: np.ndarray, out: np.ndarray, invariant: bool, calls: list
 ) -> None:
-    """Run a step chain: intermediates into scratch, the last into ``out``."""
-    batch = x.shape[0]
-    bufs = _scratch_buffers(tls, steps, batch)
-    cur = x
+    """Append the calls of a step chain: intermediates into fresh
+    buffers of ``x``'s row count, the last step into ``out``."""
     last = len(steps) - 1
     for i, step in enumerate(steps):
-        target = out if i == last else bufs[i][:batch]
-        step.run(cur, target, invariant)
-        cur = target
+        target = out if i == last else np.empty((len(x), step.out_dim))
+        step.emit(x, target, invariant, calls)
+        x = target
+
+
+class _Program:
+    """A plan's calls on ``n`` rows, operands and buffers bound.
+
+    ``x`` is the input buffer and ``y`` the output (``x`` itself for a
+    plan with no steps).  The buffers belong to the program, so a
+    program serves one thread at a time.
+    """
+
+    __slots__ = ("x", "y", "calls")
+
+    def __init__(self, plan: "CompiledPlan", n: int) -> None:
+        self.x = np.empty((n, plan.input_dim))
+        self.calls: list = []
+        if plan.steps:
+            self.y = np.empty((n, plan.output_dim))
+            _emit_steps(plan.steps, self.x, self.y, plan.batch_invariant, self.calls)
+        else:
+            self.y = self.x
 
 
 class CompiledPlan:
@@ -415,8 +441,8 @@ class CompiledPlan:
 
     The plan is specialized on ``batch_invariant`` at compile time; it
     does not consult the thread-local mode at run time.  The returned
-    output array is freshly allocated per call (never a view of the
-    plan's scratch), so callers may keep or mutate it freely.
+    output array is freshly allocated per call (never a view of a
+    program's buffers), so callers may keep or mutate it freely.
     """
 
     def __init__(
@@ -431,6 +457,7 @@ class CompiledPlan:
         self.input_dim = int(input_dim)
         self.output_dim = int(output_dim)
         self.batch_invariant = bool(batch_invariant)
+        # per thread: row count -> _Program, for up to PROGRAM_CACHE_ROWS rows
         self._tls = threading.local()
 
     def predict(self, x) -> np.ndarray:
@@ -441,13 +468,20 @@ class CompiledPlan:
                 f"surrogate expects {self.input_dim} input features, "
                 f"got input of shape {x.shape}"
             )
-        x2 = np.ascontiguousarray(x[None] if single else x, dtype=np.float64)
-        if not self.steps:
-            out = x2.copy()
-        else:
-            out = np.empty((x2.shape[0], self.output_dim))
-            _run_steps(self.steps, x2, out, self.batch_invariant, self._tls)
-        return out[0] if single else out
+        n = 1 if single else len(x)
+        programs = getattr(self._tls, "programs", None)
+        if programs is None:
+            programs = self._tls.programs = {}
+        program = programs.get(n)
+        if program is None:
+            program = _Program(self, n)
+            if n <= PROGRAM_CACHE_ROWS:
+                programs[n] = program
+        # the float64 cast the interpreter's Tensor makes, into the buffer
+        program.x[...] = x
+        for f, args in program.calls:
+            f(*args)
+        return program.y[0].copy() if single else program.y.copy()
 
     __call__ = predict
 

@@ -6,13 +6,17 @@ loops, build pipeline, SPMD pool) reports through the one global
 so components call them unconditionally; only the per-request paths
 ``tests/obs/test_overhead.py`` bounds at 5% (``Orchestrator.run_model``,
 ``ServingCore.serve``, ``GuardedSurrogate.run``) read the switch to skip
-their calls::
+their calls.  A per-request path binds its series once
+(``metric.labels(**labels)``, at construction or on a model's first
+call) and then writes to it with no label check::
 
     from repro import obs
 
     obs.configure(enabled=True)            # on (the default)
     with obs.disabled():                   # temporarily off
         ...
+    served = obs.get_registry().counter("served_total").labels()
+    served.inc()                           # bound: no label check
     obs.get_registry().to_prometheus()     # scrape
     obs.get_tracer().export_chrome_trace("build.trace.json")
 

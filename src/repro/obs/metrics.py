@@ -16,11 +16,18 @@ All instruments are thread-safe and label-aware, and the owning
 :class:`MetricsRegistry` exports the whole set as Prometheus text
 exposition (scrapeable) or JSON (machine-readable snapshots).
 
+``metric.labels(**labels)`` binds one label key: it checks the label
+names once and returns that key's series, the same object on every
+call.  A series' ``inc``/``set``/``observe`` write under the metric's
+lock with no label check, so a per-request path binds its series once
+(at construction, or on a model's first call) and then only writes.
+A bound write and an unbound write of one key land in the same place.
+
 The telemetry switch (:data:`TELEMETRY`, re-exported by
 :mod:`repro.obs`) lives here, next to the instruments that check it:
-``Counter.inc``, ``Gauge.set``/``inc``/``dec`` and ``Histogram.observe``
-return at once while it is off, so an instrumented component calls them
-unconditionally.
+``Counter.inc``, ``Gauge.set``/``inc``/``dec`` and ``Histogram.observe``,
+bound or not, return at once while it is off, so an instrumented
+component calls them unconditionally.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import json
 import math
 import os
 import threading
+from bisect import bisect_left
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .tracing import Tracer
@@ -83,6 +91,21 @@ class _Metric:
         self.help = help
         self.label_names = tuple(labels)
         self._lock = threading.Lock()
+        self._bound: dict[tuple[str, ...], object] = {}  # cc: guarded-by(_lock)
+
+    def labels(self, **labels: object):
+        """The series of one label key; the same object for every call.
+
+        The label names are checked here, once; the series' writes skip
+        the check.  Binding records nothing: a key appears in the exports
+        at its first write, bound or not.
+        """
+        key = _label_key(self.label_names, labels)
+        with self._lock:
+            series = self._bound.get(key)
+            if series is None:
+                series = self._bound[key] = self._series_type(self, key)
+        return series
 
     def _header(self) -> list[str]:
         lines = []
@@ -92,10 +115,34 @@ class _Metric:
         return lines
 
 
+class _Series:
+    """One label key of a metric, bound by :meth:`_Metric.labels`."""
+
+    __slots__ = ("_metric", "_key")
+
+    def __init__(self, metric: _Metric, key: tuple[str, ...]) -> None:
+        self._metric = metric
+        self._key = key
+
+
+class _CounterSeries(_Series):
+    __slots__ = ()
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        if not TELEMETRY.enabled:
+            return
+        metric, key = self._metric, self._key
+        with metric._lock:
+            metric._values[key] = metric._values.get(key, 0.0) + amount
+
+
 class Counter(_Metric):
     """Monotonically increasing total, optionally split by labels."""
 
     kind = "counter"
+    _series_type = _CounterSeries
 
     def __init__(self, name: str, help: str = "", labels: Sequence[str] = ()) -> None:
         super().__init__(name, help, labels)
@@ -161,10 +208,32 @@ class Counter(_Metric):
                 "series": series, "total": sum(s["value"] for s in series)}
 
 
+class _GaugeSeries(_Series):
+    __slots__ = ()
+
+    def set(self, value: float) -> None:
+        if not TELEMETRY.enabled:
+            return
+        metric = self._metric
+        with metric._lock:
+            metric._values[self._key] = float(value)
+
+    def inc(self, amount: float = 1.0) -> None:
+        if not TELEMETRY.enabled:
+            return
+        metric, key = self._metric, self._key
+        with metric._lock:
+            metric._values[key] = metric._values.get(key, 0.0) + amount
+
+    def dec(self, amount: float = 1.0) -> None:
+        self.inc(-amount)
+
+
 class Gauge(_Metric):
     """A value that can go up and down (queue depth, store size, ...)."""
 
     kind = "gauge"
+    _series_type = _GaugeSeries
 
     def __init__(self, name: str, help: str = "", labels: Sequence[str] = ()) -> None:
         super().__init__(name, help, labels)
@@ -220,10 +289,37 @@ class _HistogramState:
         self.count = 0
 
 
+def _bucket(bounds: tuple[float, ...], value: float) -> int:
+    """Index of the first bound ``>= value``; NaN goes to +Inf.
+
+    ``bisect_left`` alone would put NaN in bucket 0, since every
+    comparison with NaN is false.
+    """
+    return bisect_left(bounds, value) if value == value else len(bounds)
+
+
+class _HistogramSeries(_Series):
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        if not TELEMETRY.enabled:
+            return
+        metric = self._metric
+        bounds = metric.buckets
+        # _bucket, inlined: this write is a per-request path
+        idx = bisect_left(bounds, value) if value == value else len(bounds)
+        with metric._lock:
+            state = metric._states.get(self._key) or metric._state(self._key)
+            state.bucket_counts[idx] += 1
+            state.sum += value
+            state.count += 1
+
+
 class Histogram(_Metric):
     """Fixed-bucket latency histogram with interpolated quantile estimates."""
 
     kind = "histogram"
+    _series_type = _HistogramSeries
 
     def __init__(
         self,
@@ -251,11 +347,7 @@ class Histogram(_Metric):
         if not TELEMETRY.enabled:
             return
         key = _label_key(self.label_names, labels)
-        idx = len(self.buckets)
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                idx = i
-                break
+        idx = _bucket(self.buckets, value)
         with self._lock:
             state = self._state(key)
             state.bucket_counts[idx] += 1

@@ -9,10 +9,12 @@ only code that
 
 * holds model replicas, keyed by ``(name, version)``;
 * resolves a compiled plan per specialization key — model, version, row
-  shape and dtype — and memoizes it, including
+  shape and dtype — and memoizes it with its replica, including
   the negative "untraceable" result, so a model the compiler refuses is
   tried once rather than on every call (:meth:`ServingCore.purge` drops
-  those negative memos when an operator re-activates a version);
+  those negative memos when an operator re-activates a version).  A
+  served call reads its key's ``(replica, plan)`` with one dict lookup
+  and no lock;
 * runs each stacked block of request rows — or group of compatible
   requests — as one forward, falling back to one forward per row when
   it fails (:meth:`ServingCore.serve_many`);
@@ -46,9 +48,6 @@ from ..compile import (
 from ..nn.tensor import batch_invariant as _batch_invariant_mode
 
 __all__ = ["OrchestratorStopped", "Replica", "RowResults", "ServingCore"]
-
-#: plan-map marker for specializations the compiler cannot trace
-_UNTRACEABLE = object()
 
 
 class OrchestratorStopped(RuntimeError):
@@ -96,6 +95,8 @@ class ServingCore:
     Compilation (or a plan-cache load) runs outside the lock on first
     sight of a key; two threads racing the same cold key may both
     compile, the plans are bit-identical and ``setdefault`` keeps one.
+    A plan built from a replica that was replaced meanwhile serves its
+    call and is not memoized.
     """
 
     def __init__(
@@ -109,16 +110,20 @@ class ServingCore:
         self.compile_plans = bool(compile_plans)
         self.plan_cache = PlanCache(plan_cache_dir, enabled=self.compile_plans)
         self._replicas: dict[tuple[str, int], Replica] = {}  # cc: guarded-by(_lock)
-        # (name, version, row shape, dtype) ->
-        # plan or the untraceable marker.  Keyed by version, so a deploy
-        # or rollback needs no invalidation: each version has its entries
-        self._plans: dict[tuple, Any] = {}  # cc: guarded-by(_lock)
+        # (name, version, row shape, dtype) -> (replica, plan or None if
+        # the compiler refused it), for replicas with a package.  Keyed by
+        # version, so a deploy or rollback needs no invalidation: each
+        # version has its entries.  A served call reads it without the
+        # lock (one dict read is atomic under the GIL)
+        self._plans: dict[tuple, tuple] = {}  # cc: guarded-by(_lock, atomic-reads)
         self._lock = threading.Lock()
         registry = obs.get_registry()
+        # serve()'s instruments: the unlabelled ones bound here, the
+        # per-model ones on a model's first call (repro.obs.metrics)
         self._m_served = registry.counter(
             "repro_orchestrator_served_total",
             "Inference requests completed successfully by the worker",
-        )
+        ).labels()
         self._m_failed = registry.counter(
             "repro_orchestrator_failed_total",
             "Inference requests that errored or were abandoned by stop()",
@@ -131,7 +136,7 @@ class ServingCore:
         self._m_batched_rows = registry.counter(
             "repro_orchestrator_batched_rows_total",
             "Requests served through a vectorized (B, F) forward pass",
-        )
+        ).labels()
         self._m_plans_built = registry.counter(
             "repro_compile_plans_built_total",
             "Serving plans built by tracing (missed every cache tier)",
@@ -150,6 +155,9 @@ class ServingCore:
             "Specializations that fell back to the interpreted path",
             labels=("reason",),
         )
+        # model name -> its (latency, plan exec) series; a racing first
+        # call binds the same objects, and setdefault is GIL-atomic
+        self._model_series: dict[str, tuple] = {}
 
     # -- replicas -----------------------------------------------------------------
 
@@ -196,8 +204,8 @@ class ServingCore:
     def _purge_locked(self, key: tuple[str, int], *, drop_plans: bool) -> None:  # cc: requires(_lock)
         stale = [
             plan_key
-            for plan_key, resolved in self._plans.items()
-            if plan_key[:2] == key and (drop_plans or resolved is _UNTRACEABLE)
+            for plan_key, (_, plan) in self._plans.items()
+            if plan_key[:2] == key and (drop_plans or plan is None)
         ]
         for plan_key in stale:
             del self._plans[plan_key]
@@ -226,11 +234,17 @@ class ServingCore:
             elapsed = time.perf_counter() - start
             rows = len(x) if stacked else 1
             self._m_served.inc(rows)
-            self._m_latency.observe(elapsed, model=name)
+            series = self._model_series.get(name)
+            if series is None:
+                series = self._model_series.setdefault(name, (
+                    self._m_latency.labels(model=name),
+                    self._m_plan_exec.labels(model=name),
+                ))
+            series[0].observe(elapsed)
             if vectorized and rows > 1:
                 self._m_batched_rows.inc(rows)
             if used_plan:
-                self._m_plan_exec.observe(elapsed, model=name)
+                series[1].observe(elapsed)
         if y.dtype.kind != "f":
             y = y.astype(np.float64)
         return y
@@ -303,10 +317,10 @@ class ServingCore:
         model declared row-wise (``batchable``), else one forward per
         row — a model never declared row-wise never sees stacked input.
         """
-        replica = self.replica(name, version)
-        plan = self._plan_for(name, version, replica, x)
+        route = self._plans.get((name, version, x.shape[-1:], x.dtype.str))
+        replica, plan = route if route is not None else self._route(name, version, x)
         if plan is not None:
-            y = np.asarray(plan.predict(x))
+            y = plan.predict(x)
         else:
             with self._forward_mode():
                 if stacked and not replica.batchable:
@@ -329,25 +343,24 @@ class ServingCore:
 
     # -- compiled plans -----------------------------------------------------------
 
-    def _plan_for(self, name: str, version: int, replica: Replica, x):
-        """Compiled plan for ``x``'s specialization key, or None (interpreted).
+    def _route(self, name: str, version: int, x) -> tuple:
+        """``(replica, compiled plan or None)`` for ``x``'s specialization
+        key, on a :meth:`_forward` that found no memo.
 
         The key uses the per-request row shape, so single and stacked
-        serving of one model share one plan.
+        serving of one model share one plan.  A replica without a
+        package, or a core that compiles nothing, serves interpreted and
+        memoizes nothing.
         """
+        replica = self.replica(name, version)
         if not self.compile_plans or replica.package is None:
-            return None
+            return replica, None
         shape, dtype = x.shape[-1:], x.dtype.str
-        key = (name, version, shape, dtype)
+        plan = self._build_plan(replica, shape, dtype)
         with self._lock:
-            resolved = self._plans.get(key)
-        if resolved is None:
-            plan = self._build_plan(replica, shape, dtype)
-            with self._lock:
-                resolved = self._plans.setdefault(
-                    key, _UNTRACEABLE if plan is None else plan
-                )
-        return None if resolved is _UNTRACEABLE else resolved
+            if self._replicas.get((name, int(version))) is not replica:
+                return replica, plan   # re-registered meanwhile: stale
+            return self._plans.setdefault((name, version, shape, dtype), (replica, plan))
 
     def _build_plan(self, replica: Replica, shape, dtype: str):
         """Fetch from the plan cache or trace-and-compile (None: fall back)."""

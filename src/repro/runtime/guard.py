@@ -179,29 +179,35 @@ class GuardedSurrogate:
         self.drift_detector = drift_detector
         self.capture = capture
         self.stats = GuardStats(window=stats_window)
+        # per-request instruments, bound once to this surrogate's app
+        # label (repro.obs.metrics); a fallback's series by its reason
+        app = surrogate.app.name
         registry = obs.get_registry()
         self._m_invocations = registry.counter(
             "repro_guard_invocations_total",
             "Guarded surrogate invocations",
             labels=("app",),
-        )
-        self._m_fallbacks = registry.counter(
+        ).labels(app=app)
+        fallbacks = registry.counter(
             "repro_guard_fallbacks_total",
             "Restarts on exact code, by reason: invalid (failed validation) "
             "or schema (an input the surrogate cannot encode)",
             labels=("app", "reason"),
         )
+        self._m_fallbacks = {
+            reason: fallbacks.labels(app=app, reason=reason)
+            for reason in ("invalid", "schema")
+        }
         self._m_surrogate_seconds = registry.histogram(
             "repro_guard_surrogate_seconds",
             "Wall-clock seconds of the surrogate attempt (forward + validation)",
             labels=("app",),
-        )
+        ).labels(app=app)
         self._m_fallback_seconds = registry.histogram(
             "repro_guard_fallback_seconds",
             "Wall-clock seconds of the exact-code restart after a failed check",
             labels=("app",),
-        )
-        self._app_label = surrogate.app.name
+        ).labels(app=app)
 
     def run(self, problem: Mapping[str, Any]) -> dict[str, Any]:
         """Region outputs for ``problem`` — surrogate if valid, exact otherwise."""
@@ -239,17 +245,13 @@ class GuardedSurrogate:
         )
         if obs.TELEMETRY.enabled:
             # a per-request path: tests/obs/test_overhead.py bounds what
-            # it pays with telemetry off, and two labelled instrument
-            # calls that return at once still cost more than this read
-            self._m_invocations.inc(app=self._app_label)
-            self._m_surrogate_seconds.observe(
-                surrogate_elapsed, app=self._app_label
-            )
+            # it pays with telemetry off, and two instrument calls that
+            # return at once still cost more than this read
+            self._m_invocations.inc()
+            self._m_surrogate_seconds.observe(surrogate_elapsed)
             if not valid:
-                self._m_fallbacks.inc(app=self._app_label, reason=reason)
-                self._m_fallback_seconds.observe(
-                    fallback_elapsed, app=self._app_label
-                )
+                self._m_fallbacks[reason].inc()
+                self._m_fallback_seconds.observe(fallback_elapsed)
         if self.drift_detector is not None:
             self.drift_detector.observe(x, fallback=not valid)
         if self.capture is not None and x is not None and exact_outputs is not None:

@@ -340,14 +340,15 @@ class Orchestrator:
         self._running = False          # cc: guarded-by(_state_lock, atomic-reads)
         self._state_lock = threading.Lock()
         registry = obs.get_registry()
+        # the per-request instruments, bound once (repro.obs.metrics)
         self._m_submitted = registry.counter(
             "repro_orchestrator_submitted_total",
             "Inference requests admitted through any entry point",
-        )
+        ).labels()
         self._m_tensors = registry.gauge(
             "repro_orchestrator_tensor_store_size",
             "Tensors currently held in the store",
-        )
+        ).labels()
         self._m_active_version = registry.gauge(
             "repro_registry_active_version",
             "Version currently serving for each registered model",
@@ -419,19 +420,13 @@ class Orchestrator:
         place.  The view is zero-copy — callers that need to write take a
         ``.copy()`` (``Client.unpack_tensor`` already does).
         """
-        return self.get_tensors([key])[0]
-
-    @staticmethod
-    def _readonly(value: np.ndarray) -> np.ndarray:
+        with self._lock:
+            value = self._tensors.get(key)
+        if value is None:
+            raise KeyError(f"no tensor stored under key {key!r}")
         view = value.view()
         view.flags.writeable = False
         return view
-
-    def get_tensors(self, keys: list[str]) -> list[np.ndarray]:
-        """Bulk :meth:`get_tensor`: one lock acquisition for the whole list."""
-        with self._lock:
-            values = self._lookup_locked(keys)
-        return [self._readonly(value) for value in values]
 
     def _lookup_locked(self, keys) -> list:  # cc: requires(_lock)
         try:

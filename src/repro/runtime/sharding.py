@@ -185,8 +185,10 @@ class _Pending(NamedTuple):
 class _Shard:
     """Front-end state for one worker process."""
 
-    def __init__(self, shard_id: int, ctx, config: dict) -> None:
+    def __init__(self, shard_id: int, ctx, config: dict, depth_gauge) -> None:
         self.id = shard_id
+        # this shard's series of repro_shard_queue_depth, bound once
+        self.m_depth = depth_gauge.labels(shard=str(shard_id))
         req_recv, self.req_send = ctx.Pipe(duplex=False)
         self.res_recv, res_send = ctx.Pipe(duplex=False)
         parent_conn, child_conn = ctx.Pipe()
@@ -282,7 +284,8 @@ class ProcessShardPool:
                 return
             self._store = ShmTensorStore(prefix="repro_fe")
             self._shards = [
-                _Shard(i, self._ctx, self._config) for i in range(self.num_shards)
+                _Shard(i, self._ctx, self._config, self._m_depth)
+                for i in range(self.num_shards)
             ]
             with self._conn_lock:
                 for shard in self._shards:
@@ -375,7 +378,7 @@ class ProcessShardPool:
         if self._store is not None:
             self._store.unlink_all()
         for shard in shards:
-            self._m_depth.set(0, shard=str(shard.id))
+            shard.m_depth.set(0)
 
     # -- admission -----------------------------------------------------------------
 
@@ -411,14 +414,14 @@ class ProcessShardPool:
                     continue
             flush()
             flush = None
-        self._m_depth.set(depth, shard=str(shard.id))
+        shard.m_depth.set(depth)
 
     def _release(self, shard: _Shard, rows: int) -> None:
         with shard.cond:
             shard.depth -= rows
             depth = shard.depth
             shard.cond.notify_all()
-        self._m_depth.set(depth, shard=str(shard.id))
+        shard.m_depth.set(depth)
 
     # -- dispatch ------------------------------------------------------------------
 
@@ -707,15 +710,16 @@ class ThreadShardPool:
         self._running = False  # cc: guarded-by(_state_lock, atomic-reads)
         self._state_lock = threading.Lock()
         registry = obs.get_registry()
+        # per-batch instruments, bound once (repro.obs.metrics)
         self._m_queue_depth = registry.gauge(
             "repro_orchestrator_queue_depth",
             "Inference requests waiting in the server queue",
-        )
+        ).labels()
         self._m_batch_size = registry.histogram(
             "repro_orchestrator_batch_size",
             "Requests per micro-batch drained by a serving worker",
             buckets=BATCH_SIZE_BUCKETS,
-        )
+        ).labels()
         self._m_stuck_workers = registry.gauge(
             "repro_orchestrator_stuck_workers",
             "Serving workers that failed to join within the stop() timeout",

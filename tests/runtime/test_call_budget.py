@@ -5,7 +5,8 @@ the number of Python frames a served call enters does not.  These tests
 count them with ``sys.setprofile``, telemetry off, for
 ``Client.run_model`` (which serves through ``Orchestrator.run_model``)
 on a running thread-mode pool, the call perfbench's ``listing2-mixed``
-times; for the caller's side of the two queued paths,
+times, and for the same call with telemetry on, as perfbench runs it;
+for the caller's side of the two queued paths,
 ``Client.run_model`` and a one-row ``Client.run_model_batch`` waiting
 behind a busy pool (both go through ``Orchestrator.submit``); and for
 ``GuardedSurrogate.run`` on AMG, the guarded path whose
@@ -14,10 +15,13 @@ restarted on the exact region (§7.1's fallback).  Offline, they
 count one compiled training step (``repro.nn.trainstep``), which every
 NAS trial runs a few hundred times.  Each budget is the count of today's
 code, so a change that adds a frame on these paths fails here until it
-raises the budget in its own diff and says why.
+raises the budget in its own diff and says why.  The garbage collector is
+off while a call is counted: a collection its allocations happen to
+trigger runs whatever callbacks other code registered, in its frames.
 """
 
 import collections
+import gc
 import os
 import sys
 import threading
@@ -39,16 +43,25 @@ from repro.runtime import Client, GuardedSurrogate, Orchestrator, residual_valid
 
 #: (inputs, hidden widths, outputs) -> most Python calls one
 #: ``Client.run_model`` may make; the MLPs are listing2-mixed's
-#: Blackscholes (3 gemms) and AMG (2 gemms) shapes
+#: Blackscholes (3 gemms) and AMG (2 gemms) shapes.  A compiled plan
+#: runs its gemms as NumPy calls of a program, so the depth of the MLP
+#: adds no Python frame
 BUDGETS = {
-    (6, (16, 8), 2): 38,
-    (8, (24,), 1): 36,
+    (6, (16, 8), 2): 22,
+    (8, (24,), 1): 22,
+}
+#: the same call with telemetry on: four writes to instruments bound
+#: before the counted calls (served, submitted, latency, plan exec), and
+#: none of them checks its labels (no ``_label_key`` frame)
+TELEMETRY_BUDGETS = {
+    (6, (16, 8), 2): 26,
+    (8, (24,), 1): 26,
 }
 #: most Python calls the caller's thread makes in one queued call on a
 #: thread pool whose one worker is busy: admission, ``Orchestrator.submit``,
 #: the queue hand-off and the wait on the handle (the forward runs on the
 #: worker, so the model's shape does not matter)
-QUEUED_BUDGETS = {"run_model": 37, "run_model_batch": 24}
+QUEUED_BUDGETS = {"run_model": 32, "run_model_batch": 24}
 #: most Python calls one valid ``GuardedSurrogate.run`` on AMG may make:
 #: gather-flatten, scale, a 2-gemm forward, unflatten, residual check
 GUARDED_AMG_BUDGET = 77
@@ -80,16 +93,20 @@ def _count_calls(call, *args) -> collections.Counter:
         if event == "call":
             calls[frame.f_code.co_filename, frame.f_code.co_name] += 1
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         call(*args)
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return calls
 
 
-@pytest.mark.parametrize("spec", sorted(BUDGETS), ids=lambda s: f"{len(s[1]) + 1}-gemm")
-def test_listing2_call_within_budget(spec):
+def _listing2_counts(spec) -> list[collections.Counter]:
+    """Three counted ``Client.run_model`` calls after a warm-up call."""
     n_in, hidden, n_out = spec
     topology = Topology(hidden=hidden, activation="tanh")
     package = SurrogatePackage(
@@ -102,13 +119,33 @@ def test_listing2_call_within_budget(spec):
     client.put_tensor("in", np.random.default_rng(1).standard_normal(n_in))
     with orc:
         client.run_model("m", "in", "out")   # compiles the plan
-        counts = [_count_calls(client.run_model, "m", "in", "out") for _ in range(3)]
+        return [_count_calls(client.run_model, "m", "in", "out") for _ in range(3)]
+
+
+@pytest.mark.parametrize("spec", sorted(BUDGETS), ids=lambda s: f"{len(s[1]) + 1}-gemm")
+def test_listing2_call_within_budget(spec):
+    counts = _listing2_counts(spec)
 
     assert counts[0] == counts[1] == counts[2]
     assert not [
         key for key in counts[0] if key[0].endswith("einsumfunc.py")
     ], "the served product must not go through np.einsum"
     assert sum(counts[0].values()) <= BUDGETS[spec], sorted(counts[0].items())
+
+
+@pytest.mark.parametrize(
+    "spec", sorted(TELEMETRY_BUDGETS), ids=lambda s: f"{len(s[1]) + 1}-gemm"
+)
+def test_listing2_call_with_telemetry_within_budget(spec):
+    obs.configure(enabled=True)
+    counts = _listing2_counts(spec)
+
+    assert counts[0] == counts[1] == counts[2]
+    labelled = [key for key in counts[0] if key[1] == "_label_key"]
+    assert not labelled, "a served call must write to series bound beforehand"
+    assert sum(counts[0].values()) <= TELEMETRY_BUDGETS[spec], sorted(counts[0].items())
+    served = obs.get_registry().get("repro_orchestrator_served_total")
+    assert served.total() == 4   # telemetry really was on
 
 
 def _release_when_waiting(queue, gate: threading.Event) -> None:

@@ -79,6 +79,28 @@ class TestCompiledIdentity:
 
 
 class TestPlanStaleness:
+    def test_reregistered_version_serves_its_new_weights(self, rng):
+        """A served call reads its (replica, plan) from a memo keyed by
+        version; re-registering that version number must clear it, on
+        the inline path and on the queued one alike."""
+        old_pkg = make_package(rng)
+        new_pkg = make_package(np.random.default_rng(7))
+        orc = Orchestrator()
+        client = Client(orc)
+        client.set_model("m", old_pkg, version=1)
+        x = rng.standard_normal(6)
+        rows = list(rng.standard_normal((3, 6)))
+        orc.put_tensor("in", x)
+        with orc:
+            for package in (old_pkg, new_pkg):
+                if package is new_pkg:
+                    client.set_model("m", new_pkg, version=1)
+                assert orc.run_model("m", ("in",), ("out",)) == 1
+                assert orc.get_tensor("out").tobytes() == reference(package, x).tobytes()
+                queued = orc.submit("m", rows).result(timeout=10.0)
+                for row, got in zip(rows, queued):
+                    assert got.tobytes() == reference(package, row).tobytes()
+
     def test_deploy_switches_to_the_new_versions_plan(self, rng):
         v1_pkg = make_package(rng)
         v2_pkg = make_package(np.random.default_rng(7))
