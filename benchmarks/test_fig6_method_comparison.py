@@ -9,7 +9,8 @@ consume sparse formats and is blind to the final quality.
 
 All methods are quality-enforced: per §7.1 a problem that misses the
 quality requirement restarts on the original code (restart-adjusted
-effective speedup).
+effective speedup).  All four are scored on one problem set per app, so
+the exact region runs once per evaluation problem.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from repro.baselines import (
     evaluate_perforation,
     find_max_rate,
 )
-from repro.core import evaluate_surrogate
+from repro.core.evaluation import ProblemSet, evaluate_surrogate
 from repro.perf import effective_speedup
 
 from conftest import APP_NAMES, BENCH_CONFIG, MU, N_EVAL_PROBLEMS, eval_rng
@@ -40,12 +41,11 @@ def _compare(all_builds):
     table = {}
     for name in FIG6_APPS:
         app = make_application(name)
+        problems = ProblemSet.draw(app, N_EVAL_PROBLEMS, eval_rng())
         rows = {}
 
         build = all_builds[name]
-        auto = evaluate_surrogate(
-            build.surrogate, n_problems=N_EVAL_PROBLEMS, mu=MU, rng=eval_rng()
-        )
+        auto = evaluate_surrogate(build.surrogate, mu=MU, problems=problems)
         rows["Auto-HPCnet"] = (
             effective_speedup(auto.breakdown, auto.hit_rate), auto.hit_rate
         )
@@ -55,9 +55,7 @@ def _compare(all_builds):
                 app, n_samples=BENCH_CONFIG.n_samples,
                 num_epochs=BENCH_CONFIG.num_epochs, seed=0,
             )
-            arow = evaluate_surrogate(
-                accept, n_problems=N_EVAL_PROBLEMS, mu=MU, rng=eval_rng()
-            )
+            arow = evaluate_surrogate(accept, mu=MU, problems=problems)
             rows["ACCEPT"] = (
                 effective_speedup(arow.breakdown, arow.hit_rate), arow.hit_rate
             )
@@ -65,9 +63,7 @@ def _compare(all_builds):
             rows["ACCEPT"] = (float("nan"), float("nan"))
 
         rate = find_max_rate(app, mu=MU, rng=np.random.default_rng(5))
-        perf = evaluate_perforation(
-            app, rate, n_problems=N_EVAL_PROBLEMS, mu=MU, rng=eval_rng()
-        )
+        perf = evaluate_perforation(app, rate, mu=MU, problems=problems)
         rows["LoopPerforation"] = (perf.speedup, perf.hit_rate)
 
         autokeras = build_autokeras_surrogate(
@@ -75,7 +71,7 @@ def _compare(all_builds):
             num_epochs=BENCH_CONFIG.num_epochs, seed=0,
         )
         krow = evaluate_surrogate(
-            autokeras, n_problems=N_EVAL_PROBLEMS, mu=MU, rng=eval_rng(),
+            autokeras, mu=MU, problems=problems,
             transfer_blowup=app.unrolled_blowup,
         )
         rows["Autokeras"] = (

@@ -16,7 +16,6 @@ Each application packages:
 from __future__ import annotations
 
 import abc
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional, Sequence
 
@@ -56,7 +55,6 @@ class ExactRun:
     outputs: dict[str, Any]
     qoi: float
     region_cost: RegionCost
-    wall_time: float
 
 
 class Application(abc.ABC):
@@ -178,17 +176,11 @@ class Application(abc.ABC):
         return name_outputs(fn(**problem), get_region_spec(fn).returns)
 
     def run_exact(self, problem: Mapping[str, Any]) -> ExactRun:
-        """Execute the original region; returns outputs, QoI and costs.
-
-        ``wall_time`` times :meth:`exact_outputs`: the region and the
-        naming of its outputs.
-        """
-        start = time.perf_counter()
+        """Execute the original region; returns outputs, QoI and cost."""
         outputs = self.exact_outputs(problem)
-        wall = time.perf_counter() - start
         qoi = self.qoi_from_outputs(problem, outputs)
         cost = self.region_cost(problem, outputs)
-        return ExactRun(outputs=outputs, qoi=qoi, region_cost=cost, wall_time=wall)
+        return ExactRun(outputs=outputs, qoi=qoi, region_cost=cost)
 
     def acquire(
         self,
@@ -196,7 +188,6 @@ class Application(abc.ABC):
         n_samples: int = 150,
         rng: Optional[np.random.Generator] = None,
         dddg_workers: int = 1,
-        sample_workers: int = 1,
     ) -> AcquisitionResult:
         """Run the §3 extractor workflow on this app's region."""
         from ..extract.acquisition import acquire
@@ -211,7 +202,6 @@ class Application(abc.ABC):
             rng=rng,
             dddg_workers=dddg_workers,
             perturb_names=self.perturb_names(),
-            sample_workers=sample_workers,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

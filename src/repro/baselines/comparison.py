@@ -4,7 +4,9 @@ All four methods accelerate the *same* code regions (Table 2) and all are
 held to the same quality requirement (mu = 10 %): per §7.1, a problem whose
 surrogate output misses the requirement restarts on the original code, so
 every reported speedup is the restart-adjusted
-:func:`~repro.perf.metrics.effective_speedup`.
+:func:`~repro.perf.metrics.effective_speedup`.  All four are scored on one
+:class:`~repro.core.evaluation.ProblemSet`, so the exact region runs once
+per evaluation problem, not once per method.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from ..apps.base import Application
 from ..core.config import AutoHPCnetConfig
-from ..core.evaluation import evaluate_surrogate
+from ..core.evaluation import ProblemSet, evaluate_surrogate
 from ..core.pipeline import AutoHPCnet
 from ..perf.metrics import effective_speedup
 from .accept import build_accept_surrogate
@@ -58,13 +60,11 @@ def compare_methods(
     """Evaluate all four methods on ``app``; returns one row per method."""
     config = config or AutoHPCnetConfig(seed=seed)
     rows: list[MethodRow] = []
-    eval_rng = lambda: np.random.default_rng(2023)  # same problems for all methods
+    problems = ProblemSet.draw(app, n_problems, np.random.default_rng(2023))
 
     # --- Auto-HPCnet ---
     build = AutoHPCnet(config).build(app)
-    row = evaluate_surrogate(
-        build.surrogate, n_problems=n_problems, mu=mu, rng=eval_rng()
-    )
+    row = evaluate_surrogate(build.surrogate, mu=mu, problems=problems)
     rows.append(
         MethodRow(
             app_name=app.name,
@@ -80,7 +80,7 @@ def compare_methods(
         accept = build_accept_surrogate(
             app, n_samples=config.n_samples, num_epochs=config.num_epochs, seed=seed
         )
-        arow = evaluate_surrogate(accept, n_problems=n_problems, mu=mu, rng=eval_rng())
+        arow = evaluate_surrogate(accept, mu=mu, problems=problems)
         rows.append(
             MethodRow(
                 app_name=app.name,
@@ -104,9 +104,7 @@ def compare_methods(
 
     # --- loop perforation (HPAC rate search) ---
     rate = find_max_rate(app, mu=mu, rng=np.random.default_rng(seed + 5))
-    prow = evaluate_perforation(
-        app, rate, n_problems=n_problems, mu=mu, rng=eval_rng()
-    )
+    prow = evaluate_perforation(app, rate, mu=mu, problems=problems)
     rows.append(
         MethodRow(
             app_name=app.name,
@@ -123,11 +121,7 @@ def compare_methods(
         app, n_samples=config.n_samples, num_epochs=config.num_epochs, seed=seed
     )
     krow = evaluate_surrogate(
-        autokeras,
-        n_problems=n_problems,
-        mu=mu,
-        rng=eval_rng(),
-        transfer_blowup=app.unrolled_blowup,
+        autokeras, mu=mu, problems=problems, transfer_blowup=app.unrolled_blowup
     )
     rows.append(
         MethodRow(

@@ -23,8 +23,8 @@ from typing import Any, Callable, Mapping, Optional
 import numpy as np
 
 from ..apps.base import Application, RegionCost
-from ..perf.devices import DeviceModel, XEON_E5_2698V4
-from ..perf.metrics import SpeedupBreakdown, effective_speedup, hit_rate
+from ..core.evaluation import ProblemSet, score
+from ..perf.metrics import SpeedupBreakdown, effective_speedup
 
 __all__ = [
     "PerforationResult",
@@ -153,17 +153,14 @@ def find_max_rate(
     rng: Optional[np.random.Generator] = None,
 ) -> float:
     """Largest admissible skip rate whose QoI degradation stays within mu."""
-    rng = rng or np.random.default_rng(0)
     _, rates = PERFORATABLE[app.name]
-    problems = app.generate_problems(n_problems, rng)
-    exact = [app.run_exact(p).qoi for p in problems]
+    problems = ProblemSet.draw(app, n_problems, rng or np.random.default_rng(0))
     best = 0.0
     for rate in sorted(rates):
-        qois = [
-            app.qoi_from_outputs(p, perforated_run(app, p, rate)[0])
-            for p in problems
-        ]
-        if hit_rate(exact, qois, mu=mu) >= 1.0 - 1e-9:
+        scored = score(
+            problems, lambda problem, _row: perforated_run(app, problem, rate)[0], mu=mu
+        )
+        if scored.hit_rate >= 1.0 - 1e-9:
             best = rate
         else:
             break
@@ -177,41 +174,29 @@ def evaluate_perforation(
     n_problems: int = 50,
     mu: float = 0.10,
     rng: Optional[np.random.Generator] = None,
-    cpu: DeviceModel = XEON_E5_2698V4,
+    problems: Optional[ProblemSet] = None,
 ) -> PerforationResult:
-    """Fig. 6 protocol for the perforated application."""
-    rng = rng or np.random.default_rng(2023)
-    problems = app.generate_problems(n_problems, rng)
-    exact_qois = np.empty(n_problems)
-    perf_qois = np.empty(n_problems)
-    solver_seconds = 0.0
-    perforated_seconds = 0.0
-    other_seconds = 0.0
-    for i, problem in enumerate(problems):
-        run = app.run_exact(problem)
-        exact_qois[i] = run.qoi
-        region = run.region_cost.scaled(app.cost_scale)
-        solver_seconds += cpu.kernel_time(region.flops, region.bytes_moved)
-        outputs, cost = perforated_run(app, problem, rate)
-        perf_qois[i] = app.qoi_from_outputs(problem, outputs)
-        scaled = cost.scaled(app.cost_scale)
-        perforated_seconds += cpu.kernel_time(scaled.flops, scaled.bytes_moved)
-        other = app.other_cost(problem).scaled(app.cost_scale)
-        other_seconds += cpu.kernel_time(other.flops, other.bytes_moved)
+    """Fig. 6 protocol for the perforated application, on ``problems`` or
+    on ``n_problems`` drawn from ``rng``."""
+    if problems is None:
+        problems = ProblemSet.draw(
+            app, n_problems, rng or np.random.default_rng(2023)
+        )
+    perforated_seconds: list[float] = []
 
+    def answer(problem, _row):
+        outputs, cost = perforated_run(app, problem, rate)
+        perforated_seconds.append(problems.cpu_seconds(cost))
+        return outputs
+
+    scored = score(problems, answer, mu=mu)
     # perforation keeps the region on the CPU: its "surrogate" time is the
     # perforated region itself, with no device transfer
-    breakdown = SpeedupBreakdown(
-        t_numerical_solver=solver_seconds,
-        t_nn_infer=perforated_seconds,
-        t_data_load=0.0,
-        t_other=other_seconds,
-    )
-    rate_hit = hit_rate(exact_qois, perf_qois, mu=mu)
+    breakdown = problems.breakdown(sum(perforated_seconds))
     return PerforationResult(
         app_name=app.name,
         rate=rate,
-        speedup=effective_speedup(breakdown, rate_hit),
-        hit_rate=rate_hit,
+        speedup=effective_speedup(breakdown, scored.hit_rate),
+        hit_rate=scored.hit_rate,
         breakdown=breakdown,
     )

@@ -24,15 +24,14 @@ from .. import obs
 from ..apps.base import Application
 from ..compile import PlanCache, UntraceableModelError, warm_plan_cache
 from ..extract.acquisition import AcquisitionResult
-from ..extract.features import SchemaMismatchError
 from ..nas.hierarchical import Hierarchical2DSearch, SearchResult
 from ..nas.package import SurrogatePackage
 from ..nas.space import CNNSpace, InputDimSpace, TopologySpace
-from ..perf.metrics import relative_qoi_error
 from ..perf.timers import PhaseTimer
 from ..registry import ArtifactRef, ModelRegistry
 from ..static.preflight import preflight_region
 from .config import AutoHPCnetConfig
+from .evaluation import ProblemSet, Score, score
 from .scaling import Scaler
 
 __all__ = ["DeployedSurrogate", "BuildResult", "AutoHPCnet"]
@@ -74,6 +73,16 @@ class DeployedSurrogate:
     def qoi(self, problem: Mapping[str, Any]) -> float:
         """Application QoI when the surrogate replaces the region."""
         return self.app.qoi_from_outputs(problem, self.run(problem))
+
+    def score(self, problems: ProblemSet, mu: float) -> Score:
+        """Eqn 3 for this surrogate on ``problems``: each problem is
+        flattened once per set, and one it cannot encode is a miss."""
+        return score(
+            problems,
+            lambda _problem, row: self.run_row(row),
+            mu=mu,
+            schema=self.input_schema,
+        )
 
     def input_bytes(self, problem: Mapping[str, Any]) -> float:
         """Bytes shipped to the device per invocation (compressed if sparse)."""
@@ -133,40 +142,28 @@ class AutoHPCnet:
         x_scaler: Scaler,
         y_scaler: Scaler,
     ):
-        """f_e = fraction of validation problems violating the QoI tolerance.
+        """f_e = 1 - HitRate of the candidate on the validation problems.
 
-        This is Eqn 3 turned into a constraint: a problem counts against the
-        surrogate when its QoI degradation exceeds ``qoi_mu``, so the search
-        minimizes exactly the quantity the evaluation's HitRate reports
-        (f_e = 1 - HitRate on the validation problems).
+        Eqn 3 turned into a constraint: each candidate package is wrapped
+        as the :class:`DeployedSurrogate` the build would ship and scored
+        by the evaluation's own scorer, so the search constrains exactly
+        the HitRate :func:`~repro.core.evaluation.evaluate_surrogate`
+        reports.  A problem the input schema cannot encode is a miss for
+        every candidate, and a NaN surrogate QoI is a miss.
         """
-        rng = np.random.default_rng(self.config.seed + 999)
-        problems = app.generate_problems(self.config.quality_problems, rng)
-        exact_qois = [app.run_exact(p).qoi for p in problems]
+        validation = ProblemSet.draw(
+            app,
+            self.config.quality_problems,
+            np.random.default_rng(self.config.seed + 999),
+        )
+        validation.rows(input_schema)   # flattened once per build
         mu = self.config.qoi_mu
-        # a problem the input schema cannot encode is one the surrogate
-        # never serves: it counts against every candidate
-        rows: list[Optional[np.ndarray]] = []
-        for problem in problems:
-            try:
-                x = input_schema.flatten(problem)
-            except SchemaMismatchError:
-                rows.append(None)
-            else:
-                rows.append(x_scaler.transform(x[None, :]))
 
         def quality_fn(package: SurrogatePackage) -> float:
-            violations = 0
-            for problem, exact, z in zip(problems, exact_qois, rows):
-                if z is None:
-                    violations += 1
-                    continue
-                y = y_scaler.inverse(package.predict(z))[0]
-                outputs = output_schema.unflatten(y)
-                surrogate_qoi = app.qoi_from_outputs(problem, outputs)
-                if relative_qoi_error(exact, surrogate_qoi) > mu:
-                    violations += 1
-            return violations / len(problems)
+            surrogate = DeployedSurrogate(
+                app, package, input_schema, output_schema, x_scaler, y_scaler
+            )
+            return surrogate.score(validation, mu).miss_rate
 
         return quality_fn
 

@@ -72,7 +72,6 @@ def acquire(
     rng: np.random.Generator | None = None,
     dddg_workers: int = 1,
     perturb_names: Sequence[str] | None = None,
-    sample_workers: int = 1,
 ) -> AcquisitionResult:
     """Run the full §3 workflow on one annotated region.
 
@@ -121,28 +120,13 @@ def acquire(
             for f in input_schema.fields
             if f.is_sparse or len(f.shape) >= 1
         ) or input_schema.names
-    if sample_workers > 1:
-        # the N region executions are independent (§6.1's "run the
-        # application N times"); fan them out over SPMD ranks
-        from ..parallel.pool import parallel_samples
-
-        x, y = parallel_samples(
-            generator,
-            example_inputs,
-            n_samples,
-            perturbation=perturbation,
-            rng=rng,
-            perturb_names=perturb_names,
-            workers=sample_workers,
-        )
-    else:
-        x, y = generator.generate(
-            example_inputs,
-            n_samples,
-            perturbation=perturbation,
-            rng=rng,
-            perturb_names=perturb_names,
-        )
+    x, y = generator.generate(
+        example_inputs,
+        n_samples,
+        perturbation=perturbation,
+        rng=rng,
+        perturb_names=perturb_names,
+    )
 
     return AcquisitionResult(
         region_name=spec.name,

@@ -1,12 +1,5 @@
-"""Parallel substrate: SPMD communicator + work distribution helpers."""
+"""Parallel substrate: independent work items over plain threads."""
 
-from .comm import Communicator, SpmdError, run_spmd
-from .pool import parallel_map, parallel_samples
+from .pool import parallel_map
 
-__all__ = [
-    "Communicator",
-    "SpmdError",
-    "run_spmd",
-    "parallel_map",
-    "parallel_samples",
-]
+__all__ = ["parallel_map"]

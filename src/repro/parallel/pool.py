@@ -1,22 +1,17 @@
-"""Parallel helpers built on the SPMD communicator.
+"""``parallel_map``: independent work items over plain threads.
 
-``parallel_map`` distributes independent work items over thread ranks
-(static block decomposition, the classic MPI pattern), and
-``parallel_samples`` applies it to the §3.1 training-sample generation —
-running the region on many perturbed inputs concurrently.
+The items are split cyclically over ``workers`` threads (the classic MPI
+static decomposition).  Threads suffice: the work is NumPy-heavy, so the
+GIL is released inside the kernels, and the threads share arrays
+zero-copy.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping, Sequence
+import threading
+from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from .. import obs
-from ..extract.sampling import Perturbation, SampleGenerator, perturb_value
-from .comm import Communicator, run_spmd
-
-__all__ = ["parallel_map", "parallel_samples"]
+__all__ = ["parallel_map"]
 
 
 def parallel_map(
@@ -24,10 +19,12 @@ def parallel_map(
     items: Sequence[Any],
     workers: int = 4,
 ) -> list:
-    """Apply ``fn`` to every item using ``workers`` SPMD ranks.
+    """Apply ``fn`` to every item using ``workers`` threads.
 
     Results come back in input order.  With one worker (or one item) this
-    degenerates to a plain loop.
+    degenerates to a plain loop.  When an item raises, the other threads
+    start no further items, and the exception of the first failed item (in
+    input order) is re-raised.
     """
     items = list(items)
     if workers < 1:
@@ -36,50 +33,26 @@ def parallel_map(
     if workers == 1:
         return [fn(item) for item in items]
 
-    def work(comm: Communicator) -> list[tuple[int, Any]]:
-        mine = range(comm.rank, len(items), comm.size)   # cyclic decomposition
-        with obs.span(
-            "parallel.rank", rank=comm.rank, size=comm.size, items=len(mine)
-        ):
-            return [(i, fn(items[i])) for i in mine]
+    results: list[Any] = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    failed = threading.Event()
 
-    per_rank = run_spmd(work, workers)
-    ordered: list[Any] = [None] * len(items)
-    for chunk in per_rank:
-        for index, value in chunk:
-            ordered[index] = value
-    return ordered
+    def work(rank: int) -> None:
+        for i in range(rank, len(items), workers):   # cyclic decomposition
+            if failed.is_set():
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                errors[i] = exc
+                failed.set()
+                return
 
-
-def parallel_samples(
-    generator: SampleGenerator,
-    base_inputs: Mapping[str, Any],
-    n_samples: int,
-    *,
-    perturbation: Perturbation = Perturbation(),
-    rng: np.random.Generator | None = None,
-    perturb_names: Sequence[str] | None = None,
-    workers: int = 4,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Parallel version of :meth:`SampleGenerator.generate`.
-
-    The perturbed inputs are drawn *sequentially* from one generator (so the
-    sample set is identical to the serial path, worker count not
-    withstanding); only the region executions fan out.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = rng or np.random.default_rng(0)
-    targets = tuple(perturb_names or generator.input_schema.names)
-
-    problems = []
-    for _ in range(n_samples):
-        sample_inputs = dict(base_inputs)
-        for name in targets:
-            sample_inputs[name] = perturb_value(sample_inputs[name], perturbation, rng)
-        problems.append(sample_inputs)
-
-    pairs = parallel_map(generator.run_once, problems, workers=workers)
-    xs = np.stack([x for x, _ in pairs])
-    ys = np.stack([y for _, y in pairs])
-    return xs, ys
+    threads = [threading.Thread(target=work, args=(r,)) for r in range(workers)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -16,8 +16,8 @@ from .metrics import (
     effective_speedup,
     harmonic_mean,
     hit_rate,
+    qoi_hits,
     reconstruction_similarity,
-    relative_qoi_error,
     speedup,
 )
 from .timers import PhaseTimer
@@ -37,7 +37,7 @@ __all__ = [
     "TESLA_V100_SOLVER", "PCIE3_X16", "estimate_kernel_time", "transfer_time",
     "CacheConfig", "CacheHierarchy", "CacheStats", "SetAssociativeCache", "V100_L2", "XEON_L1", "XEON_L2",
     "SpeedupBreakdown", "effective_speedup", "harmonic_mean", "hit_rate",
-    "reconstruction_similarity", "relative_qoi_error", "speedup",
+    "qoi_hits", "reconstruction_similarity", "speedup",
     "PhaseTimer",
     "FlopCounter", "axpy_cost", "dense_mm_cost", "dot_cost", "fft_cost",
     "nn_inference_cost", "spmv_cost", "stencil_cost",

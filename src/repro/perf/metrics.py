@@ -18,7 +18,7 @@ __all__ = [
     "reconstruction_similarity",
     "effective_speedup",
     "harmonic_mean",
-    "relative_qoi_error",
+    "qoi_hits",
 ]
 
 
@@ -78,31 +78,38 @@ def speedup(
     return (t_numerical_solver + t_other) / denom
 
 
-def hit_rate(
+def qoi_hits(
     qoi_exact: Sequence[float] | np.ndarray,
-    qoi_surrogate: Sequence[float] | np.ndarray,
+    qoi_approx: Sequence[float] | np.ndarray,
     mu: float = 0.10,
-) -> float:
-    """Prediction hit rate, Eqn 3.
+) -> np.ndarray:
+    """Eqn 3's per-problem test, the one definition of "meets mu".
 
-    Fraction of input problems whose surrogate QoI ``V'`` satisfies
-    ``|V' - V| <= mu * |V|`` against the exact QoI ``V``.
+    Problem ``i`` is a hit when its approximate QoI ``V'`` satisfies
+    ``|V' - V| <= mu * |V|`` against the exact QoI ``V``.  Every comparison
+    with NaN is false, so a NaN ``V'`` (or ``V``) is a miss; so is an
+    infinite ``V``, whose tolerance ``mu * |V|`` bounds nothing.  An exact
+    QoI of 0 leaves no tolerance: only ``V' == 0`` hits.
     """
     exact = np.asarray(qoi_exact, dtype=np.float64)
-    surrogate = np.asarray(qoi_surrogate, dtype=np.float64)
-    if exact.shape != surrogate.shape:
+    approx = np.asarray(qoi_approx, dtype=np.float64)
+    if exact.shape != approx.shape:
         raise ValueError("QoI arrays must have matching shapes")
     if exact.size == 0:
         raise ValueError("need at least one input problem")
     if mu < 0:
         raise ValueError("mu must be non-negative")
-    ok = np.abs(surrogate - exact) <= mu * np.abs(exact)
-    return float(np.mean(ok))
+    with np.errstate(invalid="ignore"):     # inf - inf is NaN: a miss
+        return np.isfinite(exact) & (np.abs(approx - exact) <= mu * np.abs(exact))
 
 
-def relative_qoi_error(qoi_exact: float, qoi_surrogate: float, eps: float = 1e-12) -> float:
-    """|V' - V| / |V| for one input problem (the per-problem Eqn 3 test)."""
-    return abs(qoi_surrogate - qoi_exact) / (abs(qoi_exact) + eps)
+def hit_rate(
+    qoi_exact: Sequence[float] | np.ndarray,
+    qoi_surrogate: Sequence[float] | np.ndarray,
+    mu: float = 0.10,
+) -> float:
+    """Prediction hit rate, Eqn 3: the fraction of :func:`qoi_hits`."""
+    return float(np.mean(qoi_hits(qoi_exact, qoi_surrogate, mu)))
 
 
 def reconstruction_similarity(

@@ -16,9 +16,23 @@ FAST = AutoHPCnetConfig(
 )
 
 
+N_PROBLEMS = 10
+
+
+class CountingFFT(FFTApplication):
+    """FFT that counts its exact-region runs."""
+
+    exact_runs = 0
+
+    def run_exact(self, problem):
+        type(self).exact_runs += 1
+        return super().run_exact(problem)
+
+
 @pytest.fixture(scope="module")
 def fft_rows():
-    return compare_methods(FFTApplication(), config=FAST, n_problems=10, seed=0)
+    CountingFFT.exact_runs = 0
+    return compare_methods(CountingFFT(), config=FAST, n_problems=N_PROBLEMS, seed=0)
 
 
 class TestCompareMethods:
@@ -46,3 +60,12 @@ class TestCompareMethods:
         for row in fft_rows:
             text = row.format()
             assert row.method in text and "FFT" in text
+
+
+def test_one_exact_pass_per_problem_set(fft_rows):
+    """The exact region runs once per evaluation problem, shared by every
+    method, plus the perforation rate search's and the build's own sets."""
+    rate_search_problems = 8      # find_max_rate's default n_problems
+    assert CountingFFT.exact_runs == (
+        N_PROBLEMS + rate_search_problems + FAST.quality_problems
+    )

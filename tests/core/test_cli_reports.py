@@ -22,7 +22,7 @@ def make_row(name="CG", speedup=3.0, hit=0.95):
     b = SpeedupBreakdown(10.0, 0.5, 0.5, 2.0)
     return EvaluationRow(
         app_name=name, app_type="I", speedup=speedup, hit_rate=hit,
-        breakdown=b, measured_speedup=1.2, n_problems=10, mu=0.1,
+        breakdown=b, n_problems=10, mu=0.1,
     )
 
 

@@ -39,15 +39,3 @@ class TestStallTermination:
         result = Hierarchical2DSearch(SPACE, space, cfg).run(x, y)
         assert len(result.outer_history) == 3
 
-
-class TestParallelAcquire:
-    def test_sample_workers_equivalent(self):
-        from repro.apps import MGApplication
-
-        app = MGApplication()
-        serial = app.acquire(n_samples=10, rng=np.random.default_rng(3))
-        parallel = app.acquire(
-            n_samples=10, rng=np.random.default_rng(3), sample_workers=4
-        )
-        assert np.allclose(serial.x, parallel.x)
-        assert np.allclose(serial.y, parallel.y)
