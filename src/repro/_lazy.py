@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib
 import sys
+import types
 from typing import Any, Callable, Mapping, Sequence
 
 
@@ -22,18 +23,37 @@ def lazy_exports(
     ``exports`` maps a submodule, relative to ``package`` (``".pipeline"``),
     to the names it defines that the package re-exports.  A loaded name
     is stored on the package, so later lookups are plain attribute reads.
+
+    A re-exported name may equal a listed submodule's name
+    (``repro.nn.checkpoint``, the function, lives in the submodule of
+    that name).  Importing that submodule binds it onto the package,
+    which would shadow the export; the package then binds the export in
+    its place, as an eager ``from .checkpoint import checkpoint`` did.
     """
     home = {name: module for module, names in exports.items() for name in names}
 
+    def load(name: str) -> Any:
+        return getattr(importlib.import_module(home[name], package), name)
+
     def __getattr__(name: str) -> Any:
-        module = home.get(name)
-        if module is None:
+        if name not in home:
             raise AttributeError(f"module {package!r} has no attribute {name!r}")
-        value = getattr(importlib.import_module(module, package), name)
+        value = load(name)
         setattr(sys.modules[package], name, value)
         return value
 
     def __dir__() -> list[str]:
         return sorted(set(vars(sys.modules[package])) | set(home))
+
+    clashes = {name for name in home if "." + name in exports}
+    if clashes:
+
+        class Package(types.ModuleType):
+            def __setattr__(self, name: str, value: Any) -> None:
+                if name in clashes and isinstance(value, types.ModuleType):
+                    value = load(name)
+                super().__setattr__(name, value)
+
+        sys.modules[package].__class__ = Package
 
     return __getattr__, __dir__, list(home)

@@ -10,34 +10,13 @@ falls back to the interpreted path on :class:`UntraceableModelError`,
 counting each fallback by its ``reason``.
 """
 
-from .cache import (
-    PlanCache,
-    package_digest,
-    plan_key,
-    warm_plan_cache,
-)
-from .plan import (
-    PLAN_SCHEMA_VERSION,
-    UNTRACEABLE_KINDS,
-    CompiledPlan,
-    UntraceableModelError,
-    compile_package,
-    plan_from_payload,
-    plan_payload,
-    untraceable_reason,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PLAN_SCHEMA_VERSION",
-    "UNTRACEABLE_KINDS",
-    "CompiledPlan",
-    "UntraceableModelError",
-    "untraceable_reason",
-    "compile_package",
-    "plan_payload",
-    "plan_from_payload",
-    "PlanCache",
-    "package_digest",
-    "plan_key",
-    "warm_plan_cache",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".plan": [
+        "PLAN_SCHEMA_VERSION", "UNTRACEABLE_KINDS", "CompiledPlan",
+        "UntraceableModelError", "untraceable_reason", "compile_package",
+        "plan_payload", "plan_from_payload",
+    ],
+    ".cache": ["PlanCache", "package_digest", "plan_key", "warm_plan_cache"],
+})

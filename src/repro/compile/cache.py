@@ -22,6 +22,9 @@ package never touched a registry), folded with the input shape, dtype,
 * a kill mid-write can never poison the cache — entries publish through
   the registry's atomic temp-dir + rename protocol.
 
+The registry loads with the disk tier: a cache without a directory (a
+serving process that keeps its plans in memory) never imports it.
+
 Hits and misses are counted as ``repro_compile_cache_hits_total`` /
 ``repro_compile_cache_misses_total`` (labelled by tier) in
 :mod:`repro.obs`.
@@ -35,8 +38,6 @@ from typing import Optional, Union
 
 from .. import obs
 from ..core.digest import content_key, fingerprint_array
-from ..registry import formats
-from ..registry.store import ArtifactNotFoundError, ModelRegistry, RegistryError
 from .plan import (
     PLAN_SCHEMA_VERSION,
     CompiledPlan,
@@ -112,7 +113,11 @@ class PlanCache:
     ) -> None:
         self.directory = Path(directory) / "plan_cache" if directory else None
         self.enabled = enabled
-        self._registry = ModelRegistry(self.directory) if self.directory else None
+        self._registry = None
+        if self.directory:
+            from ..registry.store import ModelRegistry
+
+            self._registry = ModelRegistry(self.directory)
         self._memory: dict[str, CompiledPlan] = {}  # cc: guarded-by(_lock)
         self._lock = threading.Lock()
 
@@ -182,6 +187,8 @@ class PlanCache:
             }
         if self._registry is None or not self._registry.exists(key):
             return None
+        from ..registry.store import ArtifactNotFoundError, RegistryError
+
         try:
             meta = dict(self._registry.resolve(key).meta)
         except (RegistryError, ArtifactNotFoundError, OSError, ValueError, KeyError):
@@ -208,6 +215,9 @@ class PlanCache:
     def _load_disk(self, key: str) -> Optional[CompiledPlan]:
         if self._registry is None or not self._registry.exists(key):
             return None
+        from ..registry import formats
+        from ..registry.store import ArtifactNotFoundError, RegistryError
+
         try:
             ref = self._registry.resolve(key)
             meta, arrays = formats.read_plan_npz(ref.payload_path("plan.npz"))
@@ -222,6 +232,8 @@ class PlanCache:
         # and an unreadable latest version is replaced by a fresh one
         if self._registry is None or self._load_disk(key) is not None:
             return
+        from ..registry import formats
+
         meta, arrays = plan_payload(plan)
         self._registry.publish(
             key,

@@ -12,7 +12,9 @@ writes an atomic registry-artifact directory (payloads + digest-verified
 mid-save can never leave a half-written package), ``publish`` pushes a
 new version into a :class:`~repro.registry.ModelRegistry`, and ``load``
 / ``from_registry`` read either back.  Every payload goes through one
-codec in :mod:`repro.registry.formats`.
+codec in :mod:`repro.registry.formats`; the registry loads with the
+first save, load or publish, so a process that only serves a package
+built in memory never imports it.
 """
 
 from __future__ import annotations
@@ -20,16 +22,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from ..autoencoder.model import Autoencoder
-from ..nn.layers import Sequential
-from ..nn.cnn import AnyTopology
-from ..registry import formats
-from ..registry.store import ArtifactRef, ModelRegistry, atomic_directory, write_manifest
 from ..nn.tensor import Tensor, no_grad
+
+if TYPE_CHECKING:  # annotations only: serving loads none of these
+    from ..autoencoder.model import Autoencoder
+    from ..nn.cnn import AnyTopology
+    from ..nn.layers import Sequential
+    from ..registry.store import ArtifactRef, ModelRegistry
 
 __all__ = ["SurrogatePackage"]
 
@@ -106,6 +109,8 @@ class SurrogatePackage:
             "uses_reduction": self.uses_reduction,
         }
         if self.autoencoder is not None:
+            from ..registry import formats
+
             ae_meta = formats.autoencoder_meta(self.autoencoder)
             meta["autoencoder"] = {
                 "input_dim": ae_meta["input_dim"],
@@ -117,6 +122,8 @@ class SurrogatePackage:
 
     def write_payloads(self, directory: Union[str, Path]) -> None:
         """Stage the package's payload files into ``directory``."""
+        from ..registry import formats
+
         directory = Path(directory)
         formats.write_model_npz(
             self.model, self.topology, self.latent_dim, self.output_dim,
@@ -143,6 +150,8 @@ class SurrogatePackage:
         leaves either the previous complete package or nothing — never a
         half-written directory that :meth:`load` crashes on.
         """
+        from ..registry.store import atomic_directory, write_manifest
+
         directory = Path(directory)
         with atomic_directory(directory) as staged:
             self.write_payloads(staged)
@@ -203,6 +212,8 @@ class SurrogatePackage:
         The autoencoder rebuilds from its archive's embedded meta, which
         records its activation; ``package.json`` does not.
         """
+        from ..registry import formats
+
         directory = Path(directory)
         meta = json.loads((directory / "package.json").read_text())
         model, topology, _in, out_dim = formats.read_model_npz(

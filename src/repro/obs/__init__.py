@@ -39,7 +39,6 @@ from .metrics import (
     MetricsRegistry,
     _TelemetryState,
 )
-from .merge import MetricsDeltaTracker, apply_metrics_delta
 from .tracing import Span, Tracer
 
 __all__ = [
@@ -47,8 +46,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "MetricsDeltaTracker",
-    "apply_metrics_delta",
     "DEFAULT_LATENCY_BUCKETS",
     "Span",
     "Tracer",

@@ -30,14 +30,16 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
-from ..autoencoder.model import Autoencoder
 from ..nas.package import SurrogatePackage
-from ..registry.store import ModelRegistry
 from .orchestrator import Orchestrator
+
+if TYPE_CHECKING:  # annotations only: serving loads none of these
+    from ..autoencoder.model import Autoencoder
+    from ..registry.store import ModelRegistry
 
 __all__ = ["Client"]
 
@@ -143,7 +145,7 @@ class Client:
     def set_model_from_registry(
         self,
         name: str,
-        registry: "ModelRegistry",
+        registry: ModelRegistry,
         *,
         artifact: Optional[str] = None,
         artifact_version: Optional[int] = None,

@@ -39,12 +39,8 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .. import obs
-from ..compile import (
-    PlanCache,
-    compile_package,
-    package_digest,
-    untraceable_reason,
-)
+from ..compile.cache import PlanCache, package_digest
+from ..compile.plan import compile_package, untraceable_reason
 from ..nn.tensor import batch_invariant as _batch_invariant_mode
 
 __all__ = ["OrchestratorStopped", "Replica", "RowResults", "ServingCore"]

@@ -19,10 +19,11 @@ store under one lock.  Thread mode (``num_processes=0``) serves through a
 :class:`~repro.runtime.sharding.ThreadShardPool` whose threads share
 this process's :class:`~repro.runtime.core.ServingCore`; process mode
 (``num_processes > 0``) through a
-:class:`~repro.runtime.sharding.ProcessShardPool` whose worker processes
-hold a core each.  The core groups compatible requests into one stacked
-forward (:meth:`~repro.runtime.core.ServingCore.serve_many`), so both
-modes' outputs are byte-identical for ``batch_invariant()`` models.
+:class:`~repro.runtime.procpool.ProcessShardPool` whose worker processes
+hold a core each; that module loads with the first such orchestrator.
+The core groups compatible requests into one stacked forward
+(:meth:`~repro.runtime.core.ServingCore.serve_many`), so both modes'
+outputs are byte-identical for ``batch_invariant()`` models.
 The blocking call, :meth:`Orchestrator.run_model`, goes through
 ``submit`` and waits unless a thread-mode pool is stopped or idle: then
 the same admission and core run on the caller's thread, since a queue
@@ -78,7 +79,7 @@ import numpy as np
 
 from .. import obs
 from .core import OrchestratorStopped, RowResults, ServingCore
-from .sharding import OverloadError, ProcessShardPool, ThreadShardPool
+from .sharding import OverloadError, ThreadShardPool
 
 __all__ = [
     "BatchResult",
@@ -270,7 +271,7 @@ class Orchestrator:
       see :class:`repro.compile.PlanCache`).  ``None`` keeps the plan
       cache in-memory only.
     * ``num_processes`` — ``> 0`` serves from worker *processes*
-      (:class:`~repro.runtime.sharding.ProcessShardPool`), each shard
+      (:class:`~repro.runtime.procpool.ProcessShardPool`), each shard
       queue bounded at ``max_queue_depth`` rows with backpressure up to
       ``admission_timeout_ms``; models must pickle (surrogate packages
       do).  ``0`` (default) serves from threads
@@ -318,6 +319,8 @@ class Orchestrator:
             plan_cache_dir=plan_cache_dir,
         )
         if self.num_processes:
+            from .procpool import ProcessShardPool
+
             self._pool = ProcessShardPool(
                 self.num_processes,
                 max_queue_depth=max_queue_depth,

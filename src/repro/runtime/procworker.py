@@ -12,7 +12,7 @@ warms lazily from the shared on-disk tier.  This module adds only the
 transport around it.
 
 Wire protocol (all messages are small picklable tuples over raw
-``Pipe`` connections — see :mod:`~repro.runtime.sharding` for why not
+``Pipe`` connections — see :mod:`~repro.runtime.procpool` for why not
 ``mp.Queue`` — while tensors ride in shared memory, referenced by
 :class:`~repro.runtime.shm_store.ShmHandle`):
 
@@ -41,7 +41,7 @@ Wire protocol (all messages are small picklable tuples over raw
   ``("ok",)``.
 
 The core's metrics accumulate on this process's own registry and ship
-periodically as *deltas* (:class:`~repro.obs.MetricsDeltaTracker`)
+periodically as *deltas* (:class:`~repro.obs.merge.MetricsDeltaTracker`)
 through the result pipe, so the front-end's merged registry reads like
 single-process serving.
 
@@ -57,6 +57,7 @@ import pickle
 import time
 
 from .. import obs
+from ..obs.merge import MetricsDeltaTracker
 from .core import RowResults, ServingCore
 from .shm_store import SegmentAttachments, ShmTensorStore
 
@@ -103,7 +104,7 @@ def worker_main(worker_id: int, conn, req_recv, res_send, config: dict) -> None:
     )
     out_store = ShmTensorStore(prefix=f"repro_w{worker_id}", tracked=False)
     attachments = SegmentAttachments()
-    tracker = obs.MetricsDeltaTracker(obs.get_registry())
+    tracker = MetricsDeltaTracker(obs.get_registry())
 
     def serve_item(item: tuple) -> None:
         """One coalesced request in, one coalesced response out.

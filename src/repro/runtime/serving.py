@@ -24,6 +24,7 @@ import numpy as np
 
 from .. import obs
 from ..nas.package import SurrogatePackage
+from ..nn.tensor import Tensor, no_grad
 from ..perf.counting import nn_inference_cost
 from ..perf.devices import DeviceModel, Link, PCIE3_X16, TESLA_V100_NN
 from ..perf.timers import PhaseTimer
@@ -327,8 +328,6 @@ class ServingSession:
         with self._phase("run_model"):
             # the registered model is the full package; feed reduced features
             # straight to the MLP half to avoid double-encoding
-            from ..nn.tensor import Tensor, no_grad
-
             with no_grad():
                 out = self.package.model(Tensor(np.atleast_2d(features))).data
             self.client.put_tensor("out", out)

@@ -187,16 +187,27 @@ class CSRMatrix:
         np.cumsum(indptr, out=indptr)
         return CSCMatrix(indptr, row, data, self.shape)
 
+    def _entry_rows(self) -> np.ndarray:
+        """The row of each stored entry, built on first use and kept: an
+        iterative solver multiplies by one matrix many times."""
+        rows = self.__dict__.get("_rows")
+        if rows is None:
+            rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Sparse matrix × dense vector, no densification."""
+        """Sparse matrix × dense vector, no densification.
+
+        Each row sums its products in stored order from +0.0, as an
+        ``np.add.at`` scatter does, signed zeros included.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.shape[1],):
             raise ValueError(f"expected vector of length {self.shape[1]}, got {x.shape}")
-        products = self.data * x[self.indices]
-        out = np.zeros(self.shape[0], dtype=np.float64)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        np.add.at(out, rows, products)
-        return out
+        if not self.nnz:  # bincount of no entries returns integers
+            return np.zeros(self.shape[0])
+        return np.bincount(self._entry_rows(), self.data * x[self.indices], self.shape[0])
 
     def matmul_dense(self, other: np.ndarray) -> np.ndarray:
         """CSR × dense matrix -> dense, without unrolling self.
@@ -222,10 +233,9 @@ class CSRMatrix:
         if self.nnz * other.shape[1] > _PRODUCTS_PER_POSITION * longest:
             return self._product_by_position(other)
         out = np.zeros((self.shape[0], other.shape[1]), dtype=np.float64)
-        rows = np.repeat(np.arange(self.shape[0]), lengths)
         # gather the needed rows of `other`, scale by values, scatter-add
         contrib = self.data[:, None] * other[self.indices]
-        np.add.at(out, rows, contrib)
+        np.add.at(out, self._entry_rows(), contrib)
         return out
 
     def _product_by_position(self, other: np.ndarray) -> np.ndarray:

@@ -76,7 +76,7 @@ def test_no_component_outside_obs_reads_the_switch():
             hits[rel] = found
     assert hits == {
         # the forward of the switch into a worker process's config
-        "runtime/sharding.py": ['"telemetry": obs.is_enabled(),'],
+        "runtime/procpool.py": ['"telemetry": obs.is_enabled(),'],
         # the per-request paths the disabled-overhead bound covers
         "runtime/core.py": ["if not obs.TELEMETRY.enabled:"],
         "runtime/guard.py": ["if obs.TELEMETRY.enabled:"],

@@ -20,6 +20,14 @@ def add_at_product(csr, other):
     return out
 
 
+def add_at_matvec(csr, x):
+    """Reference CSR × vector: scatter every product with ``np.add.at``."""
+    out = np.zeros(csr.shape[0])
+    rows = np.repeat(np.arange(csr.shape[0]), np.diff(csr.indptr))
+    np.add.at(out, rows, csr.data * x[csr.indices])
+    return out
+
+
 def assert_bitwise(a, b):
     assert a.shape == b.shape
     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -101,6 +109,44 @@ class TestCSR:
         csr = from_dense(random_dense(rng), "csr")
         with pytest.raises(ValueError):
             csr.matvec(np.zeros(csr.shape[1] + 1))
+
+    def test_matvec_empty_rows_exact(self, rng):
+        d = random_dense(rng, rows=9, cols=6, density=0.5)
+        d[[0, 4, 8]] = 0.0
+        csr = from_dense(d)
+        x = rng.standard_normal(6)
+        assert_bitwise(csr.matvec(x), add_at_matvec(csr, x))
+        # the second call reads the kept row index
+        assert_bitwise(csr.matvec(x), add_at_matvec(csr, x))
+
+    @pytest.mark.parametrize("shape", [(0, 4), (5, 7)])
+    def test_matvec_no_entries(self, rng, shape):
+        out = from_dense(np.zeros(shape)).matvec(rng.standard_normal(shape[1]))
+        assert out.dtype == np.float64
+        assert_bitwise(out, np.zeros(shape[0]))
+
+    def test_matvec_signed_zeros_exact(self, rng):
+        # -0.0 products sum to +0.0, as from a +0.0 start
+        d = rng.standard_normal((40, 30)) + 5.0
+        d[rng.random((40, 30)) < 0.5] = 0.0
+        csr = from_dense(d)
+        negative = CSRMatrix(csr.indptr, csr.indices, -csr.data, csr.shape)
+        x = rng.standard_normal(30)
+        x[::3] = -0.0
+        x[1::3] = 0.0
+        for m in (csr, negative):
+            assert_bitwise(m.matvec(x), add_at_matvec(m, x))
+        all_negative_zero = negative.matvec(np.full(30, 0.0))
+        assert not np.signbit(all_negative_zero).any()
+
+    def test_matvec_random_exact(self, rng):
+        for _ in range(200):
+            rows, cols = rng.integers(1, 30, size=2)
+            d = random_dense(rng, rows, cols, density=rng.random())
+            d *= 10.0 ** rng.integers(-150, 150, size=d.shape)
+            csr = from_dense(d)
+            x = rng.standard_normal(cols) * 10.0 ** rng.integers(-150, 150, size=cols)
+            assert_bitwise(csr.matvec(x), add_at_matvec(csr, x))
 
     def test_matmul_dense_matches(self, rng):
         d = random_dense(rng)

@@ -32,6 +32,28 @@ OFFLINE = (
     "repro.autoencoder.training",
     "repro.nn.trainstep",
 )
+#: modules a thread-mode Listing-2 process must not load either: process
+#: mode, persistence, the guard, the cost model and the training stack
+#: load on first use
+LISTING2_ON_DEMAND = (
+    "multiprocessing",
+    "repro.runtime.procworker",
+    "repro.runtime.shm_store",
+    "repro.runtime.serving",
+    "repro.runtime.guard",
+    "repro.nn.train",
+    "repro.nn.optim",
+    "repro.nn.checkpoint",
+    "repro.nn.losses",
+    "repro.nn.cnn",
+    "repro.nn.conv",
+    "repro.perf.devices",
+    "repro.perf.cache",
+    "repro.perf.counting",
+    "repro.registry.store",
+    "repro.autoencoder",
+    "repro.obs.merge",
+)
 SERVING_ENTRIES = (
     "repro",
     "repro.runtime",
@@ -63,14 +85,19 @@ TELEMETRY_NAMES = [
     "repro_serving_phase_seconds",
 ]
 
-#: lists the loaded modules that fall under OFFLINE, as JSON
-REPORT_OFFLINE = f"""
+
+def report_loaded(modules: tuple) -> str:
+    """Code that prints the loaded modules that fall under ``modules``, as JSON."""
+    return f"""
 import json, sys
-offline = {OFFLINE!r}
+listed = {modules!r}
 print(json.dumps(sorted(
-    m for m in sys.modules if any(m == o or m.startswith(o + ".") for o in offline)
+    m for m in sys.modules if any(m == o or m.startswith(o + ".") for o in listed)
 )))
 """
+
+
+REPORT_OFFLINE = report_loaded(OFFLINE)
 
 LISTING2 = """
 import numpy as np
@@ -136,7 +163,7 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro.nn"))))
 
 
 def test_listing2_call_loads_no_offline_module():
-    out = run_python("-c", LISTING2 + REPORT_OFFLINE)
+    out = run_python("-c", LISTING2 + report_loaded(OFFLINE + LISTING2_ON_DEMAND))
     assert json.loads(out.splitlines()[-1]) == []
 
 
@@ -182,16 +209,52 @@ assert main({argv!r}) == 0
     assert json.loads(out.splitlines()[-1]) == []
 
 
+LAZY_PACKAGES = (
+    "repro", "repro.core", "repro.nas", "repro.autoencoder", "repro.extract",
+    "repro.nn", "repro.perf", "repro.runtime", "repro.compile",
+)
+
+
 def test_lazy_package_names_still_resolve():
-    out = run_python("-c", """
-import repro, repro.core, repro.nas, repro.autoencoder, repro.extract
-for pkg in (repro, repro.core, repro.nas, repro.autoencoder, repro.extract):
+    out = run_python("-c", f"""
+import importlib
+for pkg in map(importlib.import_module, {LAZY_PACKAGES!r}):
     for name in pkg.__all__:
         assert getattr(pkg, name) is not None, (pkg.__name__, name)
     assert set(pkg.__all__) <= set(dir(pkg))
 print("ok")
 """)
     assert out.split() == ["ok"]
+
+
+def test_no_export_resolves_to_a_submodule():
+    """With every submodule loaded (the import system binds each onto its
+    package), every re-exported name is still what the package exports."""
+    out = run_python("-c", f"""
+import importlib, pkgutil, types
+for pkg in map(importlib.import_module, {LAZY_PACKAGES!r}[1:]):
+    for sub in pkgutil.iter_modules(pkg.__path__):
+        importlib.import_module(pkg.__name__ + "." + sub.name)
+    for name in pkg.__all__:
+        assert not isinstance(getattr(pkg, name), types.ModuleType), (pkg.__name__, name)
+print("ok")
+""", timeout=300)
+    assert out.split() == ["ok"]
+
+
+def test_export_named_like_its_submodule():
+    """``repro.nn.checkpoint`` is the function, also when its submodule
+    loads first; the submodule still imports by its dotted name."""
+    run_python("-c", """
+import repro.nn.checkpoint
+import sys
+import repro.nn
+from repro.nn import checkpoint
+from repro.nn.checkpoint import CheckpointSequential
+module = sys.modules["repro.nn.checkpoint"]
+assert checkpoint is repro.nn.checkpoint is module.checkpoint
+assert repro.nn.CheckpointSequential is CheckpointSequential
+""")
 
 
 def test_unknown_name_raises_attribute_error():
