@@ -53,7 +53,7 @@ TRIALS = 2
 
 @pytest.fixture(scope="module")
 def quickstart_rows():
-    """The quickstart surrogate plus a request stream of scaled input rows."""
+    """The quickstart surrogate plus a request stream of raw input rows."""
     app = BlackscholesApplication()
     build = AutoHPCnet(
         AutoHPCnetConfig(
@@ -65,9 +65,8 @@ def quickstart_rows():
     flat = np.stack(
         [surrogate.input_schema.flatten(p) for p in app.generate_problems(64, rng)]
     )
-    scaled = surrogate.x_scaler.transform(flat)
-    reps = -(-N_REQUESTS // len(scaled))
-    return surrogate.package, np.tile(scaled, (reps, 1))[:N_REQUESTS]
+    reps = -(-N_REQUESTS // len(flat))
+    return surrogate.package, np.tile(flat, (reps, 1))[:N_REQUESTS]
 
 
 class TestServingThroughput:

@@ -9,8 +9,9 @@ applications.  This script:
 2. "comes back later": a fresh ``AutoHPCnet`` instance resumes from the
    checkpoint and finishes the remaining iterations (the completed
    iteration is not re-run — watch the outer history);
-3. saves the final surrogate package and re-loads it into a *different*
-   process-level object, demonstrating the save/share path.
+3. re-loads the surrogate package the build published (scalers,
+   autoencoder and model) into a *different* object from the registry,
+   demonstrating the save/share path: it answers raw region rows.
 
 Run:  python examples/search_checkpointing.py
 """
@@ -22,6 +23,7 @@ import numpy as np
 from repro import AutoHPCnet, AutoHPCnetConfig
 from repro.apps import MGApplication
 from repro.nas import SurrogatePackage
+from repro.registry import ModelRegistry
 
 
 def main() -> None:
@@ -54,13 +56,15 @@ def run(workdir: str) -> None:
     print(f"  {build2.search.summary()}\n")
 
     print("phase 3: share the surrogate ...")
-    package_dir = f"{workdir}/best_package"
-    loaded = SurrogatePackage.load(package_dir)
+    # the build published its package, scalers included, into the
+    # registry under the checkpoint directory
+    loaded = SurrogatePackage.from_registry(
+        ModelRegistry(f"{workdir}/registry"), app.name
+    )
     problem = app.example_problem(np.random.default_rng(11))
     x = build2.surrogate.input_schema.flatten(problem)
-    z = build2.surrogate.x_scaler.transform(x[None, :])
-    assert np.allclose(loaded.predict(z), build2.surrogate.package.predict(z))
-    print(f"  package re-loaded from {package_dir}: predictions identical")
+    assert np.array_equal(loaded.predict(x), build2.surrogate.package.predict(x))
+    print(f"  package re-loaded from {build2.artifact.path}: predictions identical")
 
 
 if __name__ == "__main__":

@@ -57,11 +57,9 @@ def main() -> None:
 
     # --- Listing 1 flow: put_tensor -> run_model -> unpack_tensor ---
     problem = app.example_problem(np.random.default_rng(5))
-    x = build.surrogate.input_schema.flatten(problem)
-    client.put_tensor("in_key", build.surrogate.x_scaler.transform(x[None, :]))
+    client.put_tensor("in_key", build.surrogate.input_schema.flatten(problem))
     client.run_model("AI-CFD-net", inputs="in_key", outputs="out_key")
-    out = client.unpack_tensor("out_key")
-    solution = build.surrogate.y_scaler.inverse(out)[0]
+    solution = client.unpack_tensor("out_key")
 
     exact, _ = app.region_fn(**problem)
     rel = np.linalg.norm(solution - exact) / np.linalg.norm(exact)
@@ -77,10 +75,7 @@ def main() -> None:
     rng = np.random.default_rng(9)
     for _ in range(20):
         p = app.example_problem(rng)
-        xv = build.surrogate.x_scaler.transform(
-            build.surrogate.input_schema.flatten(p)[None, :]
-        )
-        session.infer(xv[0])
+        session.infer(build.surrogate.input_schema.flatten(p))
     print("measured online phase breakdown over 20 invocations:")
     print(session.timer.report())
 

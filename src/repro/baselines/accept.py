@@ -75,13 +75,12 @@ def build_accept_surrogate(
         topology=topology,
         input_dim=acq.input_dim,
         output_dim=acq.output_dim,
-        autoencoder=None,
+        x_scaler=x_scaler,
+        y_scaler=y_scaler,
     )
     return DeployedSurrogate(
         app=app,
         package=package,
         input_schema=acq.input_schema,
         output_schema=acq.output_schema,
-        x_scaler=x_scaler,
-        y_scaler=y_scaler,
     )

@@ -91,13 +91,12 @@ def build_autokeras_surrogate(
         topology=best_candidate.topology,
         input_dim=acq.input_dim,
         output_dim=acq.output_dim,
-        autoencoder=None,
+        x_scaler=x_scaler,
+        y_scaler=y_scaler,
     )
     return DeployedSurrogate(
         app=app,
         package=package,
         input_schema=acq.input_schema,
         output_schema=acq.output_schema,
-        x_scaler=x_scaler,
-        y_scaler=y_scaler,
     )

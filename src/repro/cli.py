@@ -436,13 +436,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     surrogate = build.surrogate
     rng = np.random.default_rng(args.seed + 1)
     n_problems = min(args.requests, 64)
-    flat = np.stack(
+    rows = np.stack(
         [
             surrogate.input_schema.flatten(p)
             for p in app.generate_problems(n_problems, rng)
         ]
     )
-    rows = surrogate.x_scaler.transform(flat)
     reps = -(-args.requests // len(rows))  # ceil division
     rows = np.tile(rows, (reps, 1))[: args.requests]
 

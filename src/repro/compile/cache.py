@@ -63,9 +63,9 @@ def package_digest(package) -> str:
 
     Prefer the registry artifact's manifest digest when one exists (the
     orchestrator carries it through ``register_model(digest=...)``); this
-    fallback hashes the same information — every parameter array plus the
-    structural metadata — so in-memory and registry-loaded copies of one
-    package land on equivalent keys.
+    fallback hashes the same information — every parameter and scaler
+    array plus the structural metadata — so in-memory and registry-loaded
+    copies of one package land on equivalent keys.
     """
     fields = {
         "meta": package.payload_meta(),
@@ -76,7 +76,9 @@ def package_digest(package) -> str:
             fingerprint_array(p.data)
             for p in package.autoencoder.encoder.parameters()
         ]
+    fields.update(package.scaler_fingerprints())
     return content_key(fields)
+
 
 
 def plan_key(

@@ -12,12 +12,14 @@ through the declarative ``trace_spec`` hooks on :mod:`repro.nn.layers`
 and partially evaluates the module tree into a :class:`CompiledPlan`: a
 flat list of steps with the weights and biases captured as plain
 ``ndarray`` constants, each adjacent Dense/Activation pair fused into a
-single gemm step.  A plan runs a *program* (:class:`_Program`): the
-steps lowered once more, for one row count, into a list of NumPy calls
-with their operands bound, buffers included.  Each thread keeps its own
-programs, one per row count up to :data:`PROGRAM_CACHE_ROWS`, so a
-served row only copies its input in, runs the calls and copies the
-output out.  Only the autograd/Python overhead is compiled away —
+single gemm step.  The package's scalers, when it has them, open and
+close the list as a ``scale`` and an ``unscale`` step, so a plan maps
+raw rows to raw outputs as ``package.predict`` does.  A plan runs a
+*program* (:class:`_Program`): the steps lowered once more, for one row
+count, into a list of NumPy calls with their operands bound, buffers
+included.  Each thread keeps its own programs, one per row count up to
+:data:`PROGRAM_CACHE_ROWS`, so a served row only copies its input in,
+runs the calls and copies the output out.  Only the autograd/Python overhead is compiled away —
 **every floating-point operation runs in the exact order the
 interpreted path runs it**, so under :func:`repro.nn.batch_invariant`
 the compiled outputs are bit-identical to ``package.predict``:
@@ -27,6 +29,10 @@ the compiled outputs are bit-identical to ``package.predict``:
   ``[:, None]`` views (invariant mode), or BLAS ``matmul`` (fast mode),
   merely writing into a preallocated ``out`` instead of allocating;
 * ``+ bias`` is the same broadcast add, in place;
+* scaling is :class:`~repro.core.scaling.Scaler`'s ``(x - mean) / std``
+  as a subtract then a divide, and unscaling its ``z * std + mean`` as a
+  multiply then an add.  An identity scaler is not skipped: its
+  ``+ 0.0`` turns ``-0.0`` into ``+0.0``, as the interpreter's does;
 * activations replay the exact expressions of
   :class:`repro.nn.tensor.Tensor` (e.g. sigmoid's clip/negate/exp/add/
   divide chain) element-wise in place.
@@ -76,8 +82,8 @@ __all__ = [
 #: bump when the step semantics or payload layout change — the schema
 #: version is folded into every cache key, so old persisted plans are
 #: invalidated for free instead of misinterpreted.  v2 added the
-#: conv/pool/upsample step kinds.
-PLAN_SCHEMA_VERSION = 2
+#: conv/pool/upsample step kinds, v3 the scale/unscale steps.
+PLAN_SCHEMA_VERSION = 3
 
 #: most rows a thread's cached program holds: each thread keeps one
 #: program per row count up to this; a larger input runs a program
@@ -207,6 +213,30 @@ class _ActStep:
 
     def emit(self, x: np.ndarray, out: np.ndarray, invariant: bool, calls: list) -> None:
         calls.append((self._act, (x, out)))
+
+
+class _ScalerStep:
+    """A package scaler's float ops: ``scale`` runs ``(x - mean) / std``,
+    ``unscale`` runs ``x * std + mean``, each into ``out`` in place."""
+
+    __slots__ = ("kind", "mean", "std", "_mean_row", "_std_row", "out_dim")
+
+    def __init__(self, kind: str, mean: np.ndarray, std: np.ndarray) -> None:
+        self.kind = kind
+        self.mean = np.ascontiguousarray(mean, dtype=np.float64)
+        self.std = np.ascontiguousarray(std, dtype=np.float64)
+        # (1, F) views, as _GemmStep's bias row: same sums, no broadcast set-up
+        self._mean_row = self.mean[None]
+        self._std_row = self.std[None]
+        self.out_dim = int(self.mean.shape[0])
+
+    def emit(self, x: np.ndarray, out: np.ndarray, invariant: bool, calls: list) -> None:
+        if self.kind == "scale":
+            calls.append((np.subtract, (x, self._mean_row, out)))
+            calls.append((np.divide, (out, self._std_row, out)))
+        else:
+            calls.append((np.multiply, (x, self._std_row, out)))
+            calls.append((np.add, (out, self._mean_row, out)))
 
 
 class _ResidualStep:
@@ -638,7 +668,8 @@ def compile_package(package, *, batch_invariant: bool = True) -> CompiledPlan:
     """Trace and partially evaluate a surrogate package into a plan.
 
     The optional autoencoder's encoder is traced first, then the
-    surrogate model; the whole chain compiles into one flat plan.
+    surrogate model; the whole chain compiles into one flat plan,
+    between the x scaler's step and the y scaler's, each when present.
 
     Raises :class:`UntraceableModelError` (tagged with a ``reason``)
     for module trees with no plan lowering.
@@ -648,6 +679,14 @@ def compile_package(package, *, batch_invariant: bool = True) -> CompiledPlan:
         ops.extend(_flatten_spec(package.autoencoder.encoder))
     ops.extend(_flatten_spec(package.model))
     steps, _, _ = _lower(ops, package.input_dim, None)
+    if package.x_scaler is not None:
+        steps.insert(
+            0, _ScalerStep("scale", package.x_scaler.mean, package.x_scaler.std)
+        )
+    if package.y_scaler is not None:
+        steps.append(
+            _ScalerStep("unscale", package.y_scaler.mean, package.y_scaler.std)
+        )
     return CompiledPlan(
         steps,
         input_dim=package.input_dim,
@@ -674,7 +713,11 @@ def plan_payload(plan: CompiledPlan) -> tuple[dict, dict]:
         for i, step in enumerate(steps):
             tag = f"{prefix}{i}"
             kind = step.kind
-            if kind in ("gemm", "conv1d"):
+            if kind in ("scale", "unscale"):
+                arrays[f"m_{tag}"] = step.mean
+                arrays[f"d_{tag}"] = step.std
+                encoded.append({"kind": kind, "id": tag})
+            elif kind in ("gemm", "conv1d"):
                 arrays[f"w_{tag}"] = step.weight
                 arrays[f"b_{tag}"] = step.bias
                 spec = {"kind": kind, "act": step.act, "id": tag}
@@ -726,7 +769,13 @@ def plan_from_payload(meta: dict, arrays: dict) -> CompiledPlan:
         steps: list = []
         for spec in specs:
             kind = spec["kind"]
-            if kind == "gemm":
+            if kind in ("scale", "unscale"):
+                steps.append(
+                    _ScalerStep(
+                        kind, arrays[f"m_{spec['id']}"], arrays[f"d_{spec['id']}"]
+                    )
+                )
+            elif kind == "gemm":
                 steps.append(
                     _GemmStep(
                         arrays[f"w_{spec['id']}"],

@@ -8,13 +8,15 @@
 3. **2D NAS** (§4+§5): hierarchical BO over (K, θ) with the app-level
    quality constraint — f_e is measured by actually running the
    application's QoI on validation problems with the candidate surrogate.
-4. **Packaging**: the result is a :class:`DeployedSurrogate` that can stand
-   in for the region in the running application.
+4. **Packaging**: the best package takes the build's scalers, so it maps
+   raw region rows to raw outputs, and the result is a
+   :class:`DeployedSurrogate` that can stand in for the region in the
+   running application.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
@@ -39,21 +41,17 @@ __all__ = ["DeployedSurrogate", "BuildResult", "AutoHPCnet"]
 
 @dataclass
 class DeployedSurrogate:
-    """A surrogate wired to one application's region signature."""
+    """A surrogate wired to one application's region signature.
+
+    The package maps flat raw input rows to flat raw outputs (it owns
+    its scalers); the schemas turn a problem into such a row and the
+    outputs back into the region's named values.
+    """
 
     app: Application
     package: SurrogatePackage
     input_schema: Any
     output_schema: Any
-    x_scaler: Scaler
-    y_scaler: Scaler
-
-    def predict_vector(self, x: np.ndarray) -> np.ndarray:
-        """Flat raw input features -> flat raw output features."""
-        z = self.x_scaler.transform(np.atleast_2d(x))
-        y_scaled = self.package.predict(z)
-        y = self.y_scaler.inverse(y_scaled)
-        return y[0] if np.asarray(x).ndim == 1 else y
 
     def run(self, problem: Mapping[str, Any]) -> dict[str, Any]:
         """Replace the region for one input problem; returns output dict.
@@ -63,12 +61,11 @@ class DeployedSurrogate:
         exact region for it instead).
         """
         x = self.input_schema.flatten(problem)
-        y = self.predict_vector(x)
-        return self.output_schema.unflatten(y)
+        return self.output_schema.unflatten(self.package.predict(x))
 
     def run_row(self, x: np.ndarray) -> dict[str, Any]:
         """:meth:`run` for a problem its input schema already flattened."""
-        return self.output_schema.unflatten(self.predict_vector(x))
+        return self.output_schema.unflatten(self.package.predict(x))
 
     def qoi(self, problem: Mapping[str, Any]) -> float:
         """Application QoI when the surrogate replaces the region."""
@@ -144,8 +141,9 @@ class AutoHPCnet:
     ):
         """f_e = 1 - HitRate of the candidate on the validation problems.
 
-        Eqn 3 turned into a constraint: each candidate package is wrapped
-        as the :class:`DeployedSurrogate` the build would ship and scored
+        Eqn 3 turned into a constraint: each candidate package gets the
+        build's scalers and is wrapped as the :class:`DeployedSurrogate`
+        the build would ship, then scored
         by the evaluation's own scorer, so the search constrains exactly
         the HitRate :func:`~repro.core.evaluation.evaluate_surrogate`
         reports.  A problem the input schema cannot encode is a miss for
@@ -161,7 +159,10 @@ class AutoHPCnet:
 
         def quality_fn(package: SurrogatePackage) -> float:
             surrogate = DeployedSurrogate(
-                app, package, input_schema, output_schema, x_scaler, y_scaler
+                app,
+                replace(package, x_scaler=x_scaler, y_scaler=y_scaler),
+                input_schema,
+                output_schema,
             )
             return surrogate.score(validation, mu).miss_rate
 
@@ -261,20 +262,21 @@ class AutoHPCnet:
                 )
 
             with obs.span("build.package", K=result.best_k):
+                package = replace(
+                    result.best.package, x_scaler=x_scaler, y_scaler=y_scaler
+                )
                 surrogate = DeployedSurrogate(
                     app=app,
-                    package=result.best.package,
+                    package=package,
                     input_schema=acq.input_schema,
                     output_schema=acq.output_schema,
-                    x_scaler=x_scaler,
-                    y_scaler=y_scaler,
                 )
                 artifact = None
                 if checkpoint_dir is not None:
                     # every build appends a version under the app's name, so
                     # "what was deployed last week" is one `registry list` away
                     registry = ModelRegistry(Path(checkpoint_dir) / "registry")
-                    artifact = result.best.package.publish(
+                    artifact = package.publish(
                         registry,
                         app.name,
                         metrics={
@@ -290,9 +292,7 @@ class AutoHPCnet:
                         cache = PlanCache(checkpoint_dir)
                         try:
                             warm_plan_cache(
-                                cache,
-                                result.best.package,
-                                digest=artifact.digest,
+                                cache, package, digest=artifact.digest
                             )
                         except UntraceableModelError:
                             pass  # this family serves interpreted; no plans

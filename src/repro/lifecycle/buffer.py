@@ -3,9 +3,10 @@
 Ground truth exists for free exactly once: when the guard restarts on
 the original code (§7.1), the exact outputs it just computed label the
 input that defeated the surrogate.  The buffer collects those
-``(x, y)`` pairs — in *model space* (scaled input row, scaled output
-row), so a retrainer can fit on them directly — bounded to the newest
-``capacity`` samples so drifted traffic ages out stale regimes.
+``(x, y)`` pairs — the raw flattened input and output rows the package
+serves, which the retrainer scales with the package's own scalers —
+bounded to the newest ``capacity`` samples so drifted traffic ages out
+stale regimes.
 """
 
 from __future__ import annotations

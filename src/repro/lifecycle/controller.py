@@ -81,12 +81,13 @@ class ServeResult(NamedTuple):
 class LifecycleController:
     """Closes the loop for one model name.
 
-    ``reference`` is the exact-code oracle in *model space*: given one
-    scaled input row it returns the ground-truth output row (for a
-    deployed app: unscale the row, unflatten it through the input schema,
-    run the original region with :meth:`repro.apps.base.Application.exact_outputs`,
-    then flatten and scale its outputs).
-    ``validator`` is the cheap §7.1 validity check, also in model space:
+    ``reference`` is the exact-code oracle on the raw flattened row the
+    package serves: given one input row it returns the ground-truth
+    output row (for a deployed app: unflatten the row through the input
+    schema, run the original region with
+    :meth:`repro.apps.base.Application.exact_outputs`, then flatten its
+    outputs).  The package scales both sides itself.
+    ``validator`` is the cheap §7.1 validity check on the same raw rows:
     ``validator(x_row, y_row) -> bool``.
     """
 

@@ -1,12 +1,13 @@
 """Background retraining of a drifted surrogate from captured traffic.
 
 The retrainer clones the incumbent :class:`~repro.nas.package.SurrogatePackage`
-and fine-tunes the surrogate head on the buffered ``(x, y)`` pairs the
-guard captured on fallback (the autoencoder, when present, stays frozen
-— its reconstruction objective is not what drifted, and refitting it
-would go back through the NAS).  The candidate publishes to the registry
-as the next version of the model with a ``lineage`` block in the
-manifest meta::
+and fine-tunes the surrogate head on the buffered raw ``(x, y)`` pairs
+the guard captured on fallback, scaled and encoded by the package's own
+scalers and encoder.  The scalers and the autoencoder stay frozen:
+the encoder's reconstruction objective is not what drifted, and
+refitting it would go back through the NAS.  The candidate publishes to
+the registry as the next version of the model with a ``lineage`` block
+in the manifest meta::
 
     {"lineage": {"parent_version": 3, "trigger": "drift",
                  "drift": {...}, "samples": 96, "content_key": "..."}}
@@ -142,6 +143,7 @@ class Retrainer:
         key = content_key(
             {
                 "parent": [fingerprint_array(p.data) for p in incumbent.model.parameters()],
+                **incumbent.scaler_fingerprints(),
                 "x": fingerprint_array(x),
                 "y": fingerprint_array(y),
                 "config": {
@@ -166,15 +168,12 @@ class Retrainer:
         # (process-sharded serving ships them the same way), and the
         # incumbent must keep serving unmodified while the clone trains
         candidate: SurrogatePackage = pickle.loads(pickle.dumps(incumbent))
-        if candidate.autoencoder is not None:
-            z = candidate.autoencoder.encode(x)
-        else:
-            z = x
+        z, t = candidate.training_pair(x, y)
         with obs.span("lifecycle.retrain", model=self.name, samples=x.shape[0]):
             result = train_model(
                 candidate.model,
                 z,
-                y,
+                t,
                 TrainConfig(
                     num_epochs=cfg.num_epochs,
                     batch_size=cfg.batch_size,

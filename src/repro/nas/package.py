@@ -1,9 +1,12 @@
 """SurrogatePackage: the deployable artifact of the 2D NAS.
 
-Bundles the trained autoencoder (when feature reduction is on) with the
-trained surrogate MLP, knows its own inference cost (for Eqn 2's
-``T_NN_infer`` under a device model) and serializes to a directory so
-surrogates can be saved, shared and re-loaded across applications (§6.1).
+Bundles the build's input and output scalers, the trained autoencoder
+(when feature reduction is on) and the trained surrogate MLP, knows its
+own inference cost (for Eqn 2's ``T_NN_infer`` under a device model) and
+serializes to a directory so surrogates can be saved, shared and
+re-loaded across applications (§6.1).  ``predict`` maps a region's raw
+flattened input row to its raw flattened outputs, so a package loaded
+from disk answers a region call with nothing else at hand.
 
 Persistence goes through :mod:`repro.registry`, and this class is the
 only writer and reader of a ``surrogate-package`` artifact: ``save``
@@ -30,6 +33,7 @@ from ..nn.tensor import Tensor, no_grad
 
 if TYPE_CHECKING:  # annotations only: serving loads none of these
     from ..autoencoder.model import Autoencoder
+    from ..core.scaling import Scaler
     from ..nn.cnn import AnyTopology
     from ..nn.layers import Sequential
     from ..registry.store import ArtifactRef, ModelRegistry
@@ -39,13 +43,18 @@ __all__ = ["SurrogatePackage"]
 
 @dataclass
 class SurrogatePackage:
-    """Encoder (optional) + surrogate model, ready for online serving."""
+    """Scalers and encoder (each optional) + surrogate model, ready to serve.
+
+    A package without scalers serves model-space rows as they come.
+    """
 
     model: Sequential
     topology: AnyTopology
     input_dim: int
     output_dim: int
     autoencoder: Optional[Autoencoder] = None
+    x_scaler: Optional[Scaler] = None
+    y_scaler: Optional[Scaler] = None
 
     @property
     def latent_dim(self) -> int:
@@ -58,7 +67,7 @@ class SurrogatePackage:
     # -- inference ----------------------------------------------------------
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Raw region inputs -> surrogate outputs (batch or single row).
+        """Raw region inputs -> raw surrogate outputs (batch or single row).
 
         A 1-D array is one sample ``(F,)`` and returns ``(output_dim,)``;
         a 2-D array is ``(B, F)`` and returns
@@ -72,13 +81,31 @@ class SurrogatePackage:
                 f"surrogate expects {self.input_dim} input features, "
                 f"got input of shape {x.shape}"
             )
-        if self.autoencoder is not None:
-            z = self.autoencoder.encode(x if not single else x[None, :])
-        else:
-            z = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        out = self.run_encoded(self.encode(x[None, :] if single else x))
+        return out[0] if single else out
+
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """Raw ``(B, F)`` input rows -> the model's input features:
+        the x scaling, then the autoencoder's reduction."""
+        z = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if self.x_scaler is not None:
+            z = self.x_scaler.transform(z)
+        return z if self.autoencoder is None else self.autoencoder.encode(z)
+
+    def run_encoded(self, z: np.ndarray) -> np.ndarray:
+        """The model's input features -> raw outputs: the surrogate
+        forward, then the y scaling's inverse."""
         with no_grad():
             out = self.model(Tensor(z)).data
-        return out[0] if single else out
+        return out if self.y_scaler is None else self.y_scaler.inverse(out)
+
+    def training_pair(self, x: np.ndarray, y: np.ndarray) -> tuple:
+        """Raw ``(x, y)`` rows -> what the model trains on: the encoded
+        inputs and the scaled outputs."""
+        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        if self.y_scaler is not None:
+            y = self.y_scaler.transform(y)
+        return self.encode(x), y
 
     def predict_batch(self, rows: Sequence[np.ndarray]) -> np.ndarray:
         """Stack per-request rows into one ``(B, F)`` forward pass."""
@@ -99,26 +126,28 @@ class SurrogatePackage:
             total += sum(p.size for p in self.autoencoder.encoder.parameters())
         return total
 
+    def scaler_fingerprints(self) -> dict:
+        """``{x_scaler|y_scaler: [mean, std] fingerprints}`` of the scalers
+        held: a key that hashes a package must cover them, or two packages
+        that differ only in a scaler share it."""
+        from ..core.digest import fingerprint_array
+
+        scalers = {"x_scaler": self.x_scaler, "y_scaler": self.y_scaler}
+        return {
+            name: [fingerprint_array(scaler.mean), fingerprint_array(scaler.std)]
+            for name, scaler in scalers.items()
+            if scaler is not None
+        }
+
     # -- serialization ----------------------------------------------------------
 
     def payload_meta(self) -> dict:
         """The ``package.json`` body (also embedded in registry manifests)."""
-        meta: dict = {
+        return {
             "input_dim": self.input_dim,
             "output_dim": self.output_dim,
             "uses_reduction": self.uses_reduction,
         }
-        if self.autoencoder is not None:
-            from ..registry import formats
-
-            ae_meta = formats.autoencoder_meta(self.autoencoder)
-            meta["autoencoder"] = {
-                "input_dim": ae_meta["input_dim"],
-                "latent_dim": ae_meta["latent_dim"],
-                **formats.LEGACY_SPARSE_INPUT,
-                "depth": ae_meta["depth"],
-            }
-        return meta
 
     def write_payloads(self, directory: Union[str, Path]) -> None:
         """Stage the package's payload files into ``directory``."""
@@ -128,6 +157,7 @@ class SurrogatePackage:
         formats.write_model_npz(
             self.model, self.topology, self.latent_dim, self.output_dim,
             directory / "surrogate.npz",
+            x_scaler=self.x_scaler, y_scaler=self.y_scaler,
         )
         if self.autoencoder is not None:
             formats.write_autoencoder_npz(
@@ -210,13 +240,14 @@ class SurrogatePackage:
         """Load a package directory written by :meth:`save` or :meth:`publish`.
 
         The autoencoder rebuilds from its archive's embedded meta, which
-        records its activation; ``package.json`` does not.
+        records its activation; ``package.json`` does not.  The scalers
+        come back from ``surrogate.npz``.
         """
         from ..registry import formats
 
         directory = Path(directory)
         meta = json.loads((directory / "package.json").read_text())
-        model, topology, _in, out_dim = formats.read_model_npz(
+        model, topology, _in, out_dim, scalers = formats.read_model_npz(
             directory / "surrogate.npz"
         )
         autoencoder = None
@@ -230,4 +261,5 @@ class SurrogatePackage:
             input_dim=int(meta["input_dim"]),
             output_dim=int(out_dim),
             autoencoder=autoencoder,
+            **scalers,
         )

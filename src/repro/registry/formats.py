@@ -1,8 +1,9 @@
 """Payload codecs for model artifacts — the one place that touches npz.
 
 Every byte of model state written to or read from disk goes through this
-module: the surrogate ``.npz`` (topology meta + parameter arrays), the
-autoencoder ``.npz`` (embedded rebuild meta + parameter arrays), the
+module: the surrogate ``.npz`` (topology meta + parameter arrays +
+scaler arrays), the autoencoder ``.npz`` (embedded rebuild meta +
+parameter arrays), the
 compiled-plan ``.npz`` and raw encoded-dataset arrays.  Each artifact
 kind has one writer and one reader over these codecs
 (:class:`~repro.nas.package.SurrogatePackage`,
@@ -20,6 +21,7 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
+from ..core.scaling import Scaler
 from ..nn.cnn import AnyTopology, CNNTopology, build_model
 from ..nn.layers import Sequential
 from ..nn.mlp import Topology
@@ -38,22 +40,20 @@ __all__ = [
     "write_autoencoder_npz",
     "read_autoencoder_npz",
     "autoencoder_meta",
-    "LEGACY_SPARSE_INPUT",
     "write_array",
     "read_array",
     "write_plan_npz",
     "read_plan_npz",
 ]
 
-MODEL_FORMAT_VERSION = 2
+#: v3 added the package's scaler arrays; a v2 reader refuses a v3 file
+#: rather than serve its outputs unscaled
+MODEL_FORMAT_VERSION = 3
 AUTOENCODER_FORMAT_VERSION = 1
 PLAN_FORMAT_VERSION = 1
 
-#: Readers from before the sparse first layer was removed index this key
-#: without a default, so MLP topology and package metadata keep writing
-#: it, always False: a sparse input reaches every model as the dense row
-#: its feature schema gathered.  Readers ignore it.
-LEGACY_SPARSE_INPUT = {"sparse_input": False}
+#: the surrogate npz's array names of each scaler's ``(mean, std)``
+_SCALER_ARRAYS = {"x_scaler": ("x_mean", "x_std"), "y_scaler": ("y_mean", "y_std")}
 
 
 # -- topology metadata ---------------------------------------------------------
@@ -75,7 +75,6 @@ def topology_to_meta(topology: AnyTopology) -> dict:
         "hidden": list(topology.hidden),
         "activation": topology.activation,
         "residual": topology.residual,
-        **LEGACY_SPARSE_INPUT,
     }
 
 
@@ -104,8 +103,12 @@ def write_model_npz(
     in_features: int,
     out_features: int,
     path: Union[str, Path],
+    *,
+    x_scaler: Optional[Scaler] = None,
+    y_scaler: Optional[Scaler] = None,
 ) -> Path:
-    """Persist a surrogate built by :func:`repro.nn.cnn.build_model`."""
+    """Persist a surrogate built by :func:`repro.nn.cnn.build_model`,
+    with the scalers its package serves through (each optional)."""
     path = Path(path)
     meta = {
         "version": MODEL_FORMAT_VERSION,
@@ -114,14 +117,19 @@ def write_model_npz(
         "topology": topology_to_meta(topology),
     }
     arrays = {f"param_{i}": p.data for i, p in enumerate(model.parameters())}
+    for scaler, (mean, std) in zip((x_scaler, y_scaler), _SCALER_ARRAYS.values()):
+        if scaler is not None:
+            arrays[mean], arrays[std] = scaler.mean, scaler.std
     np.savez(path, meta=json.dumps(meta), **arrays)
     return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
 
 
 def read_model_npz(
     path: Union[str, Path],
-) -> tuple[Sequential, AnyTopology, int, int]:
-    """Rebuild a saved surrogate; returns (model, topology, in, out)."""
+) -> tuple[Sequential, AnyTopology, int, int, dict]:
+    """Rebuild a saved surrogate; returns (model, topology, in, out,
+    scalers), where ``scalers`` maps ``x_scaler``/``y_scaler`` to the
+    :class:`~repro.core.scaling.Scaler` the file holds, if any."""
     with np.load(Path(path), allow_pickle=False) as archive:
         meta = json.loads(str(archive["meta"]))
         version = meta.get("version")
@@ -138,7 +146,12 @@ def read_model_npz(
                     f"vs model {p.data.shape}"
                 )
             p.data = stored.astype(np.float64)
-    return model, topology, meta["in_features"], meta["out_features"]
+        scalers = {
+            name: Scaler(mean=archive[mean], std=archive[std])
+            for name, (mean, std) in _SCALER_ARRAYS.items()
+            if mean in archive.files
+        }
+    return model, topology, meta["in_features"], meta["out_features"], scalers
 
 
 # -- autoencoders ---------------------------------------------------------------

@@ -3,11 +3,12 @@
 The client is the thin layer compiled into the HPC application: it ships
 input tensors to the orchestrator, requests inferences, and unpacks
 results.  ``set_model_from_file`` loads a surrogate saved by
-:class:`~repro.nas.package.SurrogatePackage`; ``autoencoder`` runs the
-online feature reduction (Listing 2 line 14) on an input row that the
-package's feature schema flattened — a sparse region input reaches a
-surrogate only that way, so the store and the serving path carry dense
-arrays alone.
+:class:`~repro.nas.package.SurrogatePackage`.  A package takes the raw
+row its feature schema flattened from the region's inputs and returns
+raw flattened outputs: its scaling and online feature reduction
+(Listing 2 line 14) run inside the served call.  A sparse region input
+reaches a surrogate only as that row, so the store and the serving path
+carry dense arrays alone.
 
 Two invocation styles reach the orchestrator's serving core:
 
@@ -38,7 +39,6 @@ from ..nas.package import SurrogatePackage
 from .orchestrator import Orchestrator
 
 if TYPE_CHECKING:  # annotations only: serving loads none of these
-    from ..autoencoder.model import Autoencoder
     from ..registry.store import ModelRegistry
 
 __all__ = ["Client"]
@@ -54,8 +54,6 @@ class Client:
         # ``cluster`` mirrors ``autoHPCnet::Client client(false)`` in Listing 1
         self._orc = orchestrator
         self.cluster = bool(cluster)
-        self._autoencoder: Optional[Autoencoder] = None
-        self._packages: dict[str, SurrogatePackage] = {}
 
     # -- tensor traffic ---------------------------------------------------------
 
@@ -108,7 +106,6 @@ class Client:
         artifact digest so compiled plans are content-addressed without
         rehashing the parameters.
         """
-        self._packages[name] = package
         return self._orc.register_model(
             name,
             package.predict,
@@ -260,18 +257,3 @@ class Client:
                 raise ValueError("run_model_batch takes one output key per input")
             outputs = [k[0] for k in keys]
         return self._orc.submit(name, resolved, outputs).result(timeout)
-
-    # -- online feature reduction ---------------------------------------------------------
-
-    def set_autoencoder(self, autoencoder: Autoencoder) -> None:
-        self._autoencoder = autoencoder
-
-    def autoencoder(self, tensor: np.ndarray) -> np.ndarray:
-        """Reduce flattened input rows to latent features.
-
-        This is ``client.autoencoder(sparse_tensor)`` from Listing 2; the
-        sparse tensor arrives as the row its feature schema gathered.
-        """
-        if self._autoencoder is None:
-            raise RuntimeError("no autoencoder set; call set_autoencoder() first")
-        return self._autoencoder.encode(tensor)

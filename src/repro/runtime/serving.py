@@ -24,7 +24,6 @@ import numpy as np
 
 from .. import obs
 from ..nas.package import SurrogatePackage
-from ..nn.tensor import Tensor, no_grad
 from ..perf.counting import nn_inference_cost
 from ..perf.devices import DeviceModel, Link, PCIE3_X16, TESLA_V100_NN
 from ..perf.timers import PhaseTimer
@@ -303,8 +302,6 @@ class ServingSession:
         )
         with self._phase("load_model"):
             self.client.set_model(model_name, package)
-            if package.autoencoder is not None:
-                self.client.set_autoencoder(package.autoencoder)
 
     def _phase(self, name: str):
         return obs.phase(
@@ -316,20 +313,16 @@ class ServingSession:
         )
 
     def infer(self, raw_input: np.ndarray, key: str = "in") -> np.ndarray:
-        """One surrogate call through the store, phase-timed."""
+        """One surrogate call through the store, phase-timed: the raw
+        flattened input row in, the raw flattened outputs back."""
         with self._phase("fetch_input"):
             self.client.put_tensor(key, np.atleast_2d(raw_input))
             staged = self.client.get_tensor(key)
         with self._phase("encode"):
-            if self.package.autoencoder is not None:
-                features = self.client.autoencoder(staged)
-            else:
-                features = staged
+            features = self.package.encode(staged)
         with self._phase("run_model"):
-            # the registered model is the full package; feed reduced features
-            # straight to the MLP half to avoid double-encoding
-            with no_grad():
-                out = self.package.model(Tensor(np.atleast_2d(features))).data
+            # the package's second half, on the features encoded above
+            out = self.package.run_encoded(features)
             self.client.put_tensor("out", out)
             result = self.client.unpack_tensor("out")
         return result[0] if np.asarray(raw_input).ndim == 1 else result

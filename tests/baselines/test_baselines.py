@@ -134,4 +134,4 @@ class TestAutokerasBaseline:
         surrogate = build_autokeras_surrogate(
             app, n_trials=1, n_samples=40, num_epochs=5, seed=0
         )
-        assert surrogate.x_scaler.is_identity
+        assert surrogate.package.x_scaler.is_identity

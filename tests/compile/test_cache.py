@@ -1,5 +1,7 @@
 """Persistence, crash-safety, and keying of the plan cache."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,9 @@ from repro.compile import (
 )
 from repro.nn.tensor import batch_invariant
 from repro.registry.formats import write_plan_npz
+from repro.runtime import Client, Orchestrator
 
-from .test_plan import make_package
+from .test_plan import make_package, with_scalers
 
 
 @pytest.fixture(autouse=True)
@@ -59,6 +62,43 @@ class TestKeying:
         param = next(iter(package.model.parameters()))
         param.data = param.data + 1.0
         assert package_digest(package) != before
+
+    def test_digest_covers_the_scalers(self, rng):
+        package = with_scalers(make_package(rng), rng)
+        other_y = dataclasses.replace(
+            package.y_scaler, std=package.y_scaler.std * 2.0
+        )
+        digests = {
+            package_digest(package),
+            package_digest(dataclasses.replace(package, y_scaler=other_y)),
+            package_digest(dataclasses.replace(package, x_scaler=None)),
+            package_digest(dataclasses.replace(package, y_scaler=None)),
+        }
+        assert len(digests) == 4
+
+    def test_shared_disk_tier_serves_each_package_its_own_plan(
+        self, rng, tmp_path
+    ):
+        """Two processes' worth of orchestrators share one plan cache
+        directory and register packages that differ only in ``y_scaler``
+        with no registry digest: each answers its own bytes."""
+        package = with_scalers(make_package(rng), rng)
+        other = dataclasses.replace(
+            package,
+            y_scaler=dataclasses.replace(
+                package.y_scaler, mean=package.y_scaler.mean + 1.0
+            ),
+        )
+        x = rng.standard_normal((4, 6))
+        for served in (package, other):
+            orc = Orchestrator(plan_cache_dir=tmp_path)
+            Client(orc).set_model("m", served)
+            with batch_invariant():
+                expected = served.predict(x)
+            with orc:
+                out = Client(orc).run_model_batch("m", list(x), timeout=30)
+            assert np.stack(out).tobytes() == expected.tobytes()
+        assert len(PlanCache(tmp_path).keys()) == 2
 
     def test_equal_packages_share_a_digest(self, rng):
         a = make_package(rng)

@@ -7,16 +7,21 @@ payload round-trip.  ``np.testing.assert_array_equal`` (exact equality,
 no tolerance) is deliberate throughout.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.autoencoder.model import Autoencoder
 from repro.compile import (
+    CompiledPlan,
     UntraceableModelError,
     compile_package,
     plan_from_payload,
     plan_payload,
 )
+from repro.compile.plan import _ScalerStep
+from repro.core.scaling import Scaler
 from repro.nas.package import SurrogatePackage
 from repro.nn.cnn import CNNTopology, build_model
 from repro.nn.mlp import Topology
@@ -131,6 +136,92 @@ class TestBitIdentity:
         batched = plan.predict(rows)
         for i, row in enumerate(rows):
             np.testing.assert_array_equal(plan.predict(row), batched[i])
+
+
+def with_scalers(package, rng):
+    """``package`` behind standardizing scalers with awkward values."""
+    x_std = rng.uniform(0.1, 3.0, package.input_dim)
+    x_std[0] = 1.0
+    return dataclasses.replace(
+        package,
+        x_scaler=Scaler(mean=rng.standard_normal(package.input_dim), std=x_std),
+        y_scaler=Scaler(
+            mean=rng.standard_normal(package.output_dim),
+            std=rng.uniform(0.1, 50.0, package.output_dim),
+        ),
+    )
+
+
+class TestScalerSteps:
+    """A package's scalers lower to ``scale``/``unscale`` steps that run
+    ``Scaler``'s own float ops, so a plan serves raw rows byte for byte."""
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_raw_rows_bit_identical(self, rng, batch):
+        package = with_scalers(make_package(rng), rng)
+        plan = compile_package(package)
+        assert plan.step_kinds() == ["gemm", "scale", "unscale"]
+        assert_bit_identical(package, plan, rng.standard_normal((batch, 6)))
+        assert_bit_identical(package, plan, rng.standard_normal(6))
+
+    def test_matches_scaler_transform_and_inverse(self, rng):
+        """The plan computes ``inverse(model(transform(x)))`` as the
+        scalers themselves do, NaN and -0.0 included."""
+        package = with_scalers(make_package(rng, latent_dim=4), rng)
+        x = rng.standard_normal((40, 6))
+        x[0, 0], x[1, 1], x[2, 2] = np.nan, -0.0, 0.0
+        bare = dataclasses.replace(package, x_scaler=None, y_scaler=None)
+        with batch_invariant():
+            ref = package.y_scaler.inverse(
+                bare.predict(package.x_scaler.transform(x))
+            )
+        assert compile_package(package).predict(x).tobytes() == ref.tobytes()
+
+    def test_identity_scaler_is_not_skipped(self, rng):
+        """Unscaling by an identity scaler adds +0.0, which turns a -0.0
+        output into +0.0; a plan that skipped the step would move that
+        bit."""
+        identity = Scaler.identity(3)
+        unscale = CompiledPlan(
+            [_ScalerStep("unscale", identity.mean, identity.std)],
+            input_dim=3, output_dim=3,
+        )
+        z = np.array([[-0.0, 1.0, -2.0]])
+        assert unscale.predict(z).tobytes() == identity.inverse(z).tobytes()
+        assert not np.signbit(unscale.predict(z)[0, 0])
+
+        package = dataclasses.replace(
+            make_package(rng),
+            x_scaler=Scaler.identity(6), y_scaler=Scaler.identity(2),
+        )
+        plan = compile_package(package)
+        assert plan.step_kinds() == ["gemm", "scale", "unscale"]
+        assert_bit_identical(package, plan, rng.standard_normal((7, 6)))
+
+    def test_no_scalers_lower_to_the_bare_program(self, rng):
+        package = make_package(rng)
+        bare = compile_package(package)
+        assert bare.step_kinds() == ["gemm"]
+        scaled = compile_package(with_scalers(package, rng))
+        x = rng.standard_normal((5, 6))
+        bare.predict(x)
+        scaled.predict(x)
+        # two calls per scaler, nothing else added
+        calls = {
+            name: len(plan._tls.programs[5].calls)
+            for name, plan in (("bare", bare), ("scaled", scaled))
+        }
+        assert calls["scaled"] == calls["bare"] + 4
+
+    def test_payload_round_trip(self, rng):
+        package = with_scalers(make_package(rng), rng)
+        meta, arrays = plan_payload(compile_package(package))
+        assert [s["kind"] for s in meta["steps"]][::len(meta["steps"]) - 1] == [
+            "scale", "unscale",
+        ]
+        assert_bit_identical(
+            package, plan_from_payload(meta, arrays), rng.standard_normal((9, 6))
+        )
 
 
 class TestPlanSemantics:

@@ -101,7 +101,6 @@ class TestServeReport:
         ).package
         surrogate = SimpleNamespace(
             input_schema=SimpleNamespace(flatten=lambda problem: np.ones(4)),
-            x_scaler=SimpleNamespace(transform=lambda rows: rows),
             package=package,
         )
 

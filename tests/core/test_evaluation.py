@@ -175,13 +175,21 @@ class TestQualityIsOneMinusHitRate:
     build's validation problems, for any package."""
 
     def quality_and_hit_rate(self, build, package):
-        surrogate = dataclasses.replace(build.surrogate, package=package)
+        # a trial package serves model-space rows; the build's scalers
+        # make it the surrogate the build would ship
+        scalers = {
+            "x_scaler": build.surrogate.package.x_scaler,
+            "y_scaler": build.surrogate.package.y_scaler,
+        }
+        surrogate = dataclasses.replace(
+            build.surrogate, package=dataclasses.replace(package, **scalers)
+        )
         quality_fn = AutoHPCnet(FAST)._make_quality_fn(
             surrogate.app,
             surrogate.input_schema,
             surrogate.output_schema,
-            surrogate.x_scaler,
-            surrogate.y_scaler,
+            scalers["x_scaler"],
+            scalers["y_scaler"],
         )
         row = evaluate_surrogate(
             surrogate,

@@ -20,18 +20,20 @@ FAST = AutoHPCnetConfig(
 
 @pytest.fixture(scope="module")
 def telemetry_run():
-    """One instrumented build + a few serving/guard invocations."""
+    """One instrumented build + a few serving/guard invocations, with
+    the raw rows served and the session's answers to them."""
     obs.configure(enabled=True, reset=True)
     app = BlackscholesApplication()
     build = AutoHPCnet(FAST).build(app)
     session = ServingSession(build.surrogate.package)
     guarded = GuardedSurrogate(build.surrogate, default_validator(app.name))
     rng = np.random.default_rng(3)
+    served = []
     for problem in app.generate_problems(4, rng):
-        x = build.surrogate.input_schema.flatten(problem)
-        session.infer(build.surrogate.x_scaler.transform(x[None, :])[0])
+        row = build.surrogate.input_schema.flatten(problem)
+        served.append((row, session.infer(row)))
         guarded.run(problem)
-    yield build, session, guarded
+    yield build, session, guarded, served
     obs.configure(enabled=True, reset=True)
 
 
@@ -107,7 +109,7 @@ class TestPrometheusExport:
             assert hist.count(phase=phase) == expected
 
     def test_guard_counters_match_stats(self, telemetry_run):
-        _, _, guarded = telemetry_run
+        _, _, guarded, _ = telemetry_run
         registry = obs.get_registry()
         assert (
             registry.get("repro_guard_invocations_total").value(app="Blackscholes")
@@ -125,7 +127,7 @@ class TestPrometheusExport:
 class TestSingleSourceOfTruth:
     def test_span_fractions_match_phase_timer(self, telemetry_run):
         """§7.3 phase fractions: spans and PhaseTimer must not drift."""
-        _, session, _ = telemetry_run
+        _, session, _, _ = telemetry_run
         tracer = obs.get_tracer()
         span_seconds = {
             phase: sum(s.duration for s in tracer.spans_named(phase))
@@ -142,12 +144,25 @@ class TestSingleSourceOfTruth:
             )
 
     def test_histogram_sum_matches_timer(self, telemetry_run):
-        _, session, _ = telemetry_run
+        _, session, _, _ = telemetry_run
         hist = obs.get_registry().get("repro_serving_phase_seconds")
         for phase in ONLINE_PHASES:
             assert hist.sum(phase=phase) == pytest.approx(
                 session.timer.phases[phase], rel=1e-12
             )
+
+
+class TestServedAnswers:
+    def test_session_answers_raw_outputs(self, telemetry_run):
+        """A raw flattened row in, the surrogate's raw outputs back: what
+        the build's own ``DeployedSurrogate`` answers for that row."""
+        build, _, _, served = telemetry_run
+        surrogate = build.surrogate
+        for row, answer in served:
+            expected = surrogate.output_schema.flatten(surrogate.run_row(row))
+            np.testing.assert_allclose(answer, expected, rtol=1e-9, atol=1e-9)
+        # the outputs were standardized for training: the check has teeth
+        assert not surrogate.package.y_scaler.is_identity
 
 
 class TestCLITelemetry:

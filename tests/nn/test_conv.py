@@ -174,7 +174,7 @@ class TestBuildCNN:
         topo = CNNTopology(channels=(4,), kernel_sizes=(3,), pools=(2,))
         model = build_cnn(16, 3, topo, rng)
         path = write_model_npz(model, topo, 16, 3, tmp_path / "cnn.npz")
-        loaded, loaded_topo, fin, fout = read_model_npz(path)
+        loaded, loaded_topo, fin, fout, _ = read_model_npz(path)
         assert loaded_topo == topo and (fin, fout) == (16, 3)
         x = rng.standard_normal((4, 16))
         assert np.allclose(predict(model, x), predict(loaded, x))

@@ -252,7 +252,7 @@ class TestSerialization:
         topo = Topology(hidden=(8, 8), activation="tanh", residual=True)
         model = build_mlp(5, 3, topo, rng)
         path = write_model_npz(model, topo, 5, 3, tmp_path / "model.npz")
-        loaded, loaded_topo, fin, fout = read_model_npz(path)
+        loaded, loaded_topo, fin, fout, _ = read_model_npz(path)
         assert (fin, fout) == (5, 3)
         assert loaded_topo == topo
         x = rng.standard_normal((4, 5))

@@ -10,8 +10,10 @@ from repro.nas import evaluate_topology
 from repro.nas.package import SurrogatePackage
 from repro.nn import Topology, build_model
 from repro.registry import ModelRegistry
+from repro.core.scaling import Scaler
 from repro.registry.formats import (
     read_autoencoder_npz,
+    read_model_npz,
     write_autoencoder_npz,
     write_model_npz,
 )
@@ -25,8 +27,8 @@ def make_package(rng, din=6, dout=2):
     ).package
 
 
-def legacy_model_npz(path, model, topology, din, dout):
-    """Write the historical surrogate ``.npz`` layout byte for byte."""
+def v2_model_npz(path, model, topology, din, dout):
+    """Write a surrogate ``.npz`` in format v2 (no scalers), byte for byte."""
     meta = {
         "version": 2,
         "in_features": din,
@@ -43,20 +45,77 @@ def legacy_model_npz(path, model, topology, din, dout):
     np.savez(path, meta=json.dumps(meta), **arrays)
 
 
+def v3_model_npz(path, model, topology, din, dout, x_scaler, y_scaler):
+    """Write the format-v3 surrogate ``.npz`` layout byte for byte."""
+    meta = {
+        "version": 3,
+        "in_features": din,
+        "out_features": dout,
+        "topology": {
+            "family": "mlp",
+            "hidden": list(topology.hidden),
+            "activation": topology.activation,
+            "residual": topology.residual,
+        },
+    }
+    arrays = {f"param_{i}": p.data for i, p in enumerate(model.parameters())}
+    arrays.update(
+        x_mean=x_scaler.mean, x_std=x_scaler.std,
+        y_mean=y_scaler.mean, y_std=y_scaler.std,
+    )
+    np.savez(path, meta=json.dumps(meta), **arrays)
+
+
 class TestModelNpz:
-    def test_new_save_model_is_byte_identical_to_legacy_writer(
-        self, rng, tmp_path
-    ):
-        """The registry codec must not drift from the historical layout:
-        old readers (and old checkouts) keep loading new files."""
+    def scalers(self):
+        # -0.0 and NaN must come back with their bits
+        return (
+            Scaler(mean=np.array([-0.0, 1.5, np.nan]), std=np.array([1.0, 0.25, 3.0])),
+            Scaler(mean=np.array([2.0, -0.0]), std=np.array([0.5, 1e-300])),
+        )
+
+    def test_v3_layout_round_trips_byte_for_byte(self, tmp_path):
+        """Format v3 is the pinned layout plus the four scaler arrays,
+        and a read-then-write reproduces the file's bytes."""
         topology = Topology(hidden=(4,), activation="relu")
         model = build_model(3, 2, topology)
-        legacy_model_npz(tmp_path / "old.npz", model, topology, 3, 2)
-        write_model_npz(model, topology, 3, 2, tmp_path / "new.npz")
-        assert (
-            (tmp_path / "new.npz").read_bytes()
-            == (tmp_path / "old.npz").read_bytes()
+        x_scaler, y_scaler = self.scalers()
+        v3_model_npz(tmp_path / "pinned.npz", model, topology, 3, 2, x_scaler, y_scaler)
+        write_model_npz(
+            model, topology, 3, 2, tmp_path / "new.npz",
+            x_scaler=x_scaler, y_scaler=y_scaler,
         )
+        new = (tmp_path / "new.npz").read_bytes()
+        assert new == (tmp_path / "pinned.npz").read_bytes()
+
+        loaded, loaded_topology, din, dout, scalers = read_model_npz(tmp_path / "new.npz")
+        assert (loaded_topology, din, dout) == (topology, 3, 2)
+        for name, scaler in (("x_scaler", x_scaler), ("y_scaler", y_scaler)):
+            assert scalers[name].mean.tobytes() == scaler.mean.tobytes()
+            assert scalers[name].std.tobytes() == scaler.std.tobytes()
+        write_model_npz(
+            loaded, loaded_topology, din, dout, tmp_path / "again.npz", **scalers
+        )
+        assert (tmp_path / "again.npz").read_bytes() == new
+
+    def test_a_file_without_scalers_reads_none(self, tmp_path):
+        topology = Topology(hidden=(4,), activation="relu")
+        write_model_npz(build_model(3, 2, topology), topology, 3, 2, tmp_path / "m.npz")
+        assert read_model_npz(tmp_path / "m.npz")[4] == {}
+
+    def test_v2_file_is_refused_by_version(self, rng, tmp_path):
+        """A v2 file holds no scalers; loading it as a package would serve
+        model-space numbers, so the reader names its version and stops."""
+        package = make_package(rng)
+        directory = package.save(tmp_path / "pkg")
+        v2_model_npz(
+            directory / "surrogate.npz", package.model, package.topology,
+            package.input_dim, package.output_dim,
+        )
+        with pytest.raises(ValueError, match="version 2"):
+            read_model_npz(directory / "surrogate.npz")
+        with pytest.raises(ValueError, match="version 2"):
+            SurrogatePackage.load(directory)
 
 
 class TestLegacyPackageDir:

@@ -35,6 +35,11 @@ def negate(x: np.ndarray) -> np.ndarray:
     return -x.sum(axis=1)
 
 
+def flip(x: np.ndarray) -> np.ndarray:
+    """Element-wise ``-x``, in the input's shape."""
+    return -np.asarray(x, dtype=np.float64)
+
+
 def collapse(x: np.ndarray) -> np.ndarray:
     """Declared row-wise by its tests but is not: one sum for the whole input."""
     return np.atleast_1d(np.asarray(x, dtype=np.float64).sum())

@@ -223,11 +223,9 @@ def amg_surrogate():
             acq.input_dim, acq.output_dim, topology, rng=np.random.default_rng(0)
         ),
         topology=topology, input_dim=acq.input_dim, output_dim=acq.output_dim,
+        x_scaler=Scaler.identity(acq.input_dim), y_scaler=Scaler.fit(acq.y),
     )
-    surrogate = DeployedSurrogate(
-        app, package, acq.input_schema, acq.output_schema,
-        Scaler.identity(acq.input_dim), Scaler.fit(acq.y),
-    )
+    surrogate = DeployedSurrogate(app, package, acq.input_schema, acq.output_schema)
     return surrogate, app.generate_problems(1, np.random.default_rng(1))[0]
 
 

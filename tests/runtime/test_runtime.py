@@ -1,5 +1,8 @@
 """Orchestrator, client and serving-path tests (Listings 1-2 semantics)."""
 
+import contextlib
+import glob
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,22 @@ from repro.runtime import (
     OnlineCostModel,
     Orchestrator,
     ServingSession,
+    UnknownModelError,
 )
+
+from . import procmodels
+
+#: the server-mode tests run on a thread pool, then on one worker process
+SERVING_MODES = (0, 1)
+
+
+@contextlib.contextmanager
+def serving(num_processes: int):
+    """A started orchestrator in one mode; stopping it must release every
+    shared-memory segment (the leak gate)."""
+    with Orchestrator(num_processes=num_processes) as orc:
+        yield orc
+    assert glob.glob("/dev/shm/repro_*") == []
 
 
 def make_package(rng, din=6, dout=2, with_ae=False):
@@ -73,20 +91,31 @@ class TestOrchestrator:
             Orchestrator().register_model("bad", 42)
 
     def test_server_mode_processes_queue(self, rng):
-        with Orchestrator() as orc:
-            orc.register_model("neg", lambda x: -x)
-            orc.put_tensor("in", np.ones(4))
-            req = orc.submit("neg", [("in",)], ["out"])
-            assert req.done.wait(timeout=5.0)
-            assert req.errors == [None]
-            assert np.allclose(orc.get_tensor("out"), -1.0)
-        assert not orc.is_running
+        for num_processes in SERVING_MODES:
+            with serving(num_processes) as orc:
+                orc.register_model("neg", procmodels.flip)
+                orc.put_tensor("in", np.ones(4))
+                req = orc.submit("neg", [("in",)], ["out"])
+                assert req.done.wait(timeout=60.0)
+                assert req.errors == [None]
+                assert np.allclose(orc.get_tensor("out"), -1.0)
+            assert not orc.is_running
 
     def test_server_mode_surfaces_errors(self):
-        with Orchestrator() as orc:
-            req = orc.submit("missing", [("in",)], ["out"])
-            assert req.done.wait(timeout=5.0)
-            assert isinstance(req.errors[0], KeyError)
+        for num_processes in SERVING_MODES:
+            with serving(num_processes) as orc:
+                orc.register_model("aff", procmodels.affine, batchable=True)
+                orc.register_model("bad", procmodels.FailingModel(), batchable=True)
+                req = orc.submit("missing", [("in",)], ["out"])
+                assert req.done.wait(timeout=60.0)
+                assert isinstance(req.errors[0], KeyError)
+                # an unknown name is refused at the front end
+                with pytest.raises(UnknownModelError):
+                    Client(orc).run_model_batch("nope", [np.ones(3)], timeout=60)
+                # a model's error reaches the caller with its type
+                handle = orc.submit("bad", [np.ones(3)], ["out"])
+                with pytest.raises(ValueError, match="synthetic failure"):
+                    handle.result(timeout=60)
 
     def test_submit_before_start_serves_inline(self):
         orc = Orchestrator()
@@ -130,10 +159,6 @@ class TestClient:
         x = rng.standard_normal((2, 6))
         assert np.allclose(loaded.predict(x), pkg.predict(x))
 
-    def test_autoencoder_without_setting_raises(self):
-        with pytest.raises(RuntimeError):
-            Client(Orchestrator()).autoencoder(np.ones((1, 4)))
-
     def test_unpack_shape_mismatch_rejected(self, rng):
         client = Client(Orchestrator())
         client.put_tensor("k", rng.standard_normal((2, 2)))
@@ -141,13 +166,14 @@ class TestClient:
             client.unpack_tensor("k", out=np.empty((3, 3)))
 
     def test_server_mode_inference(self, rng):
-        with Orchestrator() as orc:
-            client = Client(orc)
-            pkg = make_package(rng)
-            client.set_model("m", pkg)
-            x = rng.standard_normal((2, 6))
-            out = client.run_model("m", inputs=x, outputs="out")
-            assert np.allclose(out, pkg.predict(x))
+        pkg = make_package(rng)
+        x = rng.standard_normal((2, 6))
+        for num_processes in SERVING_MODES:
+            with serving(num_processes) as orc:
+                client = Client(orc)
+                client.set_model("m", pkg)
+                out = client.run_model("m", inputs=x, outputs="out")
+                assert np.allclose(out, pkg.predict(x))
 
 
 class TestOnlineCostModel:

@@ -33,8 +33,9 @@ OFFLINE = (
     "repro.nn.trainstep",
 )
 #: modules a thread-mode Listing-2 process must not load either: process
-#: mode, persistence, the guard, the cost model and the training stack
-#: load on first use
+#: mode, persistence, the guard, the cost model, the training stack and
+#: the scaler class (a package's scalers arrive as objects) load on
+#: first use
 LISTING2_ON_DEMAND = (
     "multiprocessing",
     "repro.runtime.procworker",
@@ -53,6 +54,7 @@ LISTING2_ON_DEMAND = (
     "repro.registry.store",
     "repro.autoencoder",
     "repro.obs.merge",
+    "repro.core.scaling",
 )
 SERVING_ENTRIES = (
     "repro",
