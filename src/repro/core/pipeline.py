@@ -251,7 +251,8 @@ class AutoHPCnet:
             search = Hierarchical2DSearch(topology_space, input_space, search_config)
             with obs.span("build.search"):
                 result = search.run(
-                    x, y, quality_fn=quality_fn, checkpoint_dir=checkpoint_dir
+                    x, y, quality_fn=quality_fn, checkpoint_dir=checkpoint_dir,
+                    scalers=(x_scaler, y_scaler),
                 )
             timers = timers.merged(result.timers)
 

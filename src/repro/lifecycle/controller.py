@@ -14,14 +14,15 @@ the pieces the other layers provide:
 * the :class:`~repro.lifecycle.state.LifecycleStore` persists every
   transition as an atomic registry artifact.
 
-``serve(x)`` plays the guarded application: run the surrogate through
-the serving path, validate, restart on the reference on failure, and
-feed every signal back into the loop.  ``step()`` advances the state
-machine one decision at a time — callers interleave it with traffic at
-whatever cadence they like (every request, a background thread, a cron
-tick).  ``resume()`` re-enters a persisted state after a kill: a process
-dying mid-``CANARY`` comes back mid-``CANARY``, with the candidate
-re-registered from the registry and **zero** retrains.
+``serve(x)`` plays the guarded application: it hands the serving path
+to a :class:`~repro.runtime.guard.GuardedSurrogate` (validate, restart
+on the reference on failure) and feeds the guard's verdict back into
+the loop.  ``step()`` advances the state machine one decision at a
+time — callers interleave it with traffic at whatever cadence they
+like (every request, a background thread, a cron tick).  ``resume()``
+re-enters a persisted state after a kill: a process dying mid-``CANARY``
+comes back mid-``CANARY``, with the candidate re-registered from the
+registry and **zero** retrains.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from ..nas.package import SurrogatePackage
 from ..registry import ModelRegistry
+from ..runtime.guard import GuardedSurrogate
 from ..runtime.orchestrator import Orchestrator, UnknownModelError
 from .buffer import TrafficBuffer
 from .drift import DriftConfig, DriftDetector
@@ -103,8 +106,10 @@ class LifecycleController:
     ) -> None:
         self.name = name
         self.registry = registry
-        self.reference = reference
-        self.validator = validator
+        # the guard labels its series with app.name and restarts on
+        # app.exact_outputs; serve() hands it the attempt per call
+        model = SimpleNamespace(app=SimpleNamespace(name=name, exact_outputs=reference))
+        self._guard = GuardedSurrogate(model, validator)
         self.config = config or LifecycleConfig()
         self._orc = orchestrator
         self.detector = DriftDetector(self.config.drift, model=name)
@@ -238,27 +243,31 @@ class LifecycleController:
     def serve(self, x: np.ndarray) -> ServeResult:
         """One guarded invocation through the live serving path.
 
-        Runs the version the orchestrator admits (incumbent or canary
-        slice), validates, restarts on the reference when invalid (the
-        §7.1 guard), and feeds drift/outcome/capture signals back into
-        the loop.  Returns the answer the application would see.
+        The guard runs the version the orchestrator admits (incumbent or
+        canary slice), validates, and restarts on the reference when the
+        answer is invalid or never came (a lost worker or a shed request,
+        with ``version`` ``None``: no model miss, so it feeds the loop
+        nothing).  Returns the answer the application would see.
         """
         x = np.asarray(x, dtype=np.float64).ravel()
+        y, reason, version = self._guard.invoke(x, self._attempt)
+        valid = reason is None
+        if not valid:
+            y = np.asarray(y, dtype=np.float64).ravel()
+        if reason in (None, "invalid"):
+            self.observe(x, version=version, valid=valid, y_true=None if valid else y)
+        return ServeResult(y=y, version=version, valid=valid)
+
+    def _attempt(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+        """The served attempt: put, run the admitted version, get."""
         key = f"__lifecycle_{self.name}_{next(self._ids)}"
         in_key, out_key = key + "_in__", key + "_out__"
         self._orc.put_tensor(in_key, x)
         try:
             version = self._orc.run_model(self.name, (in_key,), (out_key,))
-            y = self._orc.get_tensor(out_key)
+            return self._orc.get_tensor(out_key), version
         finally:
             self._orc.delete_tensors([in_key, out_key])
-        valid = bool(self.validator(x, y))
-        y_true: Optional[np.ndarray] = None
-        if not valid:
-            y_true = np.asarray(self.reference(x), dtype=np.float64).ravel()
-            y = y_true
-        self.observe(x, version=version, valid=valid, y_true=y_true)
-        return ServeResult(y=y, version=version, valid=valid)
 
     def observe(
         self,

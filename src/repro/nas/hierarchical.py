@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -38,6 +38,9 @@ from .evaluation import CandidateResult, QualityFn
 from .inner import InnerSearchResult, TopologySearch
 from .package import SurrogatePackage
 from .space import InputDimSpace, TopologySpace
+
+if TYPE_CHECKING:
+    from ..core.scaling import Scaler
 
 __all__ = ["SearchConfig", "OuterObservation", "SearchResult", "Hierarchical2DSearch"]
 
@@ -251,8 +254,10 @@ class Hierarchical2DSearch:
         feasible = False
         package_dir = checkpoint_dir / "best_package"
         if best_meta is not None and (package_dir / "package.json").exists():
+            # the search works in model space: drop the scalers it saved
+            package = SurrogatePackage.load(package_dir)
             best = CandidateResult(
-                package=SurrogatePackage.load(package_dir),
+                package=replace(package, x_scaler=None, y_scaler=None),
                 f_c=best_meta["f_c"],
                 f_e=best_meta["f_e"],
                 val_error=best_meta.get("val_error", best_meta["f_e"]),
@@ -294,7 +299,14 @@ class Hierarchical2DSearch:
         *,
         quality_fn: Optional[QualityFn] = None,
         checkpoint_dir: Optional[str | Path] = None,
+        scalers: Optional[tuple[Scaler, Scaler]] = None,
     ) -> SearchResult:
+        """Search ``(x, y)`` in model space; checkpoint to ``checkpoint_dir``.
+
+        ``scalers`` are the ``(x_scaler, y_scaler)`` that made ``x`` and
+        ``y``: the saved ``best_package`` carries them, so it serves raw
+        rows like the package the build publishes.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         y = np.atleast_2d(np.asarray(y, dtype=np.float64))
         cfg = self.config
@@ -421,7 +433,7 @@ class Hierarchical2DSearch:
                         if checkpoint_path is not None:
                             # persist immediately so a kill mid-search (or
                             # mid-next-iteration) never forgets the best
-                            best.package.save(checkpoint_path / "best_package")
+                            _save_best(checkpoint_path, best, scalers)
                         g_best_fc.set(best.f_c)
                         g_best_fe.set(best.f_e)
                     else:
@@ -457,7 +469,7 @@ class Hierarchical2DSearch:
         result.best = best
         result.best_k = best_k
         if checkpoint_path is not None and best is not None:
-            best.package.save(checkpoint_path / "best_package")
+            _save_best(checkpoint_path, best, scalers)
             self._save_state(
                 checkpoint_path, result.outer_history, best, best_k, feasible
             )
@@ -507,3 +519,14 @@ class Hierarchical2DSearch:
                 )
             )
         return result
+
+
+def _save_best(
+    checkpoint_dir: Path,
+    best: CandidateResult,
+    scalers: Optional[tuple[Scaler, Scaler]],
+) -> None:
+    package = best.package
+    if scalers is not None:
+        package = replace(package, x_scaler=scalers[0], y_scaler=scalers[1])
+    package.save(checkpoint_dir / "best_package")

@@ -21,7 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".procpool": ["ProcessShardPool"],
     ".shm_store": ["SegmentAttachments", "ShmHandle", "ShmTensorStore"],
     ".guard": [
-        "GuardStats", "GuardedSurrogate", "bounds_validator", "default_validator",
+        "GuardedSurrogate", "bounds_validator", "default_validator",
         "residual_validator",
     ],
 })

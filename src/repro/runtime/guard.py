@@ -9,138 +9,45 @@ already has — a residual norm for a linear solve, boundedness for a price,
 a similarity floor for a codec (§2.1: "many HPC applications have a
 threshold to determine when the final application outcome is acceptable").
 
-:class:`GuardedSurrogate` wraps a deployed surrogate with such a validator:
-every invocation runs the surrogate, checks validity, and transparently
-restarts on the original region when the check fails — while keeping the
-bookkeeping (fallback rate, time ratio) the operator needs.
+:class:`GuardedSurrogate` is the one place that runs attempt → validate →
+restart on exact code: every invocation runs the surrogate, checks
+validity, and transparently restarts on the original region when the
+check fails — or when the attempt never answered (an input the surrogate
+cannot encode, a lost serving worker, a shed request).  The lifecycle
+loop (:class:`~repro.lifecycle.LifecycleController`) serves through it
+too.  Its books are its ``repro_guard_*`` metric series.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 import numpy as np
 
 from .. import obs
+from .sharding import OverloadError, WorkerLostError
 
 if TYPE_CHECKING:  # the offline pipeline is not part of the serving import
     from ..core.pipeline import DeployedSurrogate
 
-__all__ = ["GuardStats", "GuardedSurrogate", "residual_validator", "bounds_validator", "default_validator"]
+__all__ = ["GuardedSurrogate", "residual_validator", "bounds_validator", "default_validator"]
 
 Validator = Callable[[Mapping[str, Any], Mapping[str, Any]], bool]
-
-#: invocations a GuardStats hit-rate window holds by default
-DEFAULT_WINDOW = 256
-
-
-@dataclass
-class GuardStats:
-    """Bookkeeping of one guarded deployment.
-
-    Updates go through :meth:`record`, which is atomic — a deployment
-    shared across threads never loses counts.  Besides the lifetime
-    counters, a ring buffer of the most recent ``window`` invocations
-    backs :attr:`windowed_hit_rate` — the online HitRate signal a drift
-    detector watches (a lifetime average dilutes a fresh regression under
-    hours of healthy history) — and surrogate/fallback wall-clock
-    accumulate *separately* so :attr:`time_ratio` (how much a restart
-    costs relative to the surrogate attempt) is not biased by blending
-    the two populations.
-    """
-
-    invocations: int = 0               # cc: guarded-by(_lock)
-    fallbacks: int = 0                 # cc: guarded-by(_lock)
-    surrogate_seconds: float = 0.0     # cc: guarded-by(_lock)
-    fallback_seconds: float = 0.0      # cc: guarded-by(_lock)
-    window: int = DEFAULT_WINDOW
-    _recent: "deque[bool]" = field(   # cc: guarded-by(_lock)
-        default_factory=deque, repr=False, compare=False
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        with self._lock:
-            self._recent = deque(self._recent, maxlen=int(self.window))
-
-    def record(
-        self,
-        *,
-        fallback: bool,
-        surrogate_seconds: float = 0.0,
-        fallback_seconds: float = 0.0,
-    ) -> None:
-        """Count one invocation (and, when ``fallback``, one restart)."""
-        with self._lock:
-            self.invocations += 1
-            self.surrogate_seconds += surrogate_seconds
-            if fallback:
-                self.fallbacks += 1
-                self.fallback_seconds += fallback_seconds
-            self._recent.append(not fallback)
-
-    @property
-    def fallback_rate(self) -> float:
-        # snapshot both counters under the lock: reading them bare can
-        # pair a fresh fallbacks with a stale invocations mid-record
-        with self._lock:
-            if not self.invocations:
-                return 0.0
-            return self.fallbacks / self.invocations
-
-    @property
-    def surrogate_rate(self) -> float:
-        return 1.0 - self.fallback_rate
-
-    @property
-    def window_count(self) -> int:
-        """Invocations currently held in the hit-rate window."""
-        with self._lock:
-            return len(self._recent)
-
-    @property
-    def windowed_hit_rate(self) -> Optional[float]:
-        """Fraction of the last ``window`` invocations that validated.
-
-        ``None`` until the first invocation lands — a drift detector must
-        not mistake "no data yet" for a perfect (or terrible) HitRate.
-        """
-        with self._lock:
-            if not self._recent:
-                return None
-            return sum(self._recent) / len(self._recent)
-
-    @property
-    def time_ratio(self) -> Optional[float]:
-        """Mean fallback seconds over mean surrogate seconds (None: unsampled).
-
-        This is the stat a retrainer reads to judge how expensive drift
-        is: a ratio of 40 means every restart costs forty surrogate
-        attempts, so even a modest fallback rate dominates wall-clock.
-        """
-        with self._lock:
-            if not self.fallbacks or not self.invocations:
-                return None
-            mean_surrogate = self.surrogate_seconds / self.invocations
-            if mean_surrogate <= 0.0:
-                return None
-            return (self.fallback_seconds / self.fallbacks) / mean_surrogate
-
 
 #: capture hook signature: (problem, flat raw input row, exact outputs)
 CaptureHook = Callable[[Mapping[str, Any], np.ndarray, Mapping[str, Any]], None]
 
+#: an attempt for one call: ``problem -> (outputs, version)``
+Attempt = Callable[[Any], tuple[Any, Optional[int]]]
+
 
 class GuardedSurrogate:
     """Surrogate with transparent restart-on-invalid semantics.
+
+    ``surrogate`` is what the guard wraps: its ``app.name`` labels the
+    guard's series, ``app.exact_outputs`` is the restart, and its ``run``
+    is the attempt unless :meth:`invoke` is handed one.
 
     Two optional hooks turn the guard from passive bookkeeping into the
     sensor of a closed loop (see :mod:`repro.lifecycle`):
@@ -167,7 +74,6 @@ class GuardedSurrogate:
         *,
         drift_detector: Optional[Any] = None,
         capture: Optional[CaptureHook] = None,
-        stats_window: int = DEFAULT_WINDOW,
     ) -> None:
         # imported here, not at module level: a serving process that
         # never guards a surrogate loads no schema code
@@ -176,9 +82,9 @@ class GuardedSurrogate:
         self._schema_error = SchemaMismatchError
         self.surrogate = surrogate
         self.validator = validator
+        self.reference = surrogate.app.exact_outputs
         self.drift_detector = drift_detector
         self.capture = capture
-        self.stats = GuardStats(window=stats_window)
         # per-request instruments, bound once to this surrogate's app
         # label (repro.obs.metrics); a fallback's series by its reason
         app = surrogate.app.name
@@ -190,13 +96,14 @@ class GuardedSurrogate:
         ).labels(app=app)
         fallbacks = registry.counter(
             "repro_guard_fallbacks_total",
-            "Restarts on exact code, by reason: invalid (failed validation) "
-            "or schema (an input the surrogate cannot encode)",
+            "Restarts on exact code, by reason: invalid (failed validation), "
+            "schema (an input the surrogate cannot encode), worker_lost or "
+            "overload (the serving path never answered)",
             labels=("app", "reason"),
         )
         self._m_fallbacks = {
             reason: fallbacks.labels(app=app, reason=reason)
-            for reason in ("invalid", "schema")
+            for reason in ("invalid", "schema", "worker_lost", "overload")
         }
         self._m_surrogate_seconds = registry.histogram(
             "repro_guard_surrogate_seconds",
@@ -211,11 +118,31 @@ class GuardedSurrogate:
 
     def run(self, problem: Mapping[str, Any]) -> dict[str, Any]:
         """Region outputs for ``problem`` — surrogate if valid, exact otherwise."""
-        start = time.perf_counter()
+        return self.invoke(problem)[0]
+
+    def invoke(
+        self, problem: Any, attempt: Optional[Attempt] = None
+    ) -> tuple[Any, Optional[str], Optional[int]]:
+        """One guarded invocation: ``(outputs, reason, version)``.
+
+        ``reason`` is ``None`` when the surrogate's answer stood, else why
+        the exact code answered: ``invalid``, ``schema``, ``worker_lost``
+        or ``overload``.  ``attempt``, when given, replaces the
+        surrogate's ``run`` for this call and also reports the model
+        ``version`` that answered (``None`` when it raised); the lifecycle
+        loop's served path is one.
+        """
+        # telemetry off: no clock read, no instrument call (the overhead
+        # tests/obs/test_overhead.py bounds)
+        timed = obs.TELEMETRY.enabled
+        start = time.perf_counter() if timed else 0.0
         reason: Optional[str] = None
         x: Optional[np.ndarray] = None
+        version: Optional[int] = None
         try:
-            if self.drift_detector is None and self.capture is None:
+            if attempt is not None:
+                outputs, version = attempt(problem)
+            elif self.drift_detector is None and self.capture is None:
                 outputs = self.surrogate.run(problem)
             else:
                 # the hooks read the row the surrogate served: flatten once
@@ -223,42 +150,30 @@ class GuardedSurrogate:
                 outputs = self.surrogate.run_row(x)
         except self._schema_error:
             reason = "schema"
+        except WorkerLostError:
+            reason = "worker_lost"
+        except OverloadError:
+            reason = "overload"
         else:
             if not self.validator(problem, outputs):
                 reason = "invalid"
-        valid = reason is None
-        surrogate_elapsed = time.perf_counter() - start
-        exact_outputs: Optional[Mapping[str, Any]] = None
-        fallback_elapsed = 0.0
-        if not valid:
-            # restart with the original code (§7.1) — timed separately
-            # from the surrogate attempt so the two latency populations
-            # never blend (the restart is typically orders of magnitude
-            # slower, and the retrainer reads their ratio)
+        if timed:
             restart = time.perf_counter()
-            exact_outputs = self.surrogate.app.exact_outputs(problem)
-            fallback_elapsed = time.perf_counter() - restart
-        self.stats.record(
-            fallback=not valid,
-            surrogate_seconds=surrogate_elapsed,
-            fallback_seconds=fallback_elapsed,
-        )
-        if obs.TELEMETRY.enabled:
-            # a per-request path: tests/obs/test_overhead.py bounds what
-            # it pays with telemetry off, and two instrument calls that
-            # return at once still cost more than this read
             self._m_invocations.inc()
-            self._m_surrogate_seconds.observe(surrogate_elapsed)
-            if not valid:
+            self._m_surrogate_seconds.observe(restart - start)
+        if reason is not None:
+            # restart with the original code (§7.1), timed apart from
+            # the attempt: the restart is typically orders of magnitude
+            # slower, and blended latencies would hide both populations
+            outputs = self.reference(problem)
+            if timed:
                 self._m_fallbacks[reason].inc()
-                self._m_fallback_seconds.observe(fallback_elapsed)
+                self._m_fallback_seconds.observe(time.perf_counter() - restart)
         if self.drift_detector is not None:
-            self.drift_detector.observe(x, fallback=not valid)
-        if self.capture is not None and x is not None and exact_outputs is not None:
-            self.capture(problem, x, exact_outputs)
-        if valid:
-            return outputs
-        return exact_outputs
+            self.drift_detector.observe(x, fallback=reason is not None)
+        if self.capture is not None and x is not None and reason is not None:
+            self.capture(problem, x, outputs)
+        return outputs, reason, version
 
     def qoi(self, problem: Mapping[str, Any]) -> float:
         return self.surrogate.app.qoi_from_outputs(problem, self.run(problem))

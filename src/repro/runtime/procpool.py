@@ -52,6 +52,7 @@ from __future__ import annotations
 import functools
 import itertools
 import multiprocessing as mp
+import sys
 import threading
 import time
 from typing import Callable, Iterable, NamedTuple, Optional
@@ -189,7 +190,10 @@ class ProcessShardPool:
             ]
             with self._conn_lock:
                 for shard in self._shards:
-                    self._control(shard, ("ping",))  # block until booted
+                    try:
+                        self._control(shard, ("ping",))  # block until booted
+                    except (EOFError, OSError):
+                        raise self._boot_failed(shard) from None
                     for reg in self._registered:
                         target = self.ring.shard_for(reg[0], reg[1])
                         if target == shard.id:
@@ -203,6 +207,29 @@ class ProcessShardPool:
                 )
                 shard.collector.start()
             self._running = True
+
+    def _boot_failed(self, shard: _Shard) -> RuntimeError:  # cc: requires(_state_lock)
+        """Tear down a pool whose ``shard`` worker died before its boot
+        ping; the error names the shard and its exit code."""
+        shard.proc.join(5.0)  # its exit code first, before any signal
+        for each in self._shards:
+            if each.proc.is_alive():
+                each.proc.terminate()
+            each.proc.join(5.0)
+            for conn in (each.req_send, each.res_recv, each.conn):
+                conn.close()
+        self._store.unlink_all()
+        self._shards = []
+        message = (
+            f"shard {shard.id} worker exited with code {shard.proc.exitcode} "
+            "before it booted"
+        )
+        if getattr(sys.modules["__main__"], "__file__", None) == "<stdin>":
+            message += (
+                "; spawned workers re-import the main module, which was "
+                "read from stdin: run the script from a file"
+            )
+        return RuntimeError(message)
 
     def _control(self, shard: _Shard, cmd: tuple) -> None:  # cc: requires(_conn_lock)
         """Send one control command and wait for the worker's ack."""

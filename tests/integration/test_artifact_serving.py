@@ -18,6 +18,7 @@ import numpy as np
 
 from repro import AutoHPCnet, AutoHPCnetConfig
 from repro.apps import BlackscholesApplication
+from repro.nas.package import SurrogatePackage
 from repro.nn import batch_invariant
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -86,3 +87,16 @@ def test_fresh_process_serves_raw_rows_from_the_registry(tmp_path):
     # both sides were standardized for training: the check has teeth
     assert not surrogate.package.x_scaler.is_identity
     assert not surrogate.package.y_scaler.is_identity
+
+
+def test_best_package_serves_what_the_registry_serves(tmp_path):
+    """The search checkpoint's ``best_package`` carries the build's
+    scalers: it answers raw rows byte for byte as the build's package."""
+    app = BlackscholesApplication()
+    build = AutoHPCnet(FAST).build(app, checkpoint_dir=str(tmp_path))
+    package = build.surrogate.package
+    problems = app.generate_problems(20, np.random.default_rng(8))
+    rows = np.stack([build.surrogate.input_schema.flatten(p) for p in problems])
+    best = SurrogatePackage.load(tmp_path / "best_package")
+    with batch_invariant():
+        assert best.predict(rows).tobytes() == package.predict(rows).tobytes()

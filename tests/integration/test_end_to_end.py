@@ -65,8 +65,10 @@ class TestBuild:
         assert "K=" in text
 
     def test_guarded_deployment_integration(self, fft_build):
+        from repro import obs
         from repro.runtime import GuardedSurrogate, default_validator
 
+        obs.configure(enabled=True, reset=True)
         guard = GuardedSurrogate(
             fft_build.surrogate, default_validator("FFT")
         )
@@ -74,7 +76,8 @@ class TestBuild:
         problem = app.example_problem(np.random.default_rng(21))
         outputs = guard.run(problem)
         assert set(outputs) == {"re_out", "im_out"}
-        assert guard.stats.invocations == 1
+        invocations = obs.get_registry().get("repro_guard_invocations_total")
+        assert invocations.value(app="FFT") == 1
 
     def test_evaluation_row(self, fft_build):
         row = evaluate_surrogate(

@@ -109,11 +109,11 @@ class TestPrometheusExport:
             assert hist.count(phase=phase) == expected
 
     def test_guard_counters_match_stats(self, telemetry_run):
-        _, _, guarded, _ = telemetry_run
+        _, _, _, served = telemetry_run
         registry = obs.get_registry()
         assert (
             registry.get("repro_guard_invocations_total").value(app="Blackscholes")
-            == guarded.stats.invocations
+            == len(served)
         )
 
     def test_snapshot_renders_as_table(self, telemetry_run):

@@ -8,8 +8,11 @@ publishes, orchestrator canary routing, guard-style validation, and the
 persisted state machine.
 """
 
+import glob
 import json
+import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -349,3 +352,54 @@ class TestProcessModeLoop:
             assert ctl.serve(world.shifted_row()).version == 2
         finally:
             orc.stop()
+
+
+class TestGuardedServing:
+    """``serve`` goes through the one §7.1 guard and its books."""
+
+    def test_serve_is_counted_in_the_guard_series(self, world):
+        ctl = world.controller(Orchestrator())
+        ctl.attach()
+        rows = [world.healthy_row() for _ in range(12)]
+        rows += [world.shifted_row() for _ in range(8)]
+        results = [ctl.serve(row) for row in rows]
+        invalid = [(row, r) for row, r in zip(rows, results) if not r.valid]
+        assert invalid  # foreign traffic fails the check
+        registry = obs.get_registry()
+        assert registry.get("repro_guard_invocations_total").value(app="m") == len(rows)
+        fallbacks = registry.get("repro_guard_fallbacks_total")
+        assert fallbacks.value(app="m", reason="invalid") == len(invalid)
+        for row, result in invalid:
+            assert result.version == 1   # a miss of the admitted version
+            assert result.y.tobytes() == world.reference(row).tobytes()
+
+    def test_lost_worker_is_answered_exactly(self, world):
+        orc = Orchestrator(num_processes=1)
+        ctl = world.controller(orc)
+        ctl.attach()
+        orc.start()
+        try:
+            results = []
+            for i in range(30):
+                if i == 10:
+                    # SIGKILL the lone worker mid-burst
+                    proc = orc._pool._shards[0].proc
+                    os.kill(proc.pid, signal.SIGKILL)
+                    proc.join(5.0)
+                row = world.healthy_row()
+                results.append((row, ctl.serve(row)))
+            for row, result in results[:10]:
+                assert result.valid and result.version == 1
+            for row, result in results[10:]:
+                assert not result.valid and result.version is None
+                assert result.y.tobytes() == world.reference(row).tobytes()
+            fallbacks = obs.get_registry().get("repro_guard_fallbacks_total")
+            assert fallbacks.value(app="m", reason="worker_lost") == 20
+            assert fallbacks.value(app="m", reason="invalid") == 0
+            # a lost worker is no model miss: the loop saw ten hits only
+            score = ctl.detector.score()
+            assert score.hit_rate == 1.0 and not score.drifted
+            assert len(ctl.buffer) == 0
+        finally:
+            orc.stop()
+        assert glob.glob("/dev/shm/repro_*") == []

@@ -79,6 +79,6 @@ def test_no_component_outside_obs_reads_the_switch():
         "runtime/procpool.py": ['"telemetry": obs.is_enabled(),'],
         # the per-request paths the disabled-overhead bound covers
         "runtime/core.py": ["if not obs.TELEMETRY.enabled:"],
-        "runtime/guard.py": ["if obs.TELEMETRY.enabled:"],
+        "runtime/guard.py": ["timed = obs.TELEMETRY.enabled"],
         "runtime/orchestrator.py": ["if obs.TELEMETRY.enabled:"],
     }

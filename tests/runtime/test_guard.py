@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import AutoHPCnet, AutoHPCnetConfig
+from repro import AutoHPCnet, AutoHPCnetConfig, obs
 from repro.apps import CGApplication
 from repro.runtime import GuardedSurrogate, bounds_validator, residual_validator
 
@@ -62,11 +62,16 @@ class TestGuardedExecution:
     def test_valid_outputs_pass_through(self, cg_guarded, rng):
         app = cg_guarded.surrogate.app
         problems = app.generate_problems(5, rng)
+        obs.configure(enabled=True, reset=True)
+        guarded = GuardedSurrogate(
+            cg_guarded.surrogate, residual_validator("A", "b", "x", rtol=0.25)
+        )
         for p in problems:
-            outputs = cg_guarded.run(p)
+            outputs = guarded.run(p)
             # guarded output always satisfies the validity check
             assert residual_validator("A", "b", "x", rtol=0.25)(p, outputs)
-        assert cg_guarded.stats.invocations == 5
+        invocations = obs.get_registry().get("repro_guard_invocations_total")
+        assert invocations.value(app="CG") == 5
 
     def test_fallback_engages_on_broken_surrogate(self, cg_guarded, rng):
         app = cg_guarded.surrogate.app
@@ -74,9 +79,8 @@ class TestGuardedExecution:
         for param in cg_guarded.surrogate.package.model.parameters():
             param.data[:] = 0.0
         problem = app.example_problem(rng)
-        before = cg_guarded.stats.fallbacks
-        outputs = cg_guarded.run(problem)
-        assert cg_guarded.stats.fallbacks == before + 1
+        outputs, reason, version = cg_guarded.invoke(problem)
+        assert (reason, version) == ("invalid", None)
         # the restart produced the exact result
         exact = app.run_exact(problem).outputs
         assert np.allclose(outputs["x"], exact["x"])
@@ -86,13 +90,6 @@ class TestGuardedExecution:
         problem = app.example_problem(rng)
         qoi = cg_guarded.qoi(problem)
         assert qoi == pytest.approx(app.run_exact(problem).qoi)
-
-    def test_stats_rates(self):
-        from repro.runtime import GuardStats
-
-        stats = GuardStats(invocations=10, fallbacks=3)
-        assert stats.fallback_rate == pytest.approx(0.3)
-        assert stats.surrogate_rate == pytest.approx(0.7)
 
 
 class TestDefaultValidators:
@@ -124,29 +121,21 @@ class TestSplitLatencyAndWindow:
     def test_surrogate_and_fallback_seconds_accumulate(self, cg_guarded, rng):
         app = cg_guarded.surrogate.app
         problem = app.example_problem(rng)
-        stats = cg_guarded.stats
-        before_s, before_f = stats.surrogate_seconds, stats.fallback_seconds
-        cg_guarded.run(problem)  # surrogate is sabotaged by an earlier test
-        assert stats.surrogate_seconds > before_s
-        if stats.fallbacks:
-            assert stats.fallback_seconds > before_f
-            assert stats.time_ratio is not None and stats.time_ratio > 0
-
-    def test_windowed_hit_rate_tracks_recent_traffic(self):
-        from repro.runtime import GuardStats
-
-        stats = GuardStats(window=4)
-        assert stats.windowed_hit_rate is None
-        for fallback in (True, True, True, True):
-            stats.record(fallback=fallback)
-        assert stats.windowed_hit_rate == 0.0
-        for fallback in (False, False, False, False):
-            stats.record(fallback=fallback)
-        # the early misses aged out of the window
-        assert stats.windowed_hit_rate == 1.0
-        assert stats.window_count == 4
-        # lifetime counters still remember everything
-        assert stats.invocations == 8 and stats.fallbacks == 4
+        obs.configure(enabled=True, reset=True)
+        try:
+            passing = GuardedSurrogate(cg_guarded.surrogate, lambda p, o: True)
+            failing = GuardedSurrogate(cg_guarded.surrogate, lambda p, o: False)
+            passing.run(problem)
+            failing.run(problem)
+            registry = obs.get_registry()
+            surrogate = registry.get("repro_guard_surrogate_seconds")
+            fallback = registry.get("repro_guard_fallback_seconds")
+            # every attempt lands in the surrogate histogram; only the
+            # restart lands in the fallback one
+            assert surrogate.count(app="CG") == 2 and surrogate.sum(app="CG") > 0
+            assert fallback.count(app="CG") == 1 and fallback.sum(app="CG") > 0
+        finally:
+            obs.configure(enabled=True, reset=True)
 
     def test_split_histograms_exported(self, rng):
         from repro import obs
@@ -183,8 +172,8 @@ class TestGuardHooks:
             capture=lambda problem, x, outputs: captured.append((x, outputs)),
         )
         problem = app.example_problem(rng)
-        guarded.run(problem)
-        assert len(captured) == guarded.stats.fallbacks
+        _, reason, _ = guarded.invoke(problem)
+        assert len(captured) == (reason is not None)
         # now sabotage: every run falls back and must be captured
         for param in guarded.surrogate.package.model.parameters():
             param.data[:] = 0.0

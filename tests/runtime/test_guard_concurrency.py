@@ -1,4 +1,5 @@
-"""GuardedSurrogate under concurrent invocations: no lost counts."""
+"""GuardedSurrogate under concurrent invocations: its metric series lose
+no counts."""
 
 from concurrent.futures import ThreadPoolExecutor
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.runtime import GuardedSurrogate, GuardStats
+from repro.runtime import GuardedSurrogate
 
 
 @pytest.fixture(autouse=True)
@@ -46,22 +47,26 @@ def _make_guarded():
 
 class TestGuardStatsThreadSafety:
     def test_record_is_atomic(self):
-        stats = GuardStats()
-        n_threads, per_thread = 8, 5000
+        # the guard's books are its series: every counter and both split
+        # histograms count each of a hammer's calls exactly once
+        guarded = _make_guarded()
+        n_threads, per_thread = 8, 2000
 
         def hammer(worker):
             for i in range(per_thread):
-                stats.record(fallback=(i % 4 == 0))
+                guarded.run({"val": 1.0 if i % 4 == 0 else 0.0})
 
         with ThreadPoolExecutor(n_threads) as pool:
             list(pool.map(hammer, range(n_threads)))
-        assert stats.invocations == n_threads * per_thread
-        assert stats.fallbacks == n_threads * (per_thread // 4)
-
-    def test_positional_construction_still_works(self):
-        stats = GuardStats(10, 3)
-        assert stats.fallback_rate == pytest.approx(0.3)
-        assert stats.surrogate_rate == pytest.approx(0.7)
+        total, fallbacks = n_threads * per_thread, n_threads * (per_thread // 4)
+        registry = obs.get_registry()
+        assert registry.get("repro_guard_invocations_total").value(app="stub") == total
+        assert (
+            registry.get("repro_guard_fallbacks_total").value(app="stub", reason="invalid")
+            == fallbacks
+        )
+        assert registry.get("repro_guard_surrogate_seconds").count(app="stub") == total
+        assert registry.get("repro_guard_fallback_seconds").count(app="stub") == fallbacks
 
 
 class TestGuardedConcurrency:
@@ -86,10 +91,6 @@ class TestGuardedConcurrency:
             expected_fallbacks = sum(pool.map(hammer, range(n_threads)))
 
         total = n_threads * per_thread
-        assert guarded.stats.invocations == total
-        assert guarded.stats.fallbacks == expected_fallbacks
-        assert guarded.stats.fallback_rate == pytest.approx(expected_fallbacks / total)
-        # telemetry counters agree with the stats object
         registry = obs.get_registry()
         assert registry.get("repro_guard_invocations_total").value(app="stub") == total
         assert (
@@ -100,10 +101,11 @@ class TestGuardedConcurrency:
     def test_counters_skipped_when_disabled(self):
         guarded = _make_guarded()
         with obs.disabled():
-            guarded.run({"val": 0.1})
-            guarded.run({"val": 0.9})
-        # stats are functional output and still accumulate...
-        assert guarded.stats.invocations == 2
-        assert guarded.stats.fallbacks == 1
-        # ...but no telemetry was written
-        assert obs.get_registry().get("repro_guard_invocations_total").total() == 0
+            assert guarded.invoke({"val": 0.1})[1] is None
+            assert guarded.invoke({"val": 0.9})[1] == "invalid"
+        # the guard still restarted, but wrote no telemetry
+        registry = obs.get_registry()
+        for name in ("repro_guard_invocations_total", "repro_guard_fallbacks_total"):
+            assert registry.get(name).total() == 0
+        for name in ("repro_guard_surrogate_seconds", "repro_guard_fallback_seconds"):
+            assert registry.get(name).count(app="stub") == 0

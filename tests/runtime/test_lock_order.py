@@ -11,7 +11,6 @@ import pytest
 from repro import obs
 from repro.obs.locks import LockOrderRecorder, TrackedCondition, instrument_object
 from repro.runtime import Orchestrator
-from repro.runtime.guard import GuardStats
 from repro.runtime.sharding import _RequestQueue
 from repro.static import cross_validate_lock_orders, lock_order_graph
 
@@ -161,30 +160,6 @@ class TestGetBatchTimeoutEdges:
             t.join(timeout=5.0)
             assert not t.is_alive()
         assert results == [None] * 3
-
-
-class TestGuardStatsRegression:
-    def test_fallback_rate_never_tears(self):
-        # regression: fallback_rate read both counters bare; sampling it
-        # mid-record could pair a fresh numerator with a stale denominator
-        stats = GuardStats()
-        stop = threading.Event()
-        samples = []
-
-        def reader():
-            while not stop.is_set():
-                samples.append(stats.fallback_rate)
-
-        t = threading.Thread(target=reader)
-        t.start()
-        for _ in range(2000):
-            stats.record(fallback=True)
-        stop.set()
-        t.join(timeout=5.0)
-        # every record is a fallback: a coherent snapshot is exactly 1.0
-        # (or 0.0 before the first record) at every instant
-        assert all(s in (0.0, 1.0) for s in samples)
-        assert stats.fallback_rate == 1.0
 
 
 class TestTracerResetRegression:

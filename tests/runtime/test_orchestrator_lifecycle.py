@@ -4,6 +4,8 @@ once, and stored tensors cannot be aliased."""
 
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -331,6 +333,33 @@ class TestWorkerLoss:
         served = _counter("repro_orchestrator_served_total")
         failed = _counter("repro_orchestrator_failed_total")
         assert submitted == served + failed == 1
+
+
+    def test_worker_dead_at_boot_is_named(self):
+        """A worker that dies before its boot ping (here: re-importing a
+        ``__main__`` read from stdin) fails ``start`` with one error that
+        names the shard, its exit code and the cause, and leaves no
+        child process behind."""
+        script = (
+            "import multiprocessing\n"
+            "from repro.runtime import Orchestrator\n"
+            "try:\n"
+            "    Orchestrator(num_processes=1).start()\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+            "print(len(multiprocessing.active_children()))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        done = subprocess.run(
+            [sys.executable, "-"], input=script, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        error, children = done.stdout.strip().splitlines()
+        assert error.startswith("shard 0 worker exited with code 1 before it booted")
+        assert "re-import the main module" in error and "stdin" in error
+        assert children == "0"
 
 
 class TestBlockingCall:

@@ -81,8 +81,9 @@ def test_serving_never_densifies(amg_build, monkeypatch):
         amg_build.surrogate, residual_validator(rtol=1e9),
         drift_detector=RecordingDetector(),
     )
-    assert np.array_equal(guarded.run(problem)["x"], outputs["x"])
-    assert guarded.stats.fallbacks == 0
+    served, reason, _ = guarded.invoke(problem)
+    assert np.array_equal(served["x"], outputs["x"])
+    assert reason is None
 
 
 def test_extra_entry_runs_exact_region(amg_build, telemetry):
@@ -106,7 +107,7 @@ def test_extra_entry_runs_exact_region(amg_build, telemetry):
     fallbacks = telemetry.get("repro_guard_fallbacks_total")
     assert fallbacks.value(app="AMG", reason="schema") == 1
     assert fallbacks.value(app="AMG", reason="invalid") == 0
-    assert guarded.stats.fallbacks == 1
+    assert telemetry.get("repro_guard_invocations_total").value(app="AMG") == 1
     assert detector.seen == [(None, True)]
     assert captured == []          # no model-space row to learn from
 
